@@ -40,7 +40,6 @@ from .graph import (
     ForestClass,
     Graph,
     format_edge_list,
-    induced_subgraph,
     is_caterpillar_forest,
     is_forest,
     is_linear_forest,

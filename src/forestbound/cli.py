@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_har.add_argument("suite", choices=list(harness.SUITES))
     p_har.add_argument("--seed", type=int, default=0)
     p_har.add_argument("--sizes", type=int, nargs="*")
-    p_har.add_argument("--threads", type=int)
     p_har.add_argument("--out", help="report file (default stdout)")
 
     return parser
@@ -239,7 +238,7 @@ def cmd_epsilon_opt(args) -> int:
 
 
 def cmd_harness(args) -> int:
-    report = harness.run_suite(args.suite, args.seed, args.sizes, args.threads)
+    report = harness.run_suite(args.suite, args.seed, args.sizes)
     text = report.to_text()
     if args.out:
         Path(args.out).write_text(text)

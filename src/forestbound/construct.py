@@ -2,18 +2,23 @@
 subgraph provably belongs to the target class and whose size meets the
 corresponding degree-sequence bound.
 
-The constrained builders (abc_construct, ab_construct) run a reduction
-engine: each rule removes at least one vertex, records its graph delta in a
-trace, and prescribes how to lift a certificate of the reduced instance back
-to the current one. Rule soundness is enforced with exact rational
-comparisons at application time, and every constructor re-verifies its final
-certificate before returning it.
+abc_construct (ABC linear-forest weights) and ab_construct (AB star-forest
+weights) run one reduction engine, `_reduce`, which applies six rules in a
+fixed priority order. What differs between the two modes sits in one rule
+table each, `_RULES["ABC"]` and `_RULES["AB"]`: weights and gains, the leaf
+rule, the path automaton, the forest class, the rule-id prefix (R or S) and
+the mode's own rule 5. Each applied rule records its graph delta in a trace,
+and rule soundness is enforced with exact rational comparisons at
+application time. No function here recurses, so the constructors' call
+depth does not grow with the input, and every constructor re-verifies its
+final certificate before returning it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .errors import BoundMiss, InvalidSpec, IsolatedVertexPresent, NotCubic, ParseError
@@ -40,8 +45,6 @@ from .weights import (
 
 DEFAULT_EXACT_THRESHOLD = 16
 _STUCK_BUDGET = 500_000
-
-_DEMOTE = {"A": "B", "B": "C"}
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def greedy_linear_forest(g: Graph) -> ForestCertificate:
         else:
             chosen |= comp
     cert = ForestCertificate(frozenset(chosen), LINEAR_FOREST, bound)
-    _check_certificate(g, cert)
+    _check_certificate("greedy_linear_forest", g, cert)
     return cert
 
 
@@ -124,7 +127,7 @@ def caterpillar_forest(g: Graph) -> ForestCertificate:
     cert = ForestCertificate(
         frozenset(set(inner.vertex_set) | leaves), CATERPILLAR_FOREST, bound
     )
-    _check_certificate(g, cert)
+    _check_certificate("caterpillar_forest", g, cert)
     return cert
 
 
@@ -151,7 +154,7 @@ def cubic_partition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# ABC engine (constrained linear forests)
+# Reduction engine for the constrained bounds (ABC linear, AB star)
 
 
 def abc_construct(
@@ -162,126 +165,7 @@ def abc_construct(
 ) -> tuple[ForestCertificate, ReductionTrace]:
     """Linear forest respecting the ABC degree caps, of size at least the
     partition-weighted bound."""
-    if p.mode != "ABC":
-        raise ParseError("abc_construct needs an ABC partition")
-    p.validate_for(g)
-    bound = total_weight(g, BoundSpec.abc(), p)
-    trace = ReductionTrace()
-    chosen = _abc_reduce(g, dict(p.labels), trace, exact_threshold, budget, bound)
-    cert = ForestCertificate(frozenset(chosen), LINEAR_FOREST, bound)
-    if not verify_certificate(g, cert, p):
-        raise BoundMiss("abc_construct produced an invalid certificate", cert)
-    return cert, trace
-
-
-def _abc_total(g: Graph, labels: dict[int, str]) -> Fraction:
-    return sum((abc_weight(labels[v], g.degree(v)) for v in g.vertices), Fraction(0))
-
-
-def _abc_reduce(
-    g: Graph,
-    labels: dict[int, str],
-    trace: ReductionTrace,
-    threshold: int,
-    budget: int,
-    full_bound: Fraction,
-) -> set[int]:
-    if g.n == 0:
-        return set()
-
-    # R1: delete a vertex whose weight is at most its neighbors' total gain.
-    pick = None
-    for v in g.vertices:
-        fv = abc_weight(labels[v], g.degree(v))
-        if fv <= sum((gain(labels[w], g.degree(w)) for w in g.neighbors(v)), Fraction(0)):
-            if pick is None or (fv, v) < pick:
-                pick = (fv, v)
-    if pick is not None:
-        v = pick[1]
-        trace.append(ReductionStep("R1", removed=(v,)))
-        rest = {u: part for u, part in labels.items() if u != v}
-        return _abc_reduce(g.delete_vertex(v), rest, trace, threshold, budget, full_bound)
-
-    # R2: max degree <= 2 means every component is a path or a cycle, solved
-    # optimally by dynamic programming.
-    if g.max_degree() <= 2:
-        chosen: set[int] = set()
-        for comp in g.components():
-            sub = g.induced(comp)
-            picks = _dp_component(sub, labels, "abc")
-            need = _abc_total(sub, labels)
-            if Fraction(len(picks)) < need:
-                raise BoundMiss(
-                    f"path/cycle optimum {len(picks)} below bound {need}",
-                    ForestCertificate(frozenset(picks), LINEAR_FOREST, need),
-                )
-            trace.append(
-                ReductionStep("R2", removed=tuple(sorted(comp)), chosen=tuple(sorted(picks)))
-            )
-            chosen |= picks
-        return chosen
-
-    # R3: strip a leaf whose weight survives re-adding it after demoting its
-    # neighbor one rank.
-    for v in g.vertices:
-        if g.degree(v) != 1 or labels[v] == "C":
-            continue
-        (w,) = g.neighbors(v)
-        if labels[w] == "C":
-            continue
-        demoted = _DEMOTE[labels[w]]
-        drop = abc_weight(labels[v], 1) + (
-            abc_weight(labels[w], g.degree(w)) - abc_weight(demoted, g.degree(w) - 1)
-        )
-        if drop > 1:
-            continue
-        trace.append(ReductionStep("R3", removed=(v,), relabeled=((w, demoted),)))
-        rest = {u: part for u, part in labels.items() if u != v}
-        rest[w] = demoted
-        picks = _abc_reduce(g.delete_vertex(v), rest, trace, threshold, budget, full_bound)
-        picks.add(v)
-        return picks
-
-    # R4: solve components independently.
-    comps = g.components()
-    if len(comps) > 1:
-        trace.append(ReductionStep("R4", note=f"split into {len(comps)} components"))
-        out: set[int] = set()
-        for comp in comps:
-            sub_labels = {v: labels[v] for v in comp}
-            out |= _abc_reduce(g.induced(comp), sub_labels, trace, threshold, budget, full_bound)
-        return out
-
-    # R5: promote a degree-3 B vertex, delete its lightest neighbor, and tie
-    # the two heavier ones together; apply only when the rewritten instance
-    # keeps the full bound.
-    base_total = _abc_total(g, labels)
-    for v in g.vertices:
-        if labels[v] != "B" or g.degree(v) != 3:
-            continue
-        nbrs = sorted(
-            g.neighbors(v), key=lambda w: (-abc_weight(labels[w], g.degree(w)), w)
-        )
-        x, y, z = nbrs
-        reduced = g.delete_vertex(z).add_edge(x, y)
-        new_labels = {u: part for u, part in labels.items() if u != z}
-        new_labels[v] = "A"
-        if _abc_total(reduced, new_labels) < base_total:
-            continue
-        added = () if g.has_edge(x, y) else ((x, y),)
-        trace.append(
-            ReductionStep("R5", removed=(z,), added_edges=added, relabeled=((v, "A"),))
-        )
-        return _abc_reduce(reduced, new_labels, trace, threshold, budget, full_bound)
-
-    # R6: constrained exact search.
-    return _exact_fallback(
-        g, Partition(labels, "ABC"), trace, threshold, budget, _abc_total(g, labels), "R6"
-    )
-
-
-# ---------------------------------------------------------------------------
-# AB engine (constrained star forests)
+    return _construct("ABC", g, p, exact_threshold, budget)
 
 
 def ab_construct(
@@ -292,108 +176,172 @@ def ab_construct(
 ) -> tuple[ForestCertificate, ReductionTrace]:
     """Star forest respecting the AB edge condition, of size at least the
     partition-weighted bound."""
-    if p.mode != "AB":
-        raise ParseError("ab_construct needs an AB partition")
+    return _construct("AB", g, p, exact_threshold, budget)
+
+
+def _construct(
+    mode: str, g: Graph, p: Partition, threshold: int, budget: int
+) -> tuple[ForestCertificate, ReductionTrace]:
+    table = _RULES[mode]
+    if p.mode != mode:
+        raise ParseError(f"{table['name']} needs an {mode} partition")
     p.validate_for(g)
-    bound = total_weight(g, BoundSpec.abstar(), p)
-    trace = ReductionTrace()
-    chosen = _ab_reduce(g, dict(p.labels), trace, exact_threshold, budget)
-    cert = ForestCertificate(frozenset(chosen), STAR_FOREST, bound)
-    if not verify_certificate(g, cert, p):
-        raise BoundMiss("ab_construct produced an invalid certificate", cert)
+    bound = total_weight(g, table["bound"], p)
+    chosen, trace = _reduce(g, dict(p.labels), mode, threshold, budget)
+    cert = ForestCertificate(frozenset(chosen), table["forest"], bound)
+    _check_certificate(table["name"], g, cert, p)
     return cert, trace
 
 
-def _ab_total(g: Graph, labels: dict[int, str]) -> Fraction:
-    return sum((ab_star_weight(labels[v], g.degree(v)) for v in g.vertices), Fraction(0))
+def _reduce(
+    g: Graph, labels: dict[int, str], mode: str, threshold: int, budget: int
+) -> tuple[set[int], ReductionTrace]:
+    """Apply the rules of `_RULES[mode]` in priority order until nothing is left.
 
+    Pending instances wait on an explicit stack. Each step pops one and
+    applies its first rule that fits; components are pushed in reverse, so
+    they are solved, and logged, in order of their smallest vertex.
+    """
+    table = _RULES[mode]
+    weight, gain_of = globals()[table["weight"]], globals()[table["gain"]]
+    rule = table["prefix"]
+    trace = ReductionTrace()
+    chosen: set[int] = set()
+    stack = [(g, labels)]
+    while stack:
+        g, labels = stack.pop()
+        if g.n == 0:
+            continue
 
-def _ab_reduce(
-    g: Graph,
-    labels: dict[int, str],
-    trace: ReductionTrace,
-    threshold: int,
-    budget: int,
-) -> set[int]:
-    if g.n == 0:
-        return set()
+        # 1: delete a vertex whose weight is at most its neighbors' total gain.
+        v = _lightest_deletable(g, labels, weight, gain_of)
+        if v is not None:
+            trace.append(ReductionStep(f"{rule}1", removed=(v,)))
+            stack.append((g.delete_vertex(v), _without(labels, v)))
+            continue
 
-    # S1: weight-vs-gain deletion.
-    pick = None
-    for v in g.vertices:
-        fv = ab_star_weight(labels[v], g.degree(v))
-        if fv <= sum(
-            (ab_star_gain(labels[w], g.degree(w)) for w in g.neighbors(v)), Fraction(0)
-        ):
-            if pick is None or (fv, v) < pick:
-                pick = (fv, v)
-    if pick is not None:
-        v = pick[1]
-        trace.append(ReductionStep("S1", removed=(v,)))
-        rest = {u: part for u, part in labels.items() if u != v}
-        return _ab_reduce(g.delete_vertex(v), rest, trace, threshold, budget)
+        # 2: max degree <= 2 means every component is a path or a cycle,
+        # solved optimally by dynamic programming.
+        if g.max_degree() <= 2:
+            for comp in g.components():
+                sub = g.induced(comp)
+                picks = _dp_component(sub, labels, mode)
+                need = _total(sub, labels, weight)
+                if Fraction(len(picks)) < need:
+                    raise BoundMiss(
+                        f"path/cycle optimum {len(picks)} below bound {need}",
+                        ForestCertificate(frozenset(picks), table["forest"], need),
+                    )
+                trace.append(_solved(f"{rule}2", comp, picks))
+                chosen |= picks
+            continue
 
-    # S2: paths and cycles solved optimally by dynamic programming.
-    if g.max_degree() <= 2:
-        chosen: set[int] = set()
-        for comp in g.components():
-            sub = g.induced(comp)
-            picks = _dp_component(sub, labels, "ab")
-            need = _ab_total(sub, labels)
-            if Fraction(len(picks)) < need:
-                raise BoundMiss(
-                    f"path/cycle optimum {len(picks)} below bound {need}",
-                    ForestCertificate(frozenset(picks), STAR_FOREST, need),
-                )
-            trace.append(
-                ReductionStep("S2", removed=tuple(sorted(comp)), chosen=tuple(sorted(picks)))
-            )
+        # 3: strip a leaf whose weight survives re-adding it after demoting
+        # its neighbor one rank; the leaf is always re-added.
+        leaf = _strippable_leaf(g, labels, table, weight)
+        if leaf is not None:
+            v, w, demoted = leaf
+            trace.append(ReductionStep(f"{rule}3", removed=(v,), relabeled=((w, demoted),)))
+            rest = _without(labels, v)
+            rest[w] = demoted
+            stack.append((g.delete_vertex(v), rest))
+            chosen.add(v)
+            continue
+
+        # 4: solve components independently.
+        comps = g.components()
+        if len(comps) > 1:
+            trace.append(ReductionStep(f"{rule}4", note=f"split into {len(comps)} components"))
+            for comp in reversed(comps):
+                stack.append((g.induced(comp), {u: labels[u] for u in comp}))
+            continue
+
+        # 5: the mode's own rule.
+        found = table["special"](g, labels, weight)
+        if found is not None:
+            step, picks, rest = found
+            trace.append(step)
             chosen |= picks
-        return chosen
-
-    # S3: strip an A leaf; its neighbor moves to B so the leaf can always be
-    # re-added.
-    for v in g.vertices:
-        if g.degree(v) != 1 or labels[v] != "A":
+            stack.extend(rest)
             continue
-        (w,) = g.neighbors(v)
-        drop = Fraction(5, 6) + (
-            ab_star_weight(labels[w], g.degree(w)) - ab_star_weight("B", g.degree(w) - 1)
+
+        # 6: constrained exact search.
+        need = _total(g, labels, weight)
+        chosen |= _exact_fallback(
+            g, Partition(labels, mode), trace, threshold, budget, need, f"{rule}6"
         )
-        if drop > 1:
-            continue
-        trace.append(ReductionStep("S3", removed=(v,), relabeled=((w, "B"),)))
-        rest = {u: part for u, part in labels.items() if u != v}
-        rest[w] = "B"
-        picks = _ab_reduce(g.delete_vertex(v), rest, trace, threshold, budget)
-        picks.add(v)
-        return picks
+    return chosen, trace
 
-    # S4: solve components independently.
-    comps = g.components()
-    if len(comps) > 1:
-        trace.append(ReductionStep("S4", note=f"split into {len(comps)} components"))
-        out: set[int] = set()
-        for comp in comps:
-            sub_labels = {v: labels[v] for v in comp}
-            out |= _ab_reduce(g.induced(comp), sub_labels, trace, threshold, budget)
-        return out
 
-    # S5: endgame. All vertices in A with degrees 2 and 3, the degree-2
-    # vertices far apart: contract each degree-2 path into an edge, split the
-    # resulting cubic graph, and keep the bigger side plus every degree-2
-    # vertex.
-    endgame = _ab_endgame(g, labels, trace)
-    if endgame is not None:
-        return endgame
+def _total(g: Graph, labels: dict[int, str], weight) -> Fraction:
+    return sum((weight(labels[v], g.degree(v)) for v in g.vertices), Fraction(0))
 
-    # S6: constrained exact search.
-    return _exact_fallback(
-        g, Partition(labels, "AB"), trace, threshold, budget, _ab_total(g, labels), "S6"
+
+def _solved(rule: str, vertices, picks, note: str = "") -> ReductionStep:
+    """The step of a rule that settles a whole instance, keeping `picks`."""
+    return ReductionStep(
+        rule, removed=tuple(sorted(vertices)), chosen=tuple(sorted(picks)), note=note
     )
 
 
-def _ab_endgame(g: Graph, labels: dict[int, str], trace: ReductionTrace) -> Optional[set[int]]:
+def _without(labels: dict[int, str], v: int) -> dict[int, str]:
+    return {u: part for u, part in labels.items() if u != v}
+
+
+def _lightest_deletable(g: Graph, labels: dict[int, str], weight, gain_of) -> Optional[int]:
+    """Rule 1's choice: the lightest, then lowest, vertex whose weight is at
+    most the sum of its neighbors' gains."""
+    pick = None
+    for v in g.vertices:
+        fv = weight(labels[v], g.degree(v))
+        if fv <= sum((gain_of(labels[w], g.degree(w)) for w in g.neighbors(v)), Fraction(0)):
+            if pick is None or (fv, v) < pick:
+                pick = (fv, v)
+    return None if pick is None else pick[1]
+
+
+def _strippable_leaf(
+    g: Graph, labels: dict[int, str], table: dict, weight
+) -> Optional[tuple[int, int, str]]:
+    """Rule 3's choice: the lowest leaf v, with its neighbor w and w's demoted
+    label, such that v's weight plus w's weight loss is at most 1."""
+    for v in g.vertices:
+        if g.degree(v) != 1 or labels[v] not in table["leaf"]:
+            continue
+        (w,) = g.neighbors(v)
+        demoted = table["demote"].get(labels[w])
+        if demoted is None:
+            continue
+        dw = g.degree(w)
+        if weight(labels[v], 1) + (weight(labels[w], dw) - weight(demoted, dw - 1)) <= 1:
+            return v, w, demoted
+    return None
+
+
+def _promote_and_contract(g: Graph, labels: dict[int, str], weight):
+    """R5: promote a degree-3 B vertex, delete its lightest neighbor, and tie
+    the two heavier ones together; apply only when the rewritten instance
+    keeps the full bound."""
+    base_total = _total(g, labels, weight)
+    for v in g.vertices:
+        if labels[v] != "B" or g.degree(v) != 3:
+            continue
+        x, y, z = sorted(g.neighbors(v), key=lambda w: (-weight(labels[w], g.degree(w)), w))
+        reduced = g.delete_vertex(z).add_edge(x, y)
+        new_labels = _without(labels, z)
+        new_labels[v] = "A"
+        if _total(reduced, new_labels, weight) < base_total:
+            continue
+        added = () if g.has_edge(x, y) else ((x, y),)
+        step = ReductionStep("R5", removed=(z,), added_edges=added, relabeled=((v, "A"),))
+        return step, set(), [(reduced, new_labels)]
+    return None
+
+
+def _cubic_endgame(g: Graph, labels: dict[int, str], weight):
+    """S5: all vertices in A with degrees 2 and 3, the degree-2 vertices far
+    apart: contract each degree-2 path into an edge, split the resulting
+    cubic graph, and keep the bigger side plus every degree-2 vertex."""
     if any(part != "A" for part in labels.values()):
         return None
     if any(g.degree(v) not in (2, 3) for v in g.vertices):
@@ -414,18 +362,9 @@ def _ab_endgame(g: Graph, labels: dict[int, str], trace: ReductionTrace) -> Opti
     part1, part2 = cubic_partition(contracted)
     keep = part1 if len(part1) >= len(part2) else part2
     chosen = set(keep) | set(low)
-    need = _ab_total(g, labels)
-    if Fraction(len(chosen)) < need:
+    if Fraction(len(chosen)) < _total(g, labels, weight):
         return None
-    trace.append(
-        ReductionStep(
-            "S5",
-            removed=tuple(sorted(g.vertices)),
-            chosen=tuple(sorted(chosen)),
-            note=f"contracted {len(low)} paths",
-        )
-    )
-    return chosen
+    return _solved("S5", g.vertices, chosen, f"contracted {len(low)} paths"), chosen, []
 
 
 def _within_distance(g: Graph, start: int, targets: set[int], radius: int) -> bool:
@@ -450,21 +389,13 @@ def _exact_fallback(
 ) -> set[int]:
     over = g.n > threshold
     result = alpha_exact_partitioned(g, p, budget=_STUCK_BUDGET if over else budget)
-    forest_class = LINEAR_FOREST if p.mode == "ABC" else STAR_FOREST
     if Fraction(result.alpha) >= need:
-        trace.append(
-            ReductionStep(
-                rule,
-                removed=tuple(sorted(g.vertices)),
-                chosen=tuple(sorted(result.witness)),
-                note="over-threshold" if over else "",
-            )
-        )
+        trace.append(_solved(rule, g.vertices, result.witness, "over-threshold" if over else ""))
         return set(result.witness)
     raise BoundMiss(
         f"residual graph on {g.n} vertices (threshold {threshold}) missed the bound: "
         f"best {result.alpha} < {need} (exact={result.exact})",
-        ForestCertificate(frozenset(result.witness), forest_class, need),
+        ForestCertificate(frozenset(result.witness), _RULES[p.mode]["forest"], need),
     )
 
 
@@ -474,8 +405,6 @@ def _exact_fallback(
 
 def _component_order(g: Graph) -> tuple[list[int], bool]:
     """Traversal order of a connected component with max degree <= 2."""
-    if g.n == 1:
-        return list(g.vertices), False
     ends = sorted(v for v in g.vertices if g.degree(v) <= 1)
     is_cycle = not ends
     start = min(g.vertices) if is_cycle else ends[0]
@@ -489,82 +418,37 @@ def _component_order(g: Graph) -> tuple[list[int], bool]:
 
 
 def _dp_component(g: Graph, labels: dict[int, str], mode: str) -> set[int]:
+    """Largest allowed selection on a path, or on a cycle as the best path
+    left by deleting one vertex."""
     order, is_cycle = _component_order(g)
-    runner = _dp_path_abc if mode == "abc" else _dp_path_ab
     if not is_cycle:
-        count, picks = runner(order, labels)
-        return picks
+        return _dp_path(order, labels, mode)[1]
     best: tuple[int, set[int]] | None = None
     for skip in range(len(order)):
-        seq = order[skip + 1 :] + order[:skip]
-        count, picks = runner(seq, labels)
+        count, picks = _dp_path(order[skip + 1 :] + order[:skip], labels, mode)
         if best is None or count > best[0]:
             best = (count, picks)
     return best[1]
 
 
-def _dp_path_abc(order: list[int], labels: dict[int, str]) -> tuple[int, set[int]]:
-    """Best cap-respecting selection along a path.
+def _dp_path(order: list[int], labels: dict[int, str], mode: str) -> tuple[int, set[int]]:
+    """Largest selection along a path that the mode's automaton accepts.
 
-    States: 0 vertex unchosen, 1 chosen with unchosen predecessor, 2 chosen
-    with chosen predecessor.
+    State 0 is an unchosen vertex. A chosen vertex after an unchosen one
+    enters state `start[label]`; after a chosen one in state s it enters
+    `extend[(s, previous label, label)]`, and a missing key forbids the move.
+    Each state keeps its first strictly better predecessor, and the lowest
+    state wins among equal end values.
     """
-    neg = -1
-    caps = [ABC_CAPS[labels[v]] for v in order]
+    start, extend = _RULES[mode]["start"], _RULES[mode]["extend"]
+    nstates = 1 + max(*start.values(), *extend.values())
     n = len(order)
-    value = [[neg] * 3 for _ in range(n)]
-    back = [[None] * 3 for _ in range(n)]
-    value[0][0] = 0
-    value[0][1] = 1
-    for i in range(1, n):
-        for prev_state in (0, 1, 2):
-            base = value[i - 1][prev_state]
-            if base < 0:
-                continue
-            if base > value[i][0]:
-                value[i][0] = base
-                back[i][0] = prev_state
-            if prev_state == 0:
-                if base + 1 > value[i][1]:
-                    value[i][1] = base + 1
-                    back[i][1] = prev_state
-            else:
-                need_prev = 1 if prev_state == 1 else 2
-                if caps[i - 1] >= need_prev and caps[i] >= 1 and base + 1 > value[i][2]:
-                    value[i][2] = base + 1
-                    back[i][2] = prev_state
-    end_state = max((0, 1, 2), key=lambda s: (value[n - 1][s], -s))
-    picks: set[int] = set()
-    state = end_state
-    for i in range(n - 1, -1, -1):
-        if state != 0:
-            picks.add(order[i])
-        state = back[i][state] if i > 0 else None
-    return max(value[n - 1]), picks
-
-
-_AB_START = {"A": 1, "B": 2}
-# Star-forest runs along a path: singletons are free, a pair may not be B-B,
-# a triple needs both ends in A, longer runs are never stars.
-_AB_EXTEND = {
-    (1, "A"): 3,
-    (1, "B"): 4,
-    (2, "A"): 5,
-    (3, "A"): 6,
-    (4, "A"): 6,
-}
-
-
-def _dp_path_ab(order: list[int], labels: dict[int, str]) -> tuple[int, set[int]]:
-    neg = -1
-    n = len(order)
-    nstates = 7
-    value = [[neg] * nstates for _ in range(n)]
+    value = [[-1] * nstates for _ in range(n)]
     back = [[None] * nstates for _ in range(n)]
     value[0][0] = 0
-    value[0][_AB_START[labels[order[0]]]] = 1
+    value[0][start[labels[order[0]]]] = 1
     for i in range(1, n):
-        lab = labels[order[i]]
+        prev_label, label = labels[order[i - 1]], labels[order[i]]
         for prev_state in range(nstates):
             base = value[i - 1][prev_state]
             if base < 0:
@@ -573,20 +457,73 @@ def _dp_path_ab(order: list[int], labels: dict[int, str]) -> tuple[int, set[int]
                 value[i][0] = base
                 back[i][0] = prev_state
             if prev_state == 0:
-                st = _AB_START[lab]
+                state = start[label]
             else:
-                st = _AB_EXTEND.get((prev_state, lab))
-            if st is not None and base + 1 > value[i][st]:
-                value[i][st] = base + 1
-                back[i][st] = prev_state
-    end_state = max(range(nstates), key=lambda s: (value[n - 1][s], -s))
+                state = extend.get((prev_state, prev_label, label))
+            if state is not None and base + 1 > value[i][state]:
+                value[i][state] = base + 1
+                back[i][state] = prev_state
+    state = max(range(nstates), key=lambda s: (value[n - 1][s], -s))
     picks: set[int] = set()
-    state = end_state
     for i in range(n - 1, -1, -1):
         if state != 0:
             picks.add(order[i])
         state = back[i][state] if i > 0 else None
     return max(value[n - 1]), picks
+
+
+# ---------------------------------------------------------------------------
+# Rule tables. Rule i of a mode is logged as its prefix followed by i.
+
+_RULES = {
+    "ABC": {
+        "name": "abc_construct",
+        "prefix": "R",
+        "bound": BoundSpec.abc(),
+        "forest": LINEAR_FOREST,
+        # Looked up by name on each run, so that a wrapper installed on this
+        # module's attribute (a profiler, say) sees every evaluation.
+        "weight": "abc_weight",
+        "gain": "gain",
+        # Rule 3: labels a stripped leaf may carry, and its neighbor's
+        # demotion (a C neighbor cannot be demoted, so it blocks the rule).
+        "leaf": "AB",
+        "demote": {"A": "B", "B": "C"},
+        # States: 1 chosen after an unchosen vertex, 2 chosen after a chosen
+        # one. Moving to state 2 gives the previous vertex its state-th
+        # chosen neighbor and this vertex its first, within the ABC caps.
+        "start": {"A": 1, "B": 1, "C": 1},
+        "extend": {
+            (state, prev, label): 2
+            for state in (1, 2)
+            for prev, label in product("ABC", repeat=2)
+            if ABC_CAPS[prev] >= state and ABC_CAPS[label] >= 1
+        },
+        "special": _promote_and_contract,
+    },
+    "AB": {
+        "name": "ab_construct",
+        "prefix": "S",
+        "bound": BoundSpec.abstar(),
+        "forest": STAR_FOREST,
+        "weight": "ab_star_weight",
+        "gain": "ab_star_gain",
+        "leaf": "A",
+        "demote": {"A": "B", "B": "B"},
+        # Star-forest runs along a path: singletons are free (1 = A, 2 = B),
+        # a pair may not be B-B (3 = AA, 4 = AB, 5 = BA), a triple needs both
+        # ends in A (6), longer runs are never stars.
+        "start": {"A": 1, "B": 2},
+        "extend": {
+            (1, "A", "A"): 3,
+            (1, "A", "B"): 4,
+            (2, "B", "A"): 5,
+            (3, "A", "A"): 6,
+            (4, "B", "A"): 6,
+        },
+        "special": _cubic_endgame,
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -601,44 +538,47 @@ def k_caterpillar_forest(
 ) -> ForestCertificate:
     """Caterpillar forest of maximum degree at most k meeting the local bound.
 
-    Recursion: drop any vertex with k+1 or more leaf neighbors, split into
-    components, then strip the leaves, label the rest by how many leaves they
-    carry, and hand the core to the ABC engine.
+    Drops every vertex that carries k+1 or more leaves, also once earlier
+    drops have made new leaves, then hands each component's leaf-stripped
+    core to the ABC engine, labeled by how many leaves each vertex carries.
     """
     if k < 2:
         raise InvalidSpec(f"k must be >= 2, got {k}")
     bound = total_weight(g, BoundSpec.hkg(k))
-    chosen = _kcat_reduce(g, k, exact_threshold, budget)
+    chosen = _leaf_core_forest(
+        g.delete_vertices(_overloaded(g, k)),
+        abc_construct,
+        "ABC",
+        lambda carried: "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C"),
+        exact_threshold,
+        budget,
+    )
     cert = ForestCertificate(frozenset(chosen), ForestClass.caterpillar(k), bound)
-    if not verify_certificate(g, cert):
-        raise BoundMiss("k_caterpillar_forest produced an invalid certificate", cert)
+    _check_certificate("k_caterpillar_forest", g, cert)
     return cert
 
 
-def _kcat_reduce(g: Graph, k: int, threshold: int, budget: int) -> set[int]:
-    if g.n == 0:
-        return set()
-    for v in g.vertices:
-        leaf_count = sum(1 for w in g.neighbors(v) if g.degree(w) == 1)
-        if leaf_count >= k + 1:
-            return _kcat_reduce(g.delete_vertex(v), k, threshold, budget)
-    comps = g.components()
-    if len(comps) > 1:
-        out: set[int] = set()
-        for comp in comps:
-            out |= _kcat_reduce(g.induced(comp), k, threshold, budget)
-        return out
-    leaves = {v for v in g.vertices if g.degree(v) == 1}
-    labels = {}
-    for v in g.vertices:
-        if v in leaves:
+def _overloaded(g: Graph, k: int) -> set[int]:
+    """Vertices left to drop by repeatedly dropping one with k+1 or more leaf
+    neighbors. A drop can only turn a neighbor into a new leaf, never take a
+    leaf from a vertex that stays, so the set does not depend on the order."""
+    degree = {v: g.degree(v) for v in g.vertices}
+    carried = {v: sum(1 for w in g.neighbors(v) if degree[w] == 1) for v in g.vertices}
+    work = [v for v in g.vertices if carried[v] >= k + 1]
+    dropped: set[int] = set()
+    while work:
+        v = work.pop()
+        if v in dropped:
             continue
-        carried = len(g.neighbors(v) & leaves)
-        labels[v] = "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C")
-    inner, _ = abc_construct(
-        g.delete_vertices(leaves), Partition(labels, "ABC"), threshold, budget
-    )
-    return set(inner.vertex_set) | leaves
+        dropped.add(v)
+        for w in g.neighbors(v):
+            degree[w] -= 1
+            if degree[w] == 1 and w not in dropped:
+                (u,) = g.neighbors(w) - dropped
+                carried[u] += 1
+                if carried[u] >= k + 1:
+                    work.append(u)
+    return dropped
 
 
 def star_forest(
@@ -648,37 +588,34 @@ def star_forest(
 ) -> ForestCertificate:
     """Star forest meeting the best epsilon-family bound for g's degrees.
 
-    Per component: strip the leaves, label the remaining vertices by whether
-    they carried a leaf, and hand the core to the AB engine.
+    Hands each component's leaf-stripped core to the AB engine, labeled by
+    whether each vertex carried a leaf.
     """
     eps = star_epsilon_opt(g.degree_histogram())
     bound = sum((star_f_eps(eps, g.degree(v)) for v in g.vertices), Fraction(0))
-    chosen = _star_reduce(g, exact_threshold, budget)
+    chosen = _leaf_core_forest(
+        g, ab_construct, "AB", lambda carried: "B" if carried else "A", exact_threshold, budget
+    )
     cert = ForestCertificate(frozenset(chosen), STAR_FOREST, bound)
-    if not verify_certificate(g, cert):
-        raise BoundMiss("star_forest produced an invalid certificate", cert)
+    _check_certificate("star_forest", g, cert)
     return cert
 
 
-def _star_reduce(g: Graph, threshold: int, budget: int) -> set[int]:
-    if g.n == 0:
-        return set()
-    comps = g.components()
-    if len(comps) > 1:
-        out: set[int] = set()
-        for comp in comps:
-            out |= _star_reduce(g.induced(comp), threshold, budget)
-        return out
-    if g.n <= 2:
-        return set(g.vertices)
-    leaves = {v for v in g.vertices if g.degree(v) == 1}
-    labels = {
-        v: ("B" if g.neighbors(v) & leaves else "A")
-        for v in g.vertices
-        if v not in leaves
-    }
-    inner, _ = ab_construct(g.delete_vertices(leaves), Partition(labels, "AB"), threshold, budget)
-    return set(inner.vertex_set) | leaves
+def _leaf_core_forest(g: Graph, engine, mode: str, label, threshold: int, budget: int) -> set[int]:
+    """Per component: take it whole if it has at most two vertices; otherwise
+    strip its leaves, label every other vertex by `label(number of leaves it
+    carries)`, and add the leaves to what `engine` keeps of that core."""
+    chosen: set[int] = set()
+    for comp in g.components():
+        if len(comp) <= 2:
+            chosen |= comp
+            continue
+        leaves = {v for v in comp if g.degree(v) == 1}
+        core = comp - leaves
+        labels = {v: label(len(g.neighbors(v) & leaves)) for v in core}
+        inner, _ = engine(g.induced(core), Partition(labels, mode), threshold, budget)
+        chosen |= inner.vertex_set | leaves
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +644,11 @@ def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Parti
     return Fraction(len(cert.vertex_set)) >= cert.claimed_bound
 
 
-def _check_certificate(g: Graph, cert: ForestCertificate) -> None:
-    if not verify_certificate(g, cert):
-        raise BoundMiss("constructed certificate failed verification", cert)
+def _check_certificate(
+    name: str, g: Graph, cert: ForestCertificate, p: Optional[Partition] = None
+) -> None:
+    if not verify_certificate(g, cert, p):
+        raise BoundMiss(f"{name} produced an invalid certificate", cert)
 
 
 def certificate_to_text(

@@ -64,7 +64,14 @@ class _Search:
         self.kind = kind
         self.k = k
         self.labels = labels
-        self.caps = [ABC_CAPS[p] for p in labels] if (labels and kind == "abc") else None
+        # Per-vertex degree caps of the classes that bound degrees.
+        self.caps = None
+        if kind == "abc":
+            self.caps = [ABC_CAPS[p] for p in labels]
+        elif kind == "linear":
+            self.caps = [2] * self.n
+        elif k is not None:
+            self.caps = [k] * self.n
 
     def run(self, budget: int) -> OracleResult:
         self.budget = budget
@@ -114,33 +121,25 @@ class _Search:
     # candidate misses at least one vertex of W, or 0 if the candidate is valid.
 
     def _violation(self, cand: int) -> int:
-        if self.kind == "linear":
-            return self._degree_violation(cand, 2) or self._shortest_cycle(cand)
+        if self.kind in ("linear", "abc"):
+            return self._degree_violation(cand) or self._shortest_cycle(cand)
         if self.kind == "caterpillar":
             if self.k is not None:
-                bad = self._degree_violation(cand, self.k)
+                bad = self._degree_violation(cand)
                 if bad:
                     return bad
             return self._spine_violation(cand) or self._shortest_cycle(cand)
         if self.kind == "star":
             return self._star_violation(cand)
-        if self.kind == "abc":
-            return self._caps_violation(cand) or self._shortest_cycle(cand)
         if self.kind == "ab":
             return self._ab_violation(cand)
         raise ValueError(self.kind)  # pragma: no cover
 
-    def _degree_violation(self, cand: int, cap: int) -> int:
+    def _degree_violation(self, cand: int) -> int:
+        adj, caps = self.adj, self.caps
         for i in _iter_bits(cand):
-            nbrs = self.adj[i] & cand
-            if nbrs.bit_count() > cap:
-                return (1 << i) | nbrs
-        return 0
-
-    def _caps_violation(self, cand: int) -> int:
-        for i in _iter_bits(cand):
-            nbrs = self.adj[i] & cand
-            if nbrs.bit_count() > self.caps[i]:
+            nbrs = adj[i] & cand
+            if nbrs.bit_count() > caps[i]:
                 return (1 << i) | nbrs
         return 0
 

@@ -151,11 +151,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """Subgraph induced on s, original identifiers preserved."""
-    return g.induced(s)
-
-
 @dataclass(frozen=True)
 class DegreeHistogram:
     """Counts n_d of vertices of each degree d."""
@@ -249,9 +244,6 @@ class ForestCertificate:
 
     def size(self) -> int:
         return len(self.vertex_set)
-
-    def meets_bound(self) -> bool:
-        return Fraction(len(self.vertex_set)) >= self.claimed_bound
 
 
 def is_forest(g: Graph) -> bool:

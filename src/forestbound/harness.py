@@ -7,9 +7,7 @@ data (timestamps, per-instance runtimes) goes to `#` comment lines.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -101,19 +99,8 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
         yield Graph.from_edges(n, edges)
 
 
-def worker_count(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("FORESTBOUND_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _run_jobs(jobs: list[tuple[str, Callable[[], list[dict]]]], threads: int, report: HarnessReport):
-    def timed(name_fn):
-        name, fn = name_fn
+def _run_jobs(jobs: list[tuple[str, Callable[[], list[dict]]]], report: HarnessReport):
+    for name, fn in jobs:
         start = time.perf_counter()
         try:
             records = fn()
@@ -126,26 +113,13 @@ def _run_jobs(jobs: list[tuple[str, Callable[[], list[dict]]]], threads: int, re
                     "status": "fail",
                 }
             ]
-        return name, records, (time.perf_counter() - start) * 1000.0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(timed, jobs))
-    else:
-        results = [timed(job) for job in jobs]
-    for name, records, ms in results:
         report.records.extend(records)
-        report.timings.append((name, ms))
+        report.timings.append((name, (time.perf_counter() - start) * 1000.0))
     report.records.sort(key=lambda r: (r["instance"], r["check"]))
     report.timings.sort(key=lambda t: t[0])
 
 
-def run_suite(
-    suite: str,
-    seed: int = 0,
-    sizes: Optional[Iterable[int]] = None,
-    threads: Optional[int] = None,
-) -> HarnessReport:
+def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) -> HarnessReport:
     if suite not in SUITES:
         raise ForestBoundError(f"unknown suite {suite!r}; expected one of {SUITES}")
     sizes = list(sizes) if sizes is not None else list(_DEFAULT_SIZES[suite])
@@ -158,7 +132,7 @@ def run_suite(
         "star-lemma": _jobs_star_lemma,
         "cubic": _jobs_cubic,
     }[suite]
-    _run_jobs(builder(seed, sizes), worker_count(threads), report)
+    _run_jobs(builder(seed, sizes), report)
     return report
 
 

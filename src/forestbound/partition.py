@@ -57,13 +57,6 @@ class Partition:
         if extra:
             raise UnknownVertex(f"labels for vertices not in graph: {extra[:8]}")
 
-    def restrict(self, vertices: Iterable[int]) -> "Partition":
-        keep = set(vertices)
-        return Partition({v: p for v, p in self.labels.items() if v in keep}, self.mode)
-
-    def class_set(self, part: str) -> frozenset[int]:
-        return frozenset(v for v, p in self.labels.items() if p == part)
-
 
 def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
     """Parse the partition format: one `index label` pair per line."""

@@ -1,4 +1,4 @@
-"""Exact-rational weight functions, gain/loss tables, and epsilon selectors.
+"""Exact-rational weight functions, gains and losses, and epsilon selectors.
 
 Every bound in this package is a sum of per-vertex weights that depend only
 on the vertex degree (and, for the local caterpillar bound, on the degree of
@@ -158,65 +158,6 @@ def ab_star_gain(part: str, d: int) -> Fraction:
     if d < 1:
         raise DegreeZero("gain is undefined for degree 0")
     return ab_star_weight(part, d - 1) - ab_star_weight(part, d)
-
-
-# Gain and loss values as stated in the reduction analysis; row d covers the
-# listed small degrees, the lambdas cover the closed-form tails. These are
-# load-bearing in the reduction engine, so a transcription error in the
-# weight functions must fail at import time.
-_GAIN_ROWS = {
-    1: (Fraction(1, 6), Fraction(1, 6), Fraction(5, 6)),
-    2: (Fraction(1, 6), Fraction(1, 2), _ZERO),
-    3: (Fraction(1, 6), _ZERO, _ZERO),
-    4: (Fraction(1, 10), Fraction(1, 15), Fraction(1, 30)),
-}
-_GAIN_TAIL = (
-    lambda d: Fraction(2, d * (d + 1)),
-    lambda d: Fraction(4, 3 * d * (d + 1)),
-    lambda d: Fraction(2, 3 * d * (d + 1)),
-)
-_LOSS_ROWS = {
-    1: (Fraction(1, 6), Fraction(1, 2), _ZERO),
-    2: (Fraction(1, 6), _ZERO, _ZERO),
-    3: (Fraction(1, 10), Fraction(1, 15), Fraction(1, 30)),
-}
-_LOSS_TAIL = (
-    lambda d: Fraction(2, (d + 1) * (d + 2)),
-    lambda d: Fraction(4, 3 * (d + 1) * (d + 2)),
-    lambda d: Fraction(2, 3 * (d + 1) * (d + 2)),
-)
-
-
-def tabulated_gain(part: str, d: int) -> Fraction:
-    """Gain value read off the hard-coded table (degree >= 1)."""
-    i = "ABC".index(part)
-    if d in _GAIN_ROWS:
-        return _GAIN_ROWS[d][i]
-    if d < 1:
-        raise DegreeZero("gain table starts at degree 1")
-    return _GAIN_TAIL[i](d)
-
-
-def tabulated_loss(part: str, d: int) -> Fraction:
-    """Loss value read off the hard-coded table (degree >= 1)."""
-    i = "ABC".index(part)
-    if d in _LOSS_ROWS:
-        return _LOSS_ROWS[d][i]
-    if d < 1:
-        raise ValueError("loss table starts at degree 1")
-    return _LOSS_TAIL[i](d)
-
-
-def _check_tables() -> None:
-    for part in "ABC":
-        for d in range(1, 64):
-            if gain(part, d) != tabulated_gain(part, d):
-                raise AssertionError(f"gain table mismatch at ({part}, {d})")
-            if loss(part, d) != tabulated_loss(part, d):
-                raise AssertionError(f"loss table mismatch at ({part}, {d})")
-
-
-_check_tables()
 
 
 @dataclass(frozen=True)
@@ -406,10 +347,16 @@ def epsilon_star(hist: DegreeHistogram, k: int) -> tuple[Fraction, Optional[int]
 
 
 def star_eps_breakpoints(hist: DegreeHistogram) -> list[Fraction]:
-    """Breakpoints of the star bound as a piecewise-linear function of epsilon."""
+    """Candidate maximizers of the star bound as a function of epsilon.
+
+    The total is concave and piecewise linear, so its smallest maximizer is 0,
+    1/6 or a kink: 1/10 from degree 2, (d-1)/(d(d+1)) from a degree d >= 3.
+    Only degrees that occur in the histogram bend the total.
+    """
     points = {_ZERO, Fraction(1, 6), Fraction(1, 10)}
-    for d in range(3, hist.max_degree + 1):
-        points.add(Fraction(d - 1, d * (d + 1)))
+    for d in hist.counts:
+        if d >= 3:
+            points.add(Fraction(d - 1, d * (d + 1)))
     return sorted(points)
 
 

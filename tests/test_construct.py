@@ -1,10 +1,13 @@
 """Constructors: certificates, reduction engines, traces."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from golden_corpus import comb
 
 from forestbound import (
     BoundSpec,
@@ -239,6 +242,12 @@ class TestKCaterpillarForest:
                 break
         assert checked >= 10
 
+    def test_k_caterpillar_comb_no_recursion(self):
+        # every spine vertex carries three leaves, so k = 2 drops the whole
+        # spine and keeps the 3300 leaves, under the default recursion limit
+        cert = k_caterpillar_forest(comb(1100, 3), 2)
+        assert cert.vertex_set == set(range(1100, 4400))
+
 
 class TestStarForest:
     def test_kprime3(self):
@@ -252,6 +261,18 @@ class TestStarForest:
     def test_c5(self):
         cert = star_forest(cycle_graph(5))
         assert cert.size() == 3 and cert.claimed_bound == 3
+
+    def test_long_comb_in_a_shallow_stack(self):
+        # the core is a 400-vertex path of B vertices; S1 deletes every
+        # second one, 200 in all, and no call depth may grow with that count
+        g = comb(400, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 120)
+        try:
+            cert = star_forest(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify_certificate(g, cert)
 
     def test_random_graphs_certified(self):
         rng = random.Random(6)
@@ -382,10 +403,10 @@ def test_path_cycle_dp_matches_exact_oracle():
         if trial % 2 == 0:
             labels = {v: rng.choice("ABC") for v in g.vertices}
             p = Partition.abc(labels)
-            picks = _dp_component(g, labels, "abc")
+            picks = _dp_component(g, labels, "ABC")
         else:
             labels = {v: rng.choice("AB") for v in g.vertices}
             p = Partition.ab(labels)
-            picks = _dp_component(g, labels, "ab")
+            picks = _dp_component(g, labels, "AB")
         res = alpha_exact_partitioned(g, p)
         assert len(picks) == res.alpha, (trial, g, labels)

@@ -12,7 +12,6 @@ from forestbound import (
     ParseError,
     UnknownVertex,
     format_edge_list,
-    induced_subgraph,
     is_caterpillar_forest,
     is_forest,
     is_linear_forest,
@@ -47,20 +46,20 @@ def forests(draw, max_n=10):
 
 class TestInducedSubgraph:
     def test_k4_two_vertices_is_edge(self):
-        sub = induced_subgraph(complete_graph(4), {1, 3})
+        sub = complete_graph(4).induced({1, 3})
         assert sub.n == 2 and sub.m == 1
 
     def test_c5_minus_vertex_is_p4(self):
-        sub = induced_subgraph(cycle_graph(5), {1, 2, 3, 4})
+        sub = cycle_graph(5).induced({1, 2, 3, 4})
         assert sub.n == 4 and sub.m == 3 and is_linear_forest(sub)
 
     def test_empty_subset(self):
-        sub = induced_subgraph(complete_graph(4), set())
+        sub = complete_graph(4).induced(set())
         assert sub.n == 0 and sub.m == 0
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
-            induced_subgraph(complete_graph(3), {0, 7})
+            complete_graph(3).induced({0, 7})
 
     def test_identifiers_survive(self):
         g = cycle_graph(5).delete_vertex(0)

@@ -37,11 +37,10 @@ class TestHarness:
     def test_random_bounds_suite(self):
         assert run_suite("random-bounds", seed=5, sizes=[10]).failures == 0
 
-    def test_payload_deterministic_and_thread_independent(self):
+    def test_payload_deterministic(self):
         a = run_suite("witness-families", seed=2)
         b = run_suite("witness-families", seed=2)
-        c = run_suite("witness-families", seed=2, threads=4)
-        assert a.payload() == b.payload() == c.payload()
+        assert a.payload() == b.payload()
 
     def test_all_labeled_graphs_count(self):
         assert sum(1 for _ in all_labeled_graphs(4)) == 64
@@ -162,11 +161,3 @@ class TestCli:
         payload1 = [l for l in Path("r1.txt").read_text().splitlines() if not l.startswith("#")]
         payload2 = [l for l in Path("r2.txt").read_text().splitlines() if not l.startswith("#")]
         assert payload1 == payload2
-
-    def test_threads_env_var(self, workdir, monkeypatch):
-        monkeypatch.setenv("FORESTBOUND_THREADS", "3")
-        from forestbound.harness import worker_count
-
-        assert worker_count() == 3
-        monkeypatch.setenv("FORESTBOUND_THREADS", "junk")
-        assert worker_count() == 1

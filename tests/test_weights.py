@@ -31,7 +31,6 @@ from forestbound.weights import (
     STAR_EPS_MAX,
     eps_max,
     fkeps_histogram_total,
-    star_eps_breakpoints,
     star_histogram_total,
 )
 
@@ -216,8 +215,15 @@ class TestEpsilonStar:
                 assert eps == 0
 
 
+def star_eps_candidates(hist):
+    """Independent candidate set: every degree's kink up to the maximum
+    degree, plus a 1/600 grid on [0, 1/6]."""
+    kinks = {F(d - 1, d * (d + 1)) for d in range(3, hist.max_degree + 1)}
+    return sorted(kinks | {F(i, 600) for i in range(101)})
+
+
 def brute_force_star_opt(hist):
-    return max(star_histogram_total(hist, eps) for eps in star_eps_breakpoints(hist))
+    return max(star_histogram_total(hist, eps) for eps in star_eps_candidates(hist))
 
 
 class TestStarEpsilonOpt:
@@ -239,7 +245,7 @@ class TestStarEpsilonOpt:
             eps = star_epsilon_opt(hist)
             best = brute_force_star_opt(hist)
             assert star_histogram_total(hist, eps) == best
-            for smaller in star_eps_breakpoints(hist):
+            for smaller in star_eps_candidates(hist):
                 if smaller >= eps:
                     break
                 assert star_histogram_total(hist, smaller) < best
