@@ -204,7 +204,7 @@ def _reduce(
     """
     table = _RULES[mode]
     weight, gain_of = globals()[table["weight"]], globals()[table["gain"]]
-    rule = table["prefix"]
+    prefix = table["prefix"]
     trace = ReductionTrace()
     chosen: set[int] = set()
     stack = [(g, labels)]
@@ -216,7 +216,7 @@ def _reduce(
         # 1: delete a vertex whose weight is at most its neighbors' total gain.
         v = _lightest_deletable(g, labels, weight, gain_of)
         if v is not None:
-            trace.append(ReductionStep(f"{rule}1", removed=(v,)))
+            trace.append(ReductionStep(f"{prefix}1", removed=(v,)))
             stack.append((g.delete_vertex(v), _without(labels, v)))
             continue
 
@@ -232,7 +232,7 @@ def _reduce(
                         f"path/cycle optimum {len(picks)} below bound {need}",
                         ForestCertificate(frozenset(picks), table["forest"], need),
                     )
-                trace.append(_solved(f"{rule}2", comp, picks))
+                trace.append(_solved(f"{prefix}2", comp, picks))
                 chosen |= picks
             continue
 
@@ -241,7 +241,7 @@ def _reduce(
         leaf = _strippable_leaf(g, labels, table, weight)
         if leaf is not None:
             v, w, demoted = leaf
-            trace.append(ReductionStep(f"{rule}3", removed=(v,), relabeled=((w, demoted),)))
+            trace.append(ReductionStep(f"{prefix}3", removed=(v,), relabeled=((w, demoted),)))
             rest = _without(labels, v)
             rest[w] = demoted
             stack.append((g.delete_vertex(v), rest))
@@ -251,7 +251,7 @@ def _reduce(
         # 4: solve components independently.
         comps = g.components()
         if len(comps) > 1:
-            trace.append(ReductionStep(f"{rule}4", note=f"split into {len(comps)} components"))
+            trace.append(ReductionStep(f"{prefix}4", note=f"split into {len(comps)} components"))
             for comp in reversed(comps):
                 stack.append((g.induced(comp), {u: labels[u] for u in comp}))
             continue
@@ -268,7 +268,7 @@ def _reduce(
         # 6: constrained exact search.
         need = _total(g, labels, weight)
         chosen |= _exact_fallback(
-            g, Partition(labels, mode), trace, threshold, budget, need, f"{rule}6"
+            g, Partition(labels, mode), trace, threshold, budget, need, f"{prefix}6"
         )
     return chosen, trace
 
