@@ -4,10 +4,11 @@ corresponding degree-sequence bound.
 
 abc_construct (ABC linear-forest weights) and ab_construct (AB star-forest
 weights) run one reduction engine, `_reduce`, which applies six rules in a
-fixed priority order. What differs between the two modes sits in one rule
-table each, `_RULES["ABC"]` and `_RULES["AB"]`: weights and gains, the leaf
-rule, the path automaton, the forest class, the rule-id prefix (R or S) and
-the mode's own rule 5. Each applied rule records its graph delta in a trace,
+fixed priority order to one mutable working graph, and re-checks rules 1
+and 3 only near what each step changed. What differs between the two modes
+sits in one rule table each, `_RULES["ABC"]` and `_RULES["AB"]`: weights and
+gains, the leaf rule, the path automaton, the forest class, the rule-id
+prefix (R or S) and the mode's own rule 5. Each applied rule records its graph delta in a trace,
 and rule soundness is enforced with exact rational comparisons at
 application time. No function here recurses, so the constructors' call
 depth does not grow with the input, and every constructor re-verifies its
@@ -16,8 +17,11 @@ final certificate before returning it.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Optional
 
@@ -30,6 +34,7 @@ from .graph import (
     ForestCertificate,
     ForestClass,
     Graph,
+    components_of,
 )
 from .partition import ABC_CAPS, Partition
 from .weights import (
@@ -45,6 +50,7 @@ from .weights import (
 
 DEFAULT_EXACT_THRESHOLD = 16
 _STUCK_BUDGET = 500_000
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,15 @@ class ReductionStep:
 
 @dataclass
 class ReductionTrace:
-    """Ordered log of reduction steps; replayable against the input graph."""
+    """Ordered log of reduction steps; replayable against the input graph.
+
+    `evaluations` counts the vertices at which the engine checked rules 1
+    and 3. It is deterministic, and it stays out of `steps` so that a
+    change in how the engine finds its steps leaves the log unchanged.
+    """
 
     steps: list[ReductionStep] = field(default_factory=list)
+    evaluations: int = 0
 
     def append(self, step: ReductionStep) -> None:
         self.steps.append(step)
@@ -97,14 +109,26 @@ def greedy_linear_forest(g: Graph) -> ForestCertificate:
     component whole and every cycle component minus one vertex.
     """
     bound = total_weight(g, BoundSpec.flin())
-    h = g
-    while h.max_degree() >= 3:
-        top = h.max_degree()
-        v = min(u for u in h.vertices if h.degree(u) == top)
-        h = h.delete_vertex(v)
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    # buckets[d] is a heap of the vertices last seen at degree d. Degrees
+    # only fall, so `top` only falls, and an entry whose vertex has since
+    # lost a neighbor or been deleted is skipped.
+    buckets: list[list[int]] = [[] for _ in range(g.max_degree() + 1)]
+    for v in g.vertices:
+        buckets[len(adj[v])].append(v)
+    top = len(buckets) - 1
+    while top >= 3:
+        if not buckets[top]:
+            top -= 1
+            continue
+        v = heapq.heappop(buckets[top])
+        if v in adj and len(adj[v]) == top:
+            for w in adj.pop(v):
+                adj[w].discard(v)
+                heapq.heappush(buckets[len(adj[w])], w)
     chosen: set[int] = set()
-    for comp in h.components():
-        if sum(len(h.neighbors(u) & comp) for u in comp) // 2 == len(comp):
+    for comp in components_of(adj, adj):
+        if all(len(adj[u]) == 2 for u in comp):
             chosen |= comp - {min(comp)}
         else:
             chosen |= comp
@@ -198,83 +222,231 @@ def _reduce(
 ) -> tuple[set[int], ReductionTrace]:
     """Apply the rules of `_RULES[mode]` in priority order until nothing is left.
 
-    Pending instances wait on an explicit stack. Each step pops one and
-    applies its first rule that fits; components are pushed in reverse, so
-    they are solved, and logged, in order of their smallest vertex.
+    Pending instances wait on an explicit stack. Each step applies the first
+    rule that fits the current instance; components split off by rule 4 are
+    pushed in reverse, so they are solved, and logged, in order of their
+    smallest vertex. All instances share one `_WorkingGraph`.
     """
     table = _RULES[mode]
-    weight, gain_of = globals()[table["weight"]], globals()[table["gain"]]
     prefix = table["prefix"]
     trace = ReductionTrace()
     chosen: set[int] = set()
-    stack = [(g, labels)]
+    work = _WorkingGraph(g, labels, table)
+    adj, labels = work.adj, work.labels
+    stack = [set(g.vertices)]
     while stack:
-        g, labels = stack.pop()
-        if g.n == 0:
-            continue
+        work.start(stack.pop())
+        while work.inst:
+            trace.evaluations += work.refresh()
 
-        # 1: delete a vertex whose weight is at most its neighbors' total gain.
-        v = _lightest_deletable(g, labels, weight, gain_of)
-        if v is not None:
-            trace.append(ReductionStep(f"{prefix}1", removed=(v,)))
-            stack.append((g.delete_vertex(v), _without(labels, v)))
-            continue
+            # 1: delete a vertex whose weight is at most its neighbors' total gain.
+            v = work.lightest_deletable()
+            if v is not None:
+                step = ReductionStep(f"{prefix}1", removed=(v,))
+                trace.append(step)
+                work.apply(step)
+                continue
 
-        # 2: max degree <= 2 means every component is a path or a cycle,
-        # solved optimally by dynamic programming.
-        if g.max_degree() <= 2:
-            for comp in g.components():
-                sub = g.induced(comp)
-                picks = _dp_component(sub, labels, mode)
-                need = _total(sub, labels, weight)
-                if Fraction(len(picks)) < need:
-                    raise BoundMiss(
-                        f"path/cycle optimum {len(picks)} below bound {need}",
-                        ForestCertificate(frozenset(picks), table["forest"], need),
-                    )
-                trace.append(_solved(f"{prefix}2", comp, picks))
-                chosen |= picks
-            continue
+            # 2: max degree <= 2 means every component is a path or a cycle,
+            # solved optimally by dynamic programming.
+            if work.high == 0:
+                for comp in components_of(adj, sorted(work.inst)):
+                    picks = _dp_component(work.graph(comp), labels, mode)
+                    need = work.total(comp)
+                    if Fraction(len(picks)) < need:
+                        raise BoundMiss(
+                            f"path/cycle optimum {len(picks)} below bound {need}",
+                            ForestCertificate(frozenset(picks), table["forest"], need),
+                        )
+                    trace.append(_solved(f"{prefix}2", comp, picks))
+                    chosen |= picks
+                break
 
-        # 3: strip a leaf whose weight survives re-adding it after demoting
-        # its neighbor one rank; the leaf is always re-added.
-        leaf = _strippable_leaf(g, labels, table, weight)
-        if leaf is not None:
-            v, w, demoted = leaf
-            trace.append(ReductionStep(f"{prefix}3", removed=(v,), relabeled=((w, demoted),)))
-            rest = _without(labels, v)
-            rest[w] = demoted
-            stack.append((g.delete_vertex(v), rest))
-            chosen.add(v)
-            continue
+            # 3: strip a leaf whose weight survives re-adding it after demoting
+            # its neighbor one rank; the leaf is always re-added.
+            v = work.lowest_leaf()
+            if v is not None:
+                (w,) = adj[v]
+                step = ReductionStep(
+                    f"{prefix}3", removed=(v,), relabeled=((w, table["demote"][labels[w]]),)
+                )
+                trace.append(step)
+                work.apply(step)
+                chosen.add(v)
+                continue
 
-        # 4: solve components independently.
-        comps = g.components()
-        if len(comps) > 1:
-            trace.append(ReductionStep(f"{prefix}4", note=f"split into {len(comps)} components"))
-            for comp in reversed(comps):
-                stack.append((g.induced(comp), {u: labels[u] for u in comp}))
-            continue
+            # 4: solve components independently.
+            comps = components_of(adj, sorted(work.inst))
+            if len(comps) > 1:
+                note = f"split into {len(comps)} components"
+                trace.append(ReductionStep(f"{prefix}4", note=note))
+                stack.extend(reversed(comps))
+                break
 
-        # 5: the mode's own rule.
-        found = table["special"](g, labels, weight)
-        if found is not None:
-            step, picks, rest = found
-            trace.append(step)
-            chosen |= picks
-            stack.extend(rest)
-            continue
+            # 5: the mode's own rule.
+            step = table["special"](work)
+            if step is not None:
+                trace.append(step)
+                work.apply(step)
+                chosen.update(step.chosen)
+                continue
 
-        # 6: constrained exact search.
-        need = _total(g, labels, weight)
-        chosen |= _exact_fallback(
-            g, Partition(labels, mode), trace, threshold, budget, need, f"{prefix}6"
-        )
+            # 6: constrained exact search.
+            inst = work.inst
+            chosen |= _exact_fallback(
+                work.graph(inst),
+                Partition({v: labels[v] for v in inst}, mode),
+                trace,
+                threshold,
+                budget,
+                work.total(inst),
+                f"{prefix}6",
+            )
+            break
     return chosen, trace
 
 
-def _total(g: Graph, labels: dict[int, str], weight) -> Fraction:
-    return sum((weight(labels[v], g.degree(v)) for v in g.vertices), Fraction(0))
+class _WorkingGraph:
+    """The one mutable graph of a reduction run, with its rule-1/rule-3 state.
+
+    `adj` and `labels` cover every vertex not yet deleted, `inst` is the
+    instance being reduced and `high` counts its vertices of degree >= 3.
+    Instances are disjoint and no edge joins two of them, so one adjacency
+    map serves them all.
+
+    Rules 1 and 3 depend only on the (label, degree) pairs of a vertex and
+    of its neighbors. So a step marks dirty the vertices within distance 2
+    of what it changed, and only those are checked again. Vertices that
+    pass wait in heaps, keyed (weight, id) for rule 1 and by id for rule 3;
+    an entry that no longer matches `deletable` or `leaves`, or whose
+    vertex has left the current instance, is dropped when it comes up.
+    Candidates left behind in an instance that rule 2 solved are dead.
+    When rules 1 and 3 both fail on an instance, no vertex of it is a
+    candidate, so the components that rule 4 splits off start with none
+    and need no check until they change.
+    """
+
+    def __init__(self, g: Graph, labels: dict[int, str], table: dict):
+        # One memo per run, of the functions this module's attributes hold
+        # now, so that a wrapper installed there (a profiler, say) sees every
+        # evaluation the run makes.
+        self.weight = cache(globals()[table["weight"]])
+        self.gain = cache(globals()[table["gain"]])
+        self.leaf_parts, self.demote = table["leaf"], table["demote"]
+        self.adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self.labels = labels
+        self.inst: set[int] = set()
+        self.high = 0
+        self.dirty = set(g.vertices)
+        self.deletable: dict[int, Fraction] = {}
+        self.deletable_heap: list[tuple[Fraction, int]] = []
+        self.leaves: set[int] = set()
+        self.leaf_heap: list[int] = []
+        # rule 1's answer by a vertex's label and its neighbors' sorted
+        # (label, degree) pairs, the only things it depends on
+        self.verdicts: dict[tuple, bool] = {}
+
+    def start(self, inst: set[int]) -> None:
+        self.inst = inst
+        self.high = sum(1 for v in inst if len(self.adj[v]) >= 3)
+
+    def graph(self, vertices) -> Graph:
+        """An immutable copy of a part of the working graph closed under adjacency."""
+        return Graph({v: frozenset(self.adj[v]) for v in vertices})
+
+    def total(self, vertices) -> Fraction:
+        """The vertices' total weight, one product per (label, degree)."""
+        labels, adj = self.labels, self.adj
+        counts = Counter((labels[v], len(adj[v])) for v in vertices)
+        return sum((count * self.weight(*key) for key, count in counts.items()), _ZERO)
+
+    def refresh(self) -> int:
+        """Re-check rules 1 and 3 at the dirty vertices; returns how many."""
+        adj, labels, weight, gain = self.adj, self.labels, self.weight, self.gain
+        inst, deletable, leaves, verdicts = self.inst, self.deletable, self.leaves, self.verdicts
+        checked = 0
+        for v in self.dirty:
+            if v not in inst:
+                continue
+            checked += 1
+            nbrs = adj[v]
+            part = labels[v]
+            fv = weight(part, len(nbrs))
+            around = (part, tuple(sorted([(labels[w], len(adj[w])) for w in nbrs])))
+            ok = verdicts.get(around)
+            if ok is None:
+                ok = verdicts[around] = fv <= sum([gain(*key) for key in around[1]], _ZERO)
+            if ok:
+                if deletable.get(v) != fv:
+                    deletable[v] = fv
+                    heapq.heappush(self.deletable_heap, (fv, v))
+            else:
+                deletable.pop(v, None)
+            if self._strippable(v, part):
+                if v not in leaves:
+                    leaves.add(v)
+                    heapq.heappush(self.leaf_heap, v)
+            else:
+                leaves.discard(v)
+        self.dirty.clear()
+        return checked
+
+    def _strippable(self, v: int, part: str) -> bool:
+        """Rule 3's test: v is a leaf whose weight plus its neighbor's weight
+        loss on demotion is at most 1."""
+        if len(self.adj[v]) != 1 or part not in self.leaf_parts:
+            return False
+        (w,) = self.adj[v]
+        demoted = self.demote.get(self.labels[w])
+        if demoted is None:
+            return False
+        weight, dw = self.weight, len(self.adj[w])
+        return weight(part, 1) + (weight(self.labels[w], dw) - weight(demoted, dw - 1)) <= 1
+
+    def lightest_deletable(self) -> Optional[int]:
+        """Rule 1's choice: the lightest, then lowest, candidate."""
+        heap = self.deletable_heap
+        while heap:
+            fv, v = heap[0]
+            if v in self.inst and self.deletable.get(v) == fv:
+                return v
+            heapq.heappop(heap)
+        return None
+
+    def lowest_leaf(self) -> Optional[int]:
+        """Rule 3's choice: the lowest candidate."""
+        heap = self.leaf_heap
+        while heap and not (heap[0] in self.inst and heap[0] in self.leaves):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def apply(self, step: ReductionStep) -> None:
+        """Apply a step's graph delta and relabels, marking what they touch."""
+        adj = self.adj
+        for x, y in step.added_edges:
+            for a, b in ((x, y), (y, x)):
+                self.high += len(adj[a]) == 2
+                adj[a].add(b)
+            self._touch(x)
+            self._touch(y)
+        for v in step.removed:
+            nbrs = adj.pop(v)
+            self.inst.discard(v)
+            self.deletable.pop(v, None)
+            self.leaves.discard(v)
+            self.high -= len(nbrs) >= 3
+            for w in nbrs:
+                self.high -= len(adj[w]) == 3
+                adj[w].discard(v)
+                self._touch(w)
+        for v, part in step.relabeled:
+            self.labels[v] = part
+            self._touch(v)
+
+    def _touch(self, v: int) -> None:
+        """Mark v and its neighbors dirty after v's label or degree changed."""
+        self.dirty.add(v)
+        self.dirty.update(self.adj[v])
 
 
 def _solved(rule: str, vertices, picks, note: str = "") -> ReductionStep:
@@ -284,66 +456,37 @@ def _solved(rule: str, vertices, picks, note: str = "") -> ReductionStep:
     )
 
 
-def _without(labels: dict[int, str], v: int) -> dict[int, str]:
-    return {u: part for u, part in labels.items() if u != v}
-
-
-def _lightest_deletable(g: Graph, labels: dict[int, str], weight, gain_of) -> Optional[int]:
-    """Rule 1's choice: the lightest, then lowest, vertex whose weight is at
-    most the sum of its neighbors' gains."""
-    pick = None
-    for v in g.vertices:
-        fv = weight(labels[v], g.degree(v))
-        if fv <= sum((gain_of(labels[w], g.degree(w)) for w in g.neighbors(v)), Fraction(0)):
-            if pick is None or (fv, v) < pick:
-                pick = (fv, v)
-    return None if pick is None else pick[1]
-
-
-def _strippable_leaf(
-    g: Graph, labels: dict[int, str], table: dict, weight
-) -> Optional[tuple[int, int, str]]:
-    """Rule 3's choice: the lowest leaf v, with its neighbor w and w's demoted
-    label, such that v's weight plus w's weight loss is at most 1."""
-    for v in g.vertices:
-        if g.degree(v) != 1 or labels[v] not in table["leaf"]:
-            continue
-        (w,) = g.neighbors(v)
-        demoted = table["demote"].get(labels[w])
-        if demoted is None:
-            continue
-        dw = g.degree(w)
-        if weight(labels[v], 1) + (weight(labels[w], dw) - weight(demoted, dw - 1)) <= 1:
-            return v, w, demoted
-    return None
-
-
-def _promote_and_contract(g: Graph, labels: dict[int, str], weight):
+def _promote_and_contract(work: _WorkingGraph) -> Optional[ReductionStep]:
     """R5: promote a degree-3 B vertex, delete its lightest neighbor, and tie
     the two heavier ones together; apply only when the rewritten instance
     keeps the full bound."""
-    base_total = _total(g, labels, weight)
-    for v in g.vertices:
-        if labels[v] != "B" or g.degree(v) != 3:
+    adj, labels, weight = work.adj, work.labels, work.weight
+    for v in sorted(work.inst):
+        if labels[v] != "B" or len(adj[v]) != 3:
             continue
-        x, y, z = sorted(g.neighbors(v), key=lambda w: (-weight(labels[w], g.degree(w)), w))
-        reduced = g.delete_vertex(z).add_edge(x, y)
-        new_labels = _without(labels, z)
-        new_labels[v] = "A"
-        if _total(reduced, new_labels, weight) < base_total:
-            continue
-        added = () if g.has_edge(x, y) else ((x, y),)
-        step = ReductionStep("R5", removed=(z,), added_edges=added, relabeled=((v, "A"),))
-        return step, set(), [(reduced, new_labels)]
+        x, y, z = sorted(adj[v], key=lambda w: (-weight(labels[w], len(adj[w])), w))
+        new_edge = y not in adj[x]
+        # The bound changes only at z, which goes, at z's neighbors (v among
+        # them), which lose a degree, and at x and y, which gain one if the
+        # edge is new; v is weighed as A afterwards.
+        change = -weight(labels[z], len(adj[z]))
+        for u in adj[z] | {x, y}:
+            d = len(adj[u])
+            after = d - (u in adj[z]) + (new_edge and u in (x, y))
+            change += weight("A" if u == v else labels[u], after) - weight(labels[u], d)
+        if change >= 0:
+            added = ((x, y),) if new_edge else ()
+            return ReductionStep("R5", removed=(z,), added_edges=added, relabeled=((v, "A"),))
     return None
 
 
-def _cubic_endgame(g: Graph, labels: dict[int, str], weight):
+def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
     """S5: all vertices in A with degrees 2 and 3, the degree-2 vertices far
     apart: contract each degree-2 path into an edge, split the resulting
     cubic graph, and keep the bigger side plus every degree-2 vertex."""
-    if any(part != "A" for part in labels.values()):
+    if any(work.labels[v] != "A" for v in work.inst):
         return None
+    g = work.graph(work.inst)
     if any(g.degree(v) not in (2, 3) for v in g.vertices):
         return None
     low = [v for v in g.vertices if g.degree(v) == 2]
@@ -353,18 +496,19 @@ def _cubic_endgame(g: Graph, labels: dict[int, str], weight):
             return None
         if _within_distance(g, v, set(low) - {v}, 3):
             return None
-    contracted = g.delete_vertices(low)
+    contracted = {v: set(g.neighbors(v)) for v in g.vertices if g.degree(v) == 3}
     for v in low:
-        u, w = sorted(g.neighbors(v))
-        contracted = contracted.add_edge(u, w)
-    if any(contracted.degree(v) != 3 for v in contracted.vertices):
+        u, w = g.neighbors(v)
+        contracted[u] = contracted[u] - {v} | {w}
+        contracted[w] = contracted[w] - {v} | {u}
+    if any(len(nbrs) != 3 for nbrs in contracted.values()):
         return None
-    part1, part2 = cubic_partition(contracted)
+    part1, part2 = cubic_partition(Graph({v: frozenset(n) for v, n in contracted.items()}))
     keep = part1 if len(part1) >= len(part2) else part2
     chosen = set(keep) | set(low)
-    if Fraction(len(chosen)) < _total(g, labels, weight):
+    if Fraction(len(chosen)) < work.total(g.vertices):
         return None
-    return _solved("S5", g.vertices, chosen, f"contracted {len(low)} paths"), chosen, []
+    return _solved("S5", g.vertices, chosen, f"contracted {len(low)} paths")
 
 
 def _within_distance(g: Graph, start: int, targets: set[int], radius: int) -> bool:
@@ -419,16 +563,87 @@ def _component_order(g: Graph) -> tuple[list[int], bool]:
 
 def _dp_component(g: Graph, labels: dict[int, str], mode: str) -> set[int]:
     """Largest allowed selection on a path, or on a cycle as the best path
-    left by deleting one vertex."""
+    left by deleting one vertex: the first in traversal order whose
+    deletion leaves a path as good as any other."""
     order, is_cycle = _component_order(g)
     if not is_cycle:
         return _dp_path(order, labels, mode)[1]
-    best: tuple[int, set[int]] | None = None
-    for skip in range(len(order)):
-        count, picks = _dp_path(order[skip + 1 :] + order[:skip], labels, mode)
-        if best is None or count > best[0]:
-            best = (count, picks)
-    return best[1]
+    counts = _cycle_counts(order, labels, mode)
+    skip = counts.index(max(counts))
+    return _dp_path(order[skip + 1 :] + order[:skip], labels, mode)[1]
+
+
+def _cycle_counts(order: list[int], labels: dict[int, str], mode: str) -> list[int]:
+    """For every i, the count `_dp_path` gives on the path
+    order[i+1:] + order[:i], in O(n * states**2) time over all i.
+
+    Such a path runs from order[i+1] to order[-1], crosses the wrap edge,
+    and goes on from order[0] to order[i-1]. One backward pass per state s
+    of order[-1] gives the best count of every suffix that starts fresh and
+    ends in s; one forward pass per state t of order[0] gives the best count
+    of every prefix that starts in t. The count for i joins the best suffix
+    and prefix whose states the automaton allows across the wrap edge.
+    """
+    start, extend = _RULES[mode]["start"], _RULES[mode]["extend"]
+    nstates = 1 + max(*start.values(), *extend.values())
+    parts = [labels[v] for v in order]
+    n = len(order)
+    # Below every reachable count even after n increments, so that no
+    # impossible state sequence wins a max and no -1 checks are needed.
+    lost = -2 * n - 1
+
+    def moves(state: int, prev: str, part: str) -> tuple[int, ...]:
+        nxt = start[part] if state == 0 else extend.get((state, prev, part))
+        return (0,) if nxt is None else (0, nxt)
+
+    # Every state may be followed by an unchosen vertex (state 0); these are
+    # the other allowed (state, next state) pairs across an edge, by labels.
+    jumps = {
+        (a, b): [(q, r) for q in range(nstates) for r in moves(q, a, b) if r]
+        for a in set(parts)
+        for b in set(parts)
+    }
+    edges = [jumps[parts[i], parts[i + 1]] for i in range(n - 1)]
+    fresh_at = [start[part] for part in parts]
+
+    def suffix_counts(s: int) -> list[int]:
+        value = [lost] * nstates
+        value[s] = int(s != 0)
+        best = [lost] * n
+        best[n - 1] = max(value[0], value[fresh_at[n - 1]])
+        for i in range(n - 2, -1, -1):
+            base = value[0]
+            before = [base] + [base + 1] * (nstates - 1)
+            for q, r in edges[i]:
+                if value[r] > base:
+                    before[q] = value[r] + (q != 0)
+            value = before
+            best[i] = max(value[0], value[fresh_at[i]])
+        return best
+
+    def prefix_counts(t: int) -> list[int]:
+        value = [lost] * nstates
+        value[t] = int(t != 0)
+        best = [value[t]]
+        for i in range(1, n - 1):
+            after = [max(value)] + [lost] * (nstates - 1)
+            for q, r in edges[i - 1]:
+                if value[q] + 1 > after[r]:
+                    after[r] = value[q] + 1
+            value = after
+            best.append(max(value))
+        return best
+
+    ends = {0, start[parts[-1]]} | {r for _, r in jumps[parts[-2], parts[-1]]}
+    wrap = [(s, t) for s in ends for t in moves(s, parts[-1], parts[0])]
+    fresh = (0, start[parts[0]])
+    suffix = {s: suffix_counts(s) for s in ends}
+    prefix = {t: prefix_counts(t) for t in {t for _, t in wrap} | set(fresh)}
+    counts = [max(best[1] for best in suffix.values())]
+    for i in range(1, n - 1):
+        counts.append(max(suffix[s][i + 1] + prefix[t][i - 1] for s, t in wrap))
+    counts.append(max(prefix[t][n - 2] for t in fresh))
+    return counts
 
 
 def _dp_path(order: list[int], labels: dict[int, str], mode: str) -> tuple[int, set[int]]:
@@ -481,8 +696,7 @@ _RULES = {
         "prefix": "R",
         "bound": BoundSpec.abc(),
         "forest": LINEAR_FOREST,
-        # Looked up by name on each run, so that a wrapper installed on this
-        # module's attribute (a profiler, say) sees every evaluation.
+        # Names of module attributes; `_WorkingGraph` resolves them per run.
         "weight": "abc_weight",
         "gain": "gain",
         # Rule 3: labels a stripped leaf may carry, and its neighbor's
@@ -591,8 +805,9 @@ def star_forest(
     Hands each component's leaf-stripped core to the AB engine, labeled by
     whether each vertex carried a leaf.
     """
-    eps = star_epsilon_opt(g.degree_histogram())
-    bound = sum((star_f_eps(eps, g.degree(v)) for v in g.vertices), Fraction(0))
+    hist = g.degree_histogram()
+    eps = star_epsilon_opt(hist)
+    bound = sum((count * star_f_eps(eps, d) for d, count in hist.counts.items()), Fraction(0))
     chosen = _leaf_core_forest(
         g, ab_construct, "AB", lambda carried: "B" if carried else "A", exact_threshold, budget
     )

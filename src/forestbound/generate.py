@@ -119,7 +119,13 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Simple d-regular graph via the pairing model with rejection."""
+    """Simple d-regular graph via the pairing model.
+
+    Whole pairings are drawn and rejected until one is simple; each succeeds
+    with probability about e^{-(d*d-1)/4}. After PAIRING_RETRY_CAP
+    rejections the same generator goes on with edge-by-edge pairing, which
+    rarely has to start over.
+    """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise InfeasibleDegree(f"no simple {d}-regular graph on {n} vertices")
     if d == 0:
@@ -137,7 +143,32 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add((min(u, v), max(u, v)))
         if ok:
             return Graph.from_edges(n, edges)
+    for _ in range(PAIRING_RETRY_CAP):
+        edges = _pair_edge_by_edge(n, d, rng)
+        if edges is not None:
+            return Graph.from_edges(n, edges)
     raise RetryLimit(f"pairing model failed {PAIRING_RETRY_CAP} times for n={n}, d={d}")
+
+
+def _pair_edge_by_edge(n: int, d: int, rng: random.Random) -> Optional[set[tuple[int, int]]]:
+    """One edge-by-edge pairing: draw two of the free stubs, redraw when they
+    would make a loop or a repeated edge, and give up (None) only when no
+    two free stubs may be joined."""
+    stubs = [v for v in range(n) for _ in range(d)]
+    edges: set[tuple[int, int]] = set()
+    while stubs:
+        i, j = sorted(rng.sample(range(len(stubs)), 2))
+        u, v = sorted((stubs[i], stubs[j]))
+        if u == v or (u, v) in edges:
+            free = sorted(set(stubs))
+            if all((a, b) in edges for a, b in combinations(free, 2)):
+                return None
+            continue
+        edges.add((u, v))
+        for k in (j, i):
+            stubs[k] = stubs[-1]
+            stubs.pop()
+    return edges
 
 
 def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:

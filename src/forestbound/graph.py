@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnknownVertex
 
@@ -111,22 +111,7 @@ class Graph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, sorted by their minimum vertex id."""
-        seen: set[int] = set()
-        comps = []
-        for root in self._vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        return [frozenset(comp) for comp in components_of(self._adj, self._vertices)]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -149,6 +134,26 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def components_of(adj: Mapping[int, Iterable[int]], vertices: Iterable[int]) -> list[set[int]]:
+    """Connected components of an adjacency map, in the order in which
+    `vertices` first reaches them; `vertices` must be closed under `adj`."""
+    seen: set[int] = set()
+    comps = []
+    for root in vertices:
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ import inspect
 import random
 import sys
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from golden_corpus import comb
 
+from forestbound import construct
 from forestbound import (
     BoundSpec,
     Graph,
@@ -66,6 +67,27 @@ class TestGreedyLinearForest:
             g = gnp(n, p, trial)
             cert = greedy_linear_forest(g)
             assert verify_certificate(g, cert), trial
+
+    def test_bucket_queue_matches_rescanning_loop(self):
+        # the loop greedy_linear_forest ran before its bucket queue: rescan
+        # for the maximum degree and copy the graph at every deletion
+        def rescanning(g):
+            h = g
+            while h.max_degree() >= 3:
+                top = h.max_degree()
+                h = h.delete_vertex(min(u for u in h.vertices if h.degree(u) == top))
+            chosen = set()
+            for comp in h.components():
+                if sum(len(h.neighbors(u) & comp) for u in comp) // 2 == len(comp):
+                    chosen |= comp - {min(comp)}
+                else:
+                    chosen |= comp
+            return chosen
+
+        rng = random.Random(12)
+        for trial in range(150):
+            g = gnp(rng.randint(1, 90), rng.choice((0.03, 0.08, 0.2, 0.5)), 9000 + trial)
+            assert greedy_linear_forest(g).vertex_set == rescanning(g), trial
 
     def test_regular_graph_bound_value(self):
         # on d-regular graphs the bound is exactly 2n/(d+1)
@@ -410,3 +432,76 @@ def test_path_cycle_dp_matches_exact_oracle():
             picks = _dp_component(g, labels, "AB")
         res = alpha_exact_partitioned(g, p)
         assert len(picks) == res.alpha, (trial, g, labels)
+
+
+def test_cycle_dp_matches_rotation_scan():
+    # the cycle DP this library ran before its linear one: one path DP per
+    # deleted vertex, keeping the first strictly better path
+    from forestbound.construct import _component_order, _cycle_counts, _dp_component, _dp_path
+
+    def rotation_scan(order, labels, mode):
+        counts, best = [], None
+        for skip in range(len(order)):
+            count, picks = _dp_path(order[skip + 1 :] + order[:skip], labels, mode)
+            counts.append(count)
+            if best is None or count > best[0]:
+                best = (count, picks)
+        return counts, best[1]
+
+    for n in range(3, 9):
+        g = cycle_graph(n)
+        order, is_cycle = _component_order(g)
+        assert is_cycle
+        for mode in ("ABC", "AB"):
+            for word in product(mode, repeat=n):
+                labels = dict(zip(g.vertices, word))
+                counts, picks = rotation_scan(order, labels, mode)
+                assert _cycle_counts(order, labels, mode) == counts, (mode, word)
+                assert _dp_component(g, labels, mode) == picks, (mode, word)
+
+
+def _engine_traces(monkeypatch) -> list:
+    """Record the trace of every engine run the constructors make."""
+    traces = []
+    for name in ("abc_construct", "ab_construct"):
+        engine = getattr(construct, name)
+
+        def recording(*args, engine=engine):
+            cert, trace = engine(*args)
+            traces.append(trace)
+            return cert, trace
+
+        monkeypatch.setattr(construct, name, recording)
+    return traces
+
+
+@pytest.mark.parametrize(
+    "build", [star_forest, lambda g: k_caterpillar_forest(g, 3)], ids=["star", "caterpillar3"]
+)
+def test_engine_checks_linear_in_graph_size(monkeypatch, build):
+    # rules 1 and 3 are checked again only within distance 2 of a change, so
+    # their checks stay within a constant times n + m (a full rescan after
+    # every step would make millions here)
+    g = gnp(3000, 0.001, 1)
+    traces = _engine_traces(monkeypatch)
+    cert = build(g)
+    assert verify_certificate(g, cert)
+    assert traces and sum(len(trace.steps) for trace in traces) > 500
+    assert 0 < sum(trace.evaluations for trace in traces) <= 3 * (g.n + g.m)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(star_forest, 1500), (lambda g: k_caterpillar_forest(g, 2), 1999)],
+    ids=["star", "caterpillar2"],
+)
+def test_long_cycle_takes_one_path_dp(monkeypatch, build, size):
+    g = cycle_graph(2000)
+    paths = []
+    dp_path = construct._dp_path
+    monkeypatch.setattr(construct, "_dp_path", lambda *args: paths.append(1) or dp_path(*args))
+    traces = _engine_traces(monkeypatch)
+    cert = build(g)
+    assert verify_certificate(g, cert) and cert.size() == size
+    assert len(paths) == 1
+    assert [step.rule[1] for trace in traces for step in trace.steps] == ["2"]

@@ -105,6 +105,13 @@ class TestRandomModels:
         g = random_regular(10, 3, 7)
         assert all(g.degree(v) == 3 for v in g.vertices)
 
+    def test_regular_after_whole_pairings_run_out(self):
+        # each of this seed's first PAIRING_RETRY_CAP whole pairings has a
+        # loop or a repeated edge, so the graph is built edge by edge
+        g = random_regular(20, 6, 200)
+        assert g.m == 60 and all(g.degree(v) == 6 for v in g.vertices)
+        assert g == random_regular(20, 6, 200)
+
     def test_regular_deterministic(self):
         assert random_regular(12, 3, 9) == random_regular(12, 3, 9)
 

@@ -137,6 +137,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("3 2\n")
 
+    def test_gen_dense_regular(self, workdir, capsys):
+        assert run_cli("gen", "regular:n=20,d=6,seed=200") == 0
+        assert capsys.readouterr().out.startswith("20 60\n")
+
     def test_parse_error_exit_code(self, workdir, capsys):
         Path("bad.txt").write_text("not a graph\n")
         assert run_cli("bound", "bad.txt", "flin") == 3
