@@ -1,10 +1,16 @@
 """Exact computation of the maximum induced subgraph in a hereditary class.
 
-Branch and bound over candidate vertex sets represented as bitmasks: start
-from the full set; whenever the candidate violates the class, extract a
-violating substructure and branch on deleting one of its vertices. Every
-graph in the class is a subset of the candidate missing at least one vertex
-of any violating substructure, so the search is exhaustive.
+Bounded search tree over candidate vertex sets represented as bitmasks.
+Each search node is a pair (cand, kept): cand is the set still allowed,
+kept the vertices this branch has decided to keep for good. If cand
+violates the class, a violation finder returns a set W = {w_1 < ... < w_r}
+of which every valid subset of cand misses at least one vertex. Child i
+deletes w_i and adds w_1 ... w_{i-1} to kept (hitting-set branching), so a
+valid set is reached through exactly one child: the one deleting the first
+vertex of W it misses. A violation lying entirely inside kept has no
+children, and since no subset is reached twice the search needs no memo.
+Nodes wait on an explicit stack and are popped in depth-first order, the
+children of a node in the bit order of W.
 """
 
 from __future__ import annotations
@@ -74,35 +80,40 @@ class _Search:
             self.caps = [k] * self.n
 
     def run(self, budget: int) -> OracleResult:
-        self.budget = budget
-        self.nodes = 0
-        self.stopped = False
-        self.seen: set[int] = set()
         full = (1 << self.n) - 1
-        incumbent = self._greedy_peel(full)
-        self.best_mask = incumbent
-        self.best_size = incumbent.bit_count()
-        self._visit(full)
-        witness = frozenset(self.vs[i] for i in _iter_bits(self.best_mask))
-        return OracleResult(self.best_size, witness, self.nodes, exact=not self.stopped)
-
-    def _visit(self, cand: int) -> None:
-        if self.stopped or cand in self.seen:
-            return
-        self.seen.add(cand)
-        if cand.bit_count() <= self.best_size:
-            return
-        if self.nodes >= self.budget:
-            self.stopped = True
-            return
-        self.nodes += 1
-        bad = self._violation(cand)
-        if not bad:
-            self.best_size = cand.bit_count()
-            self.best_mask = cand
-            return
-        for i in _iter_bits(bad):
-            self._visit(cand & ~(1 << i))
+        best_mask = self._greedy_peel(full)
+        best_size = best_mask.bit_count()
+        violation = self._violation
+        nodes = 0
+        stopped = False
+        stack = [(full, 0)]
+        pop = stack.pop
+        while stack:
+            cand, kept = pop()
+            size = cand.bit_count()
+            if size <= best_size:
+                continue
+            if nodes >= budget:
+                stopped = True
+                break
+            nodes += 1
+            bad = violation(cand)
+            if not bad:
+                best_size, best_mask = size, cand
+                continue
+            # Children in bit order of the free part of the violation, pushed
+            # last-first so they pop in bit order; a violation inside kept
+            # leaves no free bit and so no child.
+            free = bad & ~kept
+            children = []
+            while free:
+                low = free & -free
+                children.append((cand ^ low, kept))
+                kept |= low
+                free ^= low
+            stack.extend(reversed(children))
+        witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
+        return OracleResult(best_size, witness, nodes, exact=not stopped)
 
     def _greedy_peel(self, cand: int) -> int:
         """Initial incumbent: repeatedly delete the busiest vertex of a violation."""
@@ -135,56 +146,90 @@ class _Search:
             return self._ab_violation(cand)
         raise ValueError(self.kind)  # pragma: no cover
 
+    # The finders below run once per search node, so they walk bitmasks
+    # inline (lowest bit first) rather than through _iter_bits.
+
     def _degree_violation(self, cand: int) -> int:
         adj, caps = self.adj, self.caps
-        for i in _iter_bits(cand):
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
             nbrs = adj[i] & cand
             if nbrs.bit_count() > caps[i]:
-                return (1 << i) | nbrs
+                return low | nbrs
         return 0
 
     def _star_violation(self, cand: int) -> int:
         # An adjacent pair of degree->=2 vertices (plus one extra neighbor of
         # each) witnesses any failure: cycles force such a pair too.
-        for i in _iter_bits(cand):
-            nbrs_i = self.adj[i] & cand
+        adj = self.adj
+        rest = cand
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            nbrs_i = adj[low_i.bit_length() - 1] & cand
             if nbrs_i.bit_count() < 2:
                 continue
-            for j in _iter_bits(nbrs_i):
-                nbrs_j = self.adj[j] & cand
+            others = nbrs_i
+            while others:
+                low_j = others & -others
+                others ^= low_j
+                nbrs_j = adj[low_j.bit_length() - 1] & cand
                 if nbrs_j.bit_count() < 2:
                     continue
-                extra_i = nbrs_i & ~(1 << j)
-                extra_j = nbrs_j & ~(1 << i)
-                return (1 << i) | (1 << j) | (extra_i & -extra_i) | (extra_j & -extra_j)
+                extra_i = nbrs_i ^ low_j
+                extra_j = nbrs_j ^ low_i
+                return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j)
         return 0
 
     def _ab_violation(self, cand: int) -> int:
-        for i in _iter_bits(cand):
-            if self.labels[i] != "B":
+        adj, labels = self.adj, self.labels
+        rest = cand
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            i = low_i.bit_length() - 1
+            if labels[i] != "B":
                 continue
-            for j in _iter_bits(self.adj[i] & cand):
-                if self.labels[j] == "B":
-                    return (1 << i) | (1 << j)
-                if (self.adj[j] & cand).bit_count() >= 2:
-                    return (1 << i) | (1 << j) | (self.adj[j] & cand)
+            others = adj[i] & cand
+            while others:
+                low_j = others & -others
+                others ^= low_j
+                j = low_j.bit_length() - 1
+                if labels[j] == "B":
+                    return low_i | low_j
+                nbrs_j = adj[j] & cand
+                if nbrs_j.bit_count() >= 2:
+                    return low_i | low_j | nbrs_j
         return self._star_violation(cand)
 
     def _spine_violation(self, cand: int) -> int:
         # A vertex with three non-leaf neighbors (each witnessed by a second
-        # neighbor) can never sit inside a caterpillar forest.
-        deg = {}
-        for i in _iter_bits(cand):
-            deg[i] = (self.adj[i] & cand).bit_count()
-        for i in _iter_bits(cand):
-            heavy = [j for j in _iter_bits(self.adj[i] & cand) if deg[j] >= 2]
-            if len(heavy) < 3:
+        # neighbor) can never sit inside a caterpillar forest. Such a vertex
+        # is itself a non-leaf, so only non-leaves need scanning.
+        adj = self.adj
+        heavy = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & cand).bit_count() >= 2:
+                heavy |= low
+        rest = heavy
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            spine = adj[low_i.bit_length() - 1] & heavy
+            if spine.bit_count() < 3:
                 continue
-            bad = 1 << i
-            for j in heavy[:3]:
-                bad |= 1 << j
-                witness = (self.adj[j] & cand) & ~(1 << i)
-                bad |= witness & -witness
+            bad = low_i
+            for _ in range(3):
+                low_j = spine & -spine
+                spine ^= low_j
+                witness = adj[low_j.bit_length() - 1] & cand & ~low_i
+                bad |= low_j | (witness & -witness)
             return bad
         return 0
 

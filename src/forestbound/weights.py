@@ -9,6 +9,7 @@ comparison.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -290,29 +291,33 @@ def total_weight(g: Graph, spec: BoundSpec, labels=None) -> Fraction:
 
     Partition-dependent variants (abc, abstar) require labels; fkeps/star
     with eps=None select the optimal epsilon from g's degree histogram.
+    Every variant but hkg depends only on the degree (and label), so it is
+    summed as count * weight over the (label, degree) histogram.
     """
-    if spec.variant == "flin":
-        return sum((f_lin(g.degree(v)) for v in g.vertices), _ZERO)
-    if spec.variant in ("fkeps", "fk"):
-        if spec.variant == "fk":
-            eps = eps_max(spec.k)
-        elif spec.eps is None:
-            eps, _ = epsilon_star(g.degree_histogram(), spec.k)
-        else:
-            eps = spec.eps
-        return sum((f_k_eps(spec.k, eps, g.degree(v)) for v in g.vertices), _ZERO)
     if spec.variant == "hkg":
         return sum((h_kg(g, spec.k, v) for v in g.vertices), _ZERO)
-    if spec.variant == "star":
-        eps = spec.eps
-        if eps is None:
-            eps = star_epsilon_opt(g.degree_histogram())
-        return sum((star_f_eps(eps, g.degree(v)) for v in g.vertices), _ZERO)
     if spec.variant in ("abc", "abstar"):
         if labels is None:
             raise MissingPartition(f"{spec.variant} weights need a partition")
         weight = abc_weight if spec.variant == "abc" else ab_star_weight
-        return sum((weight(labels.part(v), g.degree(v)) for v in g.vertices), _ZERO)
+        counts = Counter((labels.part(v), g.degree(v)) for v in g.vertices)
+        return sum((count * weight(part, d) for (part, d), count in counts.items()), _ZERO)
+    hist = g.degree_histogram()
+    if spec.variant == "flin":
+        return sum((count * f_lin(d) for d, count in hist.counts.items()), _ZERO)
+    if spec.variant in ("fkeps", "fk"):
+        if spec.variant == "fk":
+            eps = eps_max(spec.k)
+        elif spec.eps is None:
+            eps, _ = epsilon_star(hist, spec.k)
+        else:
+            eps = spec.eps
+        return fkeps_histogram_total(hist, spec.k, eps)
+    if spec.variant == "star":
+        eps = spec.eps
+        if eps is None:
+            eps = star_epsilon_opt(hist)
+        return star_histogram_total(hist, eps)
     raise InvalidSpec(spec.variant)  # pragma: no cover
 
 

@@ -1,8 +1,10 @@
 """Exact oracle: agreement with naive enumeration, witness families, budget."""
 
 import random
+import sys
+import tracemalloc
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 from forestbound import (
     CATERPILLAR_FOREST,
@@ -17,6 +19,7 @@ from forestbound import (
     is_linear_forest,
     is_star_forest,
 )
+from forestbound.exact import OracleResult, _Search
 from forestbound.generate import complete_graph, cycle_graph, gnp, hnk_graph, k_prime_graph
 from forestbound.partition import ABC_CAPS
 
@@ -162,3 +165,118 @@ def test_witness_is_optimal_no_larger_set_exists():
     res = alpha_exact(g, LINEAR_FOREST)
     for subset in combinations(sorted(g.vertices), res.alpha + 1):
         assert not is_linear_forest(g.induced(subset))
+
+
+class MemoSearch(_Search):
+    """The search that hitting-set branching replaced, kept as a reference:
+    branch on deleting each vertex of a violation, skip candidate sets seen
+    before, one recursion level per deleted vertex."""
+
+    def run(self, budget: int) -> OracleResult:
+        self.budget = budget
+        self.nodes = 0
+        self.stopped = False
+        self.seen: set[int] = set()
+        full = (1 << self.n) - 1
+        self.best_mask = self._greedy_peel(full)
+        self.best_size = self.best_mask.bit_count()
+        self._visit(full)
+        witness = frozenset(v for i, v in enumerate(self.vs) if self.best_mask >> i & 1)
+        return OracleResult(self.best_size, witness, self.nodes, exact=not self.stopped)
+
+    def _visit(self, cand: int) -> None:
+        if self.stopped or cand in self.seen:
+            return
+        self.seen.add(cand)
+        if cand.bit_count() <= self.best_size:
+            return
+        if self.nodes >= self.budget:
+            self.stopped = True
+            return
+        self.nodes += 1
+        bad = self._violation(cand)
+        if not bad:
+            self.best_size = cand.bit_count()
+            self.best_mask = cand
+            return
+        for i in range(self.n):
+            if bad >> i & 1:
+                self._visit(cand & ~(1 << i))
+
+
+def all_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+ALL_CLASSES = (
+    LINEAR_FOREST,
+    STAR_FOREST,
+    CATERPILLAR_FOREST,
+    ForestClass.caterpillar(2),
+    ForestClass.caterpillar(3),
+)
+
+
+def test_same_optimum_as_memo_search_with_no_more_nodes():
+    def check(g, kind, k=None, labels=None):
+        new = _Search(g, kind, k=k, labels=labels).run(10**6)
+        ref = MemoSearch(g, kind, k=k, labels=labels).run(10**6)
+        assert new.exact and ref.exact
+        assert (new.alpha, new.witness) == (ref.alpha, ref.witness), (g.edges(), kind, k, labels)
+        assert new.nodes_explored <= ref.nodes_explored
+
+    for n in range(6):
+        for g in all_graphs(n):
+            for cls in ALL_CLASSES:
+                check(g, cls.kind, k=cls.k)
+            if n <= 4:
+                for labels in product("ABC", repeat=n):
+                    check(g, "abc", labels=list(labels))
+                for labels in product("AB", repeat=n):
+                    check(g, "ab", labels=list(labels))
+    rng = random.Random(4)
+    for trial in range(30):
+        g = gnp(rng.randint(6, 16), rng.choice((0.2, 0.3, 0.5)), 4400 + trial)
+        for cls in ALL_CLASSES:
+            check(g, cls.kind, k=cls.k)
+        check(g, "abc", labels=[rng.choice("ABC") for _ in g.vertices])
+        check(g, "ab", labels=[rng.choice("AB") for _ in g.vertices])
+
+
+def test_linear_forest_on_gnp28_is_exact_within_2m_nodes():
+    g = gnp(28, 0.3, 7)
+    res = alpha_exact(g, LINEAR_FOREST, budget=2_000_000)
+    assert res.exact  # the memo search ran out of 2 M nodes here
+    assert is_linear_forest(g.induced(res.witness))
+
+
+def test_search_peak_allocation_stays_under_1mb():
+    # Traced allocation slows the search several times over, so only the
+    # first 10 000 nodes run; the memo search peaked at 3.3 MB there.
+    tracemalloc.start()
+    try:
+        alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST, budget=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_star_forest_on_gnp34_node_count():
+    res = alpha_exact(gnp(34, 0.3, 7), STAR_FOREST)
+    assert res.exact
+    assert res.nodes_explored <= 137_000  # a tenth of the memo search's 1.37 M
+
+
+def test_budget_run_on_large_clique_does_not_recurse():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = alpha_exact(complete_graph(1100), STAR_FOREST, budget=5000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not res.exact
+    assert res.nodes_explored == 5000
+    assert res.alpha == len(res.witness) == 2

@@ -26,7 +26,7 @@ from forestbound import (
     total_weight,
 )
 from forestbound.errors import DegreeZero, InvalidSpec, ParseError
-from forestbound.generate import complete_graph, cycle_graph, path_graph, star_graph
+from forestbound.generate import complete_graph, cycle_graph, gnp, path_graph, star_graph
 from forestbound.weights import (
     STAR_EPS_MAX,
     eps_max,
@@ -175,6 +175,29 @@ class TestTotalWeight:
 
     def test_hkg_total(self):
         assert total_weight(star_graph(3), BoundSpec.hkg(3)) == F(7, 2)
+
+    def test_histogram_sums_equal_per_vertex_sums(self):
+        rng = random.Random(41)
+        for trial in range(30):
+            g = gnp(rng.randint(1, 40), rng.choice((0.05, 0.2, 0.5)), 4100 + trial)
+            abc = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
+            ab = Partition.ab({v: rng.choice("AB") for v in g.vertices})
+            hist = g.degree_histogram()
+            per_vertex = [
+                (BoundSpec.flin(), None, lambda v: f_lin(g.degree(v))),
+                (BoundSpec.fk(3), None, lambda v: f_k(3, g.degree(v))),
+                (BoundSpec.fkeps(2, F(1, 10)), None, lambda v: f_k_eps(2, F(1, 10), g.degree(v))),
+                (BoundSpec.fkeps(2), None,
+                 lambda v: f_k_eps(2, epsilon_star(hist, 2)[0], g.degree(v))),
+                (BoundSpec.star(F(1, 12)), None, lambda v: star_f_eps(F(1, 12), g.degree(v))),
+                (BoundSpec.star(), None,
+                 lambda v: star_f_eps(star_epsilon_opt(hist), g.degree(v))),
+                (BoundSpec.abc(), abc, lambda v: abc_weight(abc.part(v), g.degree(v))),
+                (BoundSpec.abstar(), ab, lambda v: ab_star_weight(ab.part(v), g.degree(v))),
+            ]
+            for spec, labels, weight in per_vertex:
+                expected = sum((weight(v) for v in g.vertices), F(0))
+                assert total_weight(g, spec, labels) == expected, (trial, spec)
 
 
 def brute_force_epsilon_star(hist, k):
