@@ -3,7 +3,9 @@
 `outputs()` runs each constructor over a fixed corpus (every graph on at
 most 5 vertices, every ABC/AB labeling of every graph on at most 4
 vertices, seeded G(n, p) for n = 6, 12, ..., 60, cycles, paths, combs and the rule
-gadgets of test_construct.py) and the harness suites at seeds 0-2. It groups
+gadgets of test_construct.py), the harness suites at seeds 0-2 and the
+stdout and exit code of the `bound`, `epsilon-opt`, `construct` and `exact`
+commands on a few small graphs. It groups
 the text of each result by (producer, corpus); `golden_digests.json` holds
 the SHA-256 of every group, and tests/test_golden.py recomputes them.
 
@@ -15,9 +17,12 @@ After a change that is meant to alter outputs, rewrite the fixture with
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
@@ -28,11 +33,14 @@ from forestbound import (
     abc_construct,
     caterpillar_forest,
     certificate_to_text,
+    format_edge_list,
+    format_partition,
     greedy_linear_forest,
     k_caterpillar_forest,
     run_suite,
     star_forest,
 )
+from forestbound.cli import main as cli_main
 from forestbound.errors import ForestBoundError
 from forestbound.generate import (
     complete_graph,
@@ -137,6 +145,53 @@ def _run(fn, g: Graph) -> str:
         return f"error={type(exc).__name__}\n"
 
 
+CLI_BOUND_SPECS = (
+    "flin", "fkeps:k=2", "fkeps:k=3", "fkeps:k=2,eps=1/10", "fk:k=2", "fk:k=3",
+    "hkg:k=2", "hkg:k=3", "star", "star:eps=1/10",
+)
+CLI_KINDS = (
+    ("linear",), ("caterpillar",), ("caterpillar", "--k", "2"), ("caterpillar", "--k", "3"),
+    ("star",), ("abc", "--partition", "{ABC}"), ("ab", "--partition", "{AB}"),
+)
+
+
+def cli_inputs() -> list[tuple[str, Graph, Partition, Partition]]:
+    """(name, graph, ABC labeling, AB labeling) of the CLI corpus: the claw,
+    C5, the Fig. 1 gadgets with their drawn labelings, and two G(n, p)."""
+    out = [("claw", star_graph(3)), ("c5", cycle_graph(5)),
+           ("gnp12", gnp(12, 0.3, 5)), ("gnp20", gnp(20, 0.2, 6))]
+    rows = [(name, g, _random_partition(g, "ABC", i), _random_partition(g, "AB", i))
+            for i, (name, g) in enumerate(out)]
+    for name in ("P3AB", "K2AC", "K3ACC"):
+        g, p = fig1_gadget(name)
+        rows.append((name, g, p, _random_partition(g, "AB", len(rows))))
+    return rows
+
+
+def cli_outputs() -> dict[str, list[str]]:
+    """Stdout and exit code of `bound`, `epsilon-opt`, `construct` and
+    `exact` over the CLI corpus, grouped by command."""
+    groups: dict[str, list[str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, g, abc_p, ab_p in cli_inputs():
+            files = {"{G}": f"{name}.txt", "{ABC}": f"{name}.abc", "{AB}": f"{name}.ab"}
+            Path(tmp, files["{G}"]).write_text(format_edge_list(g))
+            Path(tmp, files["{ABC}"]).write_text(format_partition(abc_p))
+            Path(tmp, files["{AB}"]).write_text(format_partition(ab_p))
+            runs = [("bound", "{G}", spec) for spec in CLI_BOUND_SPECS]
+            runs += [("bound", "{G}", "abc", "--partition", "{ABC}"),
+                     ("bound", "{G}", "abstar", "--partition", "{AB}")]
+            runs += [("epsilon-opt", "{G}", *flag) for flag in (("--k", "2"), ("--k", "3"), ("--star",))]
+            runs += [(cmd, "{G}", *kind) for cmd in ("construct", "exact") for kind in CLI_KINDS]
+            for argv in runs:
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    code = cli_main([str(Path(tmp, files[a])) if a in files else a for a in argv])
+                shown = " ".join(files.get(a, a) for a in argv)
+                groups.setdefault(f"cli/{argv[0]}", []).append(f"{shown}\nexit={code}\n{out.getvalue()}")
+    return groups
+
+
 def outputs() -> tuple[dict[str, list[str]], Counter]:
     """Result texts grouped by producer and corpus, and the rules that fired."""
     groups: dict[str, list[str]] = {}
@@ -166,6 +221,7 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
         # exhaustive-small does not use its seed
         for seed in range(1 if suite == "exhaustive-small" else 3):
             groups[f"harness/{suite}/seed={seed}"] = [run_suite(suite, seed).payload()]
+    groups.update(cli_outputs())
     return groups, rules
 
 
