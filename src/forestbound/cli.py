@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -15,15 +16,9 @@ from typing import Optional
 from . import construct, exact, harness
 from .generate import generate as build_generated, parse_gen_spec
 from .errors import BoundMiss, ForestBoundError, ParseError
-from .graph import (
-    ForestClass,
-    Graph,
-    STAR_FOREST,
-    format_edge_list,
-    parse_edge_list,
-)
+from .graph import ForestClass, Graph, format_edge_list, parse_edge_list
 from .partition import Partition, format_partition, parse_partition_file
-from .weights import BoundSpec, epsilon_star, parse_bound_spec, star_epsilon_opt, total_weight
+from .weights import parse_bound_spec, rat_text, select_eps, total_weight
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -37,21 +32,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _rat_approx(x: Fraction) -> str:
-    return f"{_rat(x)} (~{float(x):.6f})"
+    return f"{rat_text(x)} (~{float(x):.6f})"
 
 
 def _read_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
 
 
-def _read_partition(path: Optional[str], mode: str) -> Optional[Partition]:
+# The partition mode of each kind that takes a partition: the abc/abstar
+# bound variants, the abc/ab construct and exact kinds, and the classes of
+# the certificates those constructions write.
+_PARTITION_MODES = {
+    "abc": "ABC", "abstar": "AB", "ab": "AB", "class=linear": "ABC", "class=star": "AB",
+}
+
+
+def _read_partition(kind: str, path: Optional[str], required: bool = True) -> Optional[Partition]:
+    """The partition file at path, read in kind's mode. A kind without a mode
+    takes no partition; one with a mode needs it, unless not required."""
+    mode = _PARTITION_MODES.get(kind)
     if path is None:
+        if mode is not None and required:
+            raise ParseError(f"{kind} needs --partition")
         return None
+    if mode is None:
+        raise ParseError(f"{kind} takes no --partition")
     return parse_partition_file(Path(path).read_text(), mode)
 
 
@@ -79,9 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-check a certificate")
     p_verify.add_argument("graph")
     p_verify.add_argument("certificate")
-    p_verify.add_argument("--partition")
     p_verify.add_argument(
-        "--mode", choices=["ABC", "AB"], default="ABC", help="partition mode when given"
+        "--partition", help="partition file, read as ABC for class=linear, AB for class=star"
     )
 
     p_exact = sub.add_parser("exact", help="exact optimum by branch and bound")
@@ -98,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eps = sub.add_parser("epsilon-opt", help="optimal epsilon for a graph's degrees")
     p_eps.add_argument("graph")
+    p_eps.set_defaults(partition=None)
     group = p_eps.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="caterpillar family")
     group.add_argument("--star", action="store_true", help="star forest family")
@@ -114,92 +120,65 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_bound(args) -> int:
     g = _read_graph(args.graph)
     spec = parse_bound_spec(args.spec)
-    labels = None
-    if spec.variant in ("abc", "abstar"):
-        mode = "ABC" if spec.variant == "abc" else "AB"
-        labels = _read_partition(args.partition, mode)
-        if labels is None:
-            raise ParseError(f"{spec.variant} bound needs --partition")
-    if spec.variant == "fkeps" and spec.eps is None:
-        eps, d_star = epsilon_star(g.degree_histogram(), spec.k)
-        print(f"eps={_rat(eps)}")
-        print(f"d_star={d_star if d_star is not None else '-'}")
-        spec = BoundSpec.fkeps(spec.k, eps)
-    elif spec.variant == "star" and spec.eps is None:
-        eps = star_epsilon_opt(g.degree_histogram())
-        print(f"eps={_rat(eps)}")
-        spec = BoundSpec.star(eps)
+    labels = _read_partition(spec.variant, args.partition)
+    if spec.eps_open:
+        eps, d_star = select_eps(spec, g.degree_histogram())
+        print(f"eps={rat_text(eps)}")
+        if spec.k is not None:  # fkeps, the open-eps variant with a k, picks eps by a degree D
+            print(f"d_star={d_star if d_star is not None else '-'}")
+        spec = replace(spec, eps=eps)
     print(f"bound={_rat_approx(total_weight(g, spec, labels))}")
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
     g = _read_graph(args.graph)
+    labels = _read_partition(args.kind, args.partition)
     trace = None
-    labels = None
-    try:
-        if args.kind == "linear":
-            cert = construct.greedy_linear_forest(g)
-        elif args.kind == "caterpillar":
-            if args.k is None:
-                cert = construct.caterpillar_forest(g)
-            else:
-                cert = construct.k_caterpillar_forest(g, args.k, args.threshold, args.budget)
-        elif args.kind == "star":
-            cert = construct.star_forest(g, args.threshold, args.budget)
-        elif args.kind == "abc":
-            labels = _read_partition(args.partition, "ABC")
-            if labels is None:
-                raise ParseError("abc construction needs --partition")
-            cert, trace = construct.abc_construct(g, labels, args.threshold, args.budget)
-        else:
-            labels = _read_partition(args.partition, "AB")
-            if labels is None:
-                raise ParseError("ab construction needs --partition")
-            cert, trace = construct.ab_construct(g, labels, args.threshold, args.budget)
-    except BoundMiss as exc:
-        print(f"verdict=bound-miss detail={exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    if args.kind == "linear":
+        cert = construct.greedy_linear_forest(g)
+    elif args.kind == "caterpillar" and args.k is None:
+        cert = construct.caterpillar_forest(g)
+    elif args.kind == "caterpillar":
+        cert = construct.k_caterpillar_forest(g, args.k, args.threshold, args.budget)
+    elif args.kind == "star":
+        cert = construct.star_forest(g, args.threshold, args.budget)
+    else:
+        engine = construct.abc_construct if args.kind == "abc" else construct.ab_construct
+        cert, trace = engine(g, labels, args.threshold, args.budget)
     text = construct.certificate_to_text(cert, g.edge_hash(), trace)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     ok = construct.verify_certificate(g, cert, labels)
-    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={_rat(cert.claimed_bound)}")
+    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={rat_text(cert.claimed_bound)}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     cert, graph_hash = construct.certificate_from_text(Path(args.certificate).read_text())
-    labels = _read_partition(args.partition, args.mode)
+    labels = _read_partition(f"class={cert.forest_class.to_text()}", args.partition, required=False)
     if graph_hash not in ("-", "") and graph_hash != g.edge_hash():
         print("verdict=fail reason=graph-hash-mismatch")
         return EXIT_VIOLATION
     ok = construct.verify_certificate(g, cert, labels)
-    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={_rat(cert.claimed_bound)}")
+    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={rat_text(cert.claimed_bound)}")
     return EXIT_OK if ok else EXIT_VIOLATION
-
-
-def _forest_class(kind: str, k: Optional[int]) -> ForestClass:
-    if kind == "linear":
-        return ForestClass("linear")
-    if kind == "star":
-        return STAR_FOREST
-    return ForestClass.caterpillar(k)
 
 
 def cmd_exact(args) -> int:
     g = _read_graph(args.graph)
-    if args.kind in ("abc", "ab"):
-        mode = "ABC" if args.kind == "abc" else "AB"
-        labels = _read_partition(args.partition, mode)
-        if labels is None:
-            raise ParseError(f"{args.kind} exact search needs --partition")
+    labels = _read_partition(args.kind, args.partition)
+    if labels is not None:
         res = exact.alpha_exact_partitioned(g, labels, args.budget)
     else:
-        res = exact.alpha_exact(g, _forest_class(args.kind, args.k), args.budget)
+        try:
+            cls = ForestClass(args.kind, args.k)
+        except ValueError as exc:
+            raise ParseError(f"exact {args.kind}: {exc}") from exc
+        res = exact.alpha_exact(g, cls, args.budget)
     print(f"alpha={res.alpha}")
     print(f"witness={' '.join(map(str, sorted(res.witness)))}")
     print(f"nodes={res.nodes_explored}")
@@ -223,18 +202,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_epsilon_opt(args) -> int:
-    g = _read_graph(args.graph)
-    hist = g.degree_histogram()
-    if args.star:
-        eps = star_epsilon_opt(hist)
-        print(f"eps={_rat(eps)}")
-        print(f"bound={_rat_approx(total_weight(g, BoundSpec.star(eps)))}")
-    else:
-        eps, d_star = epsilon_star(hist, args.k)
-        print(f"eps={_rat(eps)}")
-        print(f"d_star={d_star if d_star is not None else '-'}")
-        print(f"bound={_rat_approx(total_weight(g, BoundSpec.fkeps(args.k, eps)))}")
-    return EXIT_OK
+    """`epsilon-opt G --k K` is `bound G fkeps:k=K`; `--star` is `bound G star`."""
+    args.spec = "star" if args.star else f"fkeps:k={args.k}"
+    return cmd_bound(args)
 
 
 def cmd_harness(args) -> int:

@@ -43,8 +43,7 @@ from .weights import (
     ab_star_weight,
     abc_weight,
     gain,
-    star_epsilon_opt,
-    star_f_eps,
+    rat_text,
     total_weight,
 )
 
@@ -805,9 +804,7 @@ def star_forest(
     Hands each component's leaf-stripped core to the AB engine, labeled by
     whether each vertex carried a leaf.
     """
-    hist = g.degree_histogram()
-    eps = star_epsilon_opt(hist)
-    bound = sum((count * star_f_eps(eps, d) for d, count in hist.counts.items()), Fraction(0))
+    bound = total_weight(g, BoundSpec.star())
     chosen = _leaf_core_forest(
         g, ab_construct, "AB", lambda carried: "B" if carried else "A", exact_threshold, budget
     )
@@ -869,11 +866,10 @@ def _check_certificate(
 def certificate_to_text(
     cert: ForestCertificate, graph_hash: str = "", trace: Optional[ReductionTrace] = None
 ) -> str:
-    bound = cert.claimed_bound
     lines = [
         f"graph={graph_hash or '-'}",
         f"class={cert.forest_class.to_text()}",
-        f"bound={bound.numerator}/{bound.denominator}",
+        f"bound={rat_text(cert.claimed_bound)}",
         "vertices=" + " ".join(map(str, sorted(cert.vertex_set))),
         f"trace={trace.summary() if trace is not None else '-'}",
     ]

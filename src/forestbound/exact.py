@@ -62,11 +62,7 @@ class _Search:
         self.vs = list(g.vertices)
         index = {v: i for i, v in enumerate(self.vs)}
         self.n = len(self.vs)
-        adj = [0] * self.n
-        for u, w in g.edges():
-            adj[index[u]] |= 1 << index[w]
-            adj[index[w]] |= 1 << index[u]
-        self.adj = adj
+        self.adj = [sum(1 << index[w] for w in g.neighbors(v)) for v in self.vs]
         self.kind = kind
         self.k = k
         self.labels = labels

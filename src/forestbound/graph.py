@@ -286,10 +286,14 @@ def is_star_forest(g: Graph) -> bool:
     )
 
 
+MAX_VERTICES = 1 << 20
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header `n m`, then m lines `u v`.
 
-    Blank lines and lines starting with `#` are ignored.
+    Blank lines and lines starting with `#` are ignored. A header n above
+    MAX_VERTICES is rejected before anything is allocated for it.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -308,10 +312,11 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"line {lineno}: header must be two integers") from exc
     if n < 0 or m < 0:
         raise ParseError(f"line {lineno}: negative counts in header")
+    if n > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(f"header declares {m} edges but {len(rows) - 1} edge lines found")
-    edges = []
-    seen: set[tuple[int, int]] = set()
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -324,14 +329,11 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: vertex out of range 0..{n - 1}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at {u}")
-        if (min(u, v), max(u, v)) in seen:
+        if v in adj[u]:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add((min(u, v), max(u, v)))
-        edges.append((u, v))
-    try:
-        return Graph.from_edges(n, edges)
-    except UnknownVertex as exc:  # pragma: no cover - guarded above
-        raise ParseError(str(exc)) from exc
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph({v: frozenset(nbrs) for v, nbrs in adj.items()})
 
 
 def format_edge_list(g: Graph) -> str:

@@ -26,26 +26,7 @@ from .generate import (
 )
 from .graph import LINEAR_FOREST, STAR_FOREST, ForestClass, Graph
 from .partition import Partition
-from .weights import BoundSpec, total_weight
-
-SUITES = (
-    "exhaustive-small",
-    "random-bounds",
-    "witness-families",
-    "abc-lemma",
-    "star-lemma",
-    "cubic",
-)
-
-_DEFAULT_SIZES = {
-    "exhaustive-small": [1, 2, 3, 4, 5],
-    "random-bounds": [12, 20, 30],
-    "witness-families": [],
-    "abc-lemma": [8, 10, 12],
-    "star-lemma": [8, 11, 14],
-    "cubic": [20, 50, 100, 200],
-}
-
+from .weights import BoundSpec, rat_text, total_weight
 
 @dataclass
 class HarnessReport:
@@ -87,8 +68,9 @@ class HarnessReport:
         )
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _record(instance: str, check: str, ok: bool, **fields) -> dict:
+    """One report record: the instance, the check, its fields and its status."""
+    return {"instance": instance, "check": check, **fields, "status": "pass" if ok else "fail"}
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -105,14 +87,7 @@ def _run_jobs(jobs: list[tuple[str, Callable[[], list[dict]]]], report: HarnessR
         try:
             records = fn()
         except ForestBoundError as exc:
-            records = [
-                {
-                    "instance": name,
-                    "check": "exception",
-                    "error": type(exc).__name__,
-                    "status": "fail",
-                }
-            ]
+            records = [_record(name, "exception", False, error=type(exc).__name__)]
         report.records.extend(records)
         report.timings.append((name, (time.perf_counter() - start) * 1000.0))
     report.records.sort(key=lambda r: (r["instance"], r["check"]))
@@ -121,17 +96,10 @@ def _run_jobs(jobs: list[tuple[str, Callable[[], list[dict]]]], report: HarnessR
 
 def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) -> HarnessReport:
     if suite not in SUITES:
-        raise ForestBoundError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    sizes = list(sizes) if sizes is not None else list(_DEFAULT_SIZES[suite])
+        raise ForestBoundError(f"unknown suite {suite!r}; expected one of {tuple(SUITES)}")
+    builder, default_sizes = SUITES[suite]
+    sizes = list(sizes) if sizes is not None else list(default_sizes)
     report = HarnessReport(suite, seed, sizes)
-    builder = {
-        "exhaustive-small": _jobs_exhaustive,
-        "random-bounds": _jobs_random_bounds,
-        "witness-families": _jobs_witness,
-        "abc-lemma": _jobs_abc_lemma,
-        "star-lemma": _jobs_star_lemma,
-        "cubic": _jobs_cubic,
-    }[suite]
     _run_jobs(builder(seed, sizes), report)
     return report
 
@@ -156,13 +124,8 @@ def _jobs_exhaustive(seed: int, sizes: list[int]):
                 if not res.exact or Fraction(res.alpha) < bound:
                     violations += 1
             return [
-                {
-                    "instance": f"exhaustive:n={n}",
-                    "check": "linear-forest-bound",
-                    "graphs": graphs,
-                    "violations": violations,
-                    "status": "pass" if violations == 0 else "fail",
-                }
+                _record(f"exhaustive:n={n}", "linear-forest-bound", violations == 0,
+                        graphs=graphs, violations=violations)
             ]
 
         return job
@@ -174,15 +137,9 @@ def _construct_record(instance: str, check: str, g: Graph, runner) -> dict:
     try:
         cert = runner(g)
     except BoundMiss:
-        return {"instance": instance, "check": check, "error": "BoundMiss", "status": "fail"}
-    ok = construct.verify_certificate(g, cert)
-    return {
-        "instance": instance,
-        "check": check,
-        "size": cert.size(),
-        "bound": _rat(cert.claimed_bound),
-        "status": "pass" if ok else "fail",
-    }
+        return _record(instance, check, False, error="BoundMiss")
+    return _record(instance, check, construct.verify_certificate(g, cert),
+                   size=cert.size(), bound=rat_text(cert.claimed_bound))
 
 
 def _jobs_random_bounds(seed: int, sizes: list[int]):
@@ -225,15 +182,9 @@ def _jobs_witness(seed: int, sizes: list[int]):
     def oracle_job(instance: str, g: Graph, cls: ForestClass, expected: int):
         def job() -> list[dict]:
             res = exact.alpha_exact(g, cls)
-            status = "pass" if res.exact and res.alpha == expected else "fail"
             return [
-                {
-                    "instance": instance,
-                    "check": f"alpha:{cls.to_text()}",
-                    "alpha": res.alpha,
-                    "expected": expected,
-                    "status": status,
-                }
+                _record(instance, f"alpha:{cls.to_text()}", res.exact and res.alpha == expected,
+                        alpha=res.alpha, expected=expected)
             ]
 
         return job
@@ -288,32 +239,13 @@ def _jobs_abc_lemma(seed: int, sizes: list[int]):
                 try:
                     cert, _trace = construct.abc_construct(g, p)
                 except BoundMiss:
-                    return [
-                        {
-                            "instance": instance,
-                            "check": "abc-construct",
-                            "error": "BoundMiss",
-                            "status": "fail",
-                        }
-                    ]
+                    return [_record(instance, "abc-construct", False, error="BoundMiss")]
                 ok = construct.verify_certificate(g, cert, p)
                 res = exact.alpha_exact_partitioned(g, p)
-                oracle_ok = res.exact and Fraction(res.alpha) >= bound
                 return [
-                    {
-                        "instance": instance,
-                        "check": "abc-construct",
-                        "size": cert.size(),
-                        "bound": _rat(bound),
-                        "status": "pass" if ok else "fail",
-                    },
-                    {
-                        "instance": instance,
-                        "check": "abc-oracle",
-                        "alpha": res.alpha,
-                        "bound": _rat(bound),
-                        "status": "pass" if oracle_ok else "fail",
-                    },
+                    _record(instance, "abc-construct", ok, size=cert.size(), bound=rat_text(bound)),
+                    _record(instance, "abc-oracle", res.exact and Fraction(res.alpha) >= bound,
+                            alpha=res.alpha, bound=rat_text(bound)),
                 ]
 
             jobs.append((instance, job))
@@ -334,15 +266,9 @@ def _jobs_star_lemma(seed: int, sizes: list[int]):
                 ]
                 bound = total_weight(g, BoundSpec.star())
                 res = exact.alpha_exact(g, STAR_FOREST)
-                oracle_ok = res.exact and Fraction(res.alpha) >= bound
                 records.append(
-                    {
-                        "instance": instance,
-                        "check": "star-oracle",
-                        "alpha": res.alpha,
-                        "bound": _rat(bound),
-                        "status": "pass" if oracle_ok else "fail",
-                    }
+                    _record(instance, "star-oracle", res.exact and Fraction(res.alpha) >= bound,
+                            alpha=res.alpha, bound=rat_text(bound))
                 )
                 return records
 
@@ -369,14 +295,19 @@ def _jobs_cubic(seed: int, sizes: list[int]):
                     and 2 * max(len(part1), len(part2)) >= n
                 )
                 return [
-                    {
-                        "instance": instance,
-                        "check": "cubic-partition",
-                        "larger": max(len(part1), len(part2)),
-                        "n": n,
-                        "status": "pass" if ok else "fail",
-                    }
+                    _record(instance, "cubic-partition", ok, larger=max(len(part1), len(part2)), n=n)
                 ]
 
             jobs.append((instance, job))
     return jobs
+
+
+# Each suite's job builder and its default sizes.
+SUITES = {
+    "exhaustive-small": (_jobs_exhaustive, [1, 2, 3, 4, 5]),
+    "random-bounds": (_jobs_random_bounds, [12, 20, 30]),
+    "witness-families": (_jobs_witness, []),
+    "abc-lemma": (_jobs_abc_lemma, [8, 10, 12]),
+    "star-lemma": (_jobs_star_lemma, [8, 11, 14]),
+    "cubic": (_jobs_cubic, [20, 50, 100, 200]),
+}

@@ -23,6 +23,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def rat_text(x: Fraction) -> str:
+    """x as `p/q`, the form certificates, reports and the CLI print."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def eps_max(k: int) -> Fraction:
     """Upper end of the admissible epsilon interval for the k-caterpillar family."""
     _check_k(k)
@@ -161,6 +166,19 @@ def ab_star_gain(part: str, d: int) -> Fraction:
     return ab_star_weight(part, d - 1) - ab_star_weight(part, d)
 
 
+# Each bound variant: whether it takes k, and the top of its eps range as a
+# function of k (None when it takes no eps).
+_VARIANTS = {
+    "flin": (False, None),
+    "fkeps": (True, eps_max),
+    "fk": (True, None),
+    "hkg": (True, None),
+    "star": (False, lambda k: STAR_EPS_MAX),
+    "abc": (False, None),
+    "abstar": (False, None),
+}
+
+
 @dataclass(frozen=True)
 class BoundSpec:
     """Which weight family to sum over a graph.
@@ -175,23 +193,20 @@ class BoundSpec:
     eps: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.variant not in ("flin", "fkeps", "fk", "hkg", "star", "abc", "abstar"):
+        if self.variant not in _VARIANTS:
             raise InvalidSpec(f"unknown bound variant {self.variant!r}")
-        if self.variant in ("fkeps", "fk", "hkg"):
+        takes_k, top = _VARIANTS[self.variant]
+        if takes_k:
             if self.k is None:
                 raise InvalidSpec(f"{self.variant} requires k")
             _check_k(self.k)
         elif self.k is not None:
             raise InvalidSpec(f"{self.variant} does not take k")
         if self.eps is not None:
-            if self.variant == "fkeps":
-                if not _ZERO <= self.eps <= eps_max(self.k):
-                    raise EpsOutOfRange(f"eps={self.eps} outside [0, {eps_max(self.k)}]")
-            elif self.variant == "star":
-                if not _ZERO <= self.eps <= STAR_EPS_MAX:
-                    raise EpsOutOfRange(f"eps={self.eps} outside [0, 1/6]")
-            else:
+            if top is None:
                 raise InvalidSpec(f"{self.variant} does not take eps")
+            if not _ZERO <= self.eps <= top(self.k):
+                raise EpsOutOfRange(f"eps={self.eps} outside [0, {top(self.k)}]")
 
     @classmethod
     def flin(cls) -> "BoundSpec":
@@ -221,20 +236,16 @@ class BoundSpec:
     def abstar(cls) -> "BoundSpec":
         return cls("abstar")
 
+    @property
+    def eps_open(self) -> bool:
+        """Whether eps is left to be picked for the graph's degrees."""
+        return self.eps is None and _VARIANTS[self.variant][1] is not None
+
     def to_text(self) -> str:
-        if self.variant == "flin":
-            return "flin"
-        if self.variant in ("fk", "hkg"):
-            return f"{self.variant}:k={self.k}"
-        if self.variant == "fkeps":
-            if self.eps is None:
-                return f"fkeps:k={self.k}"
-            return f"fkeps:k={self.k},eps={self.eps}"
-        if self.variant == "star":
-            if self.eps is None:
-                return "star"
-            return f"star:eps={self.eps}"
-        return self.variant
+        args = ",".join(
+            f"{key}={value}" for key, value in (("k", self.k), ("eps", self.eps)) if value is not None
+        )
+        return f"{self.variant}:{args}" if args else self.variant
 
 
 def parse_bound_spec(text: str) -> BoundSpec:
@@ -248,42 +259,21 @@ def parse_bound_spec(text: str) -> BoundSpec:
             if not eq or not value:
                 raise ParseError(f"bad bound spec argument {piece!r} in {text!r}")
             args[key.strip()] = value.strip()
-    try:
-        if name == "flin":
-            _require_args(args, set())
-            return BoundSpec.flin()
-        if name == "fkeps":
-            _require_args(args, {"k"}, {"eps"})
-            eps = Fraction(args["eps"]) if "eps" in args else None
-            return BoundSpec.fkeps(int(args["k"]), eps)
-        if name == "fk":
-            _require_args(args, {"k"})
-            return BoundSpec.fk(int(args["k"]))
-        if name == "hkg":
-            _require_args(args, {"k"})
-            return BoundSpec.hkg(int(args["k"]))
-        if name == "star":
-            _require_args(args, set(), {"eps"})
-            eps = Fraction(args["eps"]) if "eps" in args else None
-            return BoundSpec.star(eps)
-        if name == "abc":
-            _require_args(args, set())
-            return BoundSpec.abc()
-        if name == "abstar":
-            _require_args(args, set())
-            return BoundSpec.abstar()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
-    raise ParseError(f"unknown bound spec {text!r}")
-
-
-def _require_args(args: dict[str, str], required: set, optional: set = frozenset()):
+    if name not in _VARIANTS:
+        raise ParseError(f"unknown bound spec {text!r}")
+    takes_k, top = _VARIANTS[name]
+    required = {"k"} if takes_k else set()
     missing = required - args.keys()
-    extra = args.keys() - required - optional
+    extra = args.keys() - required - ({"eps"} if top else set())
     if missing or extra:
         raise ParseError(
             f"bound spec arguments: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
+    try:
+        eps = Fraction(args["eps"]) if "eps" in args else None
+        return BoundSpec(name, int(args["k"]) if takes_k else None, eps)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
 
 
 def total_weight(g: Graph, spec: BoundSpec, labels=None) -> Fraction:
@@ -305,20 +295,23 @@ def total_weight(g: Graph, spec: BoundSpec, labels=None) -> Fraction:
     hist = g.degree_histogram()
     if spec.variant == "flin":
         return sum((count * f_lin(d) for d, count in hist.counts.items()), _ZERO)
-    if spec.variant in ("fkeps", "fk"):
-        if spec.variant == "fk":
-            eps = eps_max(spec.k)
-        elif spec.eps is None:
-            eps, _ = epsilon_star(hist, spec.k)
-        else:
-            eps = spec.eps
-        return fkeps_histogram_total(hist, spec.k, eps)
+    eps, _ = select_eps(spec, hist)
     if spec.variant == "star":
-        eps = spec.eps
-        if eps is None:
-            eps = star_epsilon_opt(hist)
         return star_histogram_total(hist, eps)
-    raise InvalidSpec(spec.variant)  # pragma: no cover
+    return fkeps_histogram_total(hist, spec.k, eps)
+
+
+def select_eps(spec: BoundSpec, hist: DegreeHistogram) -> tuple[Fraction, Optional[int]]:
+    """The eps that an fkeps, fk or star spec sums with on hist: its own, the
+    top of the range for fk, or else the optimum for hist. The second value
+    is the D that epsilon_star picked an open fkeps eps by, None otherwise."""
+    if spec.eps is not None:
+        return spec.eps, None
+    if spec.variant == "fk":
+        return eps_max(spec.k), None
+    if spec.variant == "star":
+        return star_epsilon_opt(hist), None
+    return epsilon_star(hist, spec.k)
 
 
 def fkeps_histogram_total(hist: DegreeHistogram, k: int, eps: Fraction) -> Fraction:

@@ -1,5 +1,6 @@
 """Graph core: recognizers, induced subgraphs, edge-list I/O."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from forestbound import (
     is_star_forest,
     parse_edge_list,
 )
+from forestbound.graph import MAX_VERTICES
 from forestbound.generate import complete_graph, cycle_graph, path_graph, star_graph
 
 
@@ -195,20 +197,25 @@ class TestEdgeListFormat:
         g = parse_edge_list(text)
         assert g.n == 3 and g.m == 2
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "3\n",
-            "3 2\n0 1\n",
-            "2 1\n0 5\n",
-            "2 1\n1 1\n",
-            "2 1\n0 x\n",
-            "2 2\n0 1\n1 0\n",
-        ],
-    )
+    # each malformed input and the message it must raise
+    PARSE_ERRORS = {
+        "": "missing `n m` header",
+        "3\n": "line 1: header must be `n m`",
+        "3 x\n": "line 1: header must be two integers",
+        "# c\n-1 0\n": "line 2: negative counts",
+        # the vertex limit is checked before the edge count
+        f"{MAX_VERTICES + 1} 1\n": f"line 1: {MAX_VERTICES + 1} vertices exceed the limit",
+        "3 2\n0 1\n": "header declares 2 edges but 1 edge lines found",
+        "2 1\n0 1 2\n": "line 2: expected `u v`",
+        "2 1\n0 5\n": "line 2: vertex out of range 0..1",
+        "2 1\n1 1\n": "line 2: self-loop at 1",
+        "2 1\n0 x\n": "line 2: vertices must be integers",
+        "2 2\n0 1\n1 0\n": "line 3: duplicate edge 1 0",
+    }
+
+    @pytest.mark.parametrize("text", list(PARSE_ERRORS))
     def test_parse_errors(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=re.escape(self.PARSE_ERRORS[text])):
             parse_edge_list(text)
 
 

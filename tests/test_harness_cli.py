@@ -106,6 +106,55 @@ class TestCli:
         run_cli("construct", "c5.txt", "linear", "--out", "c5.cert")
         assert run_cli("verify", "c6.txt", "c5.cert") == 2
 
+    def test_verify_star_class_reads_an_ab_partition(self, workdir, capsys):
+        # K2 with both ends B breaks the AB condition
+        Path("k2.txt").write_text("2 1\n0 1\n")
+        Path("k2.part").write_text("0 B\n1 B\n")
+        Path("k2.cert").write_text("class=star\nbound=1/1\nvertices=0 1\n")
+        assert run_cli("verify", "k2.txt", "k2.cert", "--partition", "k2.part") == 2
+        assert "verdict=fail" in capsys.readouterr().out
+        # K1,3 with a B centre and A leaves meets it; read as ABC it would not
+        Path("claw.txt").write_text("4 3\n0 1\n0 2\n0 3\n")
+        Path("claw.part").write_text("0 B\n1 A\n2 A\n3 A\n")
+        Path("claw.cert").write_text("class=star\nbound=11/4\nvertices=0 1 2 3\n")
+        assert run_cli("verify", "claw.txt", "claw.cert", "--partition", "claw.part") == 0
+        assert "verdict=pass" in capsys.readouterr().out
+
+    def test_verify_has_no_mode_option(self, workdir, capsys):
+        Path("k2.txt").write_text("2 1\n0 1\n")
+        Path("k2.part").write_text("0 A\n1 A\n")
+        Path("k2.cert").write_text("class=linear\nbound=1/1\nvertices=0 1\n")
+        assert run_cli("verify", "k2.txt", "k2.cert", "--partition", "k2.part") == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "k2.txt", "k2.cert", "--partition", "k2.part", "--mode", "AB")
+        assert exc.value.code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "k2.txt", "k2.cert", "--partition", "k2.part"),
+            ("bound", "k2.txt", "flin", "--partition", "k2.part"),
+            ("construct", "k2.txt", "linear", "--partition", "k2.part"),
+            ("exact", "k2.txt", "star", "--partition", "k2.part"),
+            ("bound", "k2.txt", "abstar"),
+            ("construct", "k2.txt", "abc"),
+            ("exact", "k2.txt", "ab"),
+            ("exact", "k2.txt", "caterpillar", "--k", "1"),
+            ("exact", "k2.txt", "linear", "--k", "3"),
+        ],
+    )
+    def test_partition_and_k_misuse_exit_code(self, workdir, capsys, argv):
+        Path("k2.txt").write_text("2 1\n0 1\n")
+        Path("k2.part").write_text("0 A\n1 A\n")
+        Path("k2.cert").write_text("class=caterpillar:k=2\nbound=1/1\nvertices=0 1\n")
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_vertex_limit_exit_code(self, workdir, capsys):
+        Path("huge.txt").write_text("2000000 1\n")
+        assert run_cli("bound", "huge.txt", "flin") == 3
+        assert "exceed the limit" in capsys.readouterr().err
+
     def test_construct_with_partition(self, workdir, capsys):
         run_cli("gen", "fig1:id=P3AB", "--out", "p3.txt", "--partition-out", "p3.part")
         assert run_cli("construct", "p3.txt", "abc", "--partition", "p3.part") == 0
@@ -131,6 +180,12 @@ class TestCli:
         assert run_cli("epsilon-opt", "s9.txt", "--k", "2") == 0
         out = capsys.readouterr().out
         assert "eps=0/1" in out and "d_star=-" in out
+        assert run_cli("bound", "s9.txt", "fkeps:k=2") == 0
+        assert capsys.readouterr().out == out
+        assert run_cli("epsilon-opt", "s9.txt", "--star") == 0
+        out = capsys.readouterr().out
+        assert run_cli("bound", "s9.txt", "star") == 0
+        assert capsys.readouterr().out == out
 
     def test_gen_to_stdout(self, workdir, capsys):
         assert run_cli("gen", "path:n=3") == 0

@@ -296,10 +296,14 @@ class TestBoundSpecText:
     )
     def test_round_trip(self, text):
         spec = parse_bound_spec(text)
+        assert spec.to_text() == text
         assert parse_bound_spec(spec.to_text()) == spec
 
     @pytest.mark.parametrize(
-        "text", ["nope", "fkeps", "fkeps:k=2,eps=9", "hkg", "flin:k=2", "star:eps=x"]
+        "text",
+        ["nope", "fkeps", "fkeps:k=2,eps=9", "hkg", "flin:k=2", "star:eps=x", "fk",
+         "fk:k=3,eps=1/6", "abc:k=2", "star:k=2", "hkg:k=1", "flin:eps=1/6",
+         "fkeps:k=2,eps=1/0"],
     )
     def test_errors(self, text):
         with pytest.raises((ParseError, EpsOutOfRange, InvalidSpec)):
