@@ -151,20 +151,25 @@ def cmd_construct(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    ok = construct.verify_certificate(g, cert, labels)
-    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={rat_text(cert.claimed_bound)}")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return _verdict(g, cert, labels)
 
 
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     cert, graph_hash = construct.certificate_from_text(Path(args.certificate).read_text())
-    labels = _read_partition(f"class={cert.forest_class.to_text()}", args.partition, required=False)
+    kind = f"class={cert.forest_class.to_text()}"
+    labels = _read_partition(kind, args.partition, required=False)
     if graph_hash not in ("-", "") and graph_hash != g.edge_hash():
         print("verdict=fail reason=graph-hash-mismatch")
         return EXIT_VIOLATION
+    return _verdict(g, cert, labels)
+
+
+def _verdict(g: Graph, cert, labels: Optional[Partition]) -> int:
+    """Re-check cert on g and print the verdict line."""
     ok = construct.verify_certificate(g, cert, labels)
-    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={rat_text(cert.claimed_bound)}")
+    bound = rat_text(cert.claimed_bound)
+    print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={bound}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

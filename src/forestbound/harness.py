@@ -28,6 +28,7 @@ from .graph import LINEAR_FOREST, STAR_FOREST, ForestClass, Graph
 from .partition import Partition
 from .weights import BoundSpec, rat_text, total_weight
 
+
 @dataclass
 class HarnessReport:
     suite: str
@@ -242,10 +243,11 @@ def _jobs_abc_lemma(seed: int, sizes: list[int]):
                     return [_record(instance, "abc-construct", False, error="BoundMiss")]
                 ok = construct.verify_certificate(g, cert, p)
                 res = exact.alpha_exact_partitioned(g, p)
+                text = rat_text(bound)
                 return [
-                    _record(instance, "abc-construct", ok, size=cert.size(), bound=rat_text(bound)),
+                    _record(instance, "abc-construct", ok, size=cert.size(), bound=text),
                     _record(instance, "abc-oracle", res.exact and Fraction(res.alpha) >= bound,
-                            alpha=res.alpha, bound=rat_text(bound)),
+                            alpha=res.alpha, bound=text),
                 ]
 
             jobs.append((instance, job))
@@ -289,14 +291,13 @@ def _jobs_cubic(seed: int, sizes: list[int]):
             def job(n=n, inst_seed=inst_seed, instance=instance) -> list[dict]:
                 g = random_regular(n, 3, inst_seed)
                 part1, part2 = construct.cubic_partition(g)
+                larger = max(len(part1), len(part2))
                 ok = (
                     max(g.induced(part1).max_degree(), 0) <= 1
                     and max(g.induced(part2).max_degree(), 0) <= 1
-                    and 2 * max(len(part1), len(part2)) >= n
+                    and 2 * larger >= n
                 )
-                return [
-                    _record(instance, "cubic-partition", ok, larger=max(len(part1), len(part2)), n=n)
-                ]
+                return [_record(instance, "cubic-partition", ok, larger=larger, n=n)]
 
             jobs.append((instance, job))
     return jobs
@@ -304,10 +305,10 @@ def _jobs_cubic(seed: int, sizes: list[int]):
 
 # Each suite's job builder and its default sizes.
 SUITES = {
-    "exhaustive-small": (_jobs_exhaustive, [1, 2, 3, 4, 5]),
-    "random-bounds": (_jobs_random_bounds, [12, 20, 30]),
-    "witness-families": (_jobs_witness, []),
-    "abc-lemma": (_jobs_abc_lemma, [8, 10, 12]),
-    "star-lemma": (_jobs_star_lemma, [8, 11, 14]),
-    "cubic": (_jobs_cubic, [20, 50, 100, 200]),
+    "exhaustive-small": (_jobs_exhaustive, (1, 2, 3, 4, 5)),
+    "random-bounds": (_jobs_random_bounds, (12, 20, 30)),
+    "witness-families": (_jobs_witness, ()),
+    "abc-lemma": (_jobs_abc_lemma, (8, 10, 12)),
+    "star-lemma": (_jobs_star_lemma, (8, 11, 14)),
+    "cubic": (_jobs_cubic, (20, 50, 100, 200)),
 }

@@ -242,9 +242,8 @@ class BoundSpec:
         return self.eps is None and _VARIANTS[self.variant][1] is not None
 
     def to_text(self) -> str:
-        args = ",".join(
-            f"{key}={value}" for key, value in (("k", self.k), ("eps", self.eps)) if value is not None
-        )
+        pairs = (("k", self.k), ("eps", self.eps))
+        args = ",".join(f"{key}={value}" for key, value in pairs if value is not None)
         return f"{self.variant}:{args}" if args else self.variant
 
 
