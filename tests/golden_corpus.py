@@ -3,7 +3,8 @@
 `outputs()` runs each constructor over a fixed corpus (every graph on at
 most 5 vertices, every ABC/AB labeling of every graph on at most 4
 vertices, seeded G(n, p) for n = 6, 12, ..., 60, cycles, paths, combs and the rule
-gadgets of test_construct.py), the harness suites at seeds 0-2 and the
+gadgets of test_construct.py), the picks of the path/cycle DP on every
+ABC/AB labeling of C5-C7, the harness suites at seeds 0-2 and the
 stdout and exit code of the `bound`, `epsilon-opt`, `construct` and `exact`
 commands on a few small graphs. It groups
 the text of each result by (producer, corpus); `golden_digests.json` holds
@@ -41,6 +42,7 @@ from forestbound import (
     star_forest,
 )
 from forestbound.cli import main as cli_main
+from forestbound.construct import _dp_component
 from forestbound.errors import ForestBoundError
 from forestbound.generate import (
     complete_graph,
@@ -214,6 +216,12 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
         groups[f"{name}/gnp-n=6..60"] = [
             _run_constrained(g, _random_partition(g, mode, seed), rules) for g, seed in gnps
         ]
+    groups["dp_component/cycles-n=5..7"] = [
+        f"{mode} {''.join(word)} {sorted(_dp_component(g, dict(zip(g.vertices, word)), mode))}"
+        for g in map(cycle_graph, (5, 6, 7))
+        for mode in ("ABC", "AB")
+        for word in product(mode, repeat=g.n)
+    ]
     groups["constrained/gadgets"] = [
         _run_constrained(g, p, rules, **kwargs) for _, g, p, kwargs in constrained_gadgets()
     ]
