@@ -93,9 +93,6 @@ class Graph:
                 raise UnknownVertex(f"vertex {v} not in graph")
         return Graph({v: self._adj[v] - drop for v in self._adj if v not in drop})
 
-    def delete_vertex(self, v: int) -> "Graph":
-        return self.delete_vertices((v,))
-
     def add_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with edge uv added (no-op if already present)."""
         if u == v:
@@ -112,9 +109,6 @@ class Graph:
     def components(self) -> list[frozenset[int]]:
         """Connected components, sorted by their minimum vertex id."""
         return [frozenset(comp) for comp in components_of(self._adj, self._vertices)]
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
     def degree_histogram(self) -> "DegreeHistogram":
         return DegreeHistogram.from_graph(self)

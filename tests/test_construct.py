@@ -75,7 +75,7 @@ class TestGreedyLinearForest:
             h = g
             while h.max_degree() >= 3:
                 top = h.max_degree()
-                h = h.delete_vertex(min(u for u in h.vertices if h.degree(u) == top))
+                h = h.delete_vertices((min(u for u in h.vertices if h.degree(u) == top),))
             chosen = set()
             for comp in h.components():
                 if sum(len(h.neighbors(u) & comp) for u in comp) // 2 == len(comp):

@@ -122,7 +122,7 @@ def test_hereditary_monotonicity_under_deletion():
         cls = (LINEAR_FOREST, STAR_FOREST, ForestClass.caterpillar(2))[trial % 3]
         base = alpha_exact(g, cls).alpha
         v = rng.choice(g.vertices)
-        assert alpha_exact(g.delete_vertex(v), cls).alpha <= base
+        assert alpha_exact(g.delete_vertices((v,)), cls).alpha <= base
 
 
 def independent_set_solver(g: Graph) -> int:
@@ -132,7 +132,7 @@ def independent_set_solver(g: Graph) -> int:
     v = max(g.vertices, key=lambda u: (g.degree(u), -u))
     if g.degree(v) == 0:
         return g.n
-    without = independent_set_solver(g.delete_vertex(v))
+    without = independent_set_solver(g.delete_vertices((v,)))
     with_v = 1 + independent_set_solver(g.delete_vertices(set(g.neighbors(v)) | {v}))
     return max(without, with_v)
 

@@ -64,7 +64,7 @@ class TestInducedSubgraph:
             complete_graph(3).induced({0, 7})
 
     def test_identifiers_survive(self):
-        g = cycle_graph(5).delete_vertex(0)
+        g = cycle_graph(5).delete_vertices((0,))
         assert g.vertices == (1, 2, 3, 4)
         assert g.degree(1) == 1 and g.degree(2) == 2
 
@@ -113,7 +113,7 @@ def strip_leaves_is_path_oracle(g: Graph) -> bool:
         sub = g.induced(comp)
         spine = {v for v in sub.vertices if sub.degree(v) >= 2}
         core = sub.induced(spine)
-        if core.n and (core.max_degree() > 2 or not core.is_connected()):
+        if core.n and (core.max_degree() > 2 or len(core.components()) > 1):
             return False
     return True
 
@@ -245,5 +245,5 @@ def test_graph_immutability_of_operations():
     g = cycle_graph(4)
     g2 = g.add_edge(0, 2)
     assert g.m == 4 and g2.m == 5
-    g3 = g.delete_vertex(0)
+    g3 = g.delete_vertices((0,))
     assert g.n == 4 and g3.n == 3
