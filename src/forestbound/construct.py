@@ -561,106 +561,55 @@ def _component_order(g: Graph) -> tuple[list[int], bool]:
 
 
 def _dp_component(g: Graph, labels: dict[int, str], mode: str) -> set[int]:
-    """Largest allowed selection on a path, or on a cycle as the best path
-    left by deleting one vertex: the first in traversal order whose
-    deletion leaves a path as good as any other."""
+    """Largest allowed selection on a path, or on a cycle.
+
+    A cycle runs `_dp_path` along its traversal order once for each state
+    of the first vertex: that state forced, and the last vertex held to the
+    states that lead into it across the closing edge. The lowest first state
+    that reaches the maximum wins. A count of n would choose the whole
+    cycle, so it is refused; only an all-A ABC cycle reaches it, and state 0
+    then gives n - 1.
+    """
     order, is_cycle = _component_order(g)
     if not is_cycle:
         return _dp_path(order, labels, mode)[1]
-    counts = _cycle_counts(order, labels, mode)
-    skip = counts.index(max(counts))
-    return _dp_path(order[skip + 1 :] + order[:skip], labels, mode)[1]
+    table = _RULES[mode]
+    start, extend, nstates = table["start"], table["extend"], table["states"]
+    first, last = labels[order[0]], labels[order[-1]]
+    best, picks = -1, set()
+    for s0 in range(nstates):
+        ends = [
+            e
+            for e in range(nstates)
+            if s0 == 0 or s0 == (extend.get((e, last, first)) if e else start[first])
+        ]
+        if ends:
+            count, chosen = _dp_path(order, labels, mode, s0, ends)
+            if best < count < len(order):
+                best, picks = count, chosen
+    return picks
 
 
-def _cycle_counts(order: list[int], labels: dict[int, str], mode: str) -> list[int]:
-    """For every i, the count `_dp_path` gives on the path
-    order[i+1:] + order[:i], in O(n * states**2) time over all i.
-
-    Such a path runs from order[i+1] to order[-1], crosses the wrap edge,
-    and goes on from order[0] to order[i-1]. One backward pass per state s
-    of order[-1] gives the best count of every suffix that starts fresh and
-    ends in s; one forward pass per state t of order[0] gives the best count
-    of every prefix that starts in t. The count for i joins the best suffix
-    and prefix whose states the automaton allows across the wrap edge.
-    """
-    start, extend = _RULES[mode]["start"], _RULES[mode]["extend"]
-    nstates = 1 + max(*start.values(), *extend.values())
-    parts = [labels[v] for v in order]
-    n = len(order)
-    # Below every reachable count even after n increments, so that no
-    # impossible state sequence wins a max and no -1 checks are needed.
-    lost = -2 * n - 1
-
-    def moves(state: int, prev: str, part: str) -> tuple[int, ...]:
-        nxt = start[part] if state == 0 else extend.get((state, prev, part))
-        return (0,) if nxt is None else (0, nxt)
-
-    # Every state may be followed by an unchosen vertex (state 0); these are
-    # the other allowed (state, next state) pairs across an edge, by labels.
-    jumps = {
-        (a, b): [(q, r) for q in range(nstates) for r in moves(q, a, b) if r]
-        for a in set(parts)
-        for b in set(parts)
-    }
-    edges = [jumps[parts[i], parts[i + 1]] for i in range(n - 1)]
-    fresh_at = [start[part] for part in parts]
-
-    def suffix_counts(s: int) -> list[int]:
-        value = [lost] * nstates
-        value[s] = int(s != 0)
-        best = [lost] * n
-        best[n - 1] = max(value[0], value[fresh_at[n - 1]])
-        for i in range(n - 2, -1, -1):
-            base = value[0]
-            before = [base] + [base + 1] * (nstates - 1)
-            for q, r in edges[i]:
-                if value[r] > base:
-                    before[q] = value[r] + (q != 0)
-            value = before
-            best[i] = max(value[0], value[fresh_at[i]])
-        return best
-
-    def prefix_counts(t: int) -> list[int]:
-        value = [lost] * nstates
-        value[t] = int(t != 0)
-        best = [value[t]]
-        for i in range(1, n - 1):
-            after = [max(value)] + [lost] * (nstates - 1)
-            for q, r in edges[i - 1]:
-                if value[q] + 1 > after[r]:
-                    after[r] = value[q] + 1
-            value = after
-            best.append(max(value))
-        return best
-
-    ends = {0, start[parts[-1]]} | {r for _, r in jumps[parts[-2], parts[-1]]}
-    wrap = [(s, t) for s in ends for t in moves(s, parts[-1], parts[0])]
-    fresh = (0, start[parts[0]])
-    suffix = {s: suffix_counts(s) for s in ends}
-    prefix = {t: prefix_counts(t) for t in {t for _, t in wrap} | set(fresh)}
-    counts = [max(best[1] for best in suffix.values())]
-    for i in range(1, n - 1):
-        counts.append(max(suffix[s][i + 1] + prefix[t][i - 1] for s, t in wrap))
-    counts.append(max(prefix[t][n - 2] for t in fresh))
-    return counts
-
-
-def _dp_path(order: list[int], labels: dict[int, str], mode: str) -> tuple[int, set[int]]:
+def _dp_path(
+    order: list[int], labels: dict[int, str], mode: str, first: Optional[int] = None, ends=None
+) -> tuple[int, set[int]]:
     """Largest selection along a path that the mode's automaton accepts.
 
     State 0 is an unchosen vertex. A chosen vertex after an unchosen one
     enters state `start[label]`; after a chosen one in state s it enters
     `extend[(s, previous label, label)]`, and a missing key forbids the move.
+    `first` forces the state of order[0], and order[-1] may end only in a
+    state of `ends` (default: any); the count is -1 if none is reachable.
     Each state keeps its first strictly better predecessor, and the lowest
-    state wins among equal end values.
+    allowed state wins among equal end values.
     """
-    start, extend = _RULES[mode]["start"], _RULES[mode]["extend"]
-    nstates = 1 + max(*start.values(), *extend.values())
+    table = _RULES[mode]
+    start, extend, nstates = table["start"], table["extend"], table["states"]
     n = len(order)
     value = [[-1] * nstates for _ in range(n)]
     back = [[None] * nstates for _ in range(n)]
-    value[0][0] = 0
-    value[0][start[labels[order[0]]]] = 1
+    for state in (0, start[labels[order[0]]]) if first is None else (first,):
+        value[0][state] = int(state != 0)
     for i in range(1, n):
         prev_label, label = labels[order[i - 1]], labels[order[i]]
         for prev_state in range(nstates):
@@ -677,13 +626,14 @@ def _dp_path(order: list[int], labels: dict[int, str], mode: str) -> tuple[int, 
             if state is not None and base + 1 > value[i][state]:
                 value[i][state] = base + 1
                 back[i][state] = prev_state
-    state = max(range(nstates), key=lambda s: (value[n - 1][s], -s))
+    state = max(range(nstates) if ends is None else ends, key=lambda s: (value[n - 1][s], -s))
+    count = value[n - 1][state]
     picks: set[int] = set()
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 1, -1, -1) if count >= 0 else ():
         if state != 0:
             picks.add(order[i])
         state = back[i][state] if i > 0 else None
-    return max(value[n - 1]), picks
+    return count, picks
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +687,9 @@ _RULES = {
         "special": _cubic_endgame,
     },
 }
+# The number of states of each mode's path automaton, state 0 included.
+for _table in _RULES.values():
+    _table["states"] = 1 + max(*_table["start"].values(), *_table["extend"].values())
 
 
 # ---------------------------------------------------------------------------

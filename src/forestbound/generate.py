@@ -119,30 +119,16 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Simple d-regular graph via the pairing model.
+    """Simple d-regular graph via the pairing model, paired edge by edge.
 
-    Whole pairings are drawn and rejected until one is simple; each succeeds
-    with probability about e^{-(d*d-1)/4}. After PAIRING_RETRY_CAP
-    rejections the same generator goes on with edge-by-edge pairing, which
-    rarely has to start over.
+    An attempt that gets stuck starts over; after PAIRING_RETRY_CAP stuck
+    attempts it raises RetryLimit.
     """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise InfeasibleDegree(f"no simple {d}-regular graph on {n} vertices")
     if d == 0:
         return Graph.from_edges(n, [])
     rng = random.Random(seed)
-    for _ in range(PAIRING_RETRY_CAP):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for u, v in zip(stubs[::2], stubs[1::2]):
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return Graph.from_edges(n, edges)
     for _ in range(PAIRING_RETRY_CAP):
         edges = _pair_edge_by_edge(n, d, rng)
         if edges is not None:

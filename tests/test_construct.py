@@ -435,29 +435,23 @@ def test_path_cycle_dp_matches_exact_oracle():
 
 
 def test_cycle_dp_matches_rotation_scan():
-    # the cycle DP this library ran before its linear one: one path DP per
-    # deleted vertex, keeping the first strictly better path
-    from forestbound.construct import _component_order, _cycle_counts, _dp_component, _dp_path
-
-    def rotation_scan(order, labels, mode):
-        counts, best = [], None
-        for skip in range(len(order)):
-            count, picks = _dp_path(order[skip + 1 :] + order[:skip], labels, mode)
-            counts.append(count)
-            if best is None or count > best[0]:
-                best = (count, picks)
-        return counts, best[1]
+    # the cycle DP this library once ran: one path DP per deleted vertex. Its
+    # best count is the reference; the picks may differ among optimal ones.
+    from forestbound.construct import _RULES, _component_order, _dp_component, _dp_path
 
     for n in range(3, 9):
         g = cycle_graph(n)
         order, is_cycle = _component_order(g)
         assert is_cycle
         for mode in ("ABC", "AB"):
+            forest = _RULES[mode]["forest"]
             for word in product(mode, repeat=n):
                 labels = dict(zip(g.vertices, word))
-                counts, picks = rotation_scan(order, labels, mode)
-                assert _cycle_counts(order, labels, mode) == counts, (mode, word)
-                assert _dp_component(g, labels, mode) == picks, (mode, word)
+                best = max(_dp_path(order[i + 1 :] + order[:i], labels, mode)[0] for i in range(n))
+                picks = _dp_component(g, labels, mode)
+                assert len(picks) == best, (mode, word)
+                cert = ForestCertificate(frozenset(picks), forest, F(0))
+                assert verify_certificate(g, cert, Partition(labels, mode)), (mode, word)
 
 
 def _engine_traces(monkeypatch) -> list:
@@ -491,11 +485,12 @@ def test_engine_checks_linear_in_graph_size(monkeypatch, build):
 
 
 @pytest.mark.parametrize(
-    "build, size",
-    [(star_forest, 1500), (lambda g: k_caterpillar_forest(g, 2), 1999)],
+    "build, size, states",
+    [(star_forest, 1500, 7), (lambda g: k_caterpillar_forest(g, 2), 1999, 3)],
     ids=["star", "caterpillar2"],
 )
-def test_long_cycle_takes_one_path_dp(monkeypatch, build, size):
+def test_long_cycle_takes_one_path_dp(monkeypatch, build, size, states):
+    # one path DP per state of the first vertex, never one per rotation
     g = cycle_graph(2000)
     paths = []
     dp_path = construct._dp_path
@@ -503,5 +498,5 @@ def test_long_cycle_takes_one_path_dp(monkeypatch, build, size):
     traces = _engine_traces(monkeypatch)
     cert = build(g)
     assert verify_certificate(g, cert) and cert.size() == size
-    assert len(paths) == 1
+    assert 1 <= len(paths) <= states
     assert [step.rule[1] for trace in traces for step in trace.steps] == ["2"]

@@ -106,8 +106,8 @@ class TestRandomModels:
         assert all(g.degree(v) == 3 for v in g.vertices)
 
     def test_regular_after_whole_pairings_run_out(self):
-        # each of this seed's first PAIRING_RETRY_CAP whole pairings has a
-        # loop or a repeated edge, so the graph is built edge by edge
+        # a whole 6-regular pairing is simple with probability about e^-8.75,
+        # so this size once took thousands of tries; edge by edge it takes one
         g = random_regular(20, 6, 200)
         assert g.m == 60 and all(g.degree(v) == 6 for v in g.vertices)
         assert g == random_regular(20, 6, 200)
