@@ -132,6 +132,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.k is not None and args.kind != "caterpillar":
+        raise ParseError(f"construct {args.kind}: only caterpillar forests take --k")
     g = _read_graph(args.graph)
     labels = _read_partition(args.kind, args.partition)
     trace = None

@@ -141,6 +141,8 @@ class TestCli:
             ("exact", "k2.txt", "ab"),
             ("exact", "k2.txt", "caterpillar", "--k", "1"),
             ("exact", "k2.txt", "linear", "--k", "3"),
+            ("construct", "k2.txt", "linear", "--k", "3"),
+            ("construct", "k2.txt", "star", "--k", "2"),
         ],
     )
     def test_partition_and_k_misuse_exit_code(self, workdir, capsys, argv):
