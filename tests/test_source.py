@@ -1,0 +1,47 @@
+"""Static checks on the library source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "forestbound").glob("*.py"))
+
+
+def self_calls(tree: ast.AST) -> list[str]:
+    """Every function that calls itself by name, as `f(...)` or, in a method,
+    as `self.f(...)` or `cls.f(...)`, with the line of the call."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            direct = isinstance(f, ast.Name) and f.id == fn.name
+            method = (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            )
+            if direct or method:
+                found.append(f"{fn.name} at line {call.lineno}")
+    return found
+
+
+def test_detector_sees_direct_and_method_recursion():
+    code = (
+        "def f(n):\n    return f(n - 1)\n"
+        "class C:\n    def g(self):\n        return self.g()\n"
+        "def h(x):\n    return x.h()\n"
+    )
+    assert self_calls(ast.parse(code)) == ["f at line 2", "g at line 5"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # the constructors and the oracle keep their work on explicit stacks, so
+    # no call depth grows with the input
+    assert self_calls(ast.parse(path.read_text(), str(path))) == []
