@@ -655,6 +655,7 @@ _RULES = {
         # States: 1 chosen after an unchosen vertex, 2 chosen after a chosen
         # one. Moving to state 2 gives the previous vertex its state-th
         # chosen neighbor and this vertex its first, within the ABC caps.
+        "states": 3,
         "start": {"A": 1, "B": 1, "C": 1},
         "extend": {
             (state, prev, label): 2
@@ -676,6 +677,7 @@ _RULES = {
         # Star-forest runs along a path: singletons are free (1 = A, 2 = B),
         # a pair may not be B-B (3 = AA, 4 = AB, 5 = BA), a triple needs both
         # ends in A (6), longer runs are never stars.
+        "states": 7,
         "start": {"A": 1, "B": 2},
         "extend": {
             (1, "A", "A"): 3,
@@ -687,9 +689,6 @@ _RULES = {
         "special": _cubic_endgame,
     },
 }
-# The number of states of each mode's path automaton, state 0 included.
-for _table in _RULES.values():
-    _table["states"] = 1 + max(*_table["start"].values(), *_table["extend"].values())
 
 
 # ---------------------------------------------------------------------------
