@@ -50,7 +50,6 @@ from .harness import HarnessReport, run_suite
 from .partition import Partition, format_partition, parse_partition_file
 from .weights import (
     BoundSpec,
-    Rat,
     ab_star_weight,
     abc_weight,
     epsilon_star,

@@ -131,9 +131,14 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _check_k(args) -> None:
+    """construct and exact take --k, a degree bound >= 2, for caterpillars only."""
+    if args.k is not None and (args.kind != "caterpillar" or args.k < 2):
+        raise ParseError(f"{args.command} {args.kind}: --k is a caterpillar degree bound >= 2")
+
+
 def cmd_construct(args) -> int:
-    if args.k is not None and args.kind != "caterpillar":
-        raise ParseError(f"construct {args.kind}: only caterpillar forests take --k")
+    _check_k(args)
     g = _read_graph(args.graph)
     labels = _read_partition(args.kind, args.partition)
     trace = None
@@ -176,16 +181,13 @@ def _verdict(g: Graph, cert, labels: Optional[Partition]) -> int:
 
 
 def cmd_exact(args) -> int:
+    _check_k(args)
     g = _read_graph(args.graph)
     labels = _read_partition(args.kind, args.partition)
     if labels is not None:
         res = exact.alpha_exact_partitioned(g, labels, args.budget)
     else:
-        try:
-            cls = ForestClass(args.kind, args.k)
-        except ValueError as exc:
-            raise ParseError(f"exact {args.kind}: {exc}") from exc
-        res = exact.alpha_exact(g, cls, args.budget)
+        res = exact.alpha_exact(g, ForestClass(args.kind, args.k), args.budget)
     print(f"alpha={res.alpha}")
     print(f"witness={' '.join(map(str, sorted(res.witness)))}")
     print(f"nodes={res.nodes_explored}")

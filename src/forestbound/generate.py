@@ -183,7 +183,7 @@ def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
 
 
 def _need(spec: GenSpec, attr: str):
-    value = getattr(spec, "gadget" if attr == "gadget" else attr)
+    value = getattr(spec, attr)
     if value is None:
         raise InvalidSpec(f"family {spec.family!r} needs parameter {attr!r}")
     return value

@@ -10,6 +10,7 @@ derived graph is directly meaningful in the graph it was derived from.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -310,7 +311,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(f"header declares {m} edges but {len(rows) - 1} edge lines found")
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    adj: defaultdict[int, set[int]] = defaultdict(set)  # only vertices on an edge get a set
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -327,7 +328,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph({v: frozenset(nbrs) for v, nbrs in adj.items()})
+    isolated = frozenset()  # shared by every vertex on no edge
+    return Graph({v: frozenset(adj[v]) if v in adj else isolated for v in range(n)})
 
 
 def format_edge_list(g: Graph) -> str:

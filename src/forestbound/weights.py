@@ -1,10 +1,10 @@
 """Exact-rational weight functions, gains and losses, and epsilon selectors.
 
 Every bound in this package is a sum of per-vertex weights that depend only
-on the vertex degree (and, for the local caterpillar bound, on the degree of
-a leaf's unique neighbor). All arithmetic is exact: certificates compare a
-vertex count against sums of fractions, and rounding would invalidate the
-comparison.
+on the vertex degree and a tag: the part of the vertex for the constrained
+bounds, the degree of a leaf's unique neighbor for the local caterpillar
+bound. All arithmetic is exact: certificates compare a vertex count against
+sums of fractions, and rounding would invalidate the comparison.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .errors import DegreeZero, EpsOutOfRange, InvalidSpec, MissingPartition, ParseError
 from .graph import DegreeHistogram, Graph
-
-Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -78,19 +77,31 @@ def f_k(k: int, d: int) -> Fraction:
     return f_k_eps(k, eps_max(k), d)
 
 
-def h_kg(g: Graph, k: int, v: int) -> Fraction:
-    """Local caterpillar weight: a leaf's value depends on its neighbor's degree."""
+def hkg_weight(k: int, dw: Optional[int], d: int) -> Fraction:
+    """Local caterpillar weight of a vertex of degree d; a leaf's value
+    depends on dw, the degree of its neighbor (None for any other vertex)."""
     _check_k(k)
-    d = g.degree(v)
     if d == 0:
         return _ONE
     if d >= 2:
         return Fraction(2, d + 1)
-    (w,) = g.neighbors(v)
-    dw = g.degree(w)
     if dw <= k:
         return _ONE
     return 1 - Fraction(2, (k + 1) * (dw + 1))
+
+
+def _leaf_tag(g: Graph, v: int) -> Optional[int]:
+    """The degree of v's neighbor if v is a leaf, else None."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 1:
+        return None
+    (w,) = nbrs
+    return g.degree(w)
+
+
+def h_kg(g: Graph, k: int, v: int) -> Fraction:
+    """Local caterpillar weight of vertex v of g."""
+    return hkg_weight(k, _leaf_tag(g, v), g.degree(v))
 
 
 def star_f_eps(eps: Fraction, d: int) -> Fraction:
@@ -166,16 +177,27 @@ def ab_star_gain(part: str, d: int) -> Fraction:
     return ab_star_weight(part, d - 1) - ab_star_weight(part, d)
 
 
-# Each bound variant: whether it takes k, and the top of its eps range as a
-# function of k (None when it takes no eps).
+def _label_tags(g: Graph, labels):
+    return map(labels.part, g.vertices)
+
+
+def _leaf_tags(g: Graph, labels):
+    return map(partial(_leaf_tag, g), g.vertices)
+
+
+# Each bound variant: whether it takes k; the top of its eps range as a
+# function of k (None when it takes no eps); the tags of g's vertices in
+# g.vertices order, given g and the partition (None for an untagged
+# variant); and the weight of a vertex given k, eps and its key, which is
+# its degree if the variant is untagged and (tag, degree) otherwise.
 _VARIANTS = {
-    "flin": (False, None),
-    "fkeps": (True, eps_max),
-    "fk": (True, None),
-    "hkg": (True, None),
-    "star": (False, lambda k: STAR_EPS_MAX),
-    "abc": (False, None),
-    "abstar": (False, None),
+    "flin": (False, None, None, lambda k, eps, d: f_lin(d)),
+    "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
+    "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
+    "hkg": (True, None, _leaf_tags, lambda k, eps, key: hkg_weight(k, *key)),
+    "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: star_f_eps(eps, d)),
+    "abc": (False, None, _label_tags, lambda k, eps, key: abc_weight(*key)),
+    "abstar": (False, None, _label_tags, lambda k, eps, key: ab_star_weight(*key)),
 }
 
 
@@ -195,7 +217,7 @@ class BoundSpec:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise InvalidSpec(f"unknown bound variant {self.variant!r}")
-        takes_k, top = _VARIANTS[self.variant]
+        takes_k, top = _VARIANTS[self.variant][:2]
         if takes_k:
             if self.k is None:
                 raise InvalidSpec(f"{self.variant} requires k")
@@ -260,7 +282,7 @@ def parse_bound_spec(text: str) -> BoundSpec:
             args[key.strip()] = value.strip()
     if name not in _VARIANTS:
         raise ParseError(f"unknown bound spec {text!r}")
-    takes_k, top = _VARIANTS[name]
+    takes_k, top = _VARIANTS[name][:2]
     required = {"k"} if takes_k else set()
     missing = required - args.keys()
     extra = args.keys() - required - ({"eps"} if top else set())
@@ -278,51 +300,31 @@ def parse_bound_spec(text: str) -> BoundSpec:
 def total_weight(g: Graph, spec: BoundSpec, labels=None) -> Fraction:
     """Sum the per-vertex weights of spec over g, exactly.
 
-    Partition-dependent variants (abc, abstar) require labels; fkeps/star
-    with eps=None select the optimal epsilon from g's degree histogram.
-    Every variant but hkg depends only on the degree (and label), so it is
-    summed as count * weight over the (label, degree) histogram.
+    Vertices are counted by (tag, degree) and each count is multiplied by the
+    weight of its key, so a weight is evaluated once per distinct key. The
+    tag is the vertex's part for abc and abstar, which need labels, and the
+    degree of a leaf's neighbor (None for other vertices) for hkg; the other
+    variants are untagged and count bare degrees. An open eps of fkeps or
+    star is the optimum for g's degree histogram.
     """
-    if spec.variant == "hkg":
-        return sum((h_kg(g, spec.k, v) for v in g.vertices), _ZERO)
-    if spec.variant in ("abc", "abstar"):
-        if labels is None:
-            raise MissingPartition(f"{spec.variant} weights need a partition")
-        weight = abc_weight if spec.variant == "abc" else ab_star_weight
-        counts = Counter((labels.part(v), g.degree(v)) for v in g.vertices)
-        return sum((count * weight(part, d) for (part, d), count in counts.items()), _ZERO)
-    hist = g.degree_histogram()
-    if spec.variant == "flin":
-        return sum((count * f_lin(d) for d, count in hist.counts.items()), _ZERO)
-    eps, _ = select_eps(spec, hist)
-    if spec.variant == "star":
-        return star_histogram_total(hist, eps)
-    return fkeps_histogram_total(hist, spec.k, eps)
+    _, _, tags, weight = _VARIANTS[spec.variant]
+    if tags is _label_tags and labels is None:
+        raise MissingPartition(f"{spec.variant} weights need a partition")
+    degrees = map(len, map(g.neighbors, g.vertices))
+    counts = Counter(degrees if tags is None else zip(tags(g, labels), degrees))
+    eps = spec.eps
+    if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
+        eps, _ = select_eps(spec, DegreeHistogram.from_counts(counts))
+    return sum((c * weight(spec.k, eps, key) for key, c in counts.items()), _ZERO)
 
 
 def select_eps(spec: BoundSpec, hist: DegreeHistogram) -> tuple[Fraction, Optional[int]]:
-    """The eps that an fkeps, fk or star spec sums with on hist: its own, the
-    top of the range for fk, or else the optimum for hist. The second value
-    is the D that epsilon_star picked an open fkeps eps by, None otherwise."""
-    if spec.eps is not None:
-        return spec.eps, None
-    if spec.variant == "fk":
-        return eps_max(spec.k), None
+    """The optimal eps on hist for an fkeps or star spec whose eps is open.
+    The second value is the D that epsilon_star picked an fkeps eps by, None
+    for star."""
     if spec.variant == "star":
         return star_epsilon_opt(hist), None
     return epsilon_star(hist, spec.k)
-
-
-def fkeps_histogram_total(hist: DegreeHistogram, k: int, eps: Fraction) -> Fraction:
-    """Value of the k-caterpillar bound on a degree histogram."""
-    return sum(
-        (count * f_k_eps(k, eps, d) for d, count in hist.counts.items()), _ZERO
-    )
-
-
-def star_histogram_total(hist: DegreeHistogram, eps: Fraction) -> Fraction:
-    """Value of the star forest bound on a degree histogram."""
-    return sum((count * star_f_eps(eps, d) for d, count in hist.counts.items()), _ZERO)
 
 
 def epsilon_star(hist: DegreeHistogram, k: int) -> tuple[Fraction, Optional[int]]:
@@ -343,26 +345,20 @@ def epsilon_star(hist: DegreeHistogram, k: int) -> tuple[Fraction, Optional[int]
     return _ZERO, None
 
 
-def star_eps_breakpoints(hist: DegreeHistogram) -> list[Fraction]:
-    """Candidate maximizers of the star bound as a function of epsilon.
-
-    The total is concave and piecewise linear, so its smallest maximizer is 0,
-    1/6 or a kink: 1/10 from degree 2, (d-1)/(d(d+1)) from a degree d >= 3.
-    Only degrees that occur in the histogram bend the total.
-    """
-    points = {_ZERO, Fraction(1, 6), Fraction(1, 10)}
-    for d in hist.counts:
-        if d >= 3:
-            points.add(Fraction(d - 1, d * (d + 1)))
-    return sorted(points)
-
-
 def star_epsilon_opt(hist: DegreeHistogram) -> Fraction:
-    """Smallest epsilon in [0, 1/6] maximizing the star forest bound."""
-    best_eps = _ZERO
-    best_val = star_histogram_total(hist, _ZERO)
-    for eps in star_eps_breakpoints(hist):
-        val = star_histogram_total(hist, eps)
-        if val > best_val:
-            best_eps, best_val = eps, val
-    return best_eps
+    """Smallest epsilon in [0, 1/6] maximizing the star forest bound.
+
+    The total is concave and piecewise linear in epsilon: its slope is -n_1
+    plus n_d for each degree d whose kink lies above epsilon, 1/10 for d = 2
+    and (d-1)/(d(d+1)) for d >= 3. Walking the kinks down from the top, the
+    first at which the summed n_d exceed n_1 is the smallest maximizer; 0 if
+    there is none.
+    """
+    n1 = hist.count(1)
+    cumulative = 0
+    # The kinks fall as d grows; that of degree 2 lies between those of 7 and 8.
+    for d in (3, 4, 5, 6, 7, 2, *range(8, hist.max_degree + 1)):
+        cumulative += hist.count(d)
+        if cumulative > n1:
+            return Fraction(1, 10) if d == 2 else Fraction(d - 1, d * (d + 1))
+    return _ZERO

@@ -1,6 +1,7 @@
 """Graph core: recognizers, induced subgraphs, edge-list I/O."""
 
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -217,6 +218,23 @@ class TestEdgeListFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError, match=re.escape(self.PARSE_ERRORS[text])):
             parse_edge_list(text)
+
+    def test_isolated_vertices_cost_no_set_each(self):
+        # a header n with no edges must not cost one adjacency set per vertex
+        tracemalloc.start()
+        try:
+            g = parse_edge_list("300000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 300000 and g.m == 0
+        assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_isolated_vertices_among_edges(self):
+        g = parse_edge_list("6 2\n1 4\n4 2\n")
+        assert g.vertices == tuple(range(6))
+        assert [g.degree(v) for v in g.vertices] == [0, 1, 1, 0, 2, 0]
+        assert g == Graph.from_edges(6, [(1, 4), (4, 2)])
 
 
 class TestForestClass:

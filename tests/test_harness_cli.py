@@ -143,6 +143,8 @@ class TestCli:
             ("exact", "k2.txt", "linear", "--k", "3"),
             ("construct", "k2.txt", "linear", "--k", "3"),
             ("construct", "k2.txt", "star", "--k", "2"),
+            ("exact", "k2.txt", "abc", "--partition", "k2.part", "--k", "3"),
+            ("exact", "k2.txt", "ab", "--partition", "k2.part", "--k", "2"),
         ],
     )
     def test_partition_and_k_misuse_exit_code(self, workdir, capsys, argv):

@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,31 @@ def test_no_function_calls_itself(path):
     # the constructors and the oracle keep their work on explicit stacks, so
     # no call depth grows with the input
     assert self_calls(ast.parse(path.read_text(), str(path))) == []
+
+
+def outside_imports(tree: ast.AST) -> list[str]:
+    """Every imported module that is neither in the standard library nor in
+    this package (a relative import or `forestbound...`)."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    allowed = sys.stdlib_module_names | {"forestbound"}
+    return [name for name in names if name.partition(".")[0] not in allowed]
+
+
+def test_detector_sees_third_party_imports():
+    code = (
+        "import os.path, numpy\nfrom networkx.algorithms import tree\n"
+        "from . import graph\nfrom .errors import ParseError\nimport forestbound.cli\n"
+        "from __future__ import annotations\n"
+    )
+    assert outside_imports(ast.parse(code)) == ["numpy", "networkx.algorithms"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_are_stdlib_only(path):
+    # the library has no runtime dependencies (pyproject.toml: dependencies = [])
+    assert outside_imports(ast.parse(path.read_text(), str(path))) == []

@@ -1,6 +1,7 @@
 """Weight functions, gain/loss tables, and the epsilon selectors."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,14 +26,20 @@ from forestbound import (
     star_f_eps,
     total_weight,
 )
+from forestbound import weights
 from forestbound.errors import DegreeZero, InvalidSpec, ParseError
 from forestbound.generate import complete_graph, cycle_graph, gnp, path_graph, star_graph
-from forestbound.weights import (
-    STAR_EPS_MAX,
-    eps_max,
-    fkeps_histogram_total,
-    star_histogram_total,
-)
+from forestbound.weights import STAR_EPS_MAX, eps_max
+
+
+def fkeps_total(hist, k, eps):
+    """The k-caterpillar bound on a degree histogram, summed with f_k_eps."""
+    return sum((count * f_k_eps(k, eps, d) for d, count in hist.counts.items()), F(0))
+
+
+def star_total(hist, eps):
+    """The star forest bound on a degree histogram, summed with star_f_eps."""
+    return sum((count * star_f_eps(eps, d) for d, count in hist.counts.items()), F(0))
 
 
 class TestPointValues:
@@ -194,10 +201,50 @@ class TestTotalWeight:
                  lambda v: star_f_eps(star_epsilon_opt(hist), g.degree(v))),
                 (BoundSpec.abc(), abc, lambda v: abc_weight(abc.part(v), g.degree(v))),
                 (BoundSpec.abstar(), ab, lambda v: ab_star_weight(ab.part(v), g.degree(v))),
+                (BoundSpec.hkg(2), None, lambda v: h_kg(g, 2, v)),
+                (BoundSpec.hkg(3), None, lambda v: h_kg(g, 3, v)),
             ]
             for spec, labels, weight in per_vertex:
                 expected = sum((weight(v) for v in g.vertices), F(0))
                 assert total_weight(g, spec, labels) == expected, (trial, spec)
+
+    @pytest.mark.parametrize(
+        "text", ["flin", "fkeps:k=2", "fkeps:k=3,eps=1/20", "fk:k=3", "hkg:k=2", "hkg:k=3",
+                 "star", "star:eps=1/12", "abc", "abstar"],
+    )
+    def test_weight_evaluated_once_per_key(self, monkeypatch, text):
+        g = gnp(60, 0.08, 4242)
+        rng = random.Random(4242)
+        labels = {"abc": Partition.abc({v: rng.choice("ABC") for v in g.vertices}),
+                  "abstar": Partition.ab({v: rng.choice("AB") for v in g.vertices})}.get(text)
+        spec = parse_bound_spec(text)
+        expected = total_weight(g, spec, labels)
+        calls, depth = Counter(), []
+        for name in ("f_lin", "f_k_eps", "h_kg", "hkg_weight", "star_f_eps", "abc_weight",
+                     "ab_star_weight"):
+            def counted(*args, _original=getattr(weights, name), _name=name):
+                if not depth:  # abc_weight's part A calls f_lin: one evaluation
+                    calls[_name] += 1
+                depth.append(_name)
+                try:
+                    return _original(*args)
+                finally:
+                    depth.pop()
+            monkeypatch.setattr(weights, name, counted)
+        assert total_weight(g, spec, labels) == expected
+
+        def key(v):
+            d = g.degree(v)
+            if labels is not None:
+                return labels.part(v), d
+            if spec.variant == "hkg" and d == 1:
+                (w,) = g.neighbors(v)
+                return g.degree(w), d
+            return d
+
+        keys = {key(v) for v in g.vertices}
+        assert len(keys) < g.n  # so a per-vertex sum would show
+        assert sum(calls.values()) <= len(keys), calls
 
 
 def brute_force_epsilon_star(hist, k):
@@ -205,7 +252,7 @@ def brute_force_epsilon_star(hist, k):
     points = [F(0)] + [
         F(2, (k + 1) * (D + 1)) for D in range(k + 1, max(hist.max_degree, k + 1) + 1)
     ]
-    return max(fkeps_histogram_total(hist, k, eps) for eps in points)
+    return max(fkeps_total(hist, k, eps) for eps in points)
 
 
 class TestEpsilonStar:
@@ -231,7 +278,7 @@ class TestEpsilonStar:
             hist = DegreeHistogram.from_counts(counts)
             eps, d_star = epsilon_star(hist, k)
             best = brute_force_epsilon_star(hist, k)
-            assert fkeps_histogram_total(hist, k, eps) == best, (trial, counts, k)
+            assert fkeps_total(hist, k, eps) == best, (trial, counts, k)
             if d_star is not None:
                 assert eps == F(2, (k + 1) * (d_star + 1))
             else:
@@ -246,7 +293,7 @@ def star_eps_candidates(hist):
 
 
 def brute_force_star_opt(hist):
-    return max(star_histogram_total(hist, eps) for eps in star_eps_candidates(hist))
+    return max(star_total(hist, eps) for eps in star_eps_candidates(hist))
 
 
 class TestStarEpsilonOpt:
@@ -267,11 +314,29 @@ class TestStarEpsilonOpt:
             hist = DegreeHistogram.from_counts(counts)
             eps = star_epsilon_opt(hist)
             best = brute_force_star_opt(hist)
-            assert star_histogram_total(hist, eps) == best
+            assert star_total(hist, eps) == best
             for smaller in star_eps_candidates(hist):
                 if smaller >= eps:
                     break
-                assert star_histogram_total(hist, smaller) < best
+                assert star_total(hist, smaller) < best
+
+    @pytest.mark.parametrize(
+        "counts, expected",
+        [
+            # degree 7's kink 3/28 leaves the slope at 2 - 5 < 0; adding degree 2
+            # at 1/10 makes it 6 - 5 > 0 before degree 8's kink 7/72 is reached
+            ({1: 5, 2: 4, 7: 2, 8: 3}, F(1, 10)),
+            ({1: 6, 2: 4, 7: 2, 8: 3}, F(7, 72)),
+            ({1: 1, 2: 4, 7: 2, 8: 3}, F(3, 28)),
+        ],
+    )
+    def test_degree_two_kink_between_seven_and_eight(self, counts, expected):
+        hist = DegreeHistogram.from_counts(counts)
+        eps = star_epsilon_opt(hist)
+        assert eps == expected
+        assert star_total(hist, eps) == brute_force_star_opt(hist)
+        assert all(star_total(hist, e) < star_total(hist, eps)
+                   for e in star_eps_candidates(hist) if e < eps)
 
 
 def test_incomparability_of_family_members():
