@@ -4,7 +4,8 @@
 most 5 vertices, every ABC/AB labeling of every graph on at most 4
 vertices, seeded G(n, p) for n = 6, 12, ..., 60, cycles, paths, combs and the rule
 gadgets of test_construct.py), the picks of the path/cycle DP on every
-ABC/AB labeling of C5-C7, the harness suites at seeds 0-2 and the
+ABC/AB labeling of C5-C7, the harness suites at seeds 0-2 (at their
+default sizes, and cubic and random-bounds also at a few others) and the
 stdout and exit code of the `bound`, `epsilon-opt`, `construct` and `exact`
 commands on a few small graphs. It groups
 the text of each result by (producer, corpus); `golden_digests.json` holds
@@ -229,6 +230,13 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
         # exhaustive-small does not use its seed
         for seed in range(1 if suite == "exhaustive-small" else 3):
             groups[f"harness/{suite}/seed={seed}"] = [run_suite(suite, seed).payload()]
+    # sizes off the defaults: odd cubic sizes round up, and n = 1 becomes 2, for
+    # which no cubic graph exists; random-bounds at n = 1 has minimum degree 0,
+    # and at n = 17 it skips the k-caterpillar and star checks
+    for suite, sizes in (("cubic", (1, 5, 21)), ("random-bounds", (1, 17))):
+        groups[f"harness/{suite}/sizes={','.join(map(str, sizes))}"] = [
+            run_suite(suite, seed, sizes).payload() for seed in range(3)
+        ]
     groups.update(cli_outputs())
     return groups, rules
 
