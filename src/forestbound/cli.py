@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bound violation or verification failure,
-3 parse/config error.
+3 parse/config error or an unreadable or non-UTF-8 input file.
 """
 
 from __future__ import annotations
@@ -244,10 +244,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BoundMiss as exc:
         print(f"error: bound miss: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except ForestBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ForestBoundError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -45,6 +45,32 @@ class TestHarness:
     def test_all_labeled_graphs_count(self):
         assert sum(1 for _ in all_labeled_graphs(4)) == 64
 
+    def test_job_exception_fails_its_record(self, monkeypatch, capsys):
+        from forestbound import construct
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken constructor")
+
+        monkeypatch.setattr(construct, "star_forest", broken)
+        report = run_suite("star-lemma", sizes=[8])
+        assert len(report.records) == 5
+        assert all(
+            r["check"] == "exception" and r["error"] == "ValueError" and r["status"] == "fail"
+            for r in report.records
+        )
+        assert [name for name, _ in report.timings] == [r["instance"] for r in report.records]
+        assert main(["harness", "star-lemma", "--sizes", "8"]) == 2
+        assert "summary records=5 pass=0 fail=5" in capsys.readouterr().out
+
+    def test_infeasible_cubic_size_fails_its_records(self):
+        report = run_suite("cubic", sizes=[1])
+        assert len(report.records) == 20
+        assert all(
+            r["instance"].startswith("cubic:n=2,") and r["check"] == "exception"
+            and r["error"] == "InfeasibleDegree" and r["status"] == "fail"
+            for r in report.records
+        )
+
     def test_unknown_suite(self):
         from forestbound.errors import ForestBoundError
 
@@ -204,6 +230,21 @@ class TestCli:
         Path("bad.txt").write_text("not a graph\n")
         assert run_cli("bound", "bad.txt", "flin") == 3
         assert run_cli("bound", "bad.txt", "nonsense") == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "bin.txt", "flin"),
+            ("verify", "p3.txt", "bin.txt"),
+            ("construct", "p3.txt", "abc", "--partition", "bin.txt"),
+        ],
+    )
+    def test_non_utf8_file_exit_code(self, workdir, capsys, argv):
+        Path("bin.txt").write_bytes(b"\xff\xfe")
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exit_code(self, workdir, capsys):
         assert run_cli("bound", "missing.txt", "flin") == 3

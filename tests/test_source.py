@@ -74,3 +74,35 @@ def test_detector_sees_third_party_imports():
 def test_runtime_imports_are_stdlib_only(path):
     # the library has no runtime dependencies (pyproject.toml: dependencies = [])
     assert outside_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def same_name_defaults(tree: ast.AST) -> list[str]:
+    """Every parameter of a function or lambda whose default is the variable
+    of the same name (`g=g`), with the line of the default."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+        pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for arg, default in pairs:
+            if isinstance(default, ast.Name) and default.id == arg.arg:
+                found.append(f"{arg.arg} at line {default.lineno}")
+    return found
+
+
+def test_detector_sees_same_name_defaults():
+    code = (
+        "def f(a, g=g, n=3, *, k=k, m=None):\n    return lambda h, x=x: h\n"
+        "def h(a=b, b=a, *c, d=e):\n    pass\n"
+    )
+    assert same_name_defaults(ast.parse(code)) == ["g at line 1", "k at line 1", "x at line 2"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_default_binds_a_same_name_variable(path):
+    # a closure that needs a loop variable runs before the loop moves on (the
+    # harness suites yield their jobs), so no default argument freezes one
+    assert same_name_defaults(ast.parse(path.read_text(), str(path))) == []
