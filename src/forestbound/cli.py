@@ -36,8 +36,13 @@ def _rat_approx(x: Fraction) -> str:
     return f"{rat_text(x)} (~{float(x):.6f})"
 
 
-def _read_graph(path: str) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+def _read(path: str, parse, *args):
+    """parse(the text of the file at path, *args); a ParseError names a file that won't decode."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return parse(text, *args)
 
 
 # The partition mode of each kind that takes a partition: the abc/abstar
@@ -58,7 +63,7 @@ def _read_partition(kind: str, path: Optional[str], required: bool = True) -> Op
         return None
     if mode is None:
         raise ParseError(f"{kind} takes no --partition")
-    return parse_partition_file(Path(path).read_text(), mode)
+    return _read(path, parse_partition_file, mode)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,16 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bound(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read(args.graph, parse_edge_list)
     spec = parse_bound_spec(args.spec)
     labels = _read_partition(spec.variant, args.partition)
+    hist = g.degree_histogram() if spec.eps_open else None  # total_weight takes it too
     if spec.eps_open:
-        eps, d_star = select_eps(spec, g.degree_histogram())
+        eps, d_star = select_eps(spec, hist)
         print(f"eps={rat_text(eps)}")
         if spec.k is not None:  # fkeps, the open-eps variant with a k, picks eps by a degree D
             print(f"d_star={d_star if d_star is not None else '-'}")
         spec = replace(spec, eps=eps)
-    print(f"bound={_rat_approx(total_weight(g, spec, labels))}")
+    print(f"bound={_rat_approx(total_weight(g, spec, labels, hist))}")
     return EXIT_OK
 
 
@@ -139,7 +145,7 @@ def _check_k(args) -> None:
 
 def cmd_construct(args) -> int:
     _check_k(args)
-    g = _read_graph(args.graph)
+    g = _read(args.graph, parse_edge_list)
     labels = _read_partition(args.kind, args.partition)
     trace = None
     if args.kind == "linear":
@@ -162,8 +168,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
-    cert, graph_hash = construct.certificate_from_text(Path(args.certificate).read_text())
+    g = _read(args.graph, parse_edge_list)
+    cert, graph_hash = _read(args.certificate, construct.certificate_from_text)
     kind = f"class={cert.forest_class.to_text()}"
     labels = _read_partition(kind, args.partition, required=False)
     if graph_hash not in ("-", "") and graph_hash != g.edge_hash():
@@ -182,7 +188,7 @@ def _verdict(g: Graph, cert, labels: Optional[Partition]) -> int:
 
 def cmd_exact(args) -> int:
     _check_k(args)
-    g = _read_graph(args.graph)
+    g = _read(args.graph, parse_edge_list)
     labels = _read_partition(args.kind, args.partition)
     if labels is not None:
         res = exact.alpha_exact_partitioned(g, labels, args.budget)
@@ -244,7 +250,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BoundMiss as exc:
         print(f"error: bound miss: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ForestBoundError, OSError, UnicodeDecodeError) as exc:
+    except (ForestBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

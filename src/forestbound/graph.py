@@ -10,7 +10,7 @@ derived graph is directly meaningful in the graph it was derived from.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -26,7 +26,7 @@ class Graph:
     def __init__(self, adjacency: dict[int, frozenset[int]]):
         self._adj = adjacency
         self._vertices = tuple(sorted(adjacency))
-        self._m = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+        self._m = sum(map(len, adjacency.values())) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -112,7 +112,8 @@ class Graph:
         return [frozenset(comp) for comp in components_of(self._adj, self._vertices)]
 
     def degree_histogram(self) -> "DegreeHistogram":
-        return DegreeHistogram.from_graph(self)
+        counts = dict(Counter(map(len, self._adj.values())))
+        return DegreeHistogram(counts, max(counts, default=0))
 
     def edge_hash(self) -> str:
         """Stable hash of the labelled edge set, used in certificate records."""
@@ -157,14 +158,6 @@ class DegreeHistogram:
 
     counts: dict[int, int]
     max_degree: int = field(default=0)
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "DegreeHistogram":
-        counts: dict[int, int] = {}
-        for v in g.vertices:
-            d = g.degree(v)
-            counts[d] = counts.get(d, 0) + 1
-        return cls(counts, max(counts, default=0))
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "DegreeHistogram":
@@ -288,13 +281,12 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header `n m`, then m lines `u v`.
 
     Blank lines and lines starting with `#` are ignored. A header n above
-    MAX_VERTICES is rejected before anything is allocated for it.
+    MAX_VERTICES is rejected before anything is allocated for it. The lines
+    are read one by one only when the token reader fails, to name a bad one.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
+    if pairs_per_line(text) and (g := _parse_tokens(text)) is not None:
+        return g
+    rows = content_lines(text)
     if not rows:
         raise ParseError("empty edge list: missing `n m` header")
     lineno, header = rows[0]
@@ -311,7 +303,7 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(f"header declares {m} edges but {len(rows) - 1} edge lines found")
-    adj: defaultdict[int, set[int]] = defaultdict(set)  # only vertices on an edge get a set
+    seen: set[tuple[int, int]] = set()
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -324,12 +316,43 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: vertex out of range 0..{n - 1}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at {u}")
-        if v in adj[u]:
+        if (u, v) in seen:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
-        adj[u].add(v)
-        adj[v].add(u)
+        seen.update(((u, v), (v, u)))
+    return _parse_tokens(" ".join(line for _, line in rows))  # checked: not None
+
+
+def pairs_per_line(text: str) -> bool:
+    """True if text has no `#` and each of its lines holds two tokens."""
+    return "#" not in text and set(map(len, map(str.split, text.splitlines()))) == {2}
+
+
+def _parse_tokens(text: str) -> Graph | None:
+    """The graph of a well-formed `pairs_per_line` text; None if a check fails."""
+    try:
+        toks = list(map(int, text.split()))
+    except ValueError:
+        return None
+    n, m, us, vs = toks[0], toks[1], toks[2::2], toks[3::2]
+    if not 0 <= n <= MAX_VERTICES or len(us) != m:
+        return None
+    adj: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    for v, nbrs in adj.items():  # each list is freed as its set is made: no GC pass
+        adj[v] = frozenset(nbrs)
     isolated = frozenset()  # shared by every vertex on no edge
-    return Graph({v: frozenset(adj[v]) if v in adj else isolated for v in range(n)})
+    g = Graph({v: adj.get(v, isolated) for v in range(n)})
+    # An edge line adds 2 to the degree sum over 0..n-1 unless it is a
+    # self-loop, a repeat or has an end out of range: so then g.m < m.
+    return g if g.m == m else None
+
+
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The numbered lines of text that keep a token once `#` comments are cut."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(lines, 1) if line]
 
 
 def format_edge_list(g: Graph) -> str:

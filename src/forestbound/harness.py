@@ -38,6 +38,7 @@ class HarnessReport:
     sizes: list[int]
     records: list[dict] = field(default_factory=list)
     timings: list[tuple[str, float]] = field(default_factory=list)
+    errors: dict[str, str] = field(default_factory=dict)  # job name -> its exception
 
     @property
     def failures(self) -> int:
@@ -51,6 +52,8 @@ class HarnessReport:
         ]
         for instance, ms in self.timings:
             lines.append(f"# time instance={instance} ms={ms:.1f}")
+            if instance in self.errors:
+                lines.append(f"# error instance={instance} {self.errors[instance]}")
         for record in self.records:
             parts = [f"instance={record['instance']}", f"check={record['check']}"]
             for key in sorted(record):
@@ -98,6 +101,7 @@ def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) 
             records = job()
         except Exception as exc:  # a failing job fails its record, not the suite
             records = [_record(name, "exception", False, error=type(exc).__name__)]
+            report.errors[name] = f"{type(exc).__name__}: " + "".join(str(exc).splitlines()[:1])
         report.records.extend(records)
         report.timings.append((name, (time.perf_counter() - start) * 1000.0))
     report.records.sort(key=lambda r: (r["instance"], r["check"]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import MissingPartition, ParseError, UnknownVertex
-from .graph import Graph
+from .graph import Graph, content_lines, pairs_per_line
 
 ABC_CAPS = {"A": 2, "B": 1, "C": 0}
 
@@ -59,12 +59,18 @@ class Partition:
 
 
 def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
-    """Parse the partition format: one `index label` pair per line."""
-    labels: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    """Parse the partition format: one `index label` pair per line. As in
+    parse_edge_list, the lines are read one by one only to name a bad one."""
+    if pairs_per_line(text):
+        toks = text.split()
+        try:
+            labels = dict(zip(map(int, toks[0::2]), map(str.upper, toks[1::2])))
+        except ValueError:
+            labels = {}
+        if 2 * len(labels) == len(toks):  # else an index was bad or came twice
+            return Partition(labels, mode)
+    labels = {}
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected `index label`, got {line!r}")
@@ -72,10 +78,9 @@ def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
             v = int(parts[0])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad vertex index {parts[0]!r}") from exc
-        label = parts[1].upper()
         if v in labels:
             raise ParseError(f"line {lineno}: vertex {v} labeled twice")
-        labels[v] = label
+        labels[v] = parts[1].upper()
     return Partition(labels, mode)
 
 

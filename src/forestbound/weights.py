@@ -297,24 +297,26 @@ def parse_bound_spec(text: str) -> BoundSpec:
         raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
 
 
-def total_weight(g: Graph, spec: BoundSpec, labels=None) -> Fraction:
+def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
     """Sum the per-vertex weights of spec over g, exactly.
 
     Vertices are counted by (tag, degree) and each count is multiplied by the
     weight of its key, so a weight is evaluated once per distinct key. The
     tag is the vertex's part for abc and abstar, which need labels, and the
     degree of a leaf's neighbor (None for other vertices) for hkg; the other
-    variants are untagged and count bare degrees. An open eps of fkeps or
-    star is the optimum for g's degree histogram.
+    variants are untagged and count bare degrees, from hist if the caller has
+    it. An open eps of fkeps or star is the optimum for g's degree histogram.
     """
     _, _, tags, weight = _VARIANTS[spec.variant]
     if tags is _label_tags and labels is None:
         raise MissingPartition(f"{spec.variant} weights need a partition")
+    if tags is None:
+        hist = hist or g.degree_histogram()
     degrees = map(len, map(g.neighbors, g.vertices))
-    counts = Counter(degrees if tags is None else zip(tags(g, labels), degrees))
+    counts = hist.counts if tags is None else Counter(zip(tags(g, labels), degrees))
     eps = spec.eps
-    if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
-        eps, _ = select_eps(spec, DegreeHistogram.from_counts(counts))
+    if spec.eps_open:  # the eps variants are untagged: hist is set
+        eps, _ = select_eps(spec, hist)
     return sum((c * weight(spec.k, eps, key) for key, c in counts.items()), _ZERO)
 
 

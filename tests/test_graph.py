@@ -20,6 +20,7 @@ from forestbound import (
     is_star_forest,
     parse_edge_list,
 )
+from forestbound import graph as graph_module
 from forestbound.graph import MAX_VERTICES
 from forestbound.generate import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -188,6 +189,82 @@ def test_class_containment_chain(f):
         assert is_caterpillar_forest(f, 2)
 
 
+# Pieces of texts in the two-tokens-a-line formats: odd but valid integer
+# spellings and bad ones; separators inside a line (\x1f is whitespace but
+# no line break); plain line breaks (\x1c and \x0b are line breaks too);
+# and breaks that bring blank, whitespace-only or comment lines.
+ODD_TOKENS = ["+3", "1_0", "\u0663", "\uff11", "03", "-0", "-1", "x", "1.0", "\u00b2"]
+INNER = [" ", "\t", "  ", "\x1f", " \t "]
+PLAIN_BREAKS = ["\n", "\r\n", "\x1c", "\x0b"]
+BREAKS = PLAIN_BREAKS + ["\n\n", "\n \t\n", "  # c\n", "\n#\n", "#"]
+
+
+@st.composite
+def pair_texts(draw, first, second, header=None):
+    """Lines of two tokens, drawn from the strategies first and second or
+    now and then from ODD_TOKENS, with a row of one or three tokens now and
+    then. header(number of rows, draw) gives an optional first row. About
+    half the texts keep to plain breaks, so that both readers see them."""
+    def token(values):
+        return draw(st.sampled_from(ODD_TOKENS)) if draw(st.integers(0, 15)) == 0 else draw(values)
+
+    rows = [[token(first), token(second)] for _ in range(draw(st.integers(0, 7)))]
+    for row in rows:
+        if draw(st.integers(0, 20)) == 0:
+            row[1:] = [] if draw(st.booleans()) else [row[1], token(second)]
+    if header is not None:
+        rows.insert(0, header(len(rows), draw))
+    breaks = PLAIN_BREAKS if draw(st.booleans()) else BREAKS
+    return "".join(
+        draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(INNER)).join(row)
+        + draw(st.sampled_from(breaks))
+        for row in rows
+    )
+
+
+def edge_list_texts():
+    """Edge lists on ids 0..4, mostly with n = 5 and a true edge count (else
+    one too many or too few); the ids repeat, in either order, and lie out of
+    range if n is 0 or 3."""
+    def header(m, draw):
+        n = draw(st.sampled_from([0, 3, 5, 5, 5, 5]))
+        return [str(n), str(draw(st.sampled_from([m, m, m, m + 1, max(m - 1, 0)])))]
+
+    ids = st.integers(0, 4).map(str)
+    return pair_texts(ids, ids, header)
+
+
+def assert_same_outcome(read, reference, text, *args, key):
+    """read(text, *args) gives what reference does, compared by key, or
+    raises a ParseError with the same message; returns the result."""
+    try:
+        expected = reference(text, *args)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read(text, *args)
+        assert str(got.value) == str(exc), repr(text)
+        return None
+    assert key(read(text, *args)) == key(expected), repr(text)
+    return expected
+
+
+def line_reader(module, read):
+    """read with module's token reader switched off: the line loop alone."""
+    def read_lines(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "pairs_per_line", lambda text: False)
+            return read(*args)
+
+    return read_lines
+
+
+def graph_key(g: Graph):
+    return g.vertices, list(g._adj.items())
+
+
+LINE_READER = line_reader(graph_module, parse_edge_list)
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = cycle_graph(6)
@@ -235,6 +312,60 @@ class TestEdgeListFormat:
         assert g.vertices == tuple(range(6))
         assert [g.degree(v) for v in g.vertices] == [0, 1, 1, 0, 2, 0]
         assert g == Graph.from_edges(6, [(1, 4), (4, 2)])
+
+    # texts of the shapes each reader must treat alike, one feature each
+    SAME_OUTCOME = [
+        "3 2\r\n0 1\r\n1 2\r\n",
+        "3 2\n0\t1\n\t1  2 \n",
+        "3 2\x1c0 1\x0b1 2",
+        "3 2\n0\x1f1\n1 2\n",
+        "4 1\n+3 1_0\n",
+        "11 1\n+3 1_0\n",
+        "4 1\n٣ １\n",
+        "4 1\n-0 3\n",
+        "4 1\n-1 3\n",
+        "-1 0\n",
+        "3 -1\n",
+        "0 0\n",
+        "0 0",
+        "3 0\n",
+        "3 1\n2 2\n",
+        "3 2\n0 1\n0 1\n",
+        "3 2\n0 1\n1 0\n",
+        "3 1\n0 3\n",
+        "3 1\n0 x\n",
+        "3 2\n0 1\n",
+        "3 1\n0 1\n1 2\n",
+        "3 1\n0 1\n1 0\n",
+        "3 1\n0 1 2\n",
+        "3 1\n\n0 1\n",
+        "3 1\n  \n0 1\n",
+        "3 1\n0 1 # c\n",
+        f"{MAX_VERTICES + 1} 0\n",
+    ]
+
+    @pytest.mark.parametrize("text", SAME_OUTCOME)
+    def test_readers_agree_on_cases(self, text):
+        assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_readers_agree(self, text):
+        g = assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
+        if g is not None and graph_module.pairs_per_line(text):
+            # every good text of the plain shape is read token by token
+            assert graph_module._parse_tokens(text) is not None
+
+    def test_plain_file_skips_line_reader(self, monkeypatch):
+        g = Graph.from_edges(40, [(u, (3 * u + 7) % 40) for u in range(0, 40, 2)])
+        text = format_edge_list(g)
+
+        def fail(text):
+            raise AssertionError("line loop reached")
+
+        monkeypatch.setattr(graph_module, "content_lines", fail)
+        for plain in (text, text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+            assert graph_key(parse_edge_list(plain)) == graph_key(g)
 
 
 class TestForestClass:

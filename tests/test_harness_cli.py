@@ -59,6 +59,12 @@ class TestHarness:
             for r in report.records
         )
         assert [name for name, _ in report.timings] == [r["instance"] for r in report.records]
+        # the message goes to the `#` lines, right after the job's time
+        lines = report.to_text().splitlines()
+        for record in report.records:
+            at = lines.index(next(x for x in lines if x.startswith(f"# time instance={record['instance']} ")))
+            assert lines[at + 1] == f"# error instance={record['instance']} ValueError: broken constructor"
+        assert "broken" not in report.payload()
         assert main(["harness", "star-lemma", "--sizes", "8"]) == 2
         assert "summary records=5 pass=0 fail=5" in capsys.readouterr().out
 
@@ -109,6 +115,23 @@ class TestCli:
         assert run_cli("bound", "c5.txt", "star") == 0
         out = capsys.readouterr().out
         assert "eps=1/10" in out and "bound=3/1" in out
+
+    @pytest.mark.parametrize("spec", ["fkeps:k=2", "star"])
+    def test_open_eps_counts_degrees_once(self, workdir, capsys, monkeypatch, spec):
+        from forestbound.graph import Graph
+
+        run_cli("gen", "cycle:n=7", "--out", "c7.txt")
+        calls = []
+
+        def counted(name):
+            method = getattr(Graph, name)
+            return lambda *args: calls.append(name) or method(*args)
+
+        for name in ("neighbors", "degree_histogram"):
+            monkeypatch.setattr(Graph, name, counted(name))
+        assert run_cli("bound", "c7.txt", spec) == 0
+        # one histogram picks eps and is summed: no second pass over the vertices
+        assert calls == ["degree_histogram"]
 
     def test_construct_verify_round_trip(self, workdir, capsys):
         run_cli("gen", "cycle:n=5", "--out", "c5.txt")
@@ -240,11 +263,12 @@ class TestCli:
         ],
     )
     def test_non_utf8_file_exit_code(self, workdir, capsys, argv):
+        # the graph, the certificate and the partition each name the bad file
         Path("bin.txt").write_bytes(b"\xff\xfe")
         Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
         assert run_cli(*argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: bin.txt: ") and err.count("\n") == 1
 
     def test_missing_file_exit_code(self, workdir, capsys):
         assert run_cli("bound", "missing.txt", "flin") == 3

@@ -3,9 +3,20 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestbound import ParseError
+from forestbound import partition as partition_module
 from forestbound.partition import Partition, format_partition, parse_partition_file
+from test_graph import assert_same_outcome, line_reader, pair_texts
+
+
+LINE_READER = line_reader(partition_module, parse_partition_file)
+
+
+def labels_key(p: Partition):
+    return p.mode, list(p.labels.items())
 
 
 class TestPartitionFormat:
@@ -38,3 +49,43 @@ class TestPartitionFormat:
         message = self.PARTITION_ERRORS[text, mode]
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_partition_file(text, mode)
+
+    # texts of the shapes both readers must treat alike, one feature each
+    SAME_OUTCOME = [
+        "0 A\r\n1 b\r\n",
+        "0\tA\n\t1  B \n",
+        "0 A\x1c1 B\x0b2 C",
+        "0\x1fA\n",
+        "+3 A\n1_0 B\n٣ C\n",
+        "-1 A\n-0 B\n",
+        "0 A\n+0 B\n",
+        "3 A\n03 B\n",
+        "x A\n",
+        "0 A\n\n1 B\n",
+        "0 A\n \t\n1 B\n",
+        "0 A # c\n",
+        "0 D\n",
+        "0 A\n1\n",
+    ]
+
+    @pytest.mark.parametrize("mode", ["ABC", "AB"])
+    @pytest.mark.parametrize("text", SAME_OUTCOME)
+    def test_readers_agree_on_cases(self, text, mode):
+        assert_same_outcome(parse_partition_file, LINE_READER, text, mode, key=labels_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_texts(st.integers(0, 6).map(str), st.sampled_from("ABCabcD")),
+           st.sampled_from(["ABC", "AB"]))
+    def test_readers_agree(self, text, mode):
+        assert_same_outcome(parse_partition_file, LINE_READER, text, mode, key=labels_key)
+
+    def test_plain_file_skips_line_reader(self, monkeypatch):
+        p = Partition.ab({v: "AB"[v % 3 == 0] for v in range(30)})
+        text = format_partition(p)
+
+        def fail(text):
+            raise AssertionError("line loop reached")
+
+        monkeypatch.setattr(partition_module, "content_lines", fail)
+        for plain in (text, text.replace("\n", "\r\n").lower(), text.replace(" ", "\t")):
+            assert labels_key(parse_partition_file(plain, "AB")) == labels_key(p)
