@@ -310,13 +310,12 @@ def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
     _, _, tags, weight = _VARIANTS[spec.variant]
     if tags is _label_tags and labels is None:
         raise MissingPartition(f"{spec.variant} weights need a partition")
-    if tags is None:
-        hist = hist or g.degree_histogram()
     degrees = map(len, map(g.neighbors, g.vertices))
-    counts = hist.counts if tags is None else Counter(zip(tags(g, labels), degrees))
+    keys = degrees if tags is None else zip(tags(g, labels), degrees)
+    counts = hist.counts if hist is not None and tags is None else Counter(keys)
     eps = spec.eps
-    if spec.eps_open:  # the eps variants are untagged: hist is set
-        eps, _ = select_eps(spec, hist)
+    if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
+        eps, _ = select_eps(spec, hist or DegreeHistogram.from_counts(counts))
     return sum((c * weight(spec.k, eps, key) for key, c in counts.items()), _ZERO)
 
 
