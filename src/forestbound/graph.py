@@ -281,8 +281,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header `n m`, then m lines `u v`.
 
     Blank lines and lines starting with `#` are ignored. A header n above
-    MAX_VERTICES is rejected before anything is allocated for it. The lines
-    are read one by one only when the token reader fails, to name a bad one.
+    MAX_VERTICES is rejected before anything is allocated for it. A text the
+    token reader cannot take is read line by line, which names a bad line.
     """
     if pairs_per_line(text) and (g := _parse_tokens(text)) is not None:
         return g

@@ -60,7 +60,7 @@ class Partition:
 
 def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
     """Parse the partition format: one `index label` pair per line. As in
-    parse_edge_list, the lines are read one by one only to name a bad one."""
+    parse_edge_list, a text the token reader cannot take is read line by line."""
     if pairs_per_line(text):
         toks = text.split()
         try:
