@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 bound violation or verification failure,
-3 parse/config error or an unreadable or non-UTF-8 input file.
+Exit codes: 0 success, 1 internal error (any other exception, reported
+as one `error: internal:` line), 2 bound violation or verification
+failure, 3 parse/config error or an unreadable or non-UTF-8 input file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +23,7 @@ from .partition import Partition, format_partition, parse_partition_file
 from .weights import parse_bound_spec, rat_text, select_eps, total_weight
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_VIOLATION = 2
 EXIT_CONFIG = 3
 
@@ -66,7 +69,10 @@ def _read_partition(kind: str, path: Optional[str], required: bool = True) -> Op
     return _read(path, parse_partition_file, mode)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared: parsing
+    leaves it unchanged, and building it costs far more than one parse."""
     parser = _Parser(prog="forestbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,6 +259,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ForestBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        message = str(exc).partition("\n")[0]
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

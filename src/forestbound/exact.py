@@ -1,16 +1,25 @@
 """Exact computation of the maximum induced subgraph in a hereditary class.
 
 Bounded search tree over candidate vertex sets represented as bitmasks.
-Each search node is a pair (cand, kept): cand is the set still allowed,
-kept the vertices this branch has decided to keep for good. If cand
-violates the class, a violation finder returns a set W = {w_1 < ... < w_r}
-of which every valid subset of cand misses at least one vertex. Child i
-deletes w_i and adds w_1 ... w_{i-1} to kept (hitting-set branching), so a
-valid set is reached through exactly one child: the one deleting the first
-vertex of W it misses. A violation lying entirely inside kept has no
-children, and since no subset is reached twice the search needs no memo.
-Nodes wait on an explicit stack and are popped in depth-first order, the
-children of a node in the bit order of W.
+Each search node is a triple (cand, kept, start): cand is the set still
+allowed, kept the vertices this branch has decided to keep for good, start
+the vertex at which the node's violation scan begins. If cand violates the
+class, a violation finder returns a set W = {w_1 < ... < w_r} of which
+every valid subset of cand misses at least one vertex. Child i deletes w_i
+and adds w_1 ... w_{i-1} to kept (hitting-set branching), so a valid set
+is reached through exactly one child: the one deleting the first vertex of
+W it misses. A violation lying entirely inside kept has no children, and
+since no subset is reached twice the search needs no memo. Nodes wait on
+an explicit stack and are popped in depth-first order, the children of a
+node in the bit order of W.
+
+Resume invariant: the degree, star and ab finders scan vertices in index
+order and stop at the first one that starts a violation, their anchor.
+Whether a vertex starts one depends only on degrees and neighbourhoods
+inside cand, which deleting vertices only shrinks, so no vertex below the
+anchor starts a violation in any descendant. A child therefore starts its
+scan at its parent's anchor and finds the same W as a scan from vertex 0,
+and a scan that found nothing (anchor n) is skipped in every descendant.
 """
 
 from __future__ import annotations
@@ -74,18 +83,30 @@ class _Search:
             self.caps = [2] * self.n
         elif k is not None:
             self.caps = [k] * self.n
+        # The class's finder, (cand, start) -> (W, anchor), picked here once
+        # rather than at every search node; `_rest` is what the degree
+        # classes check once no vertex is over its cap.
+        self._rest = self._spine_or_cycle if kind == "caterpillar" else self._shortest_cycle
+        if kind == "star":
+            self._find = self._star_violation
+        elif kind == "ab":
+            self._find = self._ab_violation
+        elif self.caps is None:
+            self._find = lambda cand, start: (self._rest(cand), 0)
+        else:
+            self._find = self._degree_violation
 
     def run(self, budget: int) -> OracleResult:
         full = (1 << self.n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        violation = self._violation
+        find = self._find
         nodes = 0
         stopped = False
-        stack = [(full, 0)]
-        pop = stack.pop
+        stack = [(full, 0, 0)]
+        pop, push = stack.pop, stack.append
         while stack:
-            cand, kept = pop()
+            cand, kept, start = pop()
             size = cand.bit_count()
             if size <= best_size:
                 continue
@@ -93,21 +114,20 @@ class _Search:
                 stopped = True
                 break
             nodes += 1
-            bad = violation(cand)
+            bad, anchor = find(cand, start)
             if not bad:
                 best_size, best_mask = size, cand
                 continue
-            # Children in bit order of the free part of the violation, pushed
-            # last-first so they pop in bit order; a violation inside kept
-            # leaves no free bit and so no child.
+            if size - 1 <= best_size:
+                continue  # every child would be popped and skipped uncounted
+            # Child i deletes w_i and keeps the free w_1 ... w_{i-1}. Pushed
+            # from the highest bit down, the children pop in bit order; a
+            # violation inside kept leaves no free bit and so no child.
             free = bad & ~kept
-            children = []
             while free:
-                low = free & -free
-                children.append((cand ^ low, kept))
-                kept |= low
-                free ^= low
-            stack.extend(reversed(children))
+                high = 1 << (free.bit_length() - 1)
+                free ^= high
+                push((cand ^ high, kept | free, anchor))
         witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
         return OracleResult(best_size, witness, nodes, exact=not stopped)
 
@@ -126,46 +146,41 @@ class _Search:
 
     # Violation finders return a bitmask W such that every valid subset of the
     # candidate misses at least one vertex of W, or 0 if the candidate is valid.
+    # The resumable ones take the vertex their scan starts at and also return
+    # their anchor (see the module docstring).
 
     def _violation(self, cand: int) -> int:
-        if self.kind in ("linear", "abc"):
-            return self._degree_violation(cand) or self._shortest_cycle(cand)
-        if self.kind == "caterpillar":
-            if self.k is not None:
-                bad = self._degree_violation(cand)
-                if bad:
-                    return bad
-            return self._spine_violation(cand) or self._shortest_cycle(cand)
-        if self.kind == "star":
-            return self._star_violation(cand)
-        if self.kind == "ab":
-            return self._ab_violation(cand)
-        raise ValueError(self.kind)  # pragma: no cover
+        """W for cand, scanning from vertex 0."""
+        return self._find(cand, 0)[0]
 
     # The finders below run once per search node, so they walk bitmasks
     # inline (lowest bit first) rather than through _iter_bits.
 
-    def _degree_violation(self, cand: int) -> int:
+    def _degree_violation(self, cand: int, start: int) -> tuple[int, int]:
+        # A vertex over its cap with its neighbors, else the spine or cycle
+        # violation that the class checks next (anchor n: no vertex is over).
         adj, caps = self.adj, self.caps
-        rest = cand
+        rest = cand >> start << start
         while rest:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
             nbrs = adj[i] & cand
             if nbrs.bit_count() > caps[i]:
-                return low | nbrs
-        return 0
+                return low | nbrs, i
+        return self._rest(cand), self.n
 
-    def _star_violation(self, cand: int) -> int:
+    def _star_violation(self, cand: int, start: int) -> tuple[int, int]:
         # An adjacent pair of degree->=2 vertices (plus one extra neighbor of
-        # each) witnesses any failure: cycles force such a pair too.
+        # each) witnesses any failure: cycles force such a pair too. The
+        # anchor is the lower vertex of the first such pair.
         adj = self.adj
-        rest = cand
+        rest = cand >> start << start
         while rest:
             low_i = rest & -rest
             rest ^= low_i
-            nbrs_i = adj[low_i.bit_length() - 1] & cand
+            i = low_i.bit_length() - 1
+            nbrs_i = adj[i] & cand
             if nbrs_i.bit_count() < 2:
                 continue
             others = nbrs_i
@@ -177,29 +192,37 @@ class _Search:
                     continue
                 extra_i = nbrs_i ^ low_j
                 extra_j = nbrs_j ^ low_i
-                return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j)
-        return 0
+                return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j), i
+        return 0, self.n
 
-    def _ab_violation(self, cand: int) -> int:
-        adj, labels = self.adj, self.labels
-        rest = cand
-        while rest:
-            low_i = rest & -rest
-            rest ^= low_i
-            i = low_i.bit_length() - 1
-            if labels[i] != "B":
-                continue
-            others = adj[i] & cand
-            while others:
-                low_j = others & -others
-                others ^= low_j
-                j = low_j.bit_length() - 1
-                if labels[j] == "B":
-                    return low_i | low_j
-                nbrs_j = adj[j] & cand
-                if nbrs_j.bit_count() >= 2:
-                    return low_i | low_j | nbrs_j
-        return self._star_violation(cand)
+    def _ab_violation(self, cand: int, start: int) -> tuple[int, int]:
+        # Two scans in turn: B vertices with an illegal neighbor (anchors
+        # below n), then the star scan (anchor n + its own anchor).
+        adj, labels, n = self.adj, self.labels, self.n
+        if start < n:
+            rest = cand >> start << start
+            while rest:
+                low_i = rest & -rest
+                rest ^= low_i
+                i = low_i.bit_length() - 1
+                if labels[i] != "B":
+                    continue
+                others = adj[i] & cand
+                while others:
+                    low_j = others & -others
+                    others ^= low_j
+                    j = low_j.bit_length() - 1
+                    if labels[j] == "B":
+                        return low_i | low_j, i
+                    nbrs_j = adj[j] & cand
+                    if nbrs_j.bit_count() >= 2:
+                        return low_i | low_j | nbrs_j, i
+            start = n
+        bad, anchor = self._star_violation(cand, start - n)
+        return bad, n + anchor
+
+    def _spine_or_cycle(self, cand: int) -> int:
+        return self._spine_violation(cand) or self._shortest_cycle(cand)
 
     def _spine_violation(self, cand: int) -> int:
         # A vertex with three non-leaf neighbors (each witnessed by a second

@@ -19,7 +19,7 @@ from forestbound import (
     is_linear_forest,
     is_star_forest,
 )
-from forestbound.exact import OracleResult, _Search
+from forestbound.exact import OracleResult, _iter_bits, _Search
 from forestbound.generate import complete_graph, cycle_graph, gnp, hnk_graph, k_prime_graph
 from forestbound.partition import ABC_CAPS
 
@@ -219,30 +219,198 @@ ALL_CLASSES = (
 )
 
 
+class RescanSearch(_Search):
+    """The search before its finders resumed, kept as a reference: every
+    node's violation scan starts at vertex 0, the finder is picked through
+    an if-chain at every node, and children are built in a list and pushed
+    reversed."""
+
+    def run(self, budget: int) -> OracleResult:
+        full = (1 << self.n) - 1
+        best_mask = self._greedy_peel(full)
+        best_size = best_mask.bit_count()
+        violation = self._violation
+        nodes = 0
+        stopped = False
+        stack = [(full, 0)]
+        pop = stack.pop
+        while stack:
+            cand, kept = pop()
+            size = cand.bit_count()
+            if size <= best_size:
+                continue
+            if nodes >= budget:
+                stopped = True
+                break
+            nodes += 1
+            bad = violation(cand)
+            if not bad:
+                best_size, best_mask = size, cand
+                continue
+            # Children in bit order of the free part of the violation, pushed
+            # last-first so they pop in bit order; a violation inside kept
+            # leaves no free bit and so no child.
+            free = bad & ~kept
+            children = []
+            while free:
+                low = free & -free
+                children.append((cand ^ low, kept))
+                kept |= low
+                free ^= low
+            stack.extend(reversed(children))
+        witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
+        return OracleResult(best_size, witness, nodes, exact=not stopped)
+
+    def _violation(self, cand: int) -> int:
+        if self.kind in ("linear", "abc"):
+            return self._degree_violation(cand) or self._shortest_cycle(cand)
+        if self.kind == "caterpillar":
+            if self.k is not None:
+                bad = self._degree_violation(cand)
+                if bad:
+                    return bad
+            return self._spine_violation(cand) or self._shortest_cycle(cand)
+        if self.kind == "star":
+            return self._star_violation(cand)
+        if self.kind == "ab":
+            return self._ab_violation(cand)
+        raise ValueError(self.kind)  # pragma: no cover
+
+    def _degree_violation(self, cand: int) -> int:
+        adj, caps = self.adj, self.caps
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            nbrs = adj[i] & cand
+            if nbrs.bit_count() > caps[i]:
+                return low | nbrs
+        return 0
+
+    def _star_violation(self, cand: int) -> int:
+        # An adjacent pair of degree->=2 vertices (plus one extra neighbor of
+        # each) witnesses any failure: cycles force such a pair too.
+        adj = self.adj
+        rest = cand
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            nbrs_i = adj[low_i.bit_length() - 1] & cand
+            if nbrs_i.bit_count() < 2:
+                continue
+            others = nbrs_i
+            while others:
+                low_j = others & -others
+                others ^= low_j
+                nbrs_j = adj[low_j.bit_length() - 1] & cand
+                if nbrs_j.bit_count() < 2:
+                    continue
+                extra_i = nbrs_i ^ low_j
+                extra_j = nbrs_j ^ low_i
+                return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j)
+        return 0
+
+    def _ab_violation(self, cand: int) -> int:
+        adj, labels = self.adj, self.labels
+        rest = cand
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            i = low_i.bit_length() - 1
+            if labels[i] != "B":
+                continue
+            others = adj[i] & cand
+            while others:
+                low_j = others & -others
+                others ^= low_j
+                j = low_j.bit_length() - 1
+                if labels[j] == "B":
+                    return low_i | low_j
+                nbrs_j = adj[j] & cand
+                if nbrs_j.bit_count() >= 2:
+                    return low_i | low_j | nbrs_j
+        return self._star_violation(cand)
+
+
+def oracle_corpus():
+    """(graph, kind, k, labels): every graph on at most 5 vertices in every
+    class, every ABC and AB labeling of those on at most 4, and seeded
+    G(n, p) with n = 6..16 in every class, one random labeling each, and
+    B on every fourth vertex, where few B vertices offend and the star
+    scan runs after the B scan."""
+    for n in range(6):
+        for g in all_graphs(n):
+            for cls in ALL_CLASSES:
+                yield g, cls.kind, cls.k, None
+            if n <= 4:
+                for labels in product("ABC", repeat=n):
+                    yield g, "abc", None, list(labels)
+                for labels in product("AB", repeat=n):
+                    yield g, "ab", None, list(labels)
+    rng = random.Random(4)
+    for trial in range(30):
+        g = gnp(rng.randint(6, 16), rng.choice((0.2, 0.3, 0.5)), 4400 + trial)
+        for cls in ALL_CLASSES:
+            yield g, cls.kind, cls.k, None
+        yield g, "abc", None, [rng.choice("ABC") for _ in g.vertices]
+        yield g, "ab", None, [rng.choice("AB") for _ in g.vertices]
+        yield g, "ab", None, ["B" if v % 4 == 3 else "A" for v in g.vertices]
+
+
 def test_same_optimum_as_memo_search_with_no_more_nodes():
-    def check(g, kind, k=None, labels=None):
+    for g, kind, k, labels in oracle_corpus():
         new = _Search(g, kind, k=k, labels=labels).run(10**6)
         ref = MemoSearch(g, kind, k=k, labels=labels).run(10**6)
         assert new.exact and ref.exact
         assert (new.alpha, new.witness) == (ref.alpha, ref.witness), (g.edges(), kind, k, labels)
         assert new.nodes_explored <= ref.nodes_explored
 
-    for n in range(6):
-        for g in all_graphs(n):
-            for cls in ALL_CLASSES:
-                check(g, cls.kind, k=cls.k)
-            if n <= 4:
-                for labels in product("ABC", repeat=n):
-                    check(g, "abc", labels=list(labels))
-                for labels in product("AB", repeat=n):
-                    check(g, "ab", labels=list(labels))
-    rng = random.Random(4)
-    for trial in range(30):
-        g = gnp(rng.randint(6, 16), rng.choice((0.2, 0.3, 0.5)), 4400 + trial)
-        for cls in ALL_CLASSES:
-            check(g, cls.kind, k=cls.k)
-        check(g, "abc", labels=[rng.choice("ABC") for _ in g.vertices])
-        check(g, "ab", labels=[rng.choice("AB") for _ in g.vertices])
+
+def test_resumed_search_matches_rescan_search():
+    # The same tree in the same pop order: equal results, and a budget cuts
+    # both off at the same node with the same witness.
+    for g, kind, k, labels in oracle_corpus():
+        for budget in (10**6, 1, 10, 100):
+            new = _Search(g, kind, k=k, labels=labels).run(budget)
+            ref = RescanSearch(g, kind, k=k, labels=labels).run(budget)
+            assert new == ref, (g.edges(), kind, k, labels, budget)
+
+
+def degree_scan_length(search: _Search, cand: int, start: int) -> int:
+    """The vertices a degree scan of cand from start examines: those of cand
+    from start up to the first one over its cap, or to the end."""
+    count = 0
+    for i in range(start, search.n):
+        if cand >> i & 1:
+            count += 1
+            if (search.adj[i] & cand).bit_count() > search.caps[i]:
+                break
+    return count
+
+
+class CountedSearch(_Search):
+    examined = 0
+
+    def _degree_violation(self, cand, start):
+        self.examined += degree_scan_length(self, cand, start)
+        return super()._degree_violation(cand, start)
+
+
+class CountedRescan(RescanSearch):
+    examined = 0
+
+    def _degree_violation(self, cand):
+        self.examined += degree_scan_length(self, cand, 0)
+        return super()._degree_violation(cand)
+
+
+def test_resumed_degree_scan_examines_at_most_half_the_vertices():
+    g = gnp(28, 0.3, 7)
+    new = CountedSearch(g, "linear")
+    ref = CountedRescan(g, "linear")
+    assert new.run(10**6) == ref.run(10**6)
+    assert 0 < new.examined <= ref.examined // 2
 
 
 def test_linear_forest_on_gnp28_is_exact_within_2m_nodes():

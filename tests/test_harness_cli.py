@@ -270,6 +270,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: bin.txt: ") and err.count("\n") == 1
 
+    def test_internal_error_exit_code(self, workdir, capsys, monkeypatch):
+        from forestbound import construct
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken constructor\nsecond line")
+
+        monkeypatch.setattr(construct, "star_forest", broken)
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        assert run_cli("construct", "p3.txt", "star") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: internal: ValueError: broken constructor\n"
+        assert captured.out == ""
+
+    def test_main_builds_its_parser_once(self, workdir, capsys, monkeypatch):
+        from forestbound import cli
+
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(
+            cli._Parser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
+        )
+        cli.build_parser.cache_clear()
+        assert run_cli("gen", "path:n=3") == 0
+        once = len(built)
+        assert once > 0
+        assert run_cli("gen", "path:n=4") == 0
+        assert len(built) == once
+        assert capsys.readouterr().out.endswith("\n4 3\n0 1\n1 2\n2 3\n")
+
     def test_missing_file_exit_code(self, workdir, capsys):
         assert run_cli("bound", "missing.txt", "flin") == 3
 
