@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--k", type=int, help="degree bound for caterpillar forests")
     p_cons.add_argument("--partition", help="partition file (required for abc/ab)")
     p_cons.add_argument("--out", help="certificate output file (default stdout)")
-    p_cons.add_argument("--threshold", type=int, default=construct.DEFAULT_EXACT_THRESHOLD)
-    p_cons.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
 
     p_verify = sub.add_parser("verify", help="re-check a certificate")
     p_verify.add_argument("graph")
@@ -159,12 +157,12 @@ def cmd_construct(args) -> int:
     elif args.kind == "caterpillar" and args.k is None:
         cert = construct.caterpillar_forest(g)
     elif args.kind == "caterpillar":
-        cert = construct.k_caterpillar_forest(g, args.k, args.threshold, args.budget)
+        cert = construct.k_caterpillar_forest(g, args.k)
     elif args.kind == "star":
-        cert = construct.star_forest(g, args.threshold, args.budget)
+        cert = construct.star_forest(g)
     else:
         engine = construct.abc_construct if args.kind == "abc" else construct.ab_construct
-        cert, trace = engine(g, labels, args.threshold, args.budget)
+        cert, trace = engine(g, labels)
     text = construct.certificate_to_text(cert, g.edge_hash(), trace)
     if args.out:
         Path(args.out).write_text(text)
@@ -210,14 +208,14 @@ def cmd_exact(args) -> int:
 def cmd_gen(args) -> int:
     spec = parse_gen_spec(args.spec)
     g, labels = build_generated(spec)
+    if args.partition_out and labels is None:  # before anything is written
+        raise ParseError(f"family {spec.family!r} has no labeling to write")
     text = format_edge_list(g)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if args.partition_out:
-        if labels is None:
-            raise ParseError(f"family {spec.family!r} has no labeling to write")
         Path(args.partition_out).write_text(format_partition(labels))
     return EXIT_OK
 

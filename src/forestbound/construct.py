@@ -180,45 +180,31 @@ def cubic_partition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
 # Reduction engine for the constrained bounds (ABC linear, AB star)
 
 
-def abc_construct(
-    g: Graph,
-    p: Partition,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[ForestCertificate, ReductionTrace]:
+def abc_construct(g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     """Linear forest respecting the ABC degree caps, of size at least the
     partition-weighted bound."""
-    return _construct("ABC", g, p, exact_threshold, budget)
+    return _construct("ABC", g, p)
 
 
-def ab_construct(
-    g: Graph,
-    p: Partition,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[ForestCertificate, ReductionTrace]:
+def ab_construct(g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     """Star forest respecting the AB edge condition, of size at least the
     partition-weighted bound."""
-    return _construct("AB", g, p, exact_threshold, budget)
+    return _construct("AB", g, p)
 
 
-def _construct(
-    mode: str, g: Graph, p: Partition, threshold: int, budget: int
-) -> tuple[ForestCertificate, ReductionTrace]:
+def _construct(mode: str, g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     table = _RULES[mode]
     if p.mode != mode:
         raise ParseError(f"{table['name']} needs an {mode} partition")
     p.validate_for(g)
     bound = total_weight(g, table["bound"], p)
-    chosen, trace = _reduce(g, dict(p.labels), mode, threshold, budget)
+    chosen, trace = _reduce(g, dict(p.labels), mode)
     cert = ForestCertificate(frozenset(chosen), table["forest"], bound)
     _check_certificate(table["name"], g, cert, p)
     return cert, trace
 
 
-def _reduce(
-    g: Graph, labels: dict[int, str], mode: str, threshold: int, budget: int
-) -> tuple[set[int], ReductionTrace]:
+def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], ReductionTrace]:
     """Apply the rules of `_RULES[mode]` in priority order until nothing is left.
 
     Pending instances wait on an explicit stack. Each step applies the first
@@ -296,8 +282,6 @@ def _reduce(
                 work.graph(inst),
                 Partition({v: labels[v] for v in inst}, mode),
                 trace,
-                threshold,
-                budget,
                 work.total(inst),
                 f"{prefix}6",
             )
@@ -522,22 +506,19 @@ def _within_distance(g: Graph, start: int, targets: set[int], radius: int) -> bo
 
 
 def _exact_fallback(
-    g: Graph,
-    p: Partition,
-    trace: ReductionTrace,
-    threshold: int,
-    budget: int,
-    need: Fraction,
-    rule: str,
+    g: Graph, p: Partition, trace: ReductionTrace, need: Fraction, rule: str
 ) -> set[int]:
-    over = g.n > threshold
-    result = alpha_exact_partitioned(g, p, budget=_STUCK_BUDGET if over else budget)
+    """Rule 6: the exact optimum of a stuck instance, which must meet `need`. Up to
+    the threshold the search, which reaches a vertex subset at most once,
+    cannot exhaust the default budget; a larger instance gets _STUCK_BUDGET."""
+    over = g.n > DEFAULT_EXACT_THRESHOLD
+    result = alpha_exact_partitioned(g, p, budget=_STUCK_BUDGET if over else DEFAULT_BUDGET)
     if Fraction(result.alpha) >= need:
         trace.append(_solved(rule, g.vertices, result.witness, "over-threshold" if over else ""))
         return set(result.witness)
     raise BoundMiss(
-        f"residual graph on {g.n} vertices (threshold {threshold}) missed the bound: "
-        f"best {result.alpha} < {need} (exact={result.exact})",
+        f"residual graph on {g.n} vertices (threshold {DEFAULT_EXACT_THRESHOLD}) missed the "
+        f"bound: best {result.alpha} < {need} (exact={result.exact})",
         ForestCertificate(frozenset(result.witness), _RULES[p.mode]["forest"], need),
     )
 
@@ -695,12 +676,7 @@ _RULES = {
 # Bound-specific wrappers
 
 
-def k_caterpillar_forest(
-    g: Graph,
-    k: int,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    budget: int = DEFAULT_BUDGET,
-) -> ForestCertificate:
+def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     """Caterpillar forest of maximum degree at most k meeting the local bound.
 
     Drops every vertex that carries k+1 or more leaves, also once earlier
@@ -715,8 +691,6 @@ def k_caterpillar_forest(
         abc_construct,
         "ABC",
         lambda carried: "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C"),
-        exact_threshold,
-        budget,
     )
     cert = ForestCertificate(frozenset(chosen), ForestClass.caterpillar(k), bound)
     _check_certificate("k_caterpillar_forest", g, cert)
@@ -746,26 +720,20 @@ def _overloaded(g: Graph, k: int) -> set[int]:
     return dropped
 
 
-def star_forest(
-    g: Graph,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    budget: int = DEFAULT_BUDGET,
-) -> ForestCertificate:
+def star_forest(g: Graph) -> ForestCertificate:
     """Star forest meeting the best epsilon-family bound for g's degrees.
 
     Hands each component's leaf-stripped core to the AB engine, labeled by
     whether each vertex carried a leaf.
     """
     bound = total_weight(g, BoundSpec.star())
-    chosen = _leaf_core_forest(
-        g, ab_construct, "AB", lambda carried: "B" if carried else "A", exact_threshold, budget
-    )
+    chosen = _leaf_core_forest(g, ab_construct, "AB", lambda carried: "B" if carried else "A")
     cert = ForestCertificate(frozenset(chosen), STAR_FOREST, bound)
     _check_certificate("star_forest", g, cert)
     return cert
 
 
-def _leaf_core_forest(g: Graph, engine, mode: str, label, threshold: int, budget: int) -> set[int]:
+def _leaf_core_forest(g: Graph, engine, mode: str, label) -> set[int]:
     """Per component: take it whole if it has at most two vertices; otherwise
     strip its leaves, label every other vertex by `label(number of leaves it
     carries)`, and add the leaves to what `engine` keeps of that core."""
@@ -777,7 +745,7 @@ def _leaf_core_forest(g: Graph, engine, mode: str, label, threshold: int, budget
         leaves = {v for v in comp if g.degree(v) == 1}
         core = comp - leaves
         labels = {v: label(len(g.neighbors(v) & leaves)) for v in core}
-        inner, _ = engine(g.induced(core), Partition(labels, mode), threshold, budget)
+        inner, _ = engine(g.induced(core), Partition(labels, mode))
         chosen |= inner.vertex_set | leaves
     return chosen
 

@@ -48,7 +48,9 @@ class RetryLimit(ForestBoundError):
 
 
 class BoundMiss(ForestBoundError):
-    """A reduction engine got stuck above the exact-search threshold.
+    """A construction missed its bound: rule 2's path/cycle optimum, the
+    R6/S6 exact fallback (at any residual size), or a constructor's check
+    of its final certificate.
 
     Carries the best certificate found so far; that certificate is
     unverified and must not be trusted without an explicit check.

@@ -157,36 +157,32 @@ def _pair_edge_by_edge(n: int, d: int, rng: random.Random) -> Optional[set[tuple
     return edges
 
 
+# Each family's builder and the GenSpec fields it takes, in argument order.
+_FAMILIES = {
+    "complete": (complete_graph, ("n",)),
+    "star": (star_graph, ("t",)),
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "hnk": (hnk_graph, ("n", "k")),
+    "kprime": (k_prime_graph, ("n",)),
+    "fig1": (fig1_gadget, ("gadget",)),
+    "gnp": (gnp, ("n", "p", "seed")),
+    "regular": (random_regular, ("n", "d", "seed")),
+}
+
+
 def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
-    """Materialize a GenSpec; Fig. 1 gadgets also return their labeling."""
-    fam = spec.family
-    if fam == "complete":
-        return complete_graph(_need(spec, "n")), None
-    if fam == "star":
-        return star_graph(_need(spec, "t")), None
-    if fam == "path":
-        return path_graph(_need(spec, "n")), None
-    if fam == "cycle":
-        return cycle_graph(_need(spec, "n")), None
-    if fam == "hnk":
-        return hnk_graph(_need(spec, "n"), _need(spec, "k")), None
-    if fam == "kprime":
-        return k_prime_graph(_need(spec, "n")), None
-    if fam == "fig1":
-        g, labels = fig1_gadget(_need(spec, "gadget"))
-        return g, labels
-    if fam == "gnp":
-        return gnp(_need(spec, "n"), _need(spec, "p"), _need(spec, "seed")), None
-    if fam == "regular":
-        return random_regular(_need(spec, "n"), _need(spec, "d"), _need(spec, "seed")), None
-    raise InvalidSpec(f"unknown family {fam!r}")
-
-
-def _need(spec: GenSpec, attr: str):
-    value = getattr(spec, attr)
-    if value is None:
-        raise InvalidSpec(f"family {spec.family!r} needs parameter {attr!r}")
-    return value
+    """Materialize a GenSpec; Fig. 1 gadgets also return their labeling.
+    Every parameter the family takes must be set, and no other."""
+    if spec.family not in _FAMILIES:
+        raise InvalidSpec(f"unknown family {spec.family!r}")
+    build, takes = _FAMILIES[spec.family]
+    for attr in ("n", "k", "t", "p", "d", "seed", "gadget"):
+        if (getattr(spec, attr) is None) == (attr in takes):
+            verb = "needs" if attr in takes else "takes no"
+            raise InvalidSpec(f"family {spec.family!r} {verb} parameter {attr!r}")
+    made = build(*(getattr(spec, attr) for attr in takes))
+    return made if spec.family == "fig1" else (made, None)
 
 
 _INT_KEYS = {"n", "k", "t", "d", "seed"}

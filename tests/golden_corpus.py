@@ -116,9 +116,7 @@ def constrained_gadgets() -> list[tuple[str, Graph, Partition, dict]]:
     g = cycle_graph(100)
     out.append(("c100-A", g, Partition.uniform(g.vertices, "A", "AB"), {}))
     g = random_regular(20, 3, 8)
-    out.append(
-        ("cubic20-A", g, Partition.uniform(g.vertices, "A", "AB"), {"exact_threshold": 4})
-    )
+    out.append(("cubic20-A", g, Partition.uniform(g.vertices, "A", "AB"), {}))
     g = Graph.from_edges(8, [(u, v) for base in (0, 4) for u in range(base, base + 4)
                              for v in range(u + 1, base + 4)])
     out.append(("2k4-B", g, Partition.uniform(g.vertices, "B", "ABC"), {}))

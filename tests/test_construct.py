@@ -206,9 +206,7 @@ class TestAbConstruct:
 
     def test_endgame_on_cubic_graph(self):
         g = random_regular(20, 3, 8)
-        cert, trace = ab_construct(
-            g, Partition.uniform(g.vertices, "A", "AB"), exact_threshold=4
-        )
+        cert, trace = ab_construct(g, Partition.uniform(g.vertices, "A", "AB"))
         assert verify_certificate(g, cert, Partition.uniform(g.vertices, "A", "AB"))
         assert any(step.rule == "S5" for step in trace.steps)
 
@@ -405,7 +403,7 @@ def test_bound_miss_carries_best_effort_certificate():
     g = complete_graph(5)
     p = Partition.uniform(g.vertices, "A", "ABC")
     with pytest.raises(BoundMiss) as exc:
-        _exact_fallback(g, p, ReductionTrace(), 16, 10_000, F(99), "R6")
+        _exact_fallback(g, p, ReductionTrace(), F(99), "R6")
     cert = exc.value.certificate
     assert cert is not None
     assert cert.claimed_bound == 99

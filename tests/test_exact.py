@@ -448,3 +448,19 @@ def test_budget_run_on_large_clique_does_not_recurse():
     assert not res.exact
     assert res.nodes_explored == 5000
     assert res.alpha == len(res.witness) == 2
+
+
+def test_nodes_never_exceed_the_subset_count():
+    # No vertex subset is reached twice, so a search on n vertices explores
+    # at most 2**n nodes: on the constructors' residuals of up to 16
+    # vertices that is 65 536, below the default budget and the 500 000
+    # that a larger residual gets.
+    rng = random.Random(11)
+    for trial in range(40):
+        g = gnp(rng.randint(1, 10), rng.choice((0.2, 0.4, 0.7)), 5100 + trial)
+        results = [alpha_exact(g, cls) for cls in ALL_CLASSES]
+        for mode in ("ABC", "AB"):
+            p = Partition({v: rng.choice(mode) for v in g.vertices}, mode)
+            results.append(alpha_exact_partitioned(g, p))
+        for res in results:
+            assert res.exact and res.nodes_explored <= 2**g.n, (g.edges(), res)

@@ -147,7 +147,11 @@ class TestGenSpecText:
             parse_gen_spec("gnp:n=30,q=1")
         with pytest.raises(ParseError):
             parse_gen_spec("hnk:n=x")
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match="unknown family 'wedge'"):
             generate(parse_gen_spec("wedge:n=3"))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match="family 'hnk' needs parameter 'k'"):
             generate(GenSpec("hnk", n=3))  # missing k
+        with pytest.raises(InvalidSpec, match="family 'complete' takes no parameter 'k'"):
+            generate(parse_gen_spec("complete:n=4,k=9,seed=3"))
+        with pytest.raises(InvalidSpec, match="family 'fig1' takes no parameter 'n'"):
+            generate(parse_gen_spec("fig1:id=P3AB,n=3"))

@@ -194,14 +194,28 @@ class TestCli:
             ("construct", "k2.txt", "star", "--k", "2"),
             ("exact", "k2.txt", "abc", "--partition", "k2.part", "--k", "3"),
             ("exact", "k2.txt", "ab", "--partition", "k2.part", "--k", "2"),
+            ("gen", "complete:n=4,k=9,seed=3"),
+            # construct takes no exact-search options
+            ("construct", "k2.txt", "star", "--threshold", "4"),
+            ("construct", "k2.txt", "star", "--budget", "5"),
         ],
     )
     def test_partition_and_k_misuse_exit_code(self, workdir, capsys, argv):
         Path("k2.txt").write_text("2 1\n0 1\n")
         Path("k2.part").write_text("0 A\n1 A\n")
         Path("k2.cert").write_text("class=caterpillar:k=2\nbound=1/1\nvertices=0 1\n")
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse's own errors print usage first
+            code = exc.code
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_gen_checks_partition_out_before_writing(self, workdir, capsys):
+        argv = ("gen", "complete:n=4", "--out", "k4.txt", "--partition-out", "k4.part")
         assert run_cli(*argv) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        assert "has no labeling to write" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
     def test_vertex_limit_exit_code(self, workdir, capsys):
         Path("huge.txt").write_text("2000000 1\n")
@@ -220,6 +234,9 @@ class TestCli:
         assert run_cli("exact", "kp.txt", "star") == 0
         out = capsys.readouterr().out
         assert "alpha=4" in out and "exact=yes" in out
+        # the oracle's budget stays an option of exact: the way to get exact=no
+        assert run_cli("exact", "kp.txt", "star", "--budget", "1") == 0
+        assert "exact=no" in capsys.readouterr().out
 
     def test_exact_caterpillar_k(self, workdir, capsys):
         run_cli("gen", "complete:n=5", "--out", "k5.txt")
