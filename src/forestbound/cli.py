@@ -30,7 +30,6 @@ EXIT_CONFIG = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_CONFIG)
 

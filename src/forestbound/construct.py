@@ -25,7 +25,7 @@ from functools import cache
 from itertools import product
 from typing import Optional
 
-from .errors import BoundMiss, InvalidSpec, IsolatedVertexPresent, NotCubic, ParseError
+from .errors import BoundMiss, IsolatedVertexPresent, NotCubic, ParseError
 from .exact import DEFAULT_BUDGET, alpha_exact_partitioned
 from .graph import (
     CATERPILLAR_FOREST,
@@ -683,8 +683,6 @@ def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     drops have made new leaves, then hands each component's leaf-stripped
     core to the ABC engine, labeled by how many leaves each vertex carries.
     """
-    if k < 2:
-        raise InvalidSpec(f"k must be >= 2, got {k}")
     bound = total_weight(g, BoundSpec.hkg(k))
     chosen = _leaf_core_forest(
         g.delete_vertices(_overloaded(g, k)),
@@ -802,10 +800,12 @@ def certificate_from_text(text: str) -> tuple[ForestCertificate, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, eq, value = line.partition("=")
+        key, eq, value = map(str.strip, line.partition("="))
         if not eq:
             raise ParseError(f"bad certificate line {line!r}")
-        fields[key.strip()] = value.strip()
+        if key in fields:
+            raise ParseError(f"certificate field {key!r} given twice")
+        fields[key] = value
     try:
         forest_class = ForestClass.from_text(fields["class"])
         bound = Fraction(fields["bound"])

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InfeasibleDegree, InvalidSpec, ParseError, RetryLimit
-from .graph import Graph
+from .graph import Graph, parse_spec_text, spec_text
 from .partition import Partition
 
 PAIRING_RETRY_CAP = 10_000
@@ -35,19 +35,19 @@ class GenSpec:
     gadget: Optional[str] = None
 
     def to_text(self) -> str:
-        parts = []
-        for key, value in (
-            ("n", self.n),
-            ("k", self.k),
-            ("t", self.t),
-            ("p", self.p),
-            ("d", self.d),
-            ("seed", self.seed),
-            ("id", self.gadget),
-        ):
-            if value is not None:
-                parts.append(f"{key}={value}")
-        return self.family + (":" + ",".join(parts) if parts else "")
+        return spec_text(self.family, ((key, getattr(self, f)) for key, (f, _) in _ARGS.items()))
+
+
+# Each argument of a generator spec text: the GenSpec field it sets and its type.
+_ARGS = {
+    "n": ("n", int),
+    "k": ("k", int),
+    "t": ("t", int),
+    "p": ("p", float),
+    "d": ("d", int),
+    "seed": ("seed", int),
+    "id": ("gadget", str),
+}
 
 
 def complete_graph(n: int) -> Graph:
@@ -177,7 +177,7 @@ def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
     if spec.family not in _FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
     build, takes = _FAMILIES[spec.family]
-    for attr in ("n", "k", "t", "p", "d", "seed", "gadget"):
+    for attr, _ in _ARGS.values():
         if (getattr(spec, attr) is None) == (attr in takes):
             verb = "needs" if attr in takes else "takes no"
             raise InvalidSpec(f"family {spec.family!r} {verb} parameter {attr!r}")
@@ -185,30 +185,11 @@ def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
     return made if spec.family == "fig1" else (made, None)
 
 
-_INT_KEYS = {"n", "k", "t", "d", "seed"}
-
-
 def parse_gen_spec(text: str) -> GenSpec:
     """Parse the CLI encoding, e.g. `hnk:n=3,k=2` or `gnp:n=30,p=0.2,seed=42`."""
-    text = text.strip()
-    family, _, argstr = text.partition(":")
-    kwargs: dict = {}
-    if argstr:
-        for piece in argstr.split(","):
-            key, eq, value = piece.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not eq or not value:
-                raise ParseError(f"bad generator argument {piece!r} in {text!r}")
-            try:
-                if key in _INT_KEYS:
-                    kwargs[key] = int(value)
-                elif key == "p":
-                    kwargs[key] = float(value)
-                elif key == "id":
-                    kwargs["gadget"] = value
-                else:
-                    raise ParseError(f"unknown generator argument {key!r}")
-            except ValueError as exc:
-                raise ParseError(f"bad value for {key!r}: {value!r}") from exc
-    return GenSpec(family=family, **kwargs)
+    family, args = parse_spec_text(text, "generator", _ARGS)
+    try:
+        fields = {attr: kind(args[key]) for key, (attr, kind) in _ARGS.items() if key in args}
+        return GenSpec(family, **fields)
+    except ValueError as exc:
+        raise ParseError(f"bad generator spec {text!r}: {exc}") from exc

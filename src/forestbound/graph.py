@@ -13,7 +13,7 @@ import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnknownVertex
 
@@ -205,21 +205,40 @@ class ForestClass:
         return is_caterpillar_forest(g, self.k)
 
     def to_text(self) -> str:
-        if self.kind == "caterpillar" and self.k is not None:
-            return f"caterpillar:k={self.k}"
-        return self.kind
+        return spec_text(self.kind, [("k", self.k)])
 
     @classmethod
     def from_text(cls, text: str) -> "ForestClass":
-        text = text.strip()
-        if text.startswith("caterpillar:k="):
-            try:
-                return cls.caterpillar(int(text.split("=", 1)[1]))
-            except ValueError as exc:
-                raise ParseError(f"bad forest class {text!r}") from exc
-        if text in ("linear", "caterpillar", "star"):
-            return cls(text, None)
-        raise ParseError(f"bad forest class {text!r}")
+        kind, args = parse_spec_text(text, "forest class", ("k",))
+        try:
+            return cls(kind, int(args["k"]) if args else None)
+        except ValueError as exc:
+            raise ParseError(f"bad forest class {text!r}") from exc
+
+
+def parse_spec_text(text: str, what: str, keys: Collection[str]) -> tuple[str, dict[str, str]]:
+    """The name and arguments of a `name[:key=value,...]` text, whitespace
+    around each part dropped. A piece without `=` (the empty one of `name:` or
+    a trailing comma too), an empty key or value, a key not in keys or a key
+    given twice is a ParseError that names what the text is."""
+    name, colon, argstr = text.partition(":")
+    args: dict[str, str] = {}
+    for piece in argstr.split(",") if colon else ():
+        key, eq, value = map(str.strip, piece.partition("="))
+        if not (key and eq and value):
+            raise ParseError(f"bad {what} argument {piece!r} in {text!r}")
+        if key not in keys:
+            raise ParseError(f"unknown {what} argument {key!r} in {text!r}")
+        if key in args:
+            raise ParseError(f"{what} argument {key!r} given twice in {text!r}")
+        args[key] = value
+    return name.strip(), args
+
+
+def spec_text(name: str, pairs: Iterable[tuple[str, object]]) -> str:
+    """The canonical `name[:key=value,...]` text of the pairs whose value is set."""
+    args = ",".join(f"{key}={value}" for key, value in pairs if value is not None)
+    return f"{name}:{args}" if args else name
 
 
 LINEAR_FOREST = ForestClass("linear")

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import DegreeZero, EpsOutOfRange, InvalidSpec, MissingPartition, ParseError
-from .graph import DegreeHistogram, Graph
+from .graph import DegreeHistogram, Graph, parse_spec_text, spec_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -264,35 +264,16 @@ class BoundSpec:
         return self.eps is None and _VARIANTS[self.variant][1] is not None
 
     def to_text(self) -> str:
-        pairs = (("k", self.k), ("eps", self.eps))
-        args = ",".join(f"{key}={value}" for key, value in pairs if value is not None)
-        return f"{self.variant}:{args}" if args else self.variant
+        return spec_text(self.variant, [("k", self.k), ("eps", self.eps)])
 
 
 def parse_bound_spec(text: str) -> BoundSpec:
-    """Parse the canonical text encoding, e.g. `fkeps:k=2,eps=1/6`."""
-    text = text.strip()
-    name, _, argstr = text.partition(":")
-    args: dict[str, str] = {}
-    if argstr:
-        for piece in argstr.split(","):
-            key, eq, value = piece.partition("=")
-            if not eq or not value:
-                raise ParseError(f"bad bound spec argument {piece!r} in {text!r}")
-            args[key.strip()] = value.strip()
-    if name not in _VARIANTS:
-        raise ParseError(f"unknown bound spec {text!r}")
-    takes_k, top = _VARIANTS[name][:2]
-    required = {"k"} if takes_k else set()
-    missing = required - args.keys()
-    extra = args.keys() - required - ({"eps"} if top else set())
-    if missing or extra:
-        raise ParseError(
-            f"bound spec arguments: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
+    """Parse the canonical text encoding, e.g. `fkeps:k=2,eps=1/6`. Which
+    arguments a variant needs or takes is BoundSpec's check."""
+    name, args = parse_spec_text(text, "bound spec", ("k", "eps"))
     try:
-        eps = Fraction(args["eps"]) if "eps" in args else None
-        return BoundSpec(name, int(args["k"]) if takes_k else None, eps)
+        k = int(args["k"]) if "k" in args else None
+        return BoundSpec(name, k, Fraction(args["eps"]) if "eps" in args else None)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
 

@@ -22,7 +22,14 @@ from forestbound import (
 )
 from forestbound import graph as graph_module
 from forestbound.graph import MAX_VERTICES
-from forestbound.generate import complete_graph, cycle_graph, path_graph, star_graph
+from forestbound.generate import (
+    complete_graph,
+    cycle_graph,
+    parse_gen_spec,
+    path_graph,
+    star_graph,
+)
+from forestbound.weights import parse_bound_spec
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -369,6 +376,10 @@ class TestEdgeListFormat:
 
 
 class TestForestClass:
+    @pytest.mark.parametrize("text", ["linear", "star", "caterpillar", "caterpillar:k=4"])
+    def test_text_is_canonical(self, text):
+        assert ForestClass.from_text(text).to_text() == text
+
     def test_text_round_trip(self):
         for cls in (
             ForestClass("linear"),
@@ -383,6 +394,46 @@ class TestForestClass:
             ForestClass.caterpillar(1)
         with pytest.raises(ParseError):
             ForestClass.from_text("banana")
+
+
+# The three readers of the `name[:key=value,...]` grammar: each one's reader,
+# a name it takes, a key that name takes and what its messages call the text.
+SPEC_READERS = {
+    "bound": (parse_bound_spec, "fkeps", "k", "bound spec"),
+    "gen": (parse_gen_spec, "complete", "n", "generator"),
+    "class": (ForestClass.from_text, "caterpillar", "k", "forest class"),
+}
+
+
+@pytest.mark.parametrize("reader", SPEC_READERS)
+@pytest.mark.parametrize(
+    "template,message",
+    [
+        ("{name}:{key}", "bad {what} argument '{key}' in"),  # a piece without `=`
+        ("{name}:{key}=3,", "bad {what} argument '' in"),
+        ("{name}:", "bad {what} argument '' in"),
+        ("{name}:=3", "bad {what} argument '=3' in"),  # an empty key
+        ("{name}:{key}=", "bad {what} argument '{key}=' in"),  # an empty value
+        ("{name}:{key}= \t", "bad {what} argument '{key}= \\t' in"),  # a whitespace-only value
+        ("{name}:{key}=3,zz=1", "unknown {what} argument 'zz' in"),
+        ("{name}:{key}=3,{key}=4", "{what} argument '{key}' given twice"),
+        ("{name}:{key}=3, {key} =3", "{what} argument '{key}' given twice"),
+    ],
+)
+def test_spec_readers_reject_alike(reader, template, message):
+    read, name, key, what = SPEC_READERS[reader]
+    text = template.format(name=name, key=key)
+    with pytest.raises(ParseError, match=re.escape(message.format(key=key, what=what))):
+        read(text)
+
+
+@pytest.mark.parametrize("reader", SPEC_READERS)
+@pytest.mark.parametrize(
+    "template", [" {name} : {key} = 3 ", "{name}:\t{key}=3", "{name}\n:{key}=3"]
+)
+def test_spec_readers_drop_whitespace_alike(reader, template):
+    read, name, key, _ = SPEC_READERS[reader]
+    assert read(template.format(name=name, key=key)).to_text() == f"{name}:{key}=3"
 
 
 def test_degree_histogram():

@@ -206,7 +206,7 @@ class TestCli:
         Path("k2.cert").write_text("class=caterpillar:k=2\nbound=1/1\nvertices=0 1\n")
         try:
             code = run_cli(*argv)
-        except SystemExit as exc:  # argparse's own errors print usage first
+        except SystemExit as exc:  # argparse's own errors raise SystemExit(3)
             code = exc.code
         assert code == 3
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
@@ -315,6 +315,40 @@ class TestCli:
         assert run_cli("gen", "path:n=4") == 0
         assert len(built) == once
         assert capsys.readouterr().out.endswith("\n4 3\n0 1\n1 2\n2 3\n")
+
+    @pytest.mark.parametrize("argv", [("bound", "g.txt", "flin", "--nope"), ()])
+    def test_argparse_errors_write_one_line(self, workdir, capsys, argv):
+        # an unknown option and a missing subcommand
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "p3.txt", "fkeps:k=2,k=3"),
+            ("gen", "complete:n=3,n=4"),
+            ("verify", "p3.txt", "twice.cert"),
+        ],
+    )
+    def test_repeated_spec_key_exit_code(self, workdir, capsys, argv):
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        Path("twice.cert").write_text("class=caterpillar:k=2,k=3\nbound=1/1\nvertices=0 1\n")
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "given twice in" in captured.err
+
+    @pytest.mark.parametrize("field", ["vertices=0", "bound=3/1", "class=star"])
+    def test_verify_rejects_a_field_given_twice(self, workdir, capsys, field):
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        Path("p3.cert").write_text(f"class=linear\nbound=1/1\nvertices=0 1 2\n{field}\n")
+        assert run_cli("verify", "p3.txt", "p3.cert") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "given twice" in captured.err
 
     def test_missing_file_exit_code(self, workdir, capsys):
         assert run_cli("bound", "missing.txt", "flin") == 3
