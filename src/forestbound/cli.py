@@ -191,6 +191,8 @@ def _verdict(g: Graph, cert, labels: Optional[Partition]) -> int:
 
 def cmd_exact(args) -> int:
     _check_k(args)
+    if args.budget < 0:
+        raise ParseError(f"exact: --budget must be >= 0, got {args.budget}")
     g = _read(args.graph, parse_edge_list)
     labels = _read_partition(args.kind, args.partition)
     if labels is not None:

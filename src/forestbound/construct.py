@@ -4,15 +4,17 @@ corresponding degree-sequence bound.
 
 abc_construct (ABC linear-forest weights) and ab_construct (AB star-forest
 weights) run one reduction engine, `_reduce`, which applies six rules in a
-fixed priority order to one mutable working graph, and re-checks rules 1
-and 3 only near what each step changed. What differs between the two modes
-sits in one rule table each, `_RULES["ABC"]` and `_RULES["AB"]`: weights and
-gains, the leaf rule, the path automaton, the forest class, the rule-id
-prefix (R or S) and the mode's own rule 5. Each applied rule records its graph delta in a trace,
-and rule soundness is enforced with exact rational comparisons at
-application time. No function here recurses, so the constructors' call
-depth does not grow with the input, and every constructor re-verifies its
-final certificate before returning it.
+fixed priority order to one mutable working graph. It re-checks rules 1 and
+3 only near what each step changed, on integer weights and gains scaled by
+one multiple of their denominators, and keeps each vertex's total of its
+neighbors' gains up to date, so each check is one comparison. What differs
+between the two modes sits in one rule table each, `_RULES["ABC"]` and
+`_RULES["AB"]`: weights and gains, the leaf rule, the path automaton, the
+forest class, the rule-id prefix (R or S) and the mode's own rule 5. Each
+applied rule records its graph delta in a trace, and every comparison is
+exact. No function here recurses, so the constructors' call depth does not
+grow with the input, and every constructor re-verifies its final
+certificate before returning it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm
 from typing import Optional
 
 from .errors import BoundMiss, IsolatedVertexPresent, NotCubic, ParseError
@@ -90,9 +93,7 @@ class ReductionTrace:
         return cur
 
     def summary(self) -> str:
-        counts: dict[str, int] = {}
-        for step in self.steps:
-            counts[step.rule] = counts.get(step.rule, 0) + 1
+        counts = Counter(step.rule for step in self.steps)
         return " ".join(f"{rule}:{counts[rule]}" for rule in sorted(counts)) or "-"
 
 
@@ -144,7 +145,7 @@ def caterpillar_forest(g: Graph) -> ForestCertificate:
     """
     if any(g.degree(v) == 0 for v in g.vertices):
         raise IsolatedVertexPresent("caterpillar bound requires minimum degree >= 1")
-    bound = sum((Fraction(2, g.degree(v) + 1) for v in g.vertices), Fraction(0))
+    bound = sum((c * Fraction(2, d + 1) for d, c in g.degree_histogram().counts.items()), _ZERO)
     leaves = {v for v in g.vertices if g.degree(v) == 1}
     inner = greedy_linear_forest(g.delete_vertices(leaves))
     cert = ForestCertificate(
@@ -237,8 +238,8 @@ def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], Redu
             if work.high == 0:
                 for comp in components_of(adj, sorted(work.inst)):
                     picks = _dp_component(work.graph(comp), labels, mode)
-                    need = work.total(comp)
-                    if Fraction(len(picks)) < need:
+                    if len(picks) * work.scale < work.total(comp):
+                        need = Fraction(work.total(comp), work.scale)
                         raise BoundMiss(
                             f"path/cycle optimum {len(picks)} below bound {need}",
                             ForestCertificate(frozenset(picks), table["forest"], need),
@@ -282,7 +283,7 @@ def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], Redu
                 work.graph(inst),
                 Partition({v: labels[v] for v in inst}, mode),
                 trace,
-                work.total(inst),
+                Fraction(work.total(inst), work.scale),
                 f"{prefix}6",
             )
             break
@@ -297,37 +298,50 @@ class _WorkingGraph:
     Instances are disjoint and no edge joins two of them, so one adjacency
     map serves them all.
 
-    Rules 1 and 3 depend only on the (label, degree) pairs of a vertex and
-    of its neighbors. So a step marks dirty the vertices within distance 2
-    of what it changed, and only those are checked again. Vertices that
-    pass wait in heaps, keyed (weight, id) for rule 1 and by id for rule 3;
-    an entry that no longer matches `deletable` or `leaves`, or whose
-    vertex has left the current instance, is dropped when it comes up.
-    Candidates left behind in an instance that rule 2 solved are dead.
-    When rules 1 and 3 both fail on an instance, no vertex of it is a
-    candidate, so the components that rule 4 splits off start with none
-    and need no check until they change.
+    Rules 1 and 3 compare integers: `weights[part, d]` and `gains[part, d]`
+    are the mode's values times `scale`, which all their denominators
+    divide, and `sums[v]` totals the `terms` (scaled gains, 0 at degree 0)
+    of v's neighbors. The tables hold only the keys met so far, so the scale
+    stays small while the degrees met do. A change of v's label or degree
+    moves the change of its term into its neighbors' sums and marks v and
+    them dirty, to be checked again. Passing vertices wait in heaps, keyed
+    (scaled weight, id) for rule 1 and by id for rule 3; an entry that no
+    longer matches `deletable` or `leaves`, or whose vertex has left the
+    instance, is dropped when it comes up; a deleted vertex's entries are
+    never read again. When rules 1 and 3 both fail on an instance, none of
+    its vertices is a candidate, so rule 4's components start with none.
     """
 
     def __init__(self, g: Graph, labels: dict[int, str], table: dict):
-        # One memo per run, of the functions this module's attributes hold
-        # now, so that a wrapper installed there (a profiler, say) sees every
-        # evaluation the run makes.
+        # per-run memos of this module's functions as bound now: a wrapper there sees every call
         self.weight = cache(globals()[table["weight"]])
         self.gain = cache(globals()[table["gain"]])
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self.adj = adj = {v: set(g.neighbors(v)) for v in g.vertices}
         self.labels = labels
         self.inst: set[int] = set()
         self.high = 0
         self.dirty = set(g.vertices)
-        self.deletable: dict[int, Fraction] = {}
-        self.deletable_heap: list[tuple[Fraction, int]] = []
+        self.deletable: dict[int, int] = {}
+        self.deletable_heap: list[tuple[int, int]] = []
         self.leaves: set[int] = set()
         self.leaf_heap: list[int] = []
-        # rule 1's answer by a vertex's label and its neighbors' sorted
-        # (label, degree) pairs, the only things it depends on
-        self.verdicts: dict[tuple, bool] = {}
+        self.scale, self.weights, self.gains = 1, {}, {}
+        self.terms, self.sums = dict.fromkeys(adj, 0), dict.fromkeys(adj, 0)
+        for v in adj:
+            self._touch(v)
+
+    def _cover(self, part: str, d: int) -> None:
+        """Enter (part, d) in the tables. If its denominators do not divide the
+        scale, the scale grows to their lcm, and every stored integer with it."""
+        w, x = self.weight(part, d), self.gain(part, d) if d else _ZERO
+        scale = lcm(self.scale, w.denominator, x.denominator)
+        factor, self.scale = scale // self.scale, scale
+        if factor > 1:
+            for store in (self.weights, self.gains, self.terms, self.sums, self.deletable):
+                store.update((k, y * factor) for k, y in store.items())
+            self.deletable_heap = [(fv * factor, v) for fv, v in self.deletable_heap]
+        self.weights[part, d], self.gains[part, d] = int(w * scale), int(x * scale)
 
     def start(self, inst: set[int]) -> None:
         self.inst = inst
@@ -337,35 +351,28 @@ class _WorkingGraph:
         """An immutable copy of a part of the working graph closed under adjacency."""
         return Graph({v: frozenset(self.adj[v]) for v in vertices})
 
-    def total(self, vertices) -> Fraction:
-        """The vertices' total weight, one product per (label, degree)."""
-        labels, adj = self.labels, self.adj
-        counts = Counter((labels[v], len(adj[v])) for v in vertices)
-        return sum((count * self.weight(*key) for key, count in counts.items()), _ZERO)
+    def total(self, vertices) -> int:
+        """The vertices' total weight times `scale`."""
+        return sum([self.weights[self.labels[v], len(self.adj[v])] for v in vertices])
 
     def refresh(self) -> int:
         """Re-check rules 1 and 3 at the dirty vertices; returns how many."""
-        adj, labels, weight, gain = self.adj, self.labels, self.weight, self.gain
-        inst, deletable, leaves, verdicts = self.inst, self.deletable, self.leaves, self.verdicts
+        adj, labels, weights, sums = self.adj, self.labels, self.weights, self.sums
+        inst, deletable, leaves = self.inst, self.deletable, self.leaves
         checked = 0
         for v in self.dirty:
             if v not in inst:
                 continue
             checked += 1
-            nbrs = adj[v]
-            part = labels[v]
-            fv = weight(part, len(nbrs))
-            around = (part, tuple(sorted([(labels[w], len(adj[w])) for w in nbrs])))
-            ok = verdicts.get(around)
-            if ok is None:
-                ok = verdicts[around] = fv <= sum([gain(*key) for key in around[1]], _ZERO)
-            if ok:
+            part, d = labels[v], len(adj[v])
+            fv = weights[part, d]
+            if fv <= sums[v]:
                 if deletable.get(v) != fv:
                     deletable[v] = fv
                     heapq.heappush(self.deletable_heap, (fv, v))
             else:
                 deletable.pop(v, None)
-            if self._strippable(v, part):
+            if d == 1 and part in self.leaf_parts and self._strippable(v, part):
                 if v not in leaves:
                     leaves.add(v)
                     heapq.heappush(self.leaf_heap, v)
@@ -375,16 +382,17 @@ class _WorkingGraph:
         return checked
 
     def _strippable(self, v: int, part: str) -> bool:
-        """Rule 3's test: v is a leaf whose weight plus its neighbor's weight
+        """Rule 3's test at a leaf v: its weight plus its neighbor's weight
         loss on demotion is at most 1."""
-        if len(self.adj[v]) != 1 or part not in self.leaf_parts:
-            return False
         (w,) = self.adj[v]
         demoted = self.demote.get(self.labels[w])
         if demoted is None:
             return False
-        weight, dw = self.weight, len(self.adj[w])
-        return weight(part, 1) + (weight(self.labels[w], dw) - weight(demoted, dw - 1)) <= 1
+        weights, dw = self.weights, len(self.adj[w])
+        if (demoted, dw - 1) not in weights:  # before any read: this may grow the scale
+            self._cover(demoted, dw - 1)
+        loss = weights[self.labels[w], dw] - weights[demoted, dw - 1]
+        return weights[part, 1] + loss <= self.scale
 
     def lightest_deletable(self) -> Optional[int]:
         """Rule 1's choice: the lightest, then lowest, candidate."""
@@ -405,31 +413,39 @@ class _WorkingGraph:
 
     def apply(self, step: ReductionStep) -> None:
         """Apply a step's graph delta and relabels, marking what they touch."""
-        adj = self.adj
+        adj, terms, sums = self.adj, self.terms, self.sums
         for x, y in step.added_edges:
             for a, b in ((x, y), (y, x)):
                 self.high += len(adj[a]) == 2
                 adj[a].add(b)
+                sums[a] += terms[b]
             self._touch(x)
             self._touch(y)
         for v in step.removed:
             nbrs = adj.pop(v)
             self.inst.discard(v)
-            self.deletable.pop(v, None)
-            self.leaves.discard(v)
             self.high -= len(nbrs) >= 3
             for w in nbrs:
                 self.high -= len(adj[w]) == 3
                 adj[w].discard(v)
+                sums[w] -= terms[v]  # read each time: a touch may grow the scale
                 self._touch(w)
         for v, part in step.relabeled:
             self.labels[v] = part
             self._touch(v)
 
     def _touch(self, v: int) -> None:
-        """Mark v and its neighbors dirty after v's label or degree changed."""
-        self.dirty.add(v)
-        self.dirty.update(self.adj[v])
+        """Move the change of v's term into its neighbors' sums; mark them and v dirty."""
+        nbrs = self.adj[v]
+        key = (self.labels[v], len(nbrs))
+        if key not in self.gains:
+            self._cover(*key)
+        term = self.gains[key]
+        if term != self.terms[v]:
+            change, self.terms[v], sums = term - self.terms[v], term, self.sums
+            for u in nbrs:
+                sums[u] += change
+        self.dirty.update(nbrs, (v,))
 
 
 def _solved(rule: str, vertices, picks, note: str = "") -> ReductionStep:
@@ -489,7 +505,7 @@ def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
     part1, part2 = cubic_partition(Graph({v: frozenset(n) for v, n in contracted.items()}))
     keep = part1 if len(part1) >= len(part2) else part2
     chosen = set(keep) | set(low)
-    if Fraction(len(chosen)) < work.total(g.vertices):
+    if len(chosen) * work.scale < work.total(g.vertices):
         return None
     return _solved("S5", g.vertices, chosen, f"contracted {len(low)} paths")
 

@@ -92,6 +92,8 @@ def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) 
         raise ForestBoundError(f"unknown suite {suite!r}; expected one of {tuple(SUITES)}")
     jobs, default_sizes = SUITES[suite]
     sizes = list(sizes) if sizes is not None else list(default_sizes)
+    if any(n < 1 for n in sizes):
+        raise ForestBoundError(f"sizes must be >= 1, got {','.join(map(str, sizes))}")
     report = HarnessReport(suite, seed, sizes)
     # Each job runs before the suite is asked for its next pair, so a job may
     # read the suite's loop variables directly: never collect the pairs first.

@@ -6,7 +6,7 @@ import pytest
 
 from forestbound import run_suite
 from forestbound.cli import main
-from forestbound.harness import all_labeled_graphs
+from forestbound.harness import SUITES, all_labeled_graphs
 
 
 class TestHarness:
@@ -369,3 +369,24 @@ class TestCli:
         payload1 = [l for l in Path("r1.txt").read_text().splitlines() if not l.startswith("#")]
         payload2 = [l for l in Path("r2.txt").read_text().splitlines() if not l.startswith("#")]
         assert payload1 == payload2
+
+
+@pytest.mark.parametrize("size", [-1, 0])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_harness_rejects_sizes_below_one(workdir, capsys, suite, size):
+    # before any job runs: no report, no record of a check that never ran
+    assert run_cli("harness", suite, "--sizes", "5", str(size), "--out", "rep.txt") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: sizes must be >= 1, got 5,{size}\n"
+    assert not Path("rep.txt").exists()
+
+
+def test_exact_rejects_a_negative_budget(workdir, capsys):
+    run_cli("gen", "complete:n=4", "--out", "k4.txt")
+    capsys.readouterr()
+    assert run_cli("exact", "k4.txt", "linear", "--budget", "-5") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: exact: --budget must be >= 0, got -5\n"
+    # a zero budget explores no node and returns the greedy incumbent
+    assert run_cli("exact", "k4.txt", "linear", "--budget", "0") == 0
+    assert capsys.readouterr().out == "alpha=2\nwitness=2 3\nnodes=0\nexact=no\n"
