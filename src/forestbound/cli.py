@@ -18,7 +18,7 @@ from typing import Optional
 from . import construct, exact, harness
 from .generate import generate as build_generated, parse_gen_spec
 from .errors import BoundMiss, ForestBoundError, ParseError
-from .graph import ForestClass, Graph, format_edge_list, parse_edge_list
+from .graph import ForestClass, format_edge_list, parse_edge_list
 from .partition import Partition, format_partition, parse_partition_file
 from .weights import parse_bound_spec, rat_text, select_eps, total_weight
 
@@ -129,6 +129,8 @@ def cmd_bound(args) -> int:
     g = _read(args.graph, parse_edge_list)
     spec = parse_bound_spec(args.spec)
     labels = _read_partition(spec.variant, args.partition)
+    if labels is not None:
+        labels.validate_for(g)
     hist = g.degree_histogram() if spec.eps_open else None  # total_weight takes it too
     if spec.eps_open:
         eps, d_star = select_eps(spec, hist)
@@ -167,7 +169,7 @@ def cmd_construct(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return _verdict(g, cert, labels)
+    return _verdict(cert, True)  # every constructor verifies, else raises BoundMiss
 
 
 def cmd_verify(args) -> int:
@@ -178,12 +180,13 @@ def cmd_verify(args) -> int:
     if graph_hash not in ("-", "") and graph_hash != g.edge_hash():
         print("verdict=fail reason=graph-hash-mismatch")
         return EXIT_VIOLATION
-    return _verdict(g, cert, labels)
+    if labels is not None:
+        labels.validate_for(g)
+    return _verdict(cert, construct.verify_certificate(g, cert, labels))
 
 
-def _verdict(g: Graph, cert, labels: Optional[Partition]) -> int:
-    """Re-check cert on g and print the verdict line."""
-    ok = construct.verify_certificate(g, cert, labels)
+def _verdict(cert, ok: bool) -> int:
+    """Print the verdict line of cert."""
     bound = rat_text(cert.claimed_bound)
     print(f"verdict={'pass' if ok else 'fail'} size={cert.size()} bound={bound}")
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -29,7 +29,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import BoundMiss, IsolatedVertexPresent, NotCubic, ParseError
-from .exact import DEFAULT_BUDGET, alpha_exact_partitioned
+from .exact import alpha_exact_partitioned
 from .graph import (
     CATERPILLAR_FOREST,
     LINEAR_FOREST,
@@ -526,9 +526,9 @@ def _exact_fallback(
 ) -> set[int]:
     """Rule 6: the exact optimum of a stuck instance, which must meet `need`. Up to
     the threshold the search, which reaches a vertex subset at most once,
-    cannot exhaust the default budget; a larger instance gets _STUCK_BUDGET."""
+    explores at most 2**16 nodes, so only a larger one can exhaust _STUCK_BUDGET."""
     over = g.n > DEFAULT_EXACT_THRESHOLD
-    result = alpha_exact_partitioned(g, p, budget=_STUCK_BUDGET if over else DEFAULT_BUDGET)
+    result = alpha_exact_partitioned(g, p, budget=_STUCK_BUDGET)
     if Fraction(result.alpha) >= need:
         trace.append(_solved(rule, g.vertices, result.witness, "over-threshold" if over else ""))
         return set(result.witness)

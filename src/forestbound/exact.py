@@ -13,13 +13,18 @@ since no subset is reached twice the search needs no memo. Nodes wait on
 an explicit stack and are popped in depth-first order, the children of a
 node in the bit order of W.
 
-Resume invariant: the degree, star and ab finders scan vertices in index
-order and stop at the first one that starts a violation, their anchor.
+Resume invariant: every scan maps (cand, start) to (W, anchor). The
+degree, star, B (of ab) and spine scans walk vertices in index order from
+start and stop at the first one that starts a violation, their anchor.
 Whether a vertex starts one depends only on degrees and neighbourhoods
 inside cand, which deleting vertices only shrinks, so no vertex below the
 anchor starts a violation in any descendant. A child therefore starts its
-scan at its parent's anchor and finds the same W as a scan from vertex 0,
-and a scan that found nothing (anchor n) is skipped in every descendant.
+scan at its parent's anchor and finds the same W as a scan from vertex 0.
+A scan that finds nothing hands off to the class's next scan, which starts
+at max(start - n, 0) and has n added to its anchor; so anchor n + a names
+vertex a of the next scan, and a scan that found nothing is skipped in
+every descendant. The cycle check comes last and does not resume: it
+reports anchor 0 whenever it finds a cycle.
 """
 
 from __future__ import annotations
@@ -83,16 +88,15 @@ class _Search:
             self.caps = [2] * self.n
         elif k is not None:
             self.caps = [k] * self.n
-        # The class's finder, (cand, start) -> (W, anchor), picked here once
-        # rather than at every search node; `_rest` is what the degree
-        # classes check once no vertex is over its cap.
-        self._rest = self._spine_or_cycle if kind == "caterpillar" else self._shortest_cycle
+        # The class's first scan, picked here once rather than at every
+        # search node; `_rest` is the scan the degree scan hands off to.
+        self._rest = self._spine_violation if kind == "caterpillar" else self._shortest_cycle
         if kind == "star":
             self._find = self._star_violation
         elif kind == "ab":
             self._find = self._ab_violation
         elif self.caps is None:
-            self._find = lambda cand, start: (self._rest(cand), 0)
+            self._find = self._rest
         else:
             self._find = self._degree_violation
 
@@ -144,21 +148,25 @@ class _Search:
                     worst, worst_deg = i, d
             cand &= ~(1 << worst)
 
-    # Violation finders return a bitmask W such that every valid subset of the
-    # candidate misses at least one vertex of W, or 0 if the candidate is valid.
-    # The resumable ones take the vertex their scan starts at and also return
-    # their anchor (see the module docstring).
+    # Each scan returns a bitmask W such that every valid subset of the
+    # candidate misses at least one vertex of W, or 0 if the candidate is
+    # valid, and its anchor (see the module docstring).
 
     def _violation(self, cand: int) -> int:
         """W for cand, scanning from vertex 0."""
         return self._find(cand, 0)[0]
 
-    # The finders below run once per search node, so they walk bitmasks
+    def _hand_off(self, scan, cand: int, start: int) -> tuple[int, int]:
+        """The next scan's (W, anchor), shifted past this scan's anchors."""
+        bad, anchor = scan(cand, max(start - self.n, 0))
+        return bad, self.n + anchor
+
+    # The scans below run once per search node, so they walk bitmasks
     # inline (lowest bit first) rather than through _iter_bits.
 
     def _degree_violation(self, cand: int, start: int) -> tuple[int, int]:
         # A vertex over its cap with its neighbors, else the spine or cycle
-        # violation that the class checks next (anchor n: no vertex is over).
+        # violation that the class checks next.
         adj, caps = self.adj, self.caps
         rest = cand >> start << start
         while rest:
@@ -168,7 +176,7 @@ class _Search:
             nbrs = adj[i] & cand
             if nbrs.bit_count() > caps[i]:
                 return low | nbrs, i
-        return self._rest(cand), self.n
+        return self._hand_off(self._rest, cand, start)
 
     def _star_violation(self, cand: int, start: int) -> tuple[int, int]:
         # An adjacent pair of degree->=2 vertices (plus one extra neighbor of
@@ -196,63 +204,54 @@ class _Search:
         return 0, self.n
 
     def _ab_violation(self, cand: int, start: int) -> tuple[int, int]:
-        # Two scans in turn: B vertices with an illegal neighbor (anchors
-        # below n), then the star scan (anchor n + its own anchor).
-        adj, labels, n = self.adj, self.labels, self.n
-        if start < n:
-            rest = cand >> start << start
-            while rest:
-                low_i = rest & -rest
-                rest ^= low_i
-                i = low_i.bit_length() - 1
-                if labels[i] != "B":
-                    continue
-                others = adj[i] & cand
-                while others:
-                    low_j = others & -others
-                    others ^= low_j
-                    j = low_j.bit_length() - 1
-                    if labels[j] == "B":
-                        return low_i | low_j, i
-                    nbrs_j = adj[j] & cand
-                    if nbrs_j.bit_count() >= 2:
-                        return low_i | low_j | nbrs_j, i
-            start = n
-        bad, anchor = self._star_violation(cand, start - n)
-        return bad, n + anchor
-
-    def _spine_or_cycle(self, cand: int) -> int:
-        return self._spine_violation(cand) or self._shortest_cycle(cand)
-
-    def _spine_violation(self, cand: int) -> int:
-        # A vertex with three non-leaf neighbors (each witnessed by a second
-        # neighbor) can never sit inside a caterpillar forest. Such a vertex
-        # is itself a non-leaf, so only non-leaves need scanning.
-        adj = self.adj
-        heavy = 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if (adj[low.bit_length() - 1] & cand).bit_count() >= 2:
-                heavy |= low
-        rest = heavy
+        # The B scan: a B vertex with an illegal neighbor, else the star scan.
+        adj, labels = self.adj, self.labels
+        rest = cand >> start << start
         while rest:
             low_i = rest & -rest
             rest ^= low_i
-            spine = adj[low_i.bit_length() - 1] & heavy
-            if spine.bit_count() < 3:
+            i = low_i.bit_length() - 1
+            if labels[i] != "B":
                 continue
-            bad = low_i
-            for _ in range(3):
-                low_j = spine & -spine
-                spine ^= low_j
-                witness = adj[low_j.bit_length() - 1] & cand & ~low_i
-                bad |= low_j | (witness & -witness)
-            return bad
-        return 0
+            others = adj[i] & cand
+            while others:
+                low_j = others & -others
+                others ^= low_j
+                j = low_j.bit_length() - 1
+                if labels[j] == "B":
+                    return low_i | low_j, i
+                nbrs_j = adj[j] & cand
+                if nbrs_j.bit_count() >= 2:
+                    return low_i | low_j | nbrs_j, i
+        return self._hand_off(self._star_violation, cand, start)
 
-    def _shortest_cycle(self, cand: int) -> int:
+    def _spine_violation(self, cand: int, start: int) -> tuple[int, int]:
+        # A vertex with three non-leaf neighbors (each witnessed by a second
+        # neighbor) can never sit inside a caterpillar forest; else a cycle.
+        adj = self.adj
+        rest = cand >> start << start
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            i = low_i.bit_length() - 1
+            others = adj[i] & cand
+            if others.bit_count() < 3:
+                continue
+            bad, heavy = low_i, 0
+            while others:
+                low_j = others & -others
+                others ^= low_j
+                witness = adj[low_j.bit_length() - 1] & cand & ~low_i
+                if witness:
+                    bad |= low_j | (witness & -witness)
+                    heavy += 1
+                    if heavy == 3:
+                        return bad, i
+        return self._hand_off(self._shortest_cycle, cand, start)
+
+    def _shortest_cycle(self, cand: int, start: int) -> tuple[int, int]:
+        # Not resumable: any deletion can change which cycle is shortest,
+        # so every call tries every root, whatever start is.
         best_mask = 0
         best_len = None
         for root in _iter_bits(cand):
@@ -263,7 +262,7 @@ class _Search:
                     best_mask, best_len = found, length
                 if best_len == 3:
                     break
-        return best_mask
+        return best_mask, 0 if best_mask else self.n
 
     def _bfs_cycle(self, cand: int, root: int) -> int:
         dist = {root: 0}
@@ -278,25 +277,14 @@ class _Search:
                         parent[w] = u
                         nxt.append(w)
                     elif w != parent[u]:
-                        return self._extract_cycle(u, w, parent)
+                        # Close the cycle: walk the deeper end up until
+                        # the two tree paths meet.
+                        mask = 0
+                        while u != w:
+                            if dist[u] < dist[w]:
+                                u, w = w, u
+                            mask |= 1 << u
+                            u = parent[u]
+                        return mask | 1 << w
             frontier = nxt
         return 0
-
-    @staticmethod
-    def _extract_cycle(u: int, w: int, parent: dict[int, int]) -> int:
-        chain = []
-        x = u
-        while x != -1:
-            chain.append(x)
-            x = parent[x]
-        on_chain = set(chain)
-        mask = 0
-        x = w
-        while x not in on_chain:
-            mask |= 1 << x
-            x = parent[x]
-        for y in chain:
-            mask |= 1 << y
-            if y == x:
-                break
-        return mask

@@ -53,8 +53,8 @@ class Partition:
         missing = [v for v in g.vertices if v not in self.labels]
         if missing:
             raise MissingPartition(f"unlabeled vertices: {missing[:8]}")
-        extra = [v for v in self.labels if v not in g]
-        if extra:
+        if len(self.labels) > g.n:  # each vertex has its label; the rest name no vertex
+            extra = [v for v in self.labels if v not in g]
             raise UnknownVertex(f"labels for vertices not in graph: {extra[:8]}")
 
 

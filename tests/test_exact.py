@@ -263,13 +263,13 @@ class RescanSearch(_Search):
 
     def _violation(self, cand: int) -> int:
         if self.kind in ("linear", "abc"):
-            return self._degree_violation(cand) or self._shortest_cycle(cand)
+            return self._degree_violation(cand) or self._shortest_cycle(cand, 0)[0]
         if self.kind == "caterpillar":
             if self.k is not None:
                 bad = self._degree_violation(cand)
                 if bad:
                     return bad
-            return self._spine_violation(cand) or self._shortest_cycle(cand)
+            return self._spine_violation(cand) or self._shortest_cycle(cand, 0)[0]
         if self.kind == "star":
             return self._star_violation(cand)
         if self.kind == "ab":
@@ -309,6 +309,34 @@ class RescanSearch(_Search):
                 extra_i = nbrs_i ^ low_j
                 extra_j = nbrs_j ^ low_i
                 return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j)
+        return 0
+
+    def _spine_violation(self, cand: int) -> int:
+        # A vertex with three non-leaf neighbors (each witnessed by a second
+        # neighbor) can never sit inside a caterpillar forest. Such a vertex
+        # is itself a non-leaf, so only non-leaves need scanning.
+        adj = self.adj
+        heavy = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & cand).bit_count() >= 2:
+                heavy |= low
+        rest = heavy
+        while rest:
+            low_i = rest & -rest
+            rest ^= low_i
+            spine = adj[low_i.bit_length() - 1] & heavy
+            if spine.bit_count() < 3:
+                continue
+            bad = low_i
+            for _ in range(3):
+                low_j = spine & -spine
+                spine ^= low_j
+                witness = adj[low_j.bit_length() - 1] & cand & ~low_i
+                bad |= low_j | (witness & -witness)
+            return bad
         return 0
 
     def _ab_violation(self, cand: int) -> int:
@@ -411,6 +439,44 @@ def test_resumed_degree_scan_examines_at_most_half_the_vertices():
     ref = CountedRescan(g, "linear")
     assert new.run(10**6) == ref.run(10**6)
     assert 0 < new.examined <= ref.examined // 2
+
+
+def spine_scan_length(search: _Search, cand: int, start: int) -> int:
+    """The vertices a spine scan of cand from start examines: those of cand
+    from start up to the first one with three neighbors of degree >= 2 in
+    cand, or to the end."""
+    count = 0
+    for i in range(start, search.n):
+        if cand >> i & 1:
+            count += 1
+            nbrs = _iter_bits(search.adj[i] & cand)
+            if sum(1 for j in nbrs if search.adj[j] & cand & ~(1 << i)) >= 3:
+                break
+    return count
+
+
+class CountedSpineSearch(_Search):
+    examined = 0
+
+    def _spine_violation(self, cand, start):
+        self.examined += spine_scan_length(self, cand, start)
+        return super()._spine_violation(cand, start)
+
+
+class CountedSpineRescan(RescanSearch):
+    examined = 0
+
+    def _spine_violation(self, cand):
+        self.examined += spine_scan_length(self, cand, 0)
+        return super()._spine_violation(cand)
+
+
+def test_resumed_spine_scan_examines_at_most_seven_tenths_of_the_vertices():
+    g = gnp(22, 0.3, 7)
+    new = CountedSpineSearch(g, "caterpillar")
+    ref = CountedSpineRescan(g, "caterpillar")
+    assert new.run(10**6) == ref.run(10**6)
+    assert 0 < new.examined <= 0.7 * ref.examined
 
 
 def test_linear_forest_on_gnp28_is_exact_within_2m_nodes():

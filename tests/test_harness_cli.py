@@ -228,6 +228,49 @@ class TestCli:
         out = capsys.readouterr().out
         assert "verdict=pass" in out
 
+    @pytest.mark.parametrize(
+        "argv", [("bound", "abc"), ("verify", "p3.cert"), ("construct", "abc"), ("exact", "abc")]
+    )
+    def test_every_command_rejects_labels_for_absent_vertices(self, workdir, capsys, argv):
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        Path("extra.part").write_text("0 A\n1 A\n2 A\n7 A\n")
+        Path("p3.cert").write_text("class=linear\nbound=1/1\nvertices=0 1 2\n")
+        command, arg = argv
+        assert run_cli(command, "p3.txt", arg, "--partition", "extra.part") == 3
+        assert capsys.readouterr().err == "error: labels for vertices not in graph: [7]\n"
+
+    def test_verify_checks_the_graph_hash_before_the_partition(self, workdir, capsys):
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        Path("extra.part").write_text("0 A\n1 A\n2 A\n7 A\n")
+        Path("p3.cert").write_text("graph=0123\nclass=linear\nbound=1/1\nvertices=0 1 2\n")
+        assert run_cli("verify", "p3.txt", "p3.cert", "--partition", "extra.part") == 2
+        assert capsys.readouterr().out == "verdict=fail reason=graph-hash-mismatch\n"
+
+    @pytest.mark.parametrize("kind", [("linear",), ("caterpillar", "--k", "3"), ("star",)])
+    def test_construct_verifies_as_often_as_its_constructor(
+        self, workdir, capsys, monkeypatch, kind
+    ):
+        from forestbound import construct
+        from forestbound.graph import parse_edge_list
+
+        build = {
+            "linear": construct.greedy_linear_forest,
+            "caterpillar": lambda g: construct.k_caterpillar_forest(g, 3),
+            "star": construct.star_forest,
+        }[kind[0]]
+        calls = []
+        verify = construct.verify_certificate
+        monkeypatch.setattr(
+            construct, "verify_certificate", lambda *args: calls.append(1) or verify(*args)
+        )
+        run_cli("gen", "gnp:n=30,p=0.2,seed=3", "--out", "g.txt")
+        build(parse_edge_list(Path("g.txt").read_text()))
+        direct = len(calls)
+        calls.clear()
+        assert run_cli("construct", "g.txt", *kind) == 0
+        assert "verdict=pass" in capsys.readouterr().out
+        assert 0 < len(calls) == direct
+
     def test_exact_subcommand(self, workdir, capsys):
         run_cli("gen", "kprime:n=3", "--out", "kp.txt")
         capsys.readouterr()
