@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import construct, exact, harness
 from .generate import generate as build_generated, parse_gen_spec
-from .errors import BoundMiss, ForestBoundError, ParseError
-from .graph import ForestClass, format_edge_list, parse_edge_list
+from .errors import BoundMiss, ForestBoundError, InvalidSpec, ParseError
+from .graph import format_edge_list, parse_edge_list
 from .partition import Partition, format_partition, parse_partition_file
 from .weights import parse_bound_spec, rat_text, select_eps, total_weight
 
@@ -47,24 +47,20 @@ def _read(path: str, parse, *args):
     return parse(text, *args)
 
 
-# The partition mode of each kind that takes a partition: the abc/abstar
-# bound variants, the abc/ab construct and exact kinds, and the classes of
-# the certificates those constructions write.
-_PARTITION_MODES = {
-    "abc": "ABC", "abstar": "AB", "ab": "AB", "class=linear": "ABC", "class=star": "AB",
-}
+# The partition modes of the kinds that read one, by bound variant and by forest class.
+_MODE_OF_VARIANT = {row.spec.variant: row.mode for row in construct.KINDS.values() if row.mode}
+_MODE_OF_CLASS = {row.forest: row.mode for row in construct.KINDS.values() if row.mode}
 
 
-def _read_partition(kind: str, path: Optional[str], required: bool = True) -> Optional[Partition]:
-    """The partition file at path, read in kind's mode. A kind without a mode
-    takes no partition; one with a mode needs it, unless not required."""
-    mode = _PARTITION_MODES.get(kind)
+def _read_partition(name: str, mode, path: Optional[str], required=True) -> Optional[Partition]:
+    """The partition file at path, read in mode. With no mode, `name` (what
+    the error messages name) takes no partition; with one it needs it, if required."""
     if path is None:
         if mode is not None and required:
-            raise ParseError(f"{kind} needs --partition")
+            raise ParseError(f"{name} needs --partition")
         return None
     if mode is None:
-        raise ParseError(f"{kind} takes no --partition")
+        raise ParseError(f"{name} takes no --partition")
     return _read(path, parse_partition_file, mode)
 
 
@@ -82,10 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cons = sub.add_parser("construct", help="build and verify a certificate")
     p_cons.add_argument("graph")
-    p_cons.add_argument(
-        "kind", choices=["linear", "caterpillar", "star", "abc", "ab"],
-        help="certificate family",
-    )
+    p_cons.add_argument("kind", choices=list(construct.KINDS), help="certificate family")
     p_cons.add_argument("--k", type=int, help="degree bound for caterpillar forests")
     p_cons.add_argument("--partition", help="partition file (required for abc/ab)")
     p_cons.add_argument("--out", help="certificate output file (default stdout)")
@@ -99,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact optimum by branch and bound")
     p_exact.add_argument("graph")
-    p_exact.add_argument("kind", choices=["linear", "caterpillar", "star", "abc", "ab"])
+    p_exact.add_argument("kind", choices=list(construct.KINDS))
     p_exact.add_argument("--k", type=int)
     p_exact.add_argument("--partition")
     p_exact.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
@@ -128,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_bound(args) -> int:
     g = _read(args.graph, parse_edge_list)
     spec = parse_bound_spec(args.spec)
-    labels = _read_partition(spec.variant, args.partition)
+    labels = _read_partition(spec.variant, _MODE_OF_VARIANT.get(spec.variant), args.partition)
     if labels is not None:
         labels.validate_for(g)
     hist = g.degree_histogram() if spec.eps_open else None  # total_weight takes it too
@@ -142,28 +135,18 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _check_k(args) -> None:
-    """construct and exact take --k, a degree bound >= 2, for caterpillars only."""
-    if args.k is not None and (args.kind != "caterpillar" or args.k < 2):
+def _kind(args) -> construct.Kind:
+    """The row of construct's or exact's kind; only caterpillars take --k, a bound >= 2."""
+    try:
+        return construct.kind_row(args.kind, args.k)
+    except (InvalidSpec, ValueError):
         raise ParseError(f"{args.command} {args.kind}: --k is a caterpillar degree bound >= 2")
 
 
 def cmd_construct(args) -> int:
-    _check_k(args)
+    kind = _kind(args)
     g = _read(args.graph, parse_edge_list)
-    labels = _read_partition(args.kind, args.partition)
-    trace = None
-    if args.kind == "linear":
-        cert = construct.greedy_linear_forest(g)
-    elif args.kind == "caterpillar" and args.k is None:
-        cert = construct.caterpillar_forest(g)
-    elif args.kind == "caterpillar":
-        cert = construct.k_caterpillar_forest(g, args.k)
-    elif args.kind == "star":
-        cert = construct.star_forest(g)
-    else:
-        engine = construct.abc_construct if args.kind == "abc" else construct.ab_construct
-        cert, trace = engine(g, labels)
+    cert, trace = kind.build(g, _read_partition(args.kind, kind.mode, args.partition))
     text = construct.certificate_to_text(cert, g.edge_hash(), trace)
     if args.out:
         Path(args.out).write_text(text)
@@ -175,8 +158,8 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     g = _read(args.graph, parse_edge_list)
     cert, graph_hash = _read(args.certificate, construct.certificate_from_text)
-    kind = f"class={cert.forest_class.to_text()}"
-    labels = _read_partition(kind, args.partition, required=False)
+    name, mode = f"class={cert.forest_class.to_text()}", _MODE_OF_CLASS.get(cert.forest_class)
+    labels = _read_partition(name, mode, args.partition, required=False)
     if graph_hash not in ("-", "") and graph_hash != g.edge_hash():
         print("verdict=fail reason=graph-hash-mismatch")
         return EXIT_VIOLATION
@@ -193,15 +176,15 @@ def _verdict(cert, ok: bool) -> int:
 
 
 def cmd_exact(args) -> int:
-    _check_k(args)
+    kind = _kind(args)
     if args.budget < 0:
         raise ParseError(f"exact: --budget must be >= 0, got {args.budget}")
     g = _read(args.graph, parse_edge_list)
-    labels = _read_partition(args.kind, args.partition)
+    labels = _read_partition(args.kind, kind.mode, args.partition)
     if labels is not None:
         res = exact.alpha_exact_partitioned(g, labels, args.budget)
     else:
-        res = exact.alpha_exact(g, ForestClass(args.kind, args.k), args.budget)
+        res = exact.alpha_exact(g, kind.forest, args.budget)
     print(f"alpha={res.alpha}")
     print(f"witness={' '.join(map(str, sorted(res.witness)))}")
     print(f"nodes={res.nodes_explored}")

@@ -13,14 +13,20 @@ between the two modes sits in one rule table each, `_RULES["ABC"]` and
 forest class, the rule-id prefix (R or S) and the mode's own rule 5. Each
 applied rule records its graph delta in a trace, and every comparison is
 exact. No function here recurses, so the constructors' call depth does not
-grow with the input, and every constructor re-verifies its final
-certificate before returning it.
+grow with the input.
+
+`KINDS` has one row per kind that `construct` and `exact` take: its forest
+class, its partition mode (None if it takes no partition), its bound as a
+named BoundSpec and its constructor; `kind_row` gives the caterpillar row
+for a degree bound k. Every constructor ends in `_certify`, which sums the
+row's bound with `total_weight` and raises BoundMiss unless
+`verify_certificate` passes the certificate.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -108,7 +114,6 @@ def greedy_linear_forest(g: Graph) -> ForestCertificate:
     (the bound never decreases under such a deletion), then takes every path
     component whole and every cycle component minus one vertex.
     """
-    bound = total_weight(g, BoundSpec.flin())
     adj = {v: set(g.neighbors(v)) for v in g.vertices}
     # buckets[d] is a heap of the vertices last seen at degree d. Degrees
     # only fall, so `top` only falls, and an entry whose vertex has since
@@ -132,27 +137,21 @@ def greedy_linear_forest(g: Graph) -> ForestCertificate:
             chosen |= comp - {min(comp)}
         else:
             chosen |= comp
-    cert = ForestCertificate(frozenset(chosen), LINEAR_FOREST, bound)
-    _check_certificate("greedy_linear_forest", g, cert)
-    return cert
+    return _certify("greedy_linear_forest", g, chosen, KINDS["linear"])
 
 
 def caterpillar_forest(g: Graph) -> ForestCertificate:
-    """Induced caterpillar forest of size at least sum of 2/(d(v)+1).
+    """Induced caterpillar forest of size at least the `aks` bound, the sum
+    of 2/(d(v)+1).
 
     Strips the degree-1 vertices, builds a linear forest of the remainder,
     and adds the stripped vertices back.
     """
     if any(g.degree(v) == 0 for v in g.vertices):
         raise IsolatedVertexPresent("caterpillar bound requires minimum degree >= 1")
-    bound = sum((c * Fraction(2, d + 1) for d, c in g.degree_histogram().counts.items()), _ZERO)
     leaves = {v for v in g.vertices if g.degree(v) == 1}
     inner = greedy_linear_forest(g.delete_vertices(leaves))
-    cert = ForestCertificate(
-        frozenset(set(inner.vertex_set) | leaves), CATERPILLAR_FOREST, bound
-    )
-    _check_certificate("caterpillar_forest", g, cert)
-    return cert
+    return _certify("caterpillar_forest", g, inner.vertex_set | leaves, KINDS["caterpillar"])
 
 
 def cubic_partition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
@@ -198,11 +197,8 @@ def _construct(mode: str, g: Graph, p: Partition) -> tuple[ForestCertificate, Re
     if p.mode != mode:
         raise ParseError(f"{table['name']} needs an {mode} partition")
     p.validate_for(g)
-    bound = total_weight(g, table["bound"], p)
     chosen, trace = _reduce(g, dict(p.labels), mode)
-    cert = ForestCertificate(frozenset(chosen), table["forest"], bound)
-    _check_certificate(table["name"], g, cert, p)
-    return cert, trace
+    return _certify(table["name"], g, chosen, KINDS[table["kind"]], p), trace
 
 
 def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], ReductionTrace]:
@@ -634,13 +630,14 @@ def _dp_path(
 
 
 # ---------------------------------------------------------------------------
-# Rule tables. Rule i of a mode is logged as its prefix followed by i.
+# Tables: the engine's rules and the construct/exact kinds. Rule i of a
+# mode is logged as its prefix followed by i.
 
 _RULES = {
     "ABC": {
         "name": "abc_construct",
+        "kind": "abc",
         "prefix": "R",
-        "bound": BoundSpec.abc(),
         "forest": LINEAR_FOREST,
         # Names of module attributes; `_WorkingGraph` resolves them per run.
         "weight": "abc_weight",
@@ -664,8 +661,8 @@ _RULES = {
     },
     "AB": {
         "name": "ab_construct",
+        "kind": "ab",
         "prefix": "S",
-        "bound": BoundSpec.abstar(),
         "forest": STAR_FOREST,
         "weight": "ab_star_weight",
         "gain": "ab_star_gain",
@@ -688,6 +685,32 @@ _RULES = {
 }
 
 
+# A kind's constructor maps (g, partition or None) to (certificate, trace or
+# None). The rows call it by name, so a wrapper put on this module sees the call.
+Kind = namedtuple("Kind", "forest mode spec build")
+KINDS = {
+    "linear": Kind(
+        LINEAR_FOREST, None, BoundSpec.flin(), lambda g, p: (greedy_linear_forest(g), None)
+    ),
+    "caterpillar": Kind(
+        CATERPILLAR_FOREST, None, BoundSpec("aks"), lambda g, p: (caterpillar_forest(g), None)
+    ),
+    "star": Kind(STAR_FOREST, None, BoundSpec.star(), lambda g, p: (star_forest(g), None)),
+    "abc": Kind(LINEAR_FOREST, "ABC", BoundSpec.abc(), lambda g, p: abc_construct(g, p)),
+    "ab": Kind(STAR_FOREST, "AB", BoundSpec.abstar(), lambda g, p: ab_construct(g, p)),
+}
+
+
+def kind_row(kind: str, k: Optional[int] = None) -> Kind:
+    """The row of kind, or with a degree bound k that of the k-caterpillar
+    kind: InvalidSpec if k < 2, ValueError if kind is not a caterpillar."""
+    if k is None:
+        return KINDS[kind]
+    spec = BoundSpec.hkg(k)
+    forest = ForestClass(KINDS[kind].forest.kind, k)
+    return Kind(forest, None, spec, lambda g, p: (k_caterpillar_forest(g, k), None))
+
+
 # ---------------------------------------------------------------------------
 # Bound-specific wrappers
 
@@ -699,16 +722,14 @@ def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     drops have made new leaves, then hands each component's leaf-stripped
     core to the ABC engine, labeled by how many leaves each vertex carries.
     """
-    bound = total_weight(g, BoundSpec.hkg(k))
+    kind = kind_row("caterpillar", k)
     chosen = _leaf_core_forest(
         g.delete_vertices(_overloaded(g, k)),
         abc_construct,
         "ABC",
         lambda carried: "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C"),
     )
-    cert = ForestCertificate(frozenset(chosen), ForestClass.caterpillar(k), bound)
-    _check_certificate("k_caterpillar_forest", g, cert)
-    return cert
+    return _certify("k_caterpillar_forest", g, chosen, kind)
 
 
 def _overloaded(g: Graph, k: int) -> set[int]:
@@ -740,11 +761,8 @@ def star_forest(g: Graph) -> ForestCertificate:
     Hands each component's leaf-stripped core to the AB engine, labeled by
     whether each vertex carried a leaf.
     """
-    bound = total_weight(g, BoundSpec.star())
     chosen = _leaf_core_forest(g, ab_construct, "AB", lambda carried: "B" if carried else "A")
-    cert = ForestCertificate(frozenset(chosen), STAR_FOREST, bound)
-    _check_certificate("star_forest", g, cert)
-    return cert
+    return _certify("star_forest", g, chosen, KINDS["star"])
 
 
 def _leaf_core_forest(g: Graph, engine, mode: str, label) -> set[int]:
@@ -768,6 +786,15 @@ def _leaf_core_forest(g: Graph, engine, mode: str, label) -> set[int]:
 # Verification and serialization
 
 
+def _certify(name: str, g: Graph, chosen, kind: Kind, p=None) -> ForestCertificate:
+    """The certificate of `chosen` in kind's class against kind's bound; raises
+    BoundMiss, naming the constructor `name`, unless verify_certificate passes it."""
+    cert = ForestCertificate(frozenset(chosen), kind.forest, total_weight(g, kind.spec, p))
+    if not verify_certificate(g, cert, p):
+        raise BoundMiss(f"{name} produced an invalid certificate", cert)
+    return cert
+
+
 def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Partition] = None) -> bool:
     """Check class membership, optional per-part constraints, and the bound."""
     if not set(cert.vertex_set) <= set(g.vertices):
@@ -788,13 +815,6 @@ def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Parti
                     ):
                         return False
     return Fraction(len(cert.vertex_set)) >= cert.claimed_bound
-
-
-def _check_certificate(
-    name: str, g: Graph, cert: ForestCertificate, p: Optional[Partition] = None
-) -> None:
-    if not verify_certificate(g, cert, p):
-        raise BoundMiss(f"{name} produced an invalid certificate", cert)
 
 
 def certificate_to_text(
@@ -825,10 +845,13 @@ def certificate_from_text(text: str) -> tuple[ForestCertificate, str]:
     try:
         forest_class = ForestClass.from_text(fields["class"])
         bound = Fraction(fields["bound"])
-        vertex_set = frozenset(int(tok) for tok in fields["vertices"].split())
+        vertices = [int(tok) for tok in fields["vertices"].split()]
     except KeyError as exc:
         raise ParseError(f"certificate missing field {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad certificate value: {exc}") from exc
+    twice = sorted(v for v, c in Counter(vertices).items() if c > 1)
+    if twice:
+        raise ParseError(f"certificate vertices given twice: {twice[:8]}")
     graph_hash = fields.get("graph", "-")
-    return ForestCertificate(vertex_set, forest_class, bound), graph_hash
+    return ForestCertificate(frozenset(vertices), forest_class, bound), graph_hash

@@ -192,6 +192,8 @@ def _leaf_tags(g: Graph, labels):
 # its degree if the variant is untagged and (tag, degree) otherwise.
 _VARIANTS = {
     "flin": (False, None, None, lambda k, eps, d: f_lin(d)),
+    # the Alon-Kahn-Seymour weight at k = 1, the caterpillar forest bound
+    "aks": (False, None, None, lambda k, eps, d: min(_ONE, Fraction(2, d + 1))),
     "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
     "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
     "hkg": (True, None, _leaf_tags, lambda k, eps, key: hkg_weight(k, *key)),
@@ -205,9 +207,9 @@ _VARIANTS = {
 class BoundSpec:
     """Which weight family to sum over a graph.
 
-    variant is one of flin, fkeps, fk, hkg, star, abc, abstar. For fkeps and
-    star an eps of None means "pick the optimal epsilon for the graph's
-    degree histogram".
+    variant is one of flin, aks, fkeps, fk, hkg, star, abc, abstar. For
+    fkeps and star an eps of None means "pick the optimal epsilon for the
+    graph's degree histogram".
     """
 
     variant: str

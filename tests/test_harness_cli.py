@@ -77,6 +77,43 @@ class TestHarness:
             for r in report.records
         )
 
+    def test_harness_verifies_each_construction_once(self, monkeypatch):
+        from collections import Counter
+
+        from forestbound import construct
+
+        calls = Counter()
+
+        def counted(key, fn):
+            return lambda *args: calls.update([key]) or fn(*args)
+
+        monkeypatch.setattr(
+            construct, "verify_certificate", counted("verify", construct.verify_certificate)
+        )
+        for name in ("greedy_linear_forest", "abc_construct"):
+            monkeypatch.setattr(construct, name, counted("build", getattr(construct, name)))
+        assert run_suite("exhaustive-small", sizes=[1, 2, 3]).failures == 0
+        assert calls == {"verify": 11, "build": 11}  # 1 + 2 + 8 graphs
+        calls.clear()
+        _, job = next(iter(SUITES["abc-lemma"][0](0, [8])))
+        assert all(r["status"] == "pass" for r in job())
+        assert calls == {"verify": 1, "build": 1}
+
+    def test_a_bound_miss_fails_its_record(self, monkeypatch):
+        from forestbound import construct
+        from forestbound.errors import BoundMiss
+
+        def missed(*args):
+            raise BoundMiss("missed")
+
+        monkeypatch.setattr(construct, "greedy_linear_forest", missed)
+        (record,) = run_suite("exhaustive-small", sizes=[3]).records
+        assert (record["violations"], record["status"]) == (8, "fail")
+        monkeypatch.setattr(construct, "abc_construct", missed)
+        _, job = next(iter(SUITES["abc-lemma"][0](0, [8])))
+        assert job() == [{"instance": "abc:n=8,seed=80", "check": "abc-construct",
+                          "error": "BoundMiss", "status": "fail"}]
+
     def test_unknown_suite(self):
         from forestbound.errors import ForestBoundError
 
@@ -392,6 +429,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "given twice" in captured.err
+
+    def test_verify_rejects_a_vertex_listed_twice(self, workdir, capsys):
+        Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+        Path("p3.cert").write_text("class=linear\nbound=1/1\nvertices=0 0\n")
+        assert run_cli("verify", "p3.txt", "p3.cert") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certificate vertices given twice: [0]\n"
+
+    def test_construct_bound_is_its_kinds_named_bound(self, workdir, capsys):
+        from golden_corpus import CLI_KINDS, cli_inputs
+
+        from forestbound import construct, format_edge_list, format_partition
+
+        compared = set()
+        for name, g, abc_p, ab_p in cli_inputs():
+            Path("g.txt").write_text(format_edge_list(g))
+            Path("g.abc").write_text(format_partition(abc_p))
+            Path("g.ab").write_text(format_partition(ab_p))
+            for kind in CLI_KINDS:
+                argv = [{"{ABC}": "g.abc", "{AB}": "g.ab"}.get(a, a) for a in kind]
+                if run_cli("construct", "g.txt", *argv, "--out", "g.cert") != 0:
+                    capsys.readouterr()
+                    continue
+                k = int(argv[2]) if argv[1:2] == ["--k"] else None
+                spec = construct.kind_row(argv[0], k).spec.to_text()
+                capsys.readouterr()
+                partition = argv[1:] if k is None else []
+                assert run_cli("bound", "g.txt", spec, *partition) == 0
+                printed = capsys.readouterr().out.splitlines()[-1].split()[0]
+                claimed = [x for x in Path("g.cert").read_text().splitlines() if "bound=" in x]
+                assert claimed == [printed], (name, kind)
+                compared.add(argv[0] if k is None else f"{argv[0]}:k={k}")
+        assert compared == {"linear", "caterpillar", "caterpillar:k=2", "caterpillar:k=3",
+                            "star", "abc", "ab"}
+
+    def test_aks_bound_of_an_isolated_vertex_is_one(self, workdir, capsys):
+        Path("k1.txt").write_text("1 0\n")
+        assert run_cli("bound", "k1.txt", "aks") == 0
+        assert capsys.readouterr().out == "bound=1/1 (~1.000000)\n"
 
     def test_missing_file_exit_code(self, workdir, capsys):
         assert run_cli("bound", "missing.txt", "flin") == 3
