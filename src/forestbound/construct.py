@@ -7,20 +7,20 @@ weights) run one reduction engine, `_reduce`, which applies six rules in a
 fixed priority order to one mutable working graph. It re-checks rules 1 and
 3 only near what each step changed, on integer weights and gains scaled by
 one multiple of their denominators, and keeps each vertex's total of its
-neighbors' gains up to date, so each check is one comparison. What differs
-between the two modes sits in one rule table each, `_RULES["ABC"]` and
+neighbors' gains up to date, so each check is one comparison. Rules 2 and 6
+settle a whole instance through one bound check, `_settle`. What differs
+between the two modes' rules sits in one table each, `_RULES["ABC"]` and
 `_RULES["AB"]`: weights and gains, the leaf rule, the path automaton, the
-forest class, the rule-id prefix (R or S) and the mode's own rule 5. Each
-applied rule records its graph delta in a trace, and every comparison is
-exact. No function here recurses, so the constructors' call depth does not
-grow with the input.
+rule-id prefix (R or S) and the mode's own rule 5. Each applied rule records
+its graph delta in a trace, and every comparison is exact. No function here
+recurses, so the constructors' call depth does not grow with the input.
 
 `KINDS` has one row per kind that `construct` and `exact` take: its forest
-class, its partition mode (None if it takes no partition), its bound as a
-named BoundSpec and its constructor; `kind_row` gives the caterpillar row
-for a degree bound k. Every constructor ends in `_certify`, which sums the
-row's bound with `total_weight` and raises BoundMiss unless
-`verify_certificate` passes the certificate.
+class (for `abc` and `ab`, the engine's), its partition mode (None if it
+takes no partition), its bound as a named BoundSpec and its constructor;
+`kind_row` gives the caterpillar row for a degree bound k. Every constructor
+ends in `_certify`, which sums the row's bound with `total_weight` and
+raises BoundMiss unless `verify_certificate` passes the certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .errors import BoundMiss, IsolatedVertexPresent, NotCubic, ParseError
 from .exact import alpha_exact_partitioned
@@ -183,33 +183,33 @@ def cubic_partition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
 def abc_construct(g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     """Linear forest respecting the ABC degree caps, of size at least the
     partition-weighted bound."""
-    return _construct("ABC", g, p)
+    return _construct("abc", g, p)
 
 
 def ab_construct(g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     """Star forest respecting the AB edge condition, of size at least the
     partition-weighted bound."""
-    return _construct("AB", g, p)
+    return _construct("ab", g, p)
 
 
-def _construct(mode: str, g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
-    table = _RULES[mode]
-    if p.mode != mode:
-        raise ParseError(f"{table['name']} needs an {mode} partition")
+def _construct(kind: str, g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
+    row, name = KINDS[kind], f"{kind}_construct"
+    if p.mode != row.mode:
+        raise ParseError(f"{name} needs an {row.mode} partition")
     p.validate_for(g)
-    chosen, trace = _reduce(g, dict(p.labels), mode)
-    return _certify(table["name"], g, chosen, KINDS[table["kind"]], p), trace
+    chosen, trace = _reduce(g, dict(p.labels), row)
+    return _certify(name, g, chosen, row, p), trace
 
 
-def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], ReductionTrace]:
-    """Apply the rules of `_RULES[mode]` in priority order until nothing is left.
+def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], ReductionTrace]:
+    """Apply the rules of `_RULES[row.mode]` in priority order until nothing is left.
 
     Pending instances wait on an explicit stack. Each step applies the first
     rule that fits the current instance; components split off by rule 4 are
     pushed in reverse, so they are solved, and logged, in order of their
     smallest vertex. All instances share one `_WorkingGraph`.
     """
-    table = _RULES[mode]
+    table = _RULES[row.mode]
     prefix = table["prefix"]
     trace = ReductionTrace()
     chosen: set[int] = set()
@@ -233,15 +233,8 @@ def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], Redu
             # solved optimally by dynamic programming.
             if work.high == 0:
                 for comp in components_of(adj, sorted(work.inst)):
-                    picks = _dp_component(work.graph(comp), labels, mode)
-                    if len(picks) * work.scale < work.total(comp):
-                        need = Fraction(work.total(comp), work.scale)
-                        raise BoundMiss(
-                            f"path/cycle optimum {len(picks)} below bound {need}",
-                            ForestCertificate(frozenset(picks), table["forest"], need),
-                        )
-                    trace.append(_solved(f"{prefix}2", comp, picks))
-                    chosen |= picks
+                    picks = _dp_component(work.graph(comp), labels, row.mode)
+                    chosen |= _settle(work, trace, f"{prefix}2", comp, picks, row.forest)
                 break
 
             # 3: strip a leaf whose weight survives re-adding it after demoting
@@ -273,15 +266,14 @@ def _reduce(g: Graph, labels: dict[int, str], mode: str) -> tuple[set[int], Redu
                 chosen.update(step.chosen)
                 continue
 
-            # 6: constrained exact search.
+            # 6: constrained exact search. Up to the threshold the search,
+            # which reaches a vertex subset at most once, explores at most
+            # 2**16 nodes, so only a larger instance can exhaust _STUCK_BUDGET.
             inst = work.inst
-            chosen |= _exact_fallback(
-                work.graph(inst),
-                Partition({v: labels[v] for v in inst}, mode),
-                trace,
-                Fraction(work.total(inst), work.scale),
-                f"{prefix}6",
-            )
+            part = Partition({v: labels[v] for v in inst}, row.mode)
+            result = alpha_exact_partitioned(work.graph(inst), part, budget=_STUCK_BUDGET)
+            note = "over-threshold" if len(inst) > DEFAULT_EXACT_THRESHOLD else ""
+            chosen |= _settle(work, trace, f"{prefix}6", inst, result.witness, row.forest, note)
             break
     return chosen, trace
 
@@ -444,6 +436,21 @@ class _WorkingGraph:
         self.dirty.update(nbrs, (v,))
 
 
+def _settle(
+    work: _WorkingGraph, trace: ReductionTrace, rule: str, vertices, picks, forest, note=""
+) -> AbstractSet[int]:
+    """Settle an instance by keeping `picks`: log the step and return them if they
+    meet the vertices' total weight, else raise BoundMiss with their certificate
+    in `forest` at the exact need."""
+    total = work.total(vertices)
+    if len(picks) * work.scale < total:
+        need = Fraction(total, work.scale)
+        message = f"{rule} kept {len(picks)} of {len(vertices)} vertices, below the bound {need}"
+        raise BoundMiss(message, ForestCertificate(frozenset(picks), forest, need))
+    trace.append(_solved(rule, vertices, picks, note))
+    return picks
+
+
 def _solved(rule: str, vertices, picks, note: str = "") -> ReductionStep:
     """The step of a rule that settles a whole instance, keeping `picks`."""
     return ReductionStep(
@@ -515,24 +522,6 @@ def _within_distance(g: Graph, start: int, targets: set[int], radius: int) -> bo
             return True
         seen |= frontier
     return False
-
-
-def _exact_fallback(
-    g: Graph, p: Partition, trace: ReductionTrace, need: Fraction, rule: str
-) -> set[int]:
-    """Rule 6: the exact optimum of a stuck instance, which must meet `need`. Up to
-    the threshold the search, which reaches a vertex subset at most once,
-    explores at most 2**16 nodes, so only a larger one can exhaust _STUCK_BUDGET."""
-    over = g.n > DEFAULT_EXACT_THRESHOLD
-    result = alpha_exact_partitioned(g, p, budget=_STUCK_BUDGET)
-    if Fraction(result.alpha) >= need:
-        trace.append(_solved(rule, g.vertices, result.witness, "over-threshold" if over else ""))
-        return set(result.witness)
-    raise BoundMiss(
-        f"residual graph on {g.n} vertices (threshold {DEFAULT_EXACT_THRESHOLD}) missed the "
-        f"bound: best {result.alpha} < {need} (exact={result.exact})",
-        ForestCertificate(frozenset(result.witness), _RULES[p.mode]["forest"], need),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +624,7 @@ def _dp_path(
 
 _RULES = {
     "ABC": {
-        "name": "abc_construct",
-        "kind": "abc",
         "prefix": "R",
-        "forest": LINEAR_FOREST,
         # Names of module attributes; `_WorkingGraph` resolves them per run.
         "weight": "abc_weight",
         "gain": "gain",
@@ -660,10 +646,7 @@ _RULES = {
         "special": _promote_and_contract,
     },
     "AB": {
-        "name": "ab_construct",
-        "kind": "ab",
         "prefix": "S",
-        "forest": STAR_FOREST,
         "weight": "ab_star_weight",
         "gain": "ab_star_gain",
         "leaf": "A",
@@ -725,8 +708,7 @@ def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     kind = kind_row("caterpillar", k)
     chosen = _leaf_core_forest(
         g.delete_vertices(_overloaded(g, k)),
-        abc_construct,
-        "ABC",
+        "abc",
         lambda carried: "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C"),
     )
     return _certify("k_caterpillar_forest", g, chosen, kind)
@@ -761,14 +743,14 @@ def star_forest(g: Graph) -> ForestCertificate:
     Hands each component's leaf-stripped core to the AB engine, labeled by
     whether each vertex carried a leaf.
     """
-    chosen = _leaf_core_forest(g, ab_construct, "AB", lambda carried: "B" if carried else "A")
+    chosen = _leaf_core_forest(g, "ab", lambda carried: "B" if carried else "A")
     return _certify("star_forest", g, chosen, KINDS["star"])
 
 
-def _leaf_core_forest(g: Graph, engine, mode: str, label) -> set[int]:
+def _leaf_core_forest(g: Graph, kind: str, label) -> set[int]:
     """Per component: take it whole if it has at most two vertices; otherwise
     strip its leaves, label every other vertex by `label(number of leaves it
-    carries)`, and add the leaves to what `engine` keeps of that core."""
+    carries)`, and add the leaves to what `KINDS[kind].build` keeps of that core."""
     chosen: set[int] = set()
     for comp in g.components():
         if len(comp) <= 2:
@@ -777,7 +759,7 @@ def _leaf_core_forest(g: Graph, engine, mode: str, label) -> set[int]:
         leaves = {v for v in comp if g.degree(v) == 1}
         core = comp - leaves
         labels = {v: label(len(g.neighbors(v) & leaves)) for v in core}
-        inner, _ = engine(g.induced(core), Partition(labels, mode))
+        inner, _ = KINDS[kind].build(g.induced(core), Partition(labels, KINDS[kind].mode))
         chosen |= inner.vertex_set | leaves
     return chosen
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -113,7 +113,7 @@ class Graph:
 
     def degree_histogram(self) -> "DegreeHistogram":
         counts = dict(Counter(map(len, self._adj.values())))
-        return DegreeHistogram(counts, max(counts, default=0))
+        return DegreeHistogram(counts)
 
     def edge_hash(self) -> str:
         """Stable hash of the labelled edge set, used in certificate records."""
@@ -157,14 +157,17 @@ class DegreeHistogram:
     """Counts n_d of vertices of each degree d."""
 
     counts: dict[int, int]
-    max_degree: int = field(default=0)
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "DegreeHistogram":
         cleaned = {d: c for d, c in counts.items() if c > 0}
         if any(d < 0 or c < 0 for d, c in counts.items()):
             raise ValueError("degrees and counts must be nonnegative")
-        return cls(cleaned, max(cleaned, default=0))
+        return cls(cleaned)
+
+    @property
+    def max_degree(self) -> int:
+        return max(self.counts, default=0)
 
     @property
     def n(self) -> int:

@@ -28,7 +28,7 @@ from .generate import (
 )
 from .graph import LINEAR_FOREST, STAR_FOREST, ForestClass, Graph
 from .partition import Partition
-from .weights import BoundSpec, rat_text, total_weight
+from .weights import rat_text
 
 
 @dataclass
@@ -203,34 +203,29 @@ def _jobs_witness(seed: int, sizes: list[int]):
     yield "cycle:n=5", lambda: _oracle_records("cycle:n=5", c5, STAR_FOREST, 3)
 
 
+def _lemma_records(instance: str, g: Graph, checks: tuple[str, str], build, oracle) -> list[dict]:
+    """build(g)'s record (checks[0]); if it passed, oracle(g)'s alpha vs its bound (checks[1])."""
+    built = _construct_record(instance, checks[0], g, build)
+    if built["status"] != "pass":
+        return [built]
+    res = oracle(g)
+    ok = res.exact and res.alpha >= Fraction(built["bound"])
+    return [built, _record(instance, checks[1], ok, alpha=res.alpha, bound=built["bound"])]
+
+
 def _abc_records(instance: str, n: int, inst_seed: int) -> list[dict]:
     g = gnp(n, 0.3, inst_seed)
     rng = random.Random(inst_seed + 1)
     p = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
-    built = _construct_record(
-        instance, "abc-construct", g, lambda h: construct.abc_construct(h, p)[0]
-    )
-    if built["status"] != "pass":
-        return [built]
-    res = exact.alpha_exact_partitioned(g, p)
-    bound = built["bound"]
-    return [
-        built,
-        _record(instance, "abc-oracle", res.exact and res.alpha >= Fraction(bound),
-                alpha=res.alpha, bound=bound),
-    ]
+    return _lemma_records(instance, g, ("abc-construct", "abc-oracle"),
+                          lambda h: construct.abc_construct(h, p)[0],
+                          lambda h: exact.alpha_exact_partitioned(h, p))
 
 
 def _star_records(instance: str, n: int, inst_seed: int) -> list[dict]:
     g = gnp(n, 0.3, inst_seed)
-    records = [_construct_record(instance, "star-forest", g, construct.star_forest)]
-    bound = total_weight(g, BoundSpec.star())
-    res = exact.alpha_exact(g, STAR_FOREST)
-    records.append(
-        _record(instance, "star-oracle", res.exact and Fraction(res.alpha) >= bound,
-                alpha=res.alpha, bound=rat_text(bound))
-    )
-    return records
+    return _lemma_records(instance, g, ("star-forest", "star-oracle"),
+                          construct.star_forest, lambda h: exact.alpha_exact(h, STAR_FOREST))
 
 
 def _cubic_records(instance: str, n: int, inst_seed: int) -> list[dict]:

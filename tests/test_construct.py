@@ -395,19 +395,48 @@ def test_certificate_text_round_trip():
     assert parsed == cert and graph_hash == g.edge_hash()
 
 
-def test_bound_miss_carries_best_effort_certificate():
-    # white-box: force the fallback to chase an unreachable bound
-    from forestbound.construct import ReductionTrace, _exact_fallback
+def test_bound_miss_carries_best_effort_certificate(monkeypatch):
+    # S6 settles this labeling of the all-labelings corpus at once; an oracle
+    # that keeps nothing must miss the bound of the settled vertices
+    from forestbound.errors import BoundMiss
+    from forestbound.exact import OracleResult
+
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    p = Partition.ab(dict(zip(g.vertices, "AABB")))
+    assert ab_construct(g, p)[1].summary() == "S6:1"
+    empty = OracleResult(0, frozenset(), 0)
+    monkeypatch.setattr(construct, "alpha_exact_partitioned", lambda *args, **kwargs: empty)
+    with pytest.raises(BoundMiss) as exc:
+        ab_construct(g, p)
+    cert = exc.value.certificate
+    assert cert is not None and cert.vertex_set == frozenset()
+    assert cert.forest_class == construct.KINDS["ab"].forest
+    assert cert.claimed_bound == total_weight(g, BoundSpec.abstar(), p) == F(5, 3)
+
+
+@pytest.mark.parametrize(
+    "kind, g", [("abc", cycle_graph(3)), ("ab", cycle_graph(5))], ids=["R2", "S2"]
+)
+def test_rule_2_bound_miss_carries_best_effort_certificate(monkeypatch, kind, g):
+    # rule 2 settles the all-A triangle (ABC) and C5 (AB) of the golden corpus
+    # at once, each DP optimum meeting the bound exactly; keeping one vertex
+    # fewer must miss the bound of the settled vertices
     from forestbound.errors import BoundMiss
 
-    g = complete_graph(5)
-    p = Partition.uniform(g.vertices, "A", "ABC")
+    row = construct.KINDS[kind]
+    p = Partition.uniform(g.vertices, "A", row.mode)
+    cert, trace = row.build(g, p)
+    assert trace.summary() == f"{'R' if kind == 'abc' else 'S'}2:1"
+    assert cert.size() == cert.claimed_bound
+    dp = construct._dp_component
+    monkeypatch.setattr(construct, "_dp_component", lambda *args: set(sorted(dp(*args))[1:]))
     with pytest.raises(BoundMiss) as exc:
-        _exact_fallback(g, p, ReductionTrace(), F(99), "R6")
-    cert = exc.value.certificate
-    assert cert is not None
-    assert cert.claimed_bound == 99
-    assert is_linear_forest(g.induced(cert.vertex_set))
+        row.build(g, p)
+    missed = exc.value.certificate
+    assert missed is not None and missed.size() == cert.size() - 1
+    assert missed.vertex_set < cert.vertex_set
+    assert missed.forest_class == row.forest
+    assert missed.claimed_bound == total_weight(g, row.spec, p) == cert.claimed_bound
 
 
 def test_path_cycle_dp_matches_exact_oracle():
@@ -435,14 +464,14 @@ def test_path_cycle_dp_matches_exact_oracle():
 def test_cycle_dp_matches_rotation_scan():
     # the cycle DP this library once ran: one path DP per deleted vertex. Its
     # best count is the reference; the picks may differ among optimal ones.
-    from forestbound.construct import _RULES, _component_order, _dp_component, _dp_path
+    from forestbound.construct import KINDS, _component_order, _dp_component, _dp_path
 
     for n in range(3, 9):
         g = cycle_graph(n)
         order, is_cycle = _component_order(g)
         assert is_cycle
         for mode in ("ABC", "AB"):
-            forest = _RULES[mode]["forest"]
+            forest = KINDS[mode.lower()].forest
             for word in product(mode, repeat=n):
                 labels = dict(zip(g.vertices, word))
                 best = max(_dp_path(order[i + 1 :] + order[:i], labels, mode)[0] for i in range(n))

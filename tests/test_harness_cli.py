@@ -114,6 +114,38 @@ class TestHarness:
         assert job() == [{"instance": "abc:n=8,seed=80", "check": "abc-construct",
                           "error": "BoundMiss", "status": "fail"}]
 
+    def test_star_lemma_sums_the_star_bound_once(self, monkeypatch):
+        # the star-oracle record reads the bound its star-forest record holds
+        from forestbound import BoundSpec, construct, harness
+
+        sums = []
+
+        def counted(fn):
+            return lambda g, spec, *rest: sums.append(spec) or fn(g, spec, *rest)
+
+        for module in (construct, harness):
+            if hasattr(module, "total_weight"):
+                monkeypatch.setattr(module, "total_weight", counted(module.total_weight))
+        jobs = list(SUITES["star-lemma"][0](0, [8, 11]))
+        for _, job in jobs:
+            records = job()
+            assert [r["check"] for r in records] == ["star-forest", "star-oracle"]
+            assert all(r["status"] == "pass" for r in records)
+            assert records[0]["bound"] == records[1]["bound"]
+        assert sums.count(BoundSpec.star()) == len(jobs) == 10
+
+    def test_a_star_bound_miss_fails_one_record(self, monkeypatch):
+        from forestbound import construct
+        from forestbound.errors import BoundMiss
+
+        def missed(*args):
+            raise BoundMiss("missed")
+
+        monkeypatch.setattr(construct, "star_forest", missed)
+        _, job = next(iter(SUITES["star-lemma"][0](0, [8])))
+        assert job() == [{"instance": "star:n=8,seed=80", "check": "star-forest",
+                          "error": "BoundMiss", "status": "fail"}]
+
     def test_unknown_suite(self):
         from forestbound.errors import ForestBoundError
 

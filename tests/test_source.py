@@ -106,3 +106,46 @@ def test_no_default_binds_a_same_name_variable(path):
     # a closure that needs a loop variable runs before the loop moves on (the
     # harness suites yield their jobs), so no default argument freezes one
     assert same_name_defaults(ast.parse(path.read_text(), str(path))) == []
+
+
+def bound_miss_builders(tree: ast.AST) -> list[str]:
+    """Every call that builds a BoundMiss, as `BoundMiss(...)` or
+    `x.BoundMiss(...)`, with the innermost function around it (`<lambda>`,
+    or `<module>` outside any) and the line of the call, in line order."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name != "BoundMiss":
+            continue
+        scope = parents.get(call)
+        while scope is not None and not isinstance(
+            scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            scope = parents.get(scope)
+        where = "<module>" if scope is None else getattr(scope, "name", "<lambda>")
+        found.append((call.lineno, f"{where} at line {call.lineno}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_detector_sees_every_bound_miss_builder():
+    code = (
+        "raise BoundMiss('a')\n"
+        "def f():\n    def g():\n        raise errors.BoundMiss('b')\n    raise BoundMiss('c')\n"
+        "class C:\n    def m(self):\n        return lambda: BoundMiss('d')\n"
+        "try:\n    pass\nexcept BoundMiss as exc:\n    BoundMissing(exc)\n"
+    )
+    assert bound_miss_builders(ast.parse(code)) == [
+        "<module> at line 1", "g at line 4", "f at line 5", "<lambda> at line 8"
+    ]
+
+
+def test_construct_builds_bound_miss_only_in_settle_and_certify():
+    # rules 2 and 6 check what they keep in `_settle`, every constructor its
+    # certificate in `_certify`: no other place decides that a bound was missed
+    path = next(p for p in SOURCES if p.name == "construct.py")
+    builders = bound_miss_builders(ast.parse(path.read_text(), str(path)))
+    assert {b.split(" at ")[0] for b in builders} == {"_settle", "_certify"}, builders

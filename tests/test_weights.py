@@ -296,6 +296,22 @@ def brute_force_star_opt(hist):
     return max(star_total(hist, eps) for eps in star_eps_candidates(hist))
 
 
+@pytest.mark.parametrize(
+    "counts, select, expected",
+    [
+        ({5: 10, 1: 3}, lambda h: epsilon_star(h, 2), (F(1, 9), 5)),
+        ({10: 5, 1: 3}, star_epsilon_opt, F(9, 110)),
+    ],
+    ids=["epsilon_star", "star_epsilon_opt"],
+)
+def test_selectors_read_the_maximum_degree_of_the_counts(counts, select, expected):
+    # the public constructor and from_counts give the same histogram, and its
+    # maximum degree is that of its counts
+    hist = DegreeHistogram(counts)
+    assert hist == DegreeHistogram.from_counts(counts) and hist.max_degree == max(counts)
+    assert select(hist) == select(DegreeHistogram.from_counts(counts)) == expected
+
+
 class TestStarEpsilonOpt:
     def test_c5(self):
         assert star_epsilon_opt(cycle_graph(5).degree_histogram()) == F(1, 10)
