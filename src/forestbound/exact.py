@@ -25,6 +25,13 @@ at max(start - n, 0) and has n added to its anchor; so anchor n + a names
 vertex a of the next scan, and a scan that found nothing is skipped in
 every descendant. The cycle check comes last and does not resume: it
 reports anchor 0 whenever it finds a cycle.
+
+Cut: a node one deletion short of the incumbent (|cand| - 2 <= best) whose
+W came from a local scan (anchor < n) resumes that scan at the anchor on
+cand - W, and has no child if it finds a second violation W' there: a
+valid S within cand misses a vertex of W, and S - W (valid, the class being
+hereditary) one of W', so |S| <= best. No cut subtree updates the incumbent.
+Caterpillars, whose W is a whole closed neighbourhood, skip the cut.
 """
 
 from __future__ import annotations
@@ -99,12 +106,16 @@ class _Search:
             self._find = self._rest
         else:
             self._find = self._degree_violation
+        # The local scan that the cut resumes; caterpillars have none.
+        self._local = {"linear": self._degree_scan, "abc": self._degree_scan,
+                       "star": self._star_violation, "ab": self._ab_violation}.get(kind)
 
     def run(self, budget: int) -> OracleResult:
         full = (1 << self.n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        find = self._find
+        find, local = self._find, self._local
+        local_end = self.n if local else 0  # anchors below it are the local scan's
         nodes = 0
         stopped = False
         stack = [(full, 0, 0)]
@@ -124,6 +135,8 @@ class _Search:
                 continue
             if size - 1 <= best_size:
                 continue  # every child would be popped and skipped uncounted
+            if anchor < local_end and size - 2 <= best_size and local(cand & ~bad, anchor)[0]:
+                continue  # a second violation, disjoint from W: no child beats best
             # Child i deletes w_i and keeps the free w_1 ... w_{i-1}. Pushed
             # from the highest bit down, the children pop in bit order; a
             # violation inside kept leaves no free bit and so no child.
@@ -177,6 +190,19 @@ class _Search:
             if nbrs.bit_count() > caps[i]:
                 return low | nbrs, i
         return self._hand_off(self._rest, cand, start)
+
+    def _degree_scan(self, cand: int, start: int) -> tuple[int, int]:
+        # _degree_violation without the hand-off (sharing costs a call per node).
+        adj, caps = self.adj, self.caps
+        rest = cand >> start << start
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            nbrs = adj[i] & cand
+            if nbrs.bit_count() > caps[i]:
+                return low | nbrs, i
+        return 0, self.n
 
     def _star_violation(self, cand: int, start: int) -> tuple[int, int]:
         # An adjacent pair of degree->=2 vertices (plus one extra neighbor of

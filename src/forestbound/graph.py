@@ -154,16 +154,20 @@ def components_of(adj: Mapping[int, Iterable[int]], vertices: Iterable[int]) -> 
 
 @dataclass(frozen=True)
 class DegreeHistogram:
-    """Counts n_d of vertices of each degree d."""
+    """Counts n_d > 0 of vertices of each degree d; from_counts drops zero counts."""
 
     counts: dict[int, int]
 
+    def __post_init__(self):
+        if any(d < 0 or c <= 0 for d, c in self.counts.items()):
+            raise ValueError("degrees must be nonnegative and counts positive")
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.counts.items()))
+
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "DegreeHistogram":
-        cleaned = {d: c for d, c in counts.items() if c > 0}
-        if any(d < 0 or c < 0 for d, c in counts.items()):
-            raise ValueError("degrees and counts must be nonnegative")
-        return cls(cleaned)
+        return cls({d: c for d, c in counts.items() if c})
 
     @property
     def max_degree(self) -> int:

@@ -6,6 +6,8 @@ import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
 
+import pytest
+
 from forestbound import (
     CATERPILLAR_FOREST,
     LINEAR_FOREST,
@@ -361,6 +363,44 @@ class RescanSearch(_Search):
         return self._star_violation(cand)
 
 
+class UnprunedSearch(_Search):
+    """The search before it cut nodes one deletion short of the incumbent
+    that hold a second, disjoint violation, kept as a reference: every node
+    that cannot be skipped pushes its children."""
+
+    def run(self, budget: int) -> OracleResult:
+        full = (1 << self.n) - 1
+        best_mask = self._greedy_peel(full)
+        best_size = best_mask.bit_count()
+        find = self._find
+        nodes = 0
+        stopped = False
+        stack = [(full, 0, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            cand, kept, start = pop()
+            size = cand.bit_count()
+            if size <= best_size:
+                continue
+            if nodes >= budget:
+                stopped = True
+                break
+            nodes += 1
+            bad, anchor = find(cand, start)
+            if not bad:
+                best_size, best_mask = size, cand
+                continue
+            if size - 1 <= best_size:
+                continue
+            free = bad & ~kept
+            while free:
+                high = 1 << (free.bit_length() - 1)
+                free ^= high
+                push((cand ^ high, kept | free, anchor))
+        witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
+        return OracleResult(best_size, witness, nodes, exact=not stopped)
+
+
 def oracle_corpus():
     """(graph, kind, k, labels): every graph on at most 5 vertices in every
     class, every ABC and AB labeling of those on at most 4, and seeded
@@ -396,13 +436,31 @@ def test_same_optimum_as_memo_search_with_no_more_nodes():
 
 
 def test_resumed_search_matches_rescan_search():
-    # The same tree in the same pop order: equal results, and a budget cuts
-    # both off at the same node with the same witness.
+    # Without the cut, the resumed scans build the same tree in the same pop
+    # order: equal results, and a budget cuts both off at the same node with
+    # the same witness.
     for g, kind, k, labels in oracle_corpus():
         for budget in (10**6, 1, 10, 100):
-            new = _Search(g, kind, k=k, labels=labels).run(budget)
+            new = UnprunedSearch(g, kind, k=k, labels=labels).run(budget)
             ref = RescanSearch(g, kind, k=k, labels=labels).run(budget)
             assert new == ref, (g.edges(), kind, k, labels, budget)
+
+
+def test_cut_search_matches_unpruned_search():
+    # The cut drops only subtrees that cannot beat the incumbent: the same
+    # optimum and witness in no more nodes, and under a budget the search
+    # gets at least as far along the uncut one's node order, so its alpha is
+    # never lower.
+    for g, kind, k, labels in oracle_corpus():
+        new = _Search(g, kind, k=k, labels=labels).run(10**6)
+        ref = UnprunedSearch(g, kind, k=k, labels=labels).run(10**6)
+        case = (g.edges(), kind, k, labels)
+        assert (new.alpha, new.witness, new.exact) == (ref.alpha, ref.witness, ref.exact), case
+        assert new.nodes_explored <= ref.nodes_explored, case
+        for budget in (1, 10, 100):
+            new = _Search(g, kind, k=k, labels=labels).run(budget)
+            ref = UnprunedSearch(g, kind, k=k, labels=labels).run(budget)
+            assert new.alpha >= ref.alpha, (*case, budget)
 
 
 def degree_scan_length(search: _Search, cand: int, start: int) -> int:
@@ -418,11 +476,17 @@ def degree_scan_length(search: _Search, cand: int, start: int) -> int:
 
 
 class CountedSearch(_Search):
+    # Counts the degree scan both where a node finds its violation and where
+    # the cut looks for a second one.
     examined = 0
 
     def _degree_violation(self, cand, start):
         self.examined += degree_scan_length(self, cand, start)
         return super()._degree_violation(cand, start)
+
+    def _degree_scan(self, cand, start):
+        self.examined += degree_scan_length(self, cand, start)
+        return super()._degree_scan(cand, start)
 
 
 class CountedRescan(RescanSearch):
@@ -437,7 +501,8 @@ def test_resumed_degree_scan_examines_at_most_half_the_vertices():
     g = gnp(28, 0.3, 7)
     new = CountedSearch(g, "linear")
     ref = CountedRescan(g, "linear")
-    assert new.run(10**6) == ref.run(10**6)
+    got, want = new.run(10**6), ref.run(10**6)
+    assert (got.alpha, got.witness, got.exact) == (want.alpha, want.witness, want.exact)
     assert 0 < new.examined <= ref.examined // 2
 
 
@@ -501,7 +566,31 @@ def test_search_peak_allocation_stays_under_1mb():
 def test_star_forest_on_gnp34_node_count():
     res = alpha_exact(gnp(34, 0.3, 7), STAR_FOREST)
     assert res.exact
-    assert res.nodes_explored <= 137_000  # a tenth of the memo search's 1.37 M
+    # 117 062 without the cut; the memo search took 1.37 M
+    assert res.nodes_explored == 81_333
+
+
+def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
+    g = gnp(n, 0.3, seed)
+    rng = random.Random(seed)
+    return g, Partition({v: rng.choice(mode) for v in g.vertices}, mode)
+
+
+@pytest.mark.parametrize(
+    "search, nodes",
+    [
+        # (without the cut: 131 142, 52 083, 43 036 and 361 942 nodes)
+        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 97_521),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 41_218),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 33_155),
+        # caterpillars skip the cut
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass.caterpillar(3)), 361_942),
+    ],
+    ids=["linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar3-gnp28"],
+)
+def test_oracle_node_counts(search, nodes):
+    res = search()
+    assert res.exact and res.nodes_explored == nodes
 
 
 def test_budget_run_on_large_clique_does_not_recurse():

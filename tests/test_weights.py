@@ -312,6 +312,27 @@ def test_selectors_read_the_maximum_degree_of_the_counts(counts, select, expecte
     assert select(hist) == select(DegreeHistogram.from_counts(counts)) == expected
 
 
+@pytest.mark.parametrize("counts", [{-1: 2, 3: 1}, {3: -2, 1: 4}])
+def test_histogram_rejects_negative_degrees_and_counts(counts):
+    # the public constructor accepted these, and epsilon_star read them as
+    # (1/6, 3) and (0, None)
+    for build in (DegreeHistogram, DegreeHistogram.from_counts):
+        with pytest.raises(ValueError):
+            build(counts)
+
+
+def test_only_from_counts_drops_zero_counts():
+    with pytest.raises(ValueError):
+        DegreeHistogram({3: 0, 1: 4})
+    assert DegreeHistogram.from_counts({3: 0, 1: 4}) == DegreeHistogram({1: 4})
+
+
+def test_histogram_is_hashable():
+    hist = DegreeHistogram({3: 1, 1: 3})
+    assert hash(hist) == hash(DegreeHistogram.from_counts({1: 3, 3: 1, 7: 0}))
+    assert len({hist, DegreeHistogram({1: 3, 3: 1}), DegreeHistogram({1: 2})}) == 2
+
+
 class TestStarEpsilonOpt:
     def test_c5(self):
         assert star_epsilon_opt(cycle_graph(5).degree_histogram()) == F(1, 10)
