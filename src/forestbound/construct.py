@@ -492,11 +492,12 @@ def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
     if any(g.degree(v) not in (2, 3) for v in g.vertices):
         return None
     low = [v for v in g.vertices if g.degree(v) == 2]
+    targets = set(low)  # _within_distance never reports its start
     for v in low:
         u, w = sorted(g.neighbors(v))
         if g.degree(u) != 3 or g.degree(w) != 3 or g.has_edge(u, w):
             return None
-        if _within_distance(g, v, set(low) - {v}, 3):
+        if _within_distance(g, v, targets, 3):
             return None
     contracted = {v: set(g.neighbors(v)) for v in g.vertices if g.degree(v) == 3}
     for v in low:

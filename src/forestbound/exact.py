@@ -13,25 +13,25 @@ since no subset is reached twice the search needs no memo. Nodes wait on
 an explicit stack and are popped in depth-first order, the children of a
 node in the bit order of W.
 
-Resume invariant: every scan maps (cand, start) to (W, anchor). The
-degree, star, B (of ab) and spine scans walk vertices in index order from
-start and stop at the first one that starts a violation, their anchor.
-Whether a vertex starts one depends only on degrees and neighbourhoods
-inside cand, which deleting vertices only shrinks, so no vertex below the
-anchor starts a violation in any descendant. A child therefore starts its
-scan at its parent's anchor and finds the same W as a scan from vertex 0.
-A scan that finds nothing hands off to the class's next scan, which starts
-at max(start - n, 0) and has n added to its anchor; so anchor n + a names
-vertex a of the next scan, and a scan that found nothing is skipped in
-every descendant. The cycle check comes last and does not resume: it
-reports anchor 0 whenever it finds a cycle.
+Resume invariant: `_CHAINS` names each class's scans in the order a node
+runs them. Every scan maps (cand, start) to (W, anchor). The degree, star,
+B (of ab) and spine scans walk vertices in index order from start and stop
+at the first one that starts a violation, their anchor. Whether a vertex
+starts one depends only on degrees and neighbourhoods inside cand, which
+deleting vertices only shrinks, so no vertex below the anchor starts a
+violation in any descendant. A node's anchor numbers scan i's anchor a as
+i * n + a, and a child resumes the chain there: it skips every scan before
+i and starts scan i at a, so it finds the same W as a scan from vertex 0.
+The cycle check comes last and does not resume: it reports anchor 0
+whenever it finds a cycle.
 
 Cut: a node one deletion short of the incumbent (|cand| - 2 <= best) whose
-W came from a local scan (anchor < n) resumes that scan at the anchor on
-cand - W, and has no child if it finds a second violation W' there: a
-valid S within cand misses a vertex of W, and S - W (valid, the class being
-hereditary) one of W', so |S| <= best. No cut subtree updates the incumbent.
-Caterpillars, whose W is a whole closed neighbourhood, skip the cut.
+W came from the chain's first scan (anchor < n) resumes that scan at the
+anchor on cand - W, then for ab the star scan, and has no child if that
+finds a second violation W': a valid S within cand misses a vertex of W,
+and S - W (valid, the class being hereditary) one of W', so |S| <= best.
+No cut subtree updates the incumbent. Caterpillars, whose W is a whole
+closed neighbourhood, skip the cut.
 """
 
 from __future__ import annotations
@@ -78,44 +78,38 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+# Each class's scans in the order a node runs them, and how many leading
+# scans the cut resumes: none, the first, or all (see the module docstring).
+_CHAINS = {
+    "linear": (("_degree_scan", "_shortest_cycle"), 1),
+    "abc": (("_degree_scan", "_shortest_cycle"), 1),
+    "caterpillar": (("_spine_violation", "_shortest_cycle"), 0),
+    "k-caterpillar": (("_degree_scan", "_spine_violation", "_shortest_cycle"), 0),
+    "star": (("_star_violation",), 1),
+    "ab": (("_ab_violation", "_star_violation"), 2),
+}
+
+
 class _Search:
     def __init__(self, g: Graph, kind: str, k: int | None = None, labels=None):
         self.vs = list(g.vertices)
         index = {v: i for i, v in enumerate(self.vs)}
         self.n = len(self.vs)
         self.adj = [sum(1 << index[w] for w in g.neighbors(v)) for v in self.vs]
-        self.kind = kind
-        self.k = k
         self.labels = labels
-        # Per-vertex degree caps of the classes that bound degrees.
-        self.caps = None
-        if kind == "abc":
-            self.caps = [ABC_CAPS[p] for p in labels]
-        elif kind == "linear":
-            self.caps = [2] * self.n
-        elif k is not None:
-            self.caps = [k] * self.n
-        # The class's first scan, picked here once rather than at every
-        # search node; `_rest` is the scan the degree scan hands off to.
-        self._rest = self._spine_violation if kind == "caterpillar" else self._shortest_cycle
-        if kind == "star":
-            self._find = self._star_violation
-        elif kind == "ab":
-            self._find = self._ab_violation
-        elif self.caps is None:
-            self._find = self._rest
-        else:
-            self._find = self._degree_violation
-        # The local scan that the cut resumes; caterpillars have none.
-        self._local = {"linear": self._degree_scan, "abc": self._degree_scan,
-                       "star": self._star_violation, "ab": self._ab_violation}.get(kind)
+        # Per-vertex degree caps, read only by the degree scan.
+        self.caps = [ABC_CAPS[p] for p in labels] if kind == "abc" else [k or 2] * self.n
+        names, self._cut = _CHAINS["k-caterpillar" if k is not None else kind]
+        self._chain = [getattr(self, name) for name in names]
 
     def run(self, budget: int) -> OracleResult:
-        full = (1 << self.n) - 1
+        n = self.n
+        full = (1 << n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        find, local = self._find, self._local
-        local_end = self.n if local else 0  # anchors below it are the local scan's
+        first, walk = self._chain[0], self._walk
+        cut_end = n if self._cut else 0  # anchors below it are the first scan's
+        cut_walks = self._cut > 1  # the cut also runs the rest of the chain
         nodes = 0
         stopped = False
         stack = [(full, 0, 0)]
@@ -129,14 +123,18 @@ class _Search:
                 stopped = True
                 break
             nodes += 1
-            bad, anchor = find(cand, start)
+            bad, anchor = first(cand, start)
             if not bad:
-                best_size, best_mask = size, cand
-                continue
+                bad, anchor = walk(cand, start if start >= n else n)
+                if not bad:
+                    best_size, best_mask = size, cand
+                    continue
             if size - 1 <= best_size:
                 continue  # every child would be popped and skipped uncounted
-            if anchor < local_end and size - 2 <= best_size and local(cand & ~bad, anchor)[0]:
-                continue  # a second violation, disjoint from W: no child beats best
+            if anchor < cut_end and size - 2 <= best_size:
+                rest = cand & ~bad
+                if first(rest, anchor)[0] or cut_walks and walk(rest, n)[0]:
+                    continue  # a second violation, disjoint from W: no child beats best
             # Child i deletes w_i and keeps the free w_1 ... w_{i-1}. Pushed
             # from the highest bit down, the children pop in bit order; a
             # violation inside kept leaves no free bit and so no child.
@@ -161,38 +159,30 @@ class _Search:
                     worst, worst_deg = i, d
             cand &= ~(1 << worst)
 
-    # Each scan returns a bitmask W such that every valid subset of the
-    # candidate misses at least one vertex of W, or 0 if the candidate is
-    # valid, and its anchor (see the module docstring).
-
     def _violation(self, cand: int) -> int:
         """W for cand, scanning from vertex 0."""
-        return self._find(cand, 0)[0]
+        return self._walk(cand, 0)[0]
 
-    def _hand_off(self, scan, cand: int, start: int) -> tuple[int, int]:
-        """The next scan's (W, anchor), shifted past this scan's anchors."""
-        bad, anchor = scan(cand, max(start - self.n, 0))
-        return bad, self.n + anchor
+    def _walk(self, cand: int, start: int) -> tuple[int, int]:
+        """(W, anchor) of the chain resumed at anchor start, where anchor
+        i * n + a stands for vertex a of scan i."""
+        n, chain = self.n, self._chain
+        i, start = divmod(start, n or 1)  # an empty graph has only anchor 0
+        while i < len(chain):
+            bad, anchor = chain[i](cand, start)
+            if bad:
+                return bad, i * n + anchor
+            i += 1
+            start = 0
+        return 0, i * n
 
-    # The scans below run once per search node, so they walk bitmasks
-    # inline (lowest bit first) rather than through _iter_bits.
-
-    def _degree_violation(self, cand: int, start: int) -> tuple[int, int]:
-        # A vertex over its cap with its neighbors, else the spine or cycle
-        # violation that the class checks next.
-        adj, caps = self.adj, self.caps
-        rest = cand >> start << start
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            nbrs = adj[i] & cand
-            if nbrs.bit_count() > caps[i]:
-                return low | nbrs, i
-        return self._hand_off(self._rest, cand, start)
+    # Each scan maps (cand, start) to (W, anchor): a bitmask W of which every
+    # valid subset of cand misses a vertex, or 0, and the vertex it stopped
+    # at, or n. No scan calls another; _CHAINS orders them. They run once per
+    # search node, so they walk bitmasks inline (lowest bit first).
 
     def _degree_scan(self, cand: int, start: int) -> tuple[int, int]:
-        # _degree_violation without the hand-off (sharing costs a call per node).
+        # A vertex over its cap with its neighbors.
         adj, caps = self.adj, self.caps
         rest = cand >> start << start
         while rest:
@@ -230,7 +220,7 @@ class _Search:
         return 0, self.n
 
     def _ab_violation(self, cand: int, start: int) -> tuple[int, int]:
-        # The B scan: a B vertex with an illegal neighbor, else the star scan.
+        # The B scan: a B vertex with an illegal neighbor.
         adj, labels = self.adj, self.labels
         rest = cand >> start << start
         while rest:
@@ -249,11 +239,11 @@ class _Search:
                 nbrs_j = adj[j] & cand
                 if nbrs_j.bit_count() >= 2:
                     return low_i | low_j | nbrs_j, i
-        return self._hand_off(self._star_violation, cand, start)
+        return 0, self.n
 
     def _spine_violation(self, cand: int, start: int) -> tuple[int, int]:
         # A vertex with three non-leaf neighbors (each witnessed by a second
-        # neighbor) can never sit inside a caterpillar forest; else a cycle.
+        # neighbor) can never sit inside a caterpillar forest.
         adj = self.adj
         rest = cand >> start << start
         while rest:
@@ -273,7 +263,7 @@ class _Search:
                     heavy += 1
                     if heavy == 3:
                         return bad, i
-        return self._hand_off(self._shortest_cycle, cand, start)
+        return 0, self.n
 
     def _shortest_cycle(self, cand: int, start: int) -> tuple[int, int]:
         # Not resumable: any deletion can change which cycle is shortest,

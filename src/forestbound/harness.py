@@ -94,6 +94,8 @@ def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) 
     sizes = list(sizes) if sizes is not None else list(default_sizes)
     if any(n < 1 for n in sizes):
         raise ForestBoundError(f"sizes must be >= 1, got {','.join(map(str, sizes))}")
+    if sizes and not default_sizes:
+        raise ForestBoundError(f"suite {suite} takes no sizes, got {','.join(map(str, sizes))}")
     report = HarnessReport(suite, seed, sizes)
     # Each job runs before the suite is asked for its next pair, so a job may
     # read the suite's loop variables directly: never collect the pairs first.
@@ -233,8 +235,8 @@ def _cubic_records(instance: str, n: int, inst_seed: int) -> list[dict]:
     part1, part2 = construct.cubic_partition(g)
     larger = max(len(part1), len(part2))
     ok = (
-        max(g.induced(part1).max_degree(), 0) <= 1
-        and max(g.induced(part2).max_degree(), 0) <= 1
+        g.induced(part1).max_degree() <= 1
+        and g.induced(part2).max_degree() <= 1
         and 2 * larger >= n
     )
     return [_record(instance, "cubic-partition", ok, larger=larger, n=n)]

@@ -21,7 +21,7 @@ from forestbound import (
     is_linear_forest,
     is_star_forest,
 )
-from forestbound.exact import OracleResult, _iter_bits, _Search
+from forestbound.exact import _CHAINS, OracleResult, _iter_bits, _Search
 from forestbound.generate import complete_graph, cycle_graph, gnp, hnk_graph, k_prime_graph
 from forestbound.partition import ABC_CAPS
 
@@ -227,6 +227,10 @@ class RescanSearch(_Search):
     an if-chain at every node, and children are built in a list and pushed
     reversed."""
 
+    def __init__(self, g: Graph, kind: str, k: int | None = None, labels=None):
+        super().__init__(g, kind, k, labels)
+        self.kind, self.k = kind, k
+
     def run(self, budget: int) -> OracleResult:
         full = (1 << self.n) - 1
         best_mask = self._greedy_peel(full)
@@ -372,7 +376,7 @@ class UnprunedSearch(_Search):
         full = (1 << self.n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        find = self._find
+        first, walk, n = self._chain[0], self._walk, self.n
         nodes = 0
         stopped = False
         stack = [(full, 0, 0)]
@@ -386,10 +390,12 @@ class UnprunedSearch(_Search):
                 stopped = True
                 break
             nodes += 1
-            bad, anchor = find(cand, start)
+            bad, anchor = first(cand, start)
             if not bad:
-                best_size, best_mask = size, cand
-                continue
+                bad, anchor = walk(cand, max(start, n))
+                if not bad:
+                    best_size, best_mask = size, cand
+                    continue
             if size - 1 <= best_size:
                 continue
             free = bad & ~kept
@@ -463,6 +469,13 @@ def test_cut_search_matches_unpruned_search():
             assert new.alpha >= ref.alpha, (*case, budget)
 
 
+def test_every_cut_resumes_none_the_first_or_all_of_its_chain():
+    # the cut runs the chain's first scan and, for a count above one, the
+    # walker, which runs on to the chain's end
+    for names, cut in _CHAINS.values():
+        assert cut in (0, 1, len(names)), names
+
+
 def degree_scan_length(search: _Search, cand: int, start: int) -> int:
     """The vertices a degree scan of cand from start examines: those of cand
     from start up to the first one over its cap, or to the end."""
@@ -479,10 +492,6 @@ class CountedSearch(_Search):
     # Counts the degree scan both where a node finds its violation and where
     # the cut looks for a second one.
     examined = 0
-
-    def _degree_violation(self, cand, start):
-        self.examined += degree_scan_length(self, cand, start)
-        return super()._degree_violation(cand, start)
 
     def _degree_scan(self, cand, start):
         self.examined += degree_scan_length(self, cand, start)

@@ -6,6 +6,7 @@ import pytest
 
 from forestbound import run_suite
 from forestbound.cli import main
+from forestbound.errors import ForestBoundError
 from forestbound.harness import SUITES, all_labeled_graphs
 
 
@@ -531,6 +532,17 @@ def test_harness_rejects_sizes_below_one(workdir, capsys, suite, size):
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: sizes must be >= 1, got 5,{size}\n"
     assert not Path("rep.txt").exists()
+
+
+def test_harness_rejects_sizes_for_a_suite_without_sizes(workdir, capsys):
+    # witness-families builds fixed families: sizes would only change the
+    # report's header, never its records
+    assert run_cli("harness", "witness-families", "--sizes", "3", "7", "--out", "rep.txt") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: suite witness-families takes no sizes, got 3,7\n"
+    assert not Path("rep.txt").exists()
+    with pytest.raises(ForestBoundError):
+        run_suite("witness-families", sizes=[3])
 
 
 def test_exact_rejects_a_negative_budget(workdir, capsys):

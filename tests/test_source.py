@@ -149,3 +149,63 @@ def test_construct_builds_bound_miss_only_in_settle_and_certify():
     path = next(p for p in SOURCES if p.name == "construct.py")
     builders = bound_miss_builders(ast.parse(path.read_text(), str(path)))
     assert {b.split(" at ")[0] for b in builders} == {"_settle", "_certify"}, builders
+
+
+def chain_scans(tree: ast.Module) -> set[str]:
+    """The scan names in the rows of the module's `_CHAINS` table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_CHAINS" for t in node.targets
+        ):
+            return {
+                c.value for row in node.value.values for c in ast.walk(row)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return set()
+
+
+def chain_hand_offs(tree: ast.Module) -> list[str]:
+    """Every reference that a scan named in the module's `_CHAINS` table
+    makes to a scan of that table or to the walker (`_walk`, `_violation`),
+    as `self.name` or a bare name, with the line, in line order."""
+    scans = chain_scans(tree)
+    targets = scans | {"_walk", "_violation"}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name not in scans:
+            continue
+        for ref in ast.walk(fn):
+            if isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name):
+                name = ref.attr if ref.value.id == "self" else None
+            else:
+                name = ref.id if isinstance(ref, ast.Name) else None
+            if name in targets:
+                found.append((ref.lineno, f"{fn.name} -> {name} at line {ref.lineno}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_detector_sees_every_hand_off_between_chained_scans():
+    code = (
+        "_CHAINS = {'x': (('_a', '_b'), 1), 'y': (('_c',), 0)}\n"
+        "class S:\n"
+        "    def _a(self, c, s):\n        return self._b(c, s)\n"
+        "    def _b(self, c, s):\n        return self._walk(c, s) or self._helper(c)\n"
+        "    def _c(self, c, s):\n        scan = self._a\n        return _violation(c)\n"
+        "    def _helper(self, c):\n        return self._a(c, 0)\n"
+    )
+    assert chain_scans(ast.parse(code)) == {"_a", "_b", "_c"}
+    assert chain_hand_offs(ast.parse(code)) == [
+        "_a -> _b at line 4", "_b -> _walk at line 6", "_c -> _a at line 8",
+        "_c -> _violation at line 9",
+    ]
+
+
+def test_oracle_scans_leave_their_order_to_the_chain_table():
+    # each class's scan order lives in exact._CHAINS alone: no scan hands
+    # off to another scan or to the walker
+    path = next(p for p in SOURCES if p.name == "exact.py")
+    tree = ast.parse(path.read_text(), str(path))
+    assert chain_scans(tree) == {
+        "_degree_scan", "_star_violation", "_ab_violation", "_spine_violation", "_shortest_cycle"
+    }
+    assert chain_hand_offs(tree) == []
