@@ -1,19 +1,17 @@
 """Degree-sequence lower bounds for induced linear, caterpillar, and star
 forests, with certified constructors and an exact oracle."""
 
+from .check import ForestCertificate, certificate_from_text, certificate_to_text, verify_certificate
 from .construct import (
     ReductionStep,
     ReductionTrace,
     ab_construct,
     abc_construct,
     caterpillar_forest,
-    certificate_from_text,
-    certificate_to_text,
     cubic_partition,
     greedy_linear_forest,
     k_caterpillar_forest,
     star_forest,
-    verify_certificate,
 )
 from .errors import (
     BoundMiss,
@@ -36,7 +34,6 @@ from .graph import (
     LINEAR_FOREST,
     STAR_FOREST,
     DegreeHistogram,
-    ForestCertificate,
     ForestClass,
     Graph,
     format_edge_list,

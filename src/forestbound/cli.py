@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import construct, exact, harness
+from . import check, construct, exact, harness
 from .generate import generate as build_generated, parse_gen_spec
 from .errors import BoundMiss, ForestBoundError, InvalidSpec, ParseError
 from .graph import format_edge_list, parse_edge_list
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_har = sub.add_parser("harness", help="run a verification battery")
     p_har.add_argument("suite", choices=list(harness.SUITES))
     p_har.add_argument("--seed", type=int, default=0)
-    p_har.add_argument("--sizes", type=int, nargs="*")
+    p_har.add_argument("--sizes", type=int, nargs="+")
     p_har.add_argument("--out", help="report file (default stdout)")
 
     return parser
@@ -147,7 +147,7 @@ def cmd_construct(args) -> int:
     kind = _kind(args)
     g = _read(args.graph, parse_edge_list)
     cert, trace = kind.build(g, _read_partition(args.kind, kind.mode, args.partition))
-    text = construct.certificate_to_text(cert, g.edge_hash(), trace)
+    text = check.certificate_to_text(cert, g.edge_hash(), trace)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -157,7 +157,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _read(args.graph, parse_edge_list)
-    cert, graph_hash = _read(args.certificate, construct.certificate_from_text)
+    cert, graph_hash = _read(args.certificate, check.certificate_from_text)
     name, mode = f"class={cert.forest_class.to_text()}", _MODE_OF_CLASS.get(cert.forest_class)
     labels = _read_partition(name, mode, args.partition, required=False)
     if graph_hash not in ("-", "") and graph_hash != g.edge_hash():
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
         return EXIT_VIOLATION
     if labels is not None:
         labels.validate_for(g)
-    return _verdict(cert, construct.verify_certificate(g, cert, labels))
+    return _verdict(cert, check.verify_certificate(g, cert, labels))
 
 
 def _verdict(cert, ok: bool) -> int:

@@ -20,7 +20,7 @@ class (for `abc` and `ab`, the engine's), its partition mode (None if it
 takes no partition), its bound as a named BoundSpec and its constructor;
 `kind_row` gives the caterpillar row for a degree bound k. Every constructor
 ends in `_certify`, which sums the row's bound with `total_weight` and
-raises BoundMiss unless `verify_certificate` passes the certificate.
+raises BoundMiss unless check's `verify_certificate` passes the certificate.
 """
 
 from __future__ import annotations
@@ -34,17 +34,10 @@ from itertools import product
 from math import lcm
 from typing import AbstractSet, Optional
 
+from .check import ForestCertificate, verify_certificate
 from .errors import BoundMiss, IsolatedVertexPresent, NotCubic, ParseError
 from .exact import alpha_exact_partitioned
-from .graph import (
-    CATERPILLAR_FOREST,
-    LINEAR_FOREST,
-    STAR_FOREST,
-    ForestCertificate,
-    ForestClass,
-    Graph,
-    components_of,
-)
+from .graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestClass, Graph, components_of
 from .partition import ABC_CAPS, Partition
 from .weights import (
     BoundSpec,
@@ -52,7 +45,6 @@ from .weights import (
     ab_star_weight,
     abc_weight,
     gain,
-    rat_text,
     total_weight,
 )
 
@@ -766,7 +758,7 @@ def _leaf_core_forest(g: Graph, kind: str, label) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Verification and serialization
+# Certification
 
 
 def _certify(name: str, g: Graph, chosen, kind: Kind, p=None) -> ForestCertificate:
@@ -776,65 +768,3 @@ def _certify(name: str, g: Graph, chosen, kind: Kind, p=None) -> ForestCertifica
     if not verify_certificate(g, cert, p):
         raise BoundMiss(f"{name} produced an invalid certificate", cert)
     return cert
-
-
-def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Partition] = None) -> bool:
-    """Check class membership, optional per-part constraints, and the bound."""
-    if not set(cert.vertex_set) <= set(g.vertices):
-        return False
-    sub = g.induced(cert.vertex_set)
-    if not cert.forest_class.contains(sub):
-        return False
-    if labels is not None:
-        if labels.mode == "ABC":
-            for v in sub.vertices:
-                if sub.degree(v) > ABC_CAPS[labels.part(v)]:
-                    return False
-        else:
-            for u, v in sub.edges():
-                for a, b in ((u, v), (v, u)):
-                    if labels.part(b) == "B" and not (
-                        labels.part(a) == "A" and sub.degree(a) == 1
-                    ):
-                        return False
-    return Fraction(len(cert.vertex_set)) >= cert.claimed_bound
-
-
-def certificate_to_text(
-    cert: ForestCertificate, graph_hash: str = "", trace: Optional[ReductionTrace] = None
-) -> str:
-    lines = [
-        f"graph={graph_hash or '-'}",
-        f"class={cert.forest_class.to_text()}",
-        f"bound={rat_text(cert.claimed_bound)}",
-        "vertices=" + " ".join(map(str, sorted(cert.vertex_set))),
-        f"trace={trace.summary() if trace is not None else '-'}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def certificate_from_text(text: str) -> tuple[ForestCertificate, str]:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = map(str.strip, line.partition("="))
-        if not eq:
-            raise ParseError(f"bad certificate line {line!r}")
-        if key in fields:
-            raise ParseError(f"certificate field {key!r} given twice")
-        fields[key] = value
-    try:
-        forest_class = ForestClass.from_text(fields["class"])
-        bound = Fraction(fields["bound"])
-        vertices = [int(tok) for tok in fields["vertices"].split()]
-    except KeyError as exc:
-        raise ParseError(f"certificate missing field {exc}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad certificate value: {exc}") from exc
-    twice = sorted(v for v, c in Counter(vertices).items() if c > 1)
-    if twice:
-        raise ParseError(f"certificate vertices given twice: {twice[:8]}")
-    graph_hash = fields.get("graph", "-")
-    return ForestCertificate(frozenset(vertices), forest_class, bound), graph_hash

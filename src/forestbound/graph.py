@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnknownVertex
@@ -251,18 +250,6 @@ def spec_text(name: str, pairs: Iterable[tuple[str, object]]) -> str:
 LINEAR_FOREST = ForestClass("linear")
 CATERPILLAR_FOREST = ForestClass("caterpillar")
 STAR_FOREST = ForestClass("star")
-
-
-@dataclass(frozen=True)
-class ForestCertificate:
-    """A vertex subset together with the class and rational bound it claims."""
-
-    vertex_set: frozenset[int]
-    forest_class: ForestClass
-    claimed_bound: Fraction
-
-    def size(self) -> int:
-        return len(self.vertex_set)
 
 
 def is_forest(g: Graph) -> bool:

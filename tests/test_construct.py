@@ -43,7 +43,8 @@ from forestbound.generate import (
     random_regular,
     star_graph,
 )
-from forestbound.graph import LINEAR_FOREST, ForestCertificate
+from forestbound.check import ForestCertificate
+from forestbound.graph import LINEAR_FOREST
 
 
 class TestGreedyLinearForest:

@@ -545,6 +545,16 @@ def test_harness_rejects_sizes_for_a_suite_without_sizes(workdir, capsys):
         run_suite("witness-families", sizes=[3])
 
 
+def test_harness_rejects_sizes_with_no_value(workdir, capsys):
+    # an empty size list would run no job and report a pass of zero records
+    with pytest.raises(SystemExit) as exc:
+        run_cli("harness", "cubic", "--sizes", "--out", "rep.txt")
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument --sizes: expected at least one argument\n"
+    assert not Path("rep.txt").exists()
+
+
 def test_exact_rejects_a_negative_budget(workdir, capsys):
     run_cli("gen", "complete:n=4", "--out", "k4.txt")
     capsys.readouterr()

@@ -209,3 +209,44 @@ def test_oracle_scans_leave_their_order_to_the_chain_table():
         "_degree_scan", "_star_violation", "_ab_violation", "_spine_violation", "_shortest_cycle"
     }
     assert chain_hand_offs(tree) == []
+
+
+def package_imports(tree: ast.AST) -> list[str]:
+    """Every module of this package that the code imports, by its name in the
+    package (`from .m import x`, `from . import m`, `import forestbound.m`,
+    `from forestbound import m`); the package itself is `forestbound`, in
+    line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names if a.name.partition(".")[0] == "forestbound"]
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif node.module in (None, "forestbound"):  # `from . import m`, `from forestbound import m`
+            mods = [a.name for a in node.names]
+        elif node.level or node.module.partition(".")[0] == "forestbound":
+            mods = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m.removeprefix("forestbound.")) for m in mods]
+    return [m for _, m in sorted(found, key=lambda item: item[0])]
+
+
+def test_detector_sees_every_package_import():
+    code = (
+        "import os, forestbound.cli\nfrom collections import Counter\n"
+        "from . import graph, construct\nfrom .exact import alpha_exact\n"
+        "from forestbound.weights import rat_text\nfrom forestbound import harness\n"
+        "import forestbound\nfrom __future__ import annotations\n"
+    )
+    assert package_imports(ast.parse(code)) == [
+        "cli", "graph", "construct", "exact", "weights", "harness", "forestbound"
+    ]
+
+
+def test_checker_imports_only_the_modules_it_needs():
+    # what a user has to trust is check.py and these four, never the
+    # constructors or the oracle whose output it checks
+    path = next(p for p in SOURCES if p.name == "check.py")
+    mods = package_imports(ast.parse(path.read_text(), str(path)))
+    assert mods and set(mods) <= {"errors", "graph", "partition", "weights"}, mods
