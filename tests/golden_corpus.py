@@ -211,6 +211,12 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
         groups[f"{name}/all-graphs-n<=5"] = [_run(fn, g) for g in small]
         groups[f"{name}/gnp-n=6..60"] = [_run(fn, g) for g, _ in gnps]
         groups[f"{name}/families"] = [_run(fn, g) for g in fams]
+    # caterpillar_forest on every corpus graph without an isolated vertex:
+    # what it returned before it took isolated vertices too
+    groups["caterpillar_forest/no-isolated-vertex"] = [
+        _run(caterpillar_forest, g) for g in (*small, *(g for g, _ in gnps), *fams)
+        if all(g.degree(v) for v in g.vertices)
+    ]
     tiny = small_graphs(4)
     for mode in ("ABC", "AB"):
         name = "abc_construct" if mode == "ABC" else "ab_construct"
