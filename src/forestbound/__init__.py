@@ -20,7 +20,6 @@ from .errors import (
     ForestBoundError,
     InfeasibleDegree,
     InvalidSpec,
-    IsolatedVertexPresent,
     MissingPartition,
     NotCubic,
     ParseError,

@@ -35,7 +35,7 @@ from math import lcm
 from typing import AbstractSet, Optional
 
 from .check import ForestCertificate, verify_certificate
-from .errors import BoundMiss, IsolatedVertexPresent, NotCubic, ParseError
+from .errors import BoundMiss, NotCubic, ParseError
 from .exact import alpha_exact_partitioned
 from .graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestClass, Graph, components_of
 from .partition import ABC_CAPS, Partition
@@ -134,13 +134,11 @@ def greedy_linear_forest(g: Graph) -> ForestCertificate:
 
 def caterpillar_forest(g: Graph) -> ForestCertificate:
     """Induced caterpillar forest of size at least the `aks` bound, the sum
-    of 2/(d(v)+1).
+    of min{1, 2/(d(v)+1)}.
 
-    Strips the degree-1 vertices, builds a linear forest of the remainder,
-    and adds the stripped vertices back.
+    Strips the degree-1 vertices, builds a linear forest of the remainder
+    (which keeps every isolated vertex), and adds the stripped vertices back.
     """
-    if any(g.degree(v) == 0 for v in g.vertices):
-        raise IsolatedVertexPresent("caterpillar bound requires minimum degree >= 1")
     leaves = {v for v in g.vertices if g.degree(v) == 1}
     inner = greedy_linear_forest(g.delete_vertices(leaves))
     return _certify("caterpillar_forest", g, inner.vertex_set | leaves, KINDS["caterpillar"])

@@ -31,10 +31,6 @@ class DegreeZero(ForestBoundError):
     """Gain is undefined for degree-0 vertices."""
 
 
-class IsolatedVertexPresent(ForestBoundError):
-    """The caterpillar constructor requires a graph without isolated vertices."""
-
-
 class NotCubic(ForestBoundError):
     """cubic_partition requires every vertex to have degree exactly 3."""
 

@@ -32,22 +32,15 @@ class GenSpec:
     p: Optional[float] = None
     d: Optional[int] = None
     seed: Optional[int] = None
-    gadget: Optional[str] = None
+    id: Optional[str] = None  # the Fig. 1 gadget
 
     def to_text(self) -> str:
-        return spec_text(self.family, ((key, getattr(self, f)) for key, (f, _) in _ARGS.items()))
+        return spec_text(self.family, ((key, getattr(self, key)) for key in _ARGS))
 
 
-# Each argument of a generator spec text: the GenSpec field it sets and its type.
-_ARGS = {
-    "n": ("n", int),
-    "k": ("k", int),
-    "t": ("t", int),
-    "p": ("p", float),
-    "d": ("d", int),
-    "seed": ("seed", int),
-    "id": ("gadget", str),
-}
+# Each argument of a generator spec text, which sets the GenSpec field of its
+# name, and its type.
+_ARGS = {"n": int, "k": int, "t": int, "p": float, "d": int, "seed": int, "id": str}
 
 
 def complete_graph(n: int) -> Graph:
@@ -165,7 +158,7 @@ _FAMILIES = {
     "cycle": (cycle_graph, ("n",)),
     "hnk": (hnk_graph, ("n", "k")),
     "kprime": (k_prime_graph, ("n",)),
-    "fig1": (fig1_gadget, ("gadget",)),
+    "fig1": (fig1_gadget, ("id",)),
     "gnp": (gnp, ("n", "p", "seed")),
     "regular": (random_regular, ("n", "d", "seed")),
 }
@@ -177,11 +170,11 @@ def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
     if spec.family not in _FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
     build, takes = _FAMILIES[spec.family]
-    for attr, _ in _ARGS.values():
-        if (getattr(spec, attr) is None) == (attr in takes):
-            verb = "needs" if attr in takes else "takes no"
-            raise InvalidSpec(f"family {spec.family!r} {verb} parameter {attr!r}")
-    made = build(*(getattr(spec, attr) for attr in takes))
+    for key in _ARGS:
+        if (getattr(spec, key) is None) == (key in takes):
+            verb = "needs" if key in takes else "takes no"
+            raise InvalidSpec(f"family {spec.family!r} {verb} parameter {key!r}")
+    made = build(*(getattr(spec, key) for key in takes))
     return made if spec.family == "fig1" else (made, None)
 
 
@@ -189,7 +182,7 @@ def parse_gen_spec(text: str) -> GenSpec:
     """Parse the CLI encoding, e.g. `hnk:n=3,k=2` or `gnp:n=30,p=0.2,seed=42`."""
     family, args = parse_spec_text(text, "generator", _ARGS)
     try:
-        fields = {attr: kind(args[key]) for key, (attr, kind) in _ARGS.items() if key in args}
+        fields = {key: kind(args[key]) for key, kind in _ARGS.items() if key in args}
         return GenSpec(family, **fields)
     except ValueError as exc:
         raise ParseError(f"bad generator spec {text!r}: {exc}") from exc

@@ -76,9 +76,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self._adj.values()), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(nbrs) for nbrs in self._adj.values()), default=0)
-
     def induced(self, s: Iterable[int]) -> "Graph":
         keep = frozenset(s)
         for v in keep:

@@ -96,6 +96,8 @@ def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) 
         raise ForestBoundError(f"sizes must be >= 1, got {','.join(map(str, sizes))}")
     if sizes and not default_sizes:
         raise ForestBoundError(f"suite {suite} takes no sizes, got {','.join(map(str, sizes))}")
+    if default_sizes and not sizes:
+        raise ForestBoundError(f"suite {suite} needs at least one size")
     report = HarnessReport(suite, seed, sizes)
     # Each job runs before the suite is asked for its next pair, so a job may
     # read the suite's loop variables directly: never collect the pairs first.
@@ -150,16 +152,14 @@ def _construct_record(instance: str, check: str, g: Graph, runner) -> dict:
     return _record(instance, check, True, size=cert.size(), bound=rat_text(cert.claimed_bound))
 
 
-def _random_bounds_records(instance: str, g: Graph, n: int) -> list[dict]:
-    checks = [("greedy-linear", construct.greedy_linear_forest)]
-    if g.min_degree() >= 1:
-        checks.append(("caterpillar", construct.caterpillar_forest))
-    if n <= 16:
-        checks += [
-            ("k-caterpillar:k=2", lambda h: construct.k_caterpillar_forest(h, 2)),
-            ("k-caterpillar:k=3", lambda h: construct.k_caterpillar_forest(h, 3)),
-            ("star-forest", construct.star_forest),
-        ]
+def _random_bounds_records(instance: str, g: Graph) -> list[dict]:
+    checks = (
+        ("greedy-linear", construct.greedy_linear_forest),
+        ("caterpillar", construct.caterpillar_forest),
+        ("k-caterpillar:k=2", lambda h: construct.k_caterpillar_forest(h, 2)),
+        ("k-caterpillar:k=3", lambda h: construct.k_caterpillar_forest(h, 3)),
+        ("star-forest", construct.star_forest),
+    )
     return [_construct_record(instance, check, g, constructor) for check, constructor in checks]
 
 
@@ -168,7 +168,7 @@ def _jobs_random_bounds(seed: int, sizes: list[int]):
         for i, p in enumerate((0.1, 0.3, 0.6)):
             instance = f"gnp:n={n},p={p},seed={seed + i}"
             g = gnp(n, p, seed + i)
-            yield instance, lambda: _random_bounds_records(instance, g, n)
+            yield instance, lambda: _random_bounds_records(instance, g)
 
 
 def _oracle_records(instance: str, g: Graph, cls: ForestClass, expected: int) -> list[dict]:
@@ -254,7 +254,7 @@ def _seeded_jobs(prefix: str, records, reps: int, seed: int, sizes: Iterable[int
 
 def _jobs_cubic(seed: int, sizes: list[int]):
     # odd sizes round up: a cubic graph has an even number of vertices
-    reps = max(1, 20 // max(1, len(sizes)))
+    reps = max(1, 20 // len(sizes))
     return _seeded_jobs("cubic", _cubic_records, reps, seed, (n + n % 2 for n in sizes))
 
 

@@ -242,8 +242,8 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
         for seed in range(1 if suite == "exhaustive-small" else 3):
             groups[f"harness/{suite}/seed={seed}"] = [run_suite(suite, seed).payload()]
     # sizes off the defaults: odd cubic sizes round up, and n = 1 becomes 2, for
-    # which no cubic graph exists; random-bounds at n = 1 has minimum degree 0,
-    # and at n = 17 it skips the k-caterpillar and star checks
+    # which no cubic graph exists; random-bounds at n = 1 runs every check on
+    # a single isolated vertex, and at n = 17 above the exact threshold of 16
     for suite, sizes in (("cubic", (1, 5, 21)), ("random-bounds", (1, 17))):
         groups[f"harness/{suite}/sizes={','.join(map(str, sizes))}"] = [
             run_suite(suite, seed, sizes).payload() for seed in range(3)

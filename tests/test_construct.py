@@ -13,7 +13,6 @@ from forestbound import construct
 from forestbound import (
     BoundSpec,
     Graph,
-    IsolatedVertexPresent,
     NotCubic,
     Partition,
     ab_construct,
@@ -31,7 +30,7 @@ from forestbound import (
     total_weight,
     verify_certificate,
 )
-from forestbound.errors import InvalidSpec
+from forestbound.errors import InvalidSpec, ParseError
 from forestbound.generate import (
     complete_graph,
     cycle_graph,
@@ -113,16 +112,15 @@ class TestCaterpillarForest:
         cert = caterpillar_forest(g)
         assert cert.size() == 4 and cert.claimed_bound == 4
 
-    def test_isolated_vertex_rejected(self):
-        with pytest.raises(IsolatedVertexPresent):
-            caterpillar_forest(Graph.from_edges(3, [(0, 1)]))
+    def test_isolated_vertex_kept(self):
+        # aks weighs an isolated vertex min{1, 2/1} = 1: it must be in the forest
+        cert = caterpillar_forest(Graph.from_edges(3, [(0, 1)]))
+        assert cert.vertex_set == {0, 1, 2} and cert.claimed_bound == 3
 
     def test_outputs_are_caterpillar_forests(self):
         rng = random.Random(5)
         for trial in range(60):
             g = gnp(rng.randint(2, 30), 0.2, 1000 + trial)
-            if g.min_degree() == 0:
-                continue
             cert = caterpillar_forest(g)
             assert is_caterpillar_forest(g.induced(cert.vertex_set))
             assert verify_certificate(g, cert)
@@ -170,6 +168,11 @@ class TestAbcConstruct:
         p = Partition.abc({v: "A" for v in g.vertices})
         cert, _ = abc_construct(g, p)
         assert verify_certificate(g, cert, p)
+
+    def test_ab_partition_rejected(self):
+        g = path_graph(3)
+        with pytest.raises(ParseError, match="abc_construct needs an ABC partition"):
+            abc_construct(g, Partition.uniform(g.vertices, "A", "AB"))
 
 
 class TestAbConstruct:
@@ -262,6 +265,12 @@ class TestKCaterpillarForest:
             if checked >= 25:
                 break
         assert checked >= 10
+
+    def test_overloaded_drops_cascade_through_new_leaves(self):
+        # at k = 2, vertex 4 carries three leaves; dropping it makes 3 a leaf
+        # of 0, which then carries three leaves too
+        g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (4, 7)])
+        assert construct._overloaded(g, 2) == {0, 4}
 
     def test_k_caterpillar_comb_no_recursion(self):
         # every spine vertex carries three leaves, so k = 2 drops the whole

@@ -155,3 +155,9 @@ class TestGenSpecText:
             generate(parse_gen_spec("complete:n=4,k=9,seed=3"))
         with pytest.raises(InvalidSpec, match="family 'fig1' takes no parameter 'n'"):
             generate(parse_gen_spec("fig1:id=P3AB,n=3"))
+
+    def test_missing_gadget_names_the_key_a_user_types(self):
+        # the spec text's key is `id`, and so is the GenSpec field it sets
+        with pytest.raises(InvalidSpec, match=r"^family 'fig1' needs parameter 'id'$"):
+            generate(parse_gen_spec("fig1"))
+        assert parse_gen_spec("fig1:id=K2AC") == GenSpec("fig1", id="K2AC")

@@ -6,7 +6,7 @@ import pytest
 
 from forestbound import run_suite
 from forestbound.cli import main
-from forestbound.errors import ForestBoundError
+from forestbound.errors import BoundMiss, ForestBoundError
 from forestbound.harness import SUITES, all_labeled_graphs
 
 
@@ -503,6 +503,13 @@ class TestCli:
         assert run_cli("bound", "k1.txt", "aks") == 0
         assert capsys.readouterr().out == "bound=1/1 (~1.000000)\n"
 
+    def test_caterpillar_certificate_keeps_an_isolated_vertex(self, workdir, capsys):
+        Path("g.txt").write_text("3 1\n0 1\n")
+        assert run_cli("construct", "g.txt", "caterpillar", "--out", "g.cert") == 0
+        assert "vertices=0 1 2\n" in Path("g.cert").read_text()
+        assert run_cli("verify", "g.txt", "g.cert") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verdict=pass size=3 bound=3/1"
+
     def test_missing_file_exit_code(self, workdir, capsys):
         assert run_cli("bound", "missing.txt", "flin") == 3
 
@@ -553,6 +560,63 @@ def test_harness_rejects_sizes_with_no_value(workdir, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == "error: argument --sizes: expected at least one argument\n"
     assert not Path("rep.txt").exists()
+
+
+@pytest.mark.parametrize("suite", sorted(s for s, (_, sizes) in SUITES.items() if sizes))
+def test_harness_rejects_an_empty_size_list(suite):
+    # no job would run, and a report of zero records would pass
+    with pytest.raises(ForestBoundError, match=f"^suite {suite} needs at least one size$"):
+        run_suite(suite, 0, [])
+
+
+def test_gen_names_the_missing_gadget_key(workdir, capsys):
+    assert run_cli("gen", "fig1") == 3
+    assert capsys.readouterr() == ("", "error: family 'fig1' needs parameter 'id'\n")
+
+
+def test_construct_reports_a_bound_miss(workdir, capsys, monkeypatch):
+    from forestbound import construct
+
+    def missed(g):
+        raise BoundMiss("star_forest missed its bound")
+
+    monkeypatch.setattr(construct, "star_forest", missed)
+    Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+    assert run_cli("construct", "p3.txt", "star") == 2
+    assert capsys.readouterr() == ("", "error: bound miss: star_forest missed its bound\n")
+
+
+def test_construct_rejects_an_unlabeled_vertex(workdir, capsys):
+    Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+    Path("p3.part").write_text("0 A\n1 B\n")
+    assert run_cli("construct", "p3.txt", "abc", "--partition", "p3.part") == 3
+    assert capsys.readouterr() == ("", "error: unlabeled vertices: [2]\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("class=linear\nbound=1/1\nvertices=0 1\njunk\n", "bad certificate line 'junk'"),
+        ("class=linear\nvertices=0 1\n", "certificate missing field 'bound'"),
+        ("class=linear\nbound=x\nvertices=0 1\n", "bad certificate value: "),
+        ("class=linear\nbound=1/0\nvertices=0 1\n", "bad certificate value: "),
+        ("class=linear\nbound=1/1\nvertices=a\n", "bad certificate value: "),
+        ("class=\nbound=1/1\nvertices=0 1\n", "bad forest class ''"),
+    ],
+)
+def test_verify_rejects_a_malformed_certificate(workdir, capsys, text, message):
+    Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+    Path("p3.cert").write_text(text)
+    assert run_cli("verify", "p3.txt", "p3.cert") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_verify_skips_comment_and_blank_lines(workdir, capsys):
+    Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+    Path("p3.cert").write_text("# written by hand\n\nclass=linear\n   \nbound=1/1\nvertices=0 1\n")
+    assert run_cli("verify", "p3.txt", "p3.cert") == 0
+    assert capsys.readouterr().out == "verdict=pass size=2 bound=1/1\n"
 
 
 def test_exact_rejects_a_negative_budget(workdir, capsys):

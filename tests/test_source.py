@@ -250,3 +250,35 @@ def test_checker_imports_only_the_modules_it_needs():
     path = next(p for p in SOURCES if p.name == "check.py")
     mods = package_imports(ast.parse(path.read_text(), str(path)))
     assert mods and set(mods) <= {"errors", "graph", "partition", "weights"}, mods
+
+
+def raised_names(tree: ast.AST) -> set[str]:
+    """The name of everything a `raise` statement raises, as `X`, `X(...)`,
+    `m.X` or `m.X(...)`; a bare `raise` names nothing."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_detector_sees_every_raised_name():
+    code = (
+        "def f(x):\n    if x:\n        raise A('a')\n    raise errors.B from None\n"
+        "try:\n    f(1)\nexcept C as exc:\n    D(exc)\n    raise\n"
+        "raise E\nraise exc\n"
+    )
+    assert raised_names(ast.parse(code)) == {"A", "B", "E", "exc"}
+
+
+def test_every_error_class_is_raised():
+    # a refusal that goes takes its exception class with it: errors.py
+    # declares no class that the library never raises
+    path = next(p for p in SOURCES if p.name == "errors.py")
+    declared = [n.name for n in ast.parse(path.read_text()).body if isinstance(n, ast.ClassDef)]
+    raised = set().union(*(raised_names(ast.parse(p.read_text(), str(p))) for p in SOURCES))
+    assert declared and [name for name in declared if name not in raised] == []
