@@ -75,16 +75,22 @@ def certificate_from_text(text: str) -> tuple[ForestCertificate, str]:
         if key in fields:
             raise ParseError(f"certificate field {key!r} given twice")
         fields[key] = value
-    try:
-        forest_class = ForestClass.from_text(fields["class"])
-        bound = Fraction(fields["bound"])
-        vertices = [int(tok) for tok in fields["vertices"].split()]
-    except KeyError as exc:
-        raise ParseError(f"certificate missing field {exc}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad certificate value: {exc}") from exc
+    for key in ("class", "bound", "vertices"):
+        if key not in fields:
+            raise ParseError(f"certificate missing field {key!r}")
+    forest_class = ForestClass.from_text(fields["class"])
+    bound = _field_value(Fraction, "bound", fields["bound"])
+    vertices = [_field_value(int, "vertices", tok) for tok in fields["vertices"].split()]
     twice = sorted(v for v, c in Counter(vertices).items() if c > 1)
     if twice:
         raise ParseError(f"certificate vertices given twice: {twice[:8]}")
     graph_hash = fields.get("graph", "-")
     return ForestCertificate(frozenset(vertices), forest_class, bound), graph_hash
+
+
+def _field_value(parse, key: str, text: str):
+    """parse(text), or a ParseError that names the field and the value."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad value {text!r} in certificate field {key!r}") from exc

@@ -25,18 +25,31 @@ i and starts scan i at a, so it finds the same W as a scan from vertex 0.
 The cycle check comes last and does not resume: it reports anchor 0
 whenever it finds a cycle.
 
-Cut: a node one deletion short of the incumbent (|cand| - 2 <= best) whose
-W came from the chain's first scan (anchor < n) resumes that scan at the
-anchor on cand - W, then for ab the star scan, and has no child if that
-finds a second violation W': a valid S within cand misses a vertex of W,
-and S - W (valid, the class being hereditary) one of W', so |S| <= best.
-No cut subtree updates the incumbent. Caterpillars, whose W is a whole
-closed neighbourhood, skip the cut.
+Cuts: each row of `_CHAINS` names the one cut its class runs at a node
+that would otherwise push children (|cand| - 1 > best). No cut subtree
+holds a set larger than best, so no cut subtree updates the incumbent.
+
+- Two violations (linear, abc, star, ab): a node one deletion short of the
+  incumbent (|cand| - 2 <= best) whose W came from the chain's first scan
+  (anchor < n) resumes that scan at the anchor on cand - W, then for ab the
+  star scan, and has no child if that finds a second violation W': a valid
+  S within cand misses a vertex of W, and S - W (valid, the class being
+  hereditary) one of W', so |S| <= best.
+- Degree count (caterpillars, whose W is a whole closed neighbourhood and
+  seldom leaves a second violation): every class here is a forest, so a
+  valid S of best + 1 vertices has e(S) <= best. The edges of cand that
+  meet S number at most e(S) + e(cand), so twice the sum of S's degrees in
+  cand is at most D + 2 * best, where D is the sum of all degrees in cand.
+  If the best + 1 smallest degrees in cand break this, so does every such
+  S, and so every larger valid set, which holds one: the node has no
+  child. A caterpillar forest of maximum degree 2 is a linear forest, so
+  k = 2 runs the linear row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import ForestClass, Graph
 from .partition import ABC_CAPS, Partition
@@ -78,8 +91,13 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-# Each class's scans in the order a node runs them, and how many leading
-# scans the cut resumes: none, the first, or all (see the module docstring).
+# The selectors of compress(adj, ...) for the vertices of a mask: its binary
+# digits lowest first, as the bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+# Each class's scans in the order a node runs them, and its cut: how many
+# leading scans the two-violation cut resumes, the first or all, or 0 for the
+# degree-count cut, which resumes none (see the module docstring).
 _CHAINS = {
     "linear": (("_degree_scan", "_shortest_cycle"), 1),
     "abc": (("_degree_scan", "_shortest_cycle"), 1),
@@ -99,7 +117,9 @@ class _Search:
         self.labels = labels
         # Per-vertex degree caps, read only by the degree scan.
         self.caps = [ABC_CAPS[p] for p in labels] if kind == "abc" else [k or 2] * self.n
-        names, self._cut = _CHAINS["k-caterpillar" if k is not None else kind]
+        # A caterpillar forest of maximum degree 2 is a linear forest.
+        key = "linear" if k == 2 else "k-caterpillar" if k is not None else kind
+        names, self._cut = _CHAINS[key]
         self._chain = [getattr(self, name) for name in names]
 
     def run(self, budget: int) -> OracleResult:
@@ -107,7 +127,8 @@ class _Search:
         full = (1 << n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        first, walk = self._chain[0], self._walk
+        first, walk, count_cut = self._chain[0], self._walk, self._count_cut
+        counting = not self._cut  # the row runs the degree-count cut
         cut_end = n if self._cut else 0  # anchors below it are the first scan's
         cut_walks = self._cut > 1  # the cut also runs the rest of the chain
         nodes = 0
@@ -131,6 +152,8 @@ class _Search:
                     continue
             if size - 1 <= best_size:
                 continue  # every child would be popped and skipped uncounted
+            if counting and count_cut(cand, best_size):
+                continue  # cand's degrees rule out a forest larger than best
             if anchor < cut_end and size - 2 <= best_size:
                 rest = cand & ~bad
                 if first(rest, anchor)[0] or cut_walks and walk(rest, n)[0]:
@@ -158,6 +181,14 @@ class _Search:
                 if d > worst_deg:
                     worst, worst_deg = i, d
             cand &= ~(1 << worst)
+
+    def _count_cut(self, cand: int, best: int) -> bool:
+        """Whether cand's degrees rule out a valid set of more than best
+        vertices: twice the sum of its best + 1 smallest degrees in cand
+        exceeds the sum of all of them plus 2 * best (best >= 0)."""
+        selected = compress(self.adj, bin(cand)[:1:-1].encode().translate(_BITS))
+        degrees = sorted(map(int.bit_count, map(cand.__and__, selected)))
+        return 2 * sum(degrees[: best + 1]) > sum(degrees) + 2 * best
 
     def _violation(self, cand: int) -> int:
         """W for cand, scanning from vertex 0."""

@@ -22,7 +22,14 @@ from forestbound import (
     is_star_forest,
 )
 from forestbound.exact import _CHAINS, OracleResult, _iter_bits, _Search
-from forestbound.generate import complete_graph, cycle_graph, gnp, hnk_graph, k_prime_graph
+from forestbound.generate import (
+    complete_graph,
+    cycle_graph,
+    gnp,
+    hnk_graph,
+    k_prime_graph,
+    random_regular,
+)
 from forestbound.partition import ABC_CAPS
 
 
@@ -225,7 +232,10 @@ class RescanSearch(_Search):
     """The search before its finders resumed, kept as a reference: every
     node's violation scan starts at vertex 0, the finder is picked through
     an if-chain at every node, and children are built in a list and pushed
-    reversed."""
+    reversed. It runs no cut, or with count_cut set the degree-count cut
+    at every node with a violation."""
+
+    count_cut = False
 
     def __init__(self, g: Graph, kind: str, k: int | None = None, labels=None):
         super().__init__(g, kind, k, labels)
@@ -252,6 +262,8 @@ class RescanSearch(_Search):
             bad = violation(cand)
             if not bad:
                 best_size, best_mask = size, cand
+                continue
+            if self.count_cut and self._count_cut(cand, best_size):
                 continue
             # Children in bit order of the free part of the violation, pushed
             # last-first so they pop in bit order; a violation inside kept
@@ -470,8 +482,9 @@ def test_cut_search_matches_unpruned_search():
 
 
 def test_every_cut_resumes_none_the_first_or_all_of_its_chain():
-    # the cut runs the chain's first scan and, for a count above one, the
-    # walker, which runs on to the chain's end
+    # the two-violation cut runs the chain's first scan and, for a count
+    # above one, the walker, which runs on to the chain's end; 0 is the
+    # degree-count cut
     for names, cut in _CHAINS.values():
         assert cut in (0, 1, len(names)), names
 
@@ -539,6 +552,7 @@ class CountedSpineSearch(_Search):
 
 class CountedSpineRescan(RescanSearch):
     examined = 0
+    count_cut = True  # as the caterpillar row does
 
     def _spine_violation(self, cand):
         self.examined += spine_scan_length(self, cand, 0)
@@ -546,11 +560,19 @@ class CountedSpineRescan(RescanSearch):
 
 
 def test_resumed_spine_scan_examines_at_most_seven_tenths_of_the_vertices():
-    g = gnp(22, 0.3, 7)
-    new = CountedSpineSearch(g, "caterpillar")
-    ref = CountedSpineRescan(g, "caterpillar")
-    assert new.run(10**6) == ref.run(10**6)
-    assert 0 < new.examined <= 0.7 * ref.examined
+    # Both run the degree-count cut, so they build the same tree. It leaves
+    # trees of a few hundred to a few thousand nodes at n = 22, where how
+    # much resuming saves varies with the tree's depth, so the count is
+    # summed over ten graphs.
+    examined = [0, 0]
+    for seed in range(1, 11):
+        g = gnp(22, 0.3, seed)
+        new = CountedSpineSearch(g, "caterpillar")
+        ref = CountedSpineRescan(g, "caterpillar")
+        assert new.run(10**6) == ref.run(10**6)
+        examined[0] += new.examined
+        examined[1] += ref.examined
+    assert 0 < examined[0] <= 0.7 * examined[1]
 
 
 def test_linear_forest_on_gnp28_is_exact_within_2m_nodes():
@@ -588,18 +610,43 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
 @pytest.mark.parametrize(
     "search, nodes",
     [
-        # (without the cut: 131 142, 52 083, 43 036 and 361 942 nodes)
+        # (without a cut: 131 142, 52 083, 43 036, 131 142, 361 942, 164 523
+        # and 6 203 nodes)
         (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 97_521),
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 41_218),
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 33_155),
-        # caterpillars skip the cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass.caterpillar(3)), 361_942),
+        # k = 2 runs the linear row and its two-violation cut
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass.caterpillar(2)), 97_521),
+        # the other caterpillars run the degree-count cut
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass.caterpillar(3)), 34_426),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 13_141),
+        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass.caterpillar(3)), 145),
     ],
-    ids=["linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar3-gnp28"],
+    ids=[
+        "linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar2-gnp28",
+        "caterpillar3-gnp28", "caterpillar-gnp28", "caterpillar3-regular18",
+    ],
 )
 def test_oracle_node_counts(search, nodes):
     res = search()
     assert res.exact and res.nodes_explored == nodes
+
+
+def test_degree_count_cut_is_sound_on_the_atlas():
+    # On every graph of 1 to 7 vertices and in every class, whether or not
+    # its row runs the cut, the degree count never rules out the optimum
+    # (best = alpha - 1), and it is not vacuous (best = alpha).
+    nx = pytest.importorskip("networkx")
+    fired = 0
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        full = (1 << g.n) - 1
+        for cls in ALL_CLASSES:
+            search = _Search(g, cls.kind, k=cls.k)
+            alpha = search.run(10**6).alpha
+            assert not search._count_cut(full, alpha - 1), (g.edges(), cls)
+            fired += search._count_cut(full, alpha)
+    assert fired
 
 
 def test_budget_run_on_large_clique_does_not_recurse():

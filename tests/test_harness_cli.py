@@ -598,9 +598,12 @@ def test_construct_rejects_an_unlabeled_vertex(workdir, capsys):
     [
         ("class=linear\nbound=1/1\nvertices=0 1\njunk\n", "bad certificate line 'junk'"),
         ("class=linear\nvertices=0 1\n", "certificate missing field 'bound'"),
-        ("class=linear\nbound=x\nvertices=0 1\n", "bad certificate value: "),
-        ("class=linear\nbound=1/0\nvertices=0 1\n", "bad certificate value: "),
-        ("class=linear\nbound=1/1\nvertices=a\n", "bad certificate value: "),
+        ("class=linear\nbound=x\nvertices=0 1\n", "bad value 'x' in certificate field 'bound'"),
+        ("class=linear\nbound=1/0\nvertices=0 1\n", "bad value '1/0' in certificate field 'bound'"),
+        ("class=linear\nbound=1/1\nvertices=a\n", "bad value 'a' in certificate field 'vertices'"),
+        ("class=linear\nbound=1/1\nvertices=0 1.0\n", "bad value '1.0' in certificate field 'vertices'"),
+        ("bound=1/1\nvertices=0 1\n", "certificate missing field 'class'"),
+        ("class=linear\nbound=1/1\n", "certificate missing field 'vertices'"),
         ("class=\nbound=1/1\nvertices=0 1\n", "bad forest class ''"),
     ],
 )
@@ -609,7 +612,14 @@ def test_verify_rejects_a_malformed_certificate(workdir, capsys, text, message):
     Path("p3.cert").write_text(text)
     assert run_cli("verify", "p3.txt", "p3.cert") == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {message}")
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_a_failed_verify_writes_its_verdict_and_no_error_line(workdir, capsys):
+    Path("p3.txt").write_text("3 2\n0 1\n1 2\n")
+    Path("p3.cert").write_text("class=linear\nbound=4/1\nvertices=0 1 2\n")
+    assert run_cli("verify", "p3.txt", "p3.cert") == 2
+    assert capsys.readouterr() == ("verdict=fail size=3 bound=4/1\n", "")
 
 
 def test_verify_skips_comment_and_blank_lines(workdir, capsys):
