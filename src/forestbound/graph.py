@@ -10,22 +10,33 @@ derived graph is directly meaningful in the graph it was derived from.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnknownVertex
 
 
 class Graph:
-    """Immutable simple undirected graph over integer vertex ids."""
+    """Immutable simple undirected graph over integer vertex ids. One read by
+    parse_edge_list keeps its edge arrays and builds neighbor sets on first use."""
 
-    __slots__ = ("_adj", "_vertices", "_m")
+    __slots__ = ("_adj", "_vertices", "_m", "_ends")
 
     def __init__(self, adjacency: dict[int, frozenset[int]]):
         self._adj = adjacency
         self._vertices = tuple(sorted(adjacency))
         self._m = sum(map(len, adjacency.values())) // 2
+        self._ends = None
+
+    @classmethod
+    def _from_edge_arrays(cls, n: int, us: list[int], vs: list[int]) -> "Graph":
+        """The graph on 0..n-1 with the checked edges zip(us, vs)."""
+        g = cls.__new__(cls)
+        g._adj, g._vertices, g._m, g._ends = None, tuple(range(n)), len(us), (us, vs)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -42,7 +53,7 @@ class Graph:
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return len(self._vertices)
 
     @property
     def m(self) -> int:
@@ -53,7 +64,7 @@ class Graph:
         return self._vertices
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
+        return v in self._sets()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._vertices)
@@ -61,8 +72,37 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         try:
             return self._adj[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} not in graph") from None
+        except (KeyError, TypeError):  # TypeError: the sets are not built yet
+            adj = self._sets()
+        if v not in adj:
+            raise UnknownVertex(f"vertex {v} not in graph")
+        return adj[v]
+
+    def _sets(self) -> dict[int, frozenset[int]]:
+        """The neighbor sets, built from the edge arrays on first use."""
+        if self._adj is None:
+            self._adj = _neighbor_sets(self.n, *self._ends)
+        return self._adj
+
+    def degrees(self) -> list[int]:
+        """The degree of each vertex, in `vertices` order."""
+        if self._adj is not None:
+            return list(map(len, map(self._adj.__getitem__, self._vertices)))
+        deg = [0] * self.n  # parsed, sets not built: vertices 0..n-1, counted off the edge arrays
+        for v in chain(*self._ends):
+            deg[v] += 1
+        return deg
+
+    def leaf_tags(self) -> list[int | None]:
+        """Per vertex, in `vertices` order: its neighbor's degree if it is a leaf, else None."""
+        deg = dict(zip(self._vertices, self.degrees()))
+        tags = dict.fromkeys(self._vertices)
+        for u, v in zip(*self._ends) if self._ends else self.edges():
+            if deg[u] == 1:
+                tags[u] = deg[v]
+            if deg[v] == 1:
+                tags[v] = deg[u]
+        return list(tags.values())
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -71,30 +111,31 @@ class Graph:
         return v in self.neighbors(u)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in self._vertices for v in sorted(self._adj[u]) if u < v]
+        adj = self._sets()
+        return [(u, v) for u in self._vertices for v in sorted(adj[u]) if u < v]
 
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._adj.values()), default=0)
+        return max(self.degrees(), default=0)
 
     def induced(self, s: Iterable[int]) -> "Graph":
-        keep = frozenset(s)
+        keep, adj = frozenset(s), self._sets()
         for v in keep:
-            if v not in self._adj:
+            if v not in adj:
                 raise UnknownVertex(f"vertex {v} not in graph")
-        return Graph({v: self._adj[v] & keep for v in keep})
+        return Graph({v: adj[v] & keep for v in keep})
 
     def delete_vertices(self, s: Iterable[int]) -> "Graph":
-        drop = frozenset(s)
+        drop, adj = frozenset(s), self._sets()
         for v in drop:
-            if v not in self._adj:
+            if v not in adj:
                 raise UnknownVertex(f"vertex {v} not in graph")
-        return Graph({v: self._adj[v] - drop for v in self._adj if v not in drop})
+        return Graph({v: adj[v] - drop for v in adj if v not in drop})
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with edge uv added (no-op if already present)."""
         if u == v:
             raise ParseError(f"self-loop at vertex {u}")
-        if u not in self._adj or v not in self._adj:
+        if u not in self or v not in self:
             raise UnknownVertex(f"edge ({u}, {v}) has an endpoint outside the graph")
         if v in self._adj[u]:
             return self
@@ -105,11 +146,10 @@ class Graph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, sorted by their minimum vertex id."""
-        return [frozenset(comp) for comp in components_of(self._adj, self._vertices)]
+        return [frozenset(comp) for comp in components_of(self._sets(), self._vertices)]
 
     def degree_histogram(self) -> "DegreeHistogram":
-        counts = dict(Counter(map(len, self._adj.values())))
-        return DegreeHistogram(counts)
+        return DegreeHistogram(dict(Counter(self.degrees())))
 
     def edge_hash(self) -> str:
         """Stable hash of the labelled edge set, used in certificate records."""
@@ -119,7 +159,7 @@ class Graph:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self._adj == other._adj
+        return isinstance(other, Graph) and self._sets() == other._sets()
 
     def __hash__(self):
         return hash((self._vertices, frozenset(self.edges())))
@@ -346,17 +386,26 @@ def _parse_tokens(text: str) -> Graph | None:
     n, m, us, vs = toks[0], toks[1], toks[2::2], toks[3::2]
     if not 0 <= n <= MAX_VERTICES or len(us) != m:
         return None
-    adj: defaultdict[int, list[int]] = defaultdict(list)
+    if m and not (min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n):
+        return None
+    # u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves fewer
+    # than m keys; a self-loop or a repeat the other way round meets a reversed key.
+    keys = set(map(add, map(mul, us, repeat(n)), vs))
+    if len(keys) != m or not keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)):
+        return None
+    return Graph._from_edge_arrays(n, us, vs)
+
+
+def _neighbor_sets(n: int, us: list[int], vs: list[int]) -> dict[int, frozenset[int]]:
+    """The neighbor set of each vertex 0..n-1 of the edges zip(us, vs)."""
+    nbrs: list = [[] for _ in range(n)]
     for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
-    for v, nbrs in adj.items():  # each list is freed as its set is made: no GC pass
-        adj[v] = frozenset(nbrs)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     isolated = frozenset()  # shared by every vertex on no edge
-    g = Graph({v: adj.get(v, isolated) for v in range(n)})
-    # An edge line adds 2 to the degree sum over 0..n-1 unless it is a
-    # self-loop, a repeat or has an end out of range: so then g.m < m.
-    return g if g.m == m else None
+    for v, ws in enumerate(nbrs):  # each list is freed as its set is made
+        nbrs[v] = frozenset(ws) if ws else isolated
+    return dict(enumerate(nbrs))
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 from .errors import DegreeZero, EpsOutOfRange, InvalidSpec, MissingPartition, ParseError
@@ -90,18 +89,9 @@ def hkg_weight(k: int, dw: Optional[int], d: int) -> Fraction:
     return 1 - Fraction(2, (k + 1) * (dw + 1))
 
 
-def _leaf_tag(g: Graph, v: int) -> Optional[int]:
-    """The degree of v's neighbor if v is a leaf, else None."""
-    nbrs = g.neighbors(v)
-    if len(nbrs) != 1:
-        return None
-    (w,) = nbrs
-    return g.degree(w)
-
-
 def h_kg(g: Graph, k: int, v: int) -> Fraction:
-    """Local caterpillar weight of vertex v of g."""
-    return hkg_weight(k, _leaf_tag(g, v), g.degree(v))
+    """Local caterpillar weight of vertex v of g; total_weight sums them all in one pass."""
+    return hkg_weight(k, dict(zip(g.vertices, g.leaf_tags())).get(v), g.degree(v))
 
 
 def star_f_eps(eps: Fraction, d: int) -> Fraction:
@@ -181,10 +171,6 @@ def _label_tags(g: Graph, labels):
     return map(labels.part, g.vertices)
 
 
-def _leaf_tags(g: Graph, labels):
-    return map(partial(_leaf_tag, g), g.vertices)
-
-
 # Each bound variant: whether it takes k; the top of its eps range as a
 # function of k (None when it takes no eps); the tags of g's vertices in
 # g.vertices order, given g and the partition (None for an untagged
@@ -196,7 +182,7 @@ _VARIANTS = {
     "aks": (False, None, None, lambda k, eps, d: min(_ONE, Fraction(2, d + 1))),
     "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
     "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
-    "hkg": (True, None, _leaf_tags, lambda k, eps, key: hkg_weight(k, *key)),
+    "hkg": (True, None, lambda g, labels: g.leaf_tags(), lambda k, eps, key: hkg_weight(k, *key)),
     "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: star_f_eps(eps, d)),
     "abc": (False, None, _label_tags, lambda k, eps, key: abc_weight(*key)),
     "abstar": (False, None, _label_tags, lambda k, eps, key: ab_star_weight(*key)),
@@ -293,9 +279,10 @@ def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
     _, _, tags, weight = _VARIANTS[spec.variant]
     if tags is _label_tags and labels is None:
         raise MissingPartition(f"{spec.variant} weights need a partition")
-    degrees = map(len, map(g.neighbors, g.vertices))
-    keys = degrees if tags is None else zip(tags(g, labels), degrees)
-    counts = hist.counts if hist is not None and tags is None else Counter(keys)
+    if hist is not None and tags is None:
+        counts = hist.counts
+    else:
+        counts = Counter(g.degrees() if tags is None else zip(tags(g, labels), g.degrees()))
     eps = spec.eps
     if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
         eps, _ = select_eps(spec, hist or DegreeHistogram.from_counts(counts))

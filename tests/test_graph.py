@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -266,10 +267,21 @@ def line_reader(module, read):
 
 
 def graph_key(g: Graph):
-    return g.vertices, list(g._adj.items())
+    return g.vertices, [(v, g.neighbors(v)) for v in g.vertices]
 
 
 LINE_READER = line_reader(graph_module, parse_edge_list)
+
+
+def assert_degrees_match_sets(text: str):
+    """The degrees, degree histogram and leaf tags of the graph of text,
+    read before its neighbor sets are built, are those of the sets."""
+    g = parse_edge_list(text)
+    read = g.degrees(), g.degree_histogram(), g.leaf_tags()
+    degree = {v: len(g.neighbors(v)) for v in g.vertices}
+    tags = [degree[min(g.neighbors(v))] if degree[v] == 1 else None for v in g.vertices]
+    histogram = graph_module.DegreeHistogram(dict(Counter(degree.values())))
+    assert read == (list(degree.values()), histogram, tags), repr(text)
 
 
 class TestEdgeListFormat:
@@ -304,14 +316,17 @@ class TestEdgeListFormat:
             parse_edge_list(text)
 
     def test_isolated_vertices_cost_no_set_each(self):
-        # a header n with no edges must not cost one adjacency set per vertex
+        # a header n with no edges must not cost one adjacency set per vertex,
+        # when the sets are built either
         tracemalloc.start()
         try:
             g = parse_edge_list("300000 0\n")
+            assert g.neighbors(0) == frozenset()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert g.n == 300000 and g.m == 0
+        assert g.neighbors(299999) is g.neighbors(0)
         assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_isolated_vertices_among_edges(self):
@@ -349,11 +364,21 @@ class TestEdgeListFormat:
         "3 1\n  \n0 1\n",
         "3 1\n0 1 # c\n",
         f"{MAX_VERTICES + 1} 0\n",
+        # decided by the token reader's up-front check alone
+        "3 1\n0 0\n",
+        "3 2\n0 1\n2 2\n",
+        "3 1\n3 0\n",
+        "3 2\n1 0\n0 3\n",  # 0 3 would share the key 0*3 + 3 of 1 0
+        "3 1\n1 0\n",
+        "1 0",
+        "4 3\n0 1\n2 3\n1 0\n",
+        "4 3\n2 1\n0 3\n2 1\n",
     ]
 
     @pytest.mark.parametrize("text", SAME_OUTCOME)
     def test_readers_agree_on_cases(self, text):
-        assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
+        if assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key) is not None:
+            assert_degrees_match_sets(text)
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
@@ -362,6 +387,8 @@ class TestEdgeListFormat:
         if g is not None and graph_module.pairs_per_line(text):
             # every good text of the plain shape is read token by token
             assert graph_module._parse_tokens(text) is not None
+        if g is not None:
+            assert_degrees_match_sets(text)
 
     def test_plain_file_skips_line_reader(self, monkeypatch):
         g = Graph.from_edges(40, [(u, (3 * u + 7) % 40) for u in range(0, 40, 2)])

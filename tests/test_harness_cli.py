@@ -197,11 +197,45 @@ class TestCli:
             method = getattr(Graph, name)
             return lambda *args: calls.append(name) or method(*args)
 
-        for name in ("neighbors", "degree_histogram"):
+        for name in ("neighbors", "degrees", "degree_histogram"):
             monkeypatch.setattr(Graph, name, counted(name))
         assert run_cli("bound", "c7.txt", spec) == 0
-        # one histogram picks eps and is summed: no second pass over the vertices
-        assert calls == ["degree_histogram"]
+        # one histogram, of one count of the degrees, picks eps and is summed:
+        # no second pass over the vertices and no neighbor set
+        assert calls == ["degree_histogram", "degrees"]
+
+    # Each command on a caterpillar whose two spine ends carry two leaves
+    # each, and the number of times it builds the parsed graph's neighbor sets.
+    SET_BUILDS = [
+        *((("bound", "g.txt", spec), 0) for spec in ("flin", "fkeps:k=2", "fk:k=2", "hkg:k=2",
+                                                      "star", "aks")),
+        (("bound", "g.txt", "abc", "--partition", "g.part"), 0),
+        (("bound", "g.txt", "abstar", "--partition", "g.part"), 0),
+        (("epsilon-opt", "g.txt", "--k", "2"), 0),
+        (("epsilon-opt", "g.txt", "--star"), 0),
+        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 1),
+        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 1),
+        (("verify", "g.txt", "g.cert"), 1),
+        (("exact", "g.txt", "linear"), 1),
+        (("exact", "g.txt", "abc", "--partition", "g.part"), 1),
+    ]
+
+    @pytest.mark.parametrize("argv,builds", SET_BUILDS)
+    def test_neighbor_sets_built_once_and_only_where_read(
+        self, workdir, capsys, monkeypatch, argv, builds
+    ):
+        from forestbound import graph as graph_module
+
+        Path("g.txt").write_text("7 6\n0 1\n1 2\n2 3\n3 4\n1 5\n3 6\n")
+        Path("g.part").write_text("0 A\n1 A\n2 B\n3 A\n4 A\n5 A\n6 A\n")
+        assert run_cli("construct", "g.txt", "linear", "--out", "g.cert") == 0
+        sets = graph_module._neighbor_sets
+        calls = []
+        monkeypatch.setattr(
+            graph_module, "_neighbor_sets", lambda *args: calls.append(1) or sets(*args)
+        )
+        assert run_cli(*argv) == 0
+        assert len(calls) == builds
 
     def test_construct_verify_round_trip(self, workdir, capsys):
         run_cli("gen", "cycle:n=5", "--out", "c5.txt")
