@@ -649,6 +649,19 @@ def test_degree_count_cut_is_sound_on_the_atlas():
     assert fired
 
 
+def test_recognizers_and_oracle_scans_agree_on_the_atlas():
+    # The class rule is written twice, once in ForestClass.contains and once
+    # in the oracle's scans: on every graph of 1 to 7 vertices the whole
+    # graph is in the class exactly when the oracle finds no violation in it.
+    nx = pytest.importorskip("networkx")
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        full = (1 << g.n) - 1
+        for cls in ALL_CLASSES:
+            search = _Search(g, cls.kind, k=cls.k)
+            assert cls.contains(g) == (search._violation(full) == 0), (g.edges(), cls)
+
+
 def test_budget_run_on_large_clique_does_not_recurse():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)

@@ -160,7 +160,10 @@ def test_caterpillar_and_star_against_oracles_small():
         total = 1 << (n * (n - 1) // 2)
         for mask in range(total):
             g = graph_from_mask(n, mask)
-            assert is_caterpillar_forest(g) == strip_leaves_is_path_oracle(g)
+            caterpillar = strip_leaves_is_path_oracle(g)
+            assert is_caterpillar_forest(g) == caterpillar
+            for k in (2, 3):
+                assert is_caterpillar_forest(g, k) == (caterpillar and g.max_degree() <= k), (mask, k)
             star_expected = acyclic_by_union_find(g) and all(
                 not (g.degree(u) >= 2 and g.degree(v) >= 2) for u, v in g.edges()
             )
