@@ -38,17 +38,15 @@ def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Parti
     if not cert.forest_class.contains(sub):
         return False
     if labels is not None:
-        if labels.mode == "ABC":
-            for v in sub.vertices:
-                if sub.degree(v) > ABC_CAPS[labels.part(v)]:
-                    return False
-        else:
-            for u, v in sub.edges():
-                for a, b in ((u, v), (v, u)):
-                    if labels.part(b) == "B" and not (
-                        labels.part(a) == "A" and sub.degree(a) == 1
-                    ):
-                        return False
+        if labels.mode == "ABC":  # every vertex is within its part's cap
+            holds = all(sub.degree(v) <= ABC_CAPS[labels.part(v)] for v in sub.vertices)
+        else:  # every neighbour of a B vertex is an A leaf
+            holds = all(
+                labels.part(a) == "A" and sub.degree(a) == 1
+                for b in sub.vertices if labels.part(b) == "B" for a in sub.neighbors(b)
+            )
+        if not holds:
+            return False
     return Fraction(len(cert.vertex_set)) >= cert.claimed_bound
 
 

@@ -14,9 +14,9 @@ an explicit stack and are popped in depth-first order, the children of a
 node in the bit order of W.
 
 Resume invariant: `_CHAINS` names each class's scans in the order a node
-runs them. Every scan maps (cand, start) to (W, anchor). The degree, star,
-B (of ab) and spine scans walk vertices in index order from start and stop
-at the first one that starts a violation, their anchor. Whether a vertex
+runs them. Every scan maps (cand, start) to (W, anchor). The degree, B (of
+ab) and spine scans walk vertices in index order from start and stop at the
+first one that starts a violation, their anchor. Whether a vertex
 starts one depends only on degrees and neighbourhoods inside cand, which
 deleting vertices only shrinks, so no vertex below the anchor starts a
 violation in any descendant. A node's anchor numbers scan i's anchor a as
@@ -32,7 +32,7 @@ holds a set larger than best, so no cut subtree updates the incumbent.
 - Two violations (linear, abc, star, ab): a node one deletion short of the
   incumbent (|cand| - 2 <= best) whose W came from the chain's first scan
   (anchor < n) resumes that scan at the anchor on cand - W, then for ab the
-  star scan, and has no child if that finds a second violation W': a valid
+  spine scan, and has no child if that finds a second violation W': a valid
   S within cand misses a vertex of W, and S - W (valid, the class being
   hereditary) one of W', so |S| <= best.
 - Degree count (caterpillars, whose W is a whole closed neighbourhood and
@@ -101,10 +101,10 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 _CHAINS = {
     "linear": (("_degree_scan", "_shortest_cycle"), 1),
     "abc": (("_degree_scan", "_shortest_cycle"), 1),
-    "caterpillar": (("_spine_violation", "_shortest_cycle"), 0),
-    "k-caterpillar": (("_degree_scan", "_spine_violation", "_shortest_cycle"), 0),
-    "star": (("_star_violation",), 1),
-    "ab": (("_ab_violation", "_star_violation"), 2),
+    "caterpillar": (("_spine_scan", "_shortest_cycle"), 0),
+    "k-caterpillar": (("_degree_scan", "_spine_scan", "_shortest_cycle"), 0),
+    "star": (("_spine_scan",), 1),
+    "ab": (("_ab_violation", "_spine_scan"), 2),
 }
 
 
@@ -117,6 +117,7 @@ class _Search:
         self.labels = labels
         # Per-vertex degree caps, read only by the degree scan.
         self.caps = [ABC_CAPS[p] for p in labels] if kind == "abc" else [k or 2] * self.n
+        self.limit = 0 if kind in ("star", "ab") else 2  # spine neighbours per spine vertex
         # A caterpillar forest of maximum degree 2 is a linear forest.
         key = "linear" if k == 2 else "k-caterpillar" if k is not None else kind
         names, self._cut = _CHAINS[key]
@@ -225,31 +226,6 @@ class _Search:
                 return low | nbrs, i
         return 0, self.n
 
-    def _star_violation(self, cand: int, start: int) -> tuple[int, int]:
-        # An adjacent pair of degree->=2 vertices (plus one extra neighbor of
-        # each) witnesses any failure: cycles force such a pair too. The
-        # anchor is the lower vertex of the first such pair.
-        adj = self.adj
-        rest = cand >> start << start
-        while rest:
-            low_i = rest & -rest
-            rest ^= low_i
-            i = low_i.bit_length() - 1
-            nbrs_i = adj[i] & cand
-            if nbrs_i.bit_count() < 2:
-                continue
-            others = nbrs_i
-            while others:
-                low_j = others & -others
-                others ^= low_j
-                nbrs_j = adj[low_j.bit_length() - 1] & cand
-                if nbrs_j.bit_count() < 2:
-                    continue
-                extra_i = nbrs_i ^ low_j
-                extra_j = nbrs_j ^ low_i
-                return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j), i
-        return 0, self.n
-
     def _ab_violation(self, cand: int, start: int) -> tuple[int, int]:
         # The B scan: a B vertex with an illegal neighbor.
         adj, labels = self.adj, self.labels
@@ -272,28 +248,30 @@ class _Search:
                     return low_i | low_j | nbrs_j, i
         return 0, self.n
 
-    def _spine_violation(self, cand: int, start: int) -> tuple[int, int]:
-        # A vertex with three non-leaf neighbors (each witnessed by a second
-        # neighbor) can never sit inside a caterpillar forest.
-        adj = self.adj
+    def _spine_scan(self, cand: int, start: int) -> tuple[int, int]:
+        # A spine vertex (degree >= 2) with more than limit spine neighbours,
+        # each witnessed by a second neighbour, and for limit 0 by one of its
+        # own too: cycles force one in a star forest.
+        adj, limit, floor = self.adj, self.limit, self.limit or 1
         rest = cand >> start << start
         while rest:
             low_i = rest & -rest
             rest ^= low_i
             i = low_i.bit_length() - 1
-            others = adj[i] & cand
-            if others.bit_count() < 3:
+            nbrs_i = adj[i] & cand
+            if nbrs_i.bit_count() <= floor:
                 continue
-            bad, heavy = low_i, 0
-            while others:
-                low_j = others & -others
-                others ^= low_j
-                witness = adj[low_j.bit_length() - 1] & cand & ~low_i
+            others, spine, bad, heavy = cand ^ low_i, nbrs_i, low_i, 0
+            while spine:
+                low_j = spine & -spine
+                spine ^= low_j
+                witness = adj[low_j.bit_length() - 1] & others
                 if witness:
                     bad |= low_j | (witness & -witness)
                     heavy += 1
-                    if heavy == 3:
-                        return bad, i
+                    if heavy > limit:
+                        extra_i = 0 if limit else nbrs_i ^ low_j
+                        return bad | (extra_i & -extra_i), i
         return 0, self.n
 
     def _shortest_cycle(self, cand: int, start: int) -> tuple[int, int]:

@@ -1,6 +1,6 @@
-"""Simple undirected graphs with stable vertex identifiers, plus the
-recognizers for the three hereditary target classes (linear forests,
-degree-bounded caterpillar forests, star forests).
+"""Simple undirected graphs with stable vertex identifiers, plus the one
+recognizer, ForestClass.contains, of the three hereditary target classes:
+linear forests, degree-bounded caterpillar forests and star forests.
 
 Graphs are immutable: every mutation-like operation returns a new graph.
 Vertex identifiers survive deletions, so a vertex subset computed on a
@@ -144,9 +144,9 @@ class Graph:
         adj[v] = adj[v] | {u}
         return Graph(adj)
 
-    def components(self) -> list[frozenset[int]]:
+    def components(self) -> list[set[int]]:
         """Connected components, sorted by their minimum vertex id."""
-        return [frozenset(comp) for comp in components_of(self._sets(), self._vertices)]
+        return components_of(self._sets(), self._vertices)
 
     def degree_histogram(self) -> "DegreeHistogram":
         return DegreeHistogram(dict(Counter(self.degrees())))
@@ -241,11 +241,17 @@ class ForestClass:
         return cls("caterpillar", k)
 
     def contains(self, g: Graph) -> bool:
-        if self.kind == "linear":
-            return is_linear_forest(g)
-        if self.kind == "star":
-            return is_star_forest(g)
-        return is_caterpillar_forest(g, self.k)
+        """True iff g is a forest within the degree bound (2 for linear, k for
+        caterpillar) in which each spine vertex, one of degree >= 2, has at
+        most `limit` spine neighbours: none for star, two for the others."""
+        bound = 2 if self.kind == "linear" else self.k
+        limit = 0 if self.kind == "star" else 2
+        top = g.max_degree()
+        if bound is not None and top > bound or not is_forest(g):
+            return False
+        # only a spine vertex of degree above limit can break the rule
+        spine = {v for v in g.vertices if g.degree(v) >= 2} if top > max(limit, 1) else ()
+        return all(len(g.neighbors(v) & spine) <= limit for v in spine)
 
     def to_text(self) -> str:
         return spec_text(self.kind, [("k", self.k)])
@@ -296,7 +302,7 @@ def is_forest(g: Graph) -> bool:
 
 def is_linear_forest(g: Graph) -> bool:
     """True iff g is acyclic with maximum degree at most 2."""
-    return g.max_degree() <= 2 and is_forest(g)
+    return LINEAR_FOREST.contains(g)
 
 
 def is_caterpillar_forest(g: Graph, k: int | None = None) -> bool:
@@ -305,23 +311,12 @@ def is_caterpillar_forest(g: Graph, k: int | None = None) -> bool:
     In a forest the non-leaf vertices of each component induce a path exactly
     when no vertex has three or more non-leaf neighbors.
     """
-    if k is not None and k < 2:
-        raise ValueError("degree bound k must be >= 2")
-    if k is not None and g.max_degree() > k:
-        return False
-    if not is_forest(g):
-        return False
-    spine = {v for v in g.vertices if g.degree(v) >= 2}
-    return all(len(g.neighbors(v) & spine) <= 2 for v in spine)
+    return ForestClass.caterpillar(k).contains(g)
 
 
 def is_star_forest(g: Graph) -> bool:
     """True iff g is acyclic and each component has at most one vertex of degree >= 2."""
-    if not is_forest(g):
-        return False
-    return not any(
-        g.degree(u) >= 2 and g.degree(v) >= 2 for u, v in g.edges()
-    )
+    return STAR_FOREST.contains(g)
 
 
 MAX_VERTICES = 1 << 20

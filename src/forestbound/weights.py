@@ -91,7 +91,8 @@ def hkg_weight(k: int, dw: Optional[int], d: int) -> Fraction:
 
 def h_kg(g: Graph, k: int, v: int) -> Fraction:
     """Local caterpillar weight of vertex v of g; total_weight sums them all in one pass."""
-    return hkg_weight(k, dict(zip(g.vertices, g.leaf_tags())).get(v), g.degree(v))
+    d = g.degree(v)
+    return hkg_weight(k, g.degree(next(iter(g.neighbors(v)))) if d == 1 else None, d)
 
 
 def star_f_eps(eps: Fraction, d: int) -> Fraction:

@@ -545,9 +545,9 @@ def spine_scan_length(search: _Search, cand: int, start: int) -> int:
 class CountedSpineSearch(_Search):
     examined = 0
 
-    def _spine_violation(self, cand, start):
+    def _spine_scan(self, cand, start):
         self.examined += spine_scan_length(self, cand, start)
-        return super()._spine_violation(cand, start)
+        return super()._spine_scan(cand, start)
 
 
 class CountedSpineRescan(RescanSearch):

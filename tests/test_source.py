@@ -184,31 +184,49 @@ def chain_hand_offs(tree: ast.Module) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
+def orphan_scans(tree: ast.Module) -> list[str]:
+    """Every method of the module's `_Search` class that takes (self, cand,
+    start), as a scan does, is not the walker `_walk`, and is named by no row
+    of `_CHAINS`, with its line."""
+    named = chain_scans(tree) | {"_walk"}
+    return [
+        f"{fn.name} at line {fn.lineno}"
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "_Search"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name not in named
+        and [a.arg for a in fn.args.args] == ["self", "cand", "start"]
+    ]
+
+
 def test_detector_sees_every_hand_off_between_chained_scans():
     code = (
         "_CHAINS = {'x': (('_a', '_b'), 1), 'y': (('_c',), 0)}\n"
-        "class S:\n"
+        "class _Search:\n"
         "    def _a(self, c, s):\n        return self._b(c, s)\n"
         "    def _b(self, c, s):\n        return self._walk(c, s) or self._helper(c)\n"
         "    def _c(self, c, s):\n        scan = self._a\n        return _violation(c)\n"
         "    def _helper(self, c):\n        return self._a(c, 0)\n"
+        "    def _walk(self, cand, start):\n        return self._a(cand, start)\n"
+        "    def _orphan(self, cand, start):\n        return 0, 0\n"
+        "    def _peel(self, cand):\n        return cand\n"
     )
     assert chain_scans(ast.parse(code)) == {"_a", "_b", "_c"}
     assert chain_hand_offs(ast.parse(code)) == [
         "_a -> _b at line 4", "_b -> _walk at line 6", "_c -> _a at line 8",
         "_c -> _violation at line 9",
     ]
+    assert orphan_scans(ast.parse(code)) == ["_orphan at line 14"]
 
 
 def test_oracle_scans_leave_their_order_to_the_chain_table():
     # each class's scan order lives in exact._CHAINS alone: no scan hands
-    # off to another scan or to the walker
+    # off to another scan or to the walker, and no scan that the table no
+    # longer names stays behind
     path = next(p for p in SOURCES if p.name == "exact.py")
     tree = ast.parse(path.read_text(), str(path))
-    assert chain_scans(tree) == {
-        "_degree_scan", "_star_violation", "_ab_violation", "_spine_violation", "_shortest_cycle"
-    }
+    assert chain_scans(tree) == {"_degree_scan", "_ab_violation", "_spine_scan", "_shortest_cycle"}
     assert chain_hand_offs(tree) == []
+    assert orphan_scans(tree) == []
 
 
 def package_imports(tree: ast.AST) -> list[str]:
