@@ -250,8 +250,8 @@ class _Search:
 
     def _spine_scan(self, cand: int, start: int) -> tuple[int, int]:
         # A spine vertex (degree >= 2) with more than limit spine neighbours,
-        # each witnessed by a second neighbour, and for limit 0 by one of its
-        # own too: cycles force one in a star forest.
+        # each shown by a second neighbour, and for limit 0 its own second one
+        # (the star row runs no cycle scan: every cycle holds such a vertex).
         adj, limit, floor = self.adj, self.limit, self.limit or 1
         rest = cand >> start << start
         while rest:
@@ -261,17 +261,17 @@ class _Search:
             nbrs_i = adj[i] & cand
             if nbrs_i.bit_count() <= floor:
                 continue
-            others, spine, bad, heavy = cand ^ low_i, nbrs_i, low_i, 0
+            others, spine, bad, heavy = cand ^ low_i, nbrs_i, low_i, limit
             while spine:
                 low_j = spine & -spine
                 spine ^= low_j
                 witness = adj[low_j.bit_length() - 1] & others
                 if witness:
                     bad |= low_j | (witness & -witness)
-                    heavy += 1
-                    if heavy > limit:
+                    if not heavy:
                         extra_i = 0 if limit else nbrs_i ^ low_j
                         return bad | (extra_i & -extra_i), i
+                    heavy -= 1
         return 0, self.n
 
     def _shortest_cycle(self, cand: int, start: int) -> tuple[int, int]:
