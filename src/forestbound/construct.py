@@ -223,7 +223,7 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
             # solved optimally by dynamic programming.
             if work.high == 0:
                 for comp in components_of(adj, sorted(work.inst)):
-                    picks = _dp_component(work.graph(comp), labels, row.mode)
+                    picks = _dp_component(adj, comp, labels, row.mode)
                     chosen |= _settle(work, trace, f"{prefix}2", comp, picks, row.forest)
                 break
 
@@ -261,7 +261,8 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
             # 2**16 nodes, so only a larger instance can exhaust _STUCK_BUDGET.
             inst = work.inst
             part = Partition({v: labels[v] for v in inst}, row.mode)
-            result = alpha_exact_partitioned(work.graph(inst), part, budget=_STUCK_BUDGET)
+            residual = Graph({v: frozenset(adj[v]) for v in inst})
+            result = alpha_exact_partitioned(residual, part, budget=_STUCK_BUDGET)
             note = "over-threshold" if len(inst) > DEFAULT_EXACT_THRESHOLD else ""
             chosen |= _settle(work, trace, f"{prefix}6", inst, result.witness, row.forest, note)
             break
@@ -274,7 +275,7 @@ class _WorkingGraph:
     `adj` and `labels` cover every vertex not yet deleted, `inst` is the
     instance being reduced and `high` counts its vertices of degree >= 3.
     Instances are disjoint and no edge joins two of them, so one adjacency
-    map serves them all.
+    map serves them all, and rules 2 and 5 read it in place.
 
     Rules 1 and 3 compare integers: `weights[part, d]` and `gains[part, d]`
     are the mode's values times `scale`, which all their denominators
@@ -324,10 +325,6 @@ class _WorkingGraph:
     def start(self, inst: set[int]) -> None:
         self.inst = inst
         self.high = sum(1 for v in inst if len(self.adj[v]) >= 3)
-
-    def graph(self, vertices) -> Graph:
-        """An immutable copy of a part of the working graph closed under adjacency."""
-        return Graph({v: frozenset(self.adj[v]) for v in vertices})
 
     def total(self, vertices) -> int:
         """The vertices' total weight times `scale`."""
@@ -476,39 +473,33 @@ def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
     """S5: all vertices in A with degrees 2 and 3, the degree-2 vertices far
     apart: contract each degree-2 path into an edge, split the resulting
     cubic graph, and keep the bigger side plus every degree-2 vertex."""
-    if any(work.labels[v] != "A" for v in work.inst):
+    adj, inst = work.adj, work.inst
+    if any(work.labels[v] != "A" or len(adj[v]) not in (2, 3) for v in inst):
         return None
-    g = work.graph(work.inst)
-    if any(g.degree(v) not in (2, 3) for v in g.vertices):
-        return None
-    low = [v for v in g.vertices if g.degree(v) == 2]
-    targets = set(low)  # _within_distance never reports its start
+    low = {v for v in inst if len(adj[v]) == 2}
+    contracted = {v: set(adj[v]) for v in inst if len(adj[v]) == 3}
     for v in low:
-        u, w = sorted(g.neighbors(v))
-        if g.degree(u) != 3 or g.degree(w) != 3 or g.has_edge(u, w):
+        # u and w have degree 3 unless one is in low, within distance 1 of v
+        # (_within_distance never reports its start)
+        u, w = adj[v]
+        if w in adj[u] or _within_distance(adj, v, low, 3):
             return None
-        if _within_distance(g, v, targets, 3):
-            return None
-    contracted = {v: set(g.neighbors(v)) for v in g.vertices if g.degree(v) == 3}
-    for v in low:
-        u, w = g.neighbors(v)
         contracted[u] = contracted[u] - {v} | {w}
         contracted[w] = contracted[w] - {v} | {u}
     if any(len(nbrs) != 3 for nbrs in contracted.values()):
         return None
     part1, part2 = cubic_partition(Graph({v: frozenset(n) for v, n in contracted.items()}))
     keep = part1 if len(part1) >= len(part2) else part2
-    chosen = set(keep) | set(low)
-    if len(chosen) * work.scale < work.total(g.vertices):
+    chosen = set(keep) | low
+    if len(chosen) * work.scale < work.total(inst):
         return None
-    return _solved("S5", g.vertices, chosen, f"contracted {len(low)} paths")
+    return _solved("S5", inst, chosen, f"contracted {len(low)} paths")
 
 
-def _within_distance(g: Graph, start: int, targets: set[int], radius: int) -> bool:
-    seen = {start}
-    frontier = {start}
+def _within_distance(adj, start: int, targets: set[int], radius: int) -> bool:
+    seen = frontier = {start}
     for _ in range(radius):
-        frontier = {w for u in frontier for w in g.neighbors(u)} - seen
+        frontier = {w for u in frontier for w in adj[u]} - seen
         if frontier & targets:
             return True
         seen |= frontier
@@ -519,22 +510,19 @@ def _within_distance(g: Graph, start: int, targets: set[int], radius: int) -> bo
 # Dynamic programs for paths and cycles
 
 
-def _component_order(g: Graph) -> tuple[list[int], bool]:
-    """Traversal order of a connected component with max degree <= 2."""
-    ends = sorted(v for v in g.vertices if g.degree(v) <= 1)
-    is_cycle = not ends
-    start = min(g.vertices) if is_cycle else ends[0]
-    order = [start]
-    prev = None
-    while len(order) < g.n:
-        nxt = min(g.neighbors(order[-1]) - ({prev} if prev is not None else set()))
-        prev = order[-1]
-        order.append(nxt)
-    return order, is_cycle
+def _component_order(adj, comp) -> tuple[list[int], bool]:
+    """Traversal order of a connected component `comp` of an adjacency map
+    with max degree <= 2."""
+    ends = [v for v in comp if len(adj[v]) <= 1]
+    order = [min(ends or comp)]
+    while len(order) < len(comp):  # the lowest neighbour but the previous vertex
+        order.append(min(adj[order[-1]] - set(order[-2:-1])))
+    return order, not ends
 
 
-def _dp_component(g: Graph, labels: dict[int, str], mode: str) -> set[int]:
-    """Largest allowed selection on a path, or on a cycle.
+def _dp_component(adj, comp, labels: dict[int, str], mode: str) -> set[int]:
+    """Largest allowed selection on a path or cycle component `comp` of an
+    adjacency map.
 
     A cycle runs `_dp_path` along its traversal order once for each state
     of the first vertex: that state forced, and the last vertex held to the
@@ -543,7 +531,7 @@ def _dp_component(g: Graph, labels: dict[int, str], mode: str) -> set[int]:
     cycle, so it is refused; only an all-A ABC cycle reaches it, and state 0
     then gives n - 1.
     """
-    order, is_cycle = _component_order(g)
+    order, is_cycle = _component_order(adj, comp)
     if not is_cycle:
         return _dp_path(order, labels, mode)[1]
     table = _RULES[mode]
@@ -741,7 +729,9 @@ def star_forest(g: Graph) -> ForestCertificate:
 def _leaf_core_forest(g: Graph, kind: str, label) -> set[int]:
     """Per component: take it whole if it has at most two vertices; otherwise
     strip its leaves, label every other vertex by `label(number of leaves it
-    carries)`, and add the leaves to what `KINDS[kind].build` keeps of that core."""
+    carries)`, and add the leaves to what `KINDS[kind].build` keeps of that core.
+    Each core gets its own engine run: in one run over all cores, rule 2 would
+    wait for every core to reach maximum degree 2, and what is kept can change."""
     chosen: set[int] = set()
     for comp in g.components():
         if len(comp) <= 2:

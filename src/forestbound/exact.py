@@ -22,8 +22,9 @@ deleting vertices only shrinks, so no vertex below the anchor starts a
 violation in any descendant. A node's anchor numbers scan i's anchor a as
 i * n + a, and a child resumes the chain there: it skips every scan before
 i and starts scan i at a, so it finds the same W as a scan from vertex 0.
-The cycle check comes last and does not resume: it reports anchor 0
-whenever it finds a cycle.
+The cycle check comes last and does not resume: it floods cand once and
+reads each component's one cycle, if any, off the degrees inside cand,
+reporting anchor 0 whenever it finds a cycle.
 
 Cuts: each row of `_CHAINS` names the one cut its class runs at a node
 that would otherwise push children (|cand| - 1 > best). No cut subtree
@@ -275,41 +276,25 @@ class _Search:
         return 0, self.n
 
     def _shortest_cycle(self, cand: int, start: int) -> tuple[int, int]:
-        # Not resumable: any deletion can change which cycle is shortest,
-        # so every call tries every root, whatever start is.
-        best_mask = 0
-        best_len = None
-        for root in _iter_bits(cand):
-            found = self._bfs_cycle(cand, root)
-            if found:
-                length = found.bit_count()
-                if best_len is None or length < best_len:
-                    best_mask, best_len = found, length
-                if best_len == 3:
-                    break
+        # The scans before this one leave no vertex with three neighbours of
+        # degree >= 2 (linear and abc: the degree scan; caterpillars: the spine
+        # scan with limit 2), so a component of cand holds a cycle only if its
+        # edges number its vertices, and the cycle is its vertices of degree
+        # >= 2. Components are flooded in order of their lowest vertex; only a
+        # strictly shorter cycle replaces the best. Not resumable: a deletion
+        # can change which cycle is shortest, so every call floods all of cand.
+        adj, rest, best_mask, best_len = self.adj, cand, 0, self.n + 1
+        while rest and best_len > 3:
+            comp = frontier = rest & -rest
+            twice_edges = spine = 0
+            while frontier:
+                low = frontier & -frontier
+                nbrs = adj[low.bit_length() - 1] & cand
+                frontier ^= low | nbrs & ~comp
+                comp |= nbrs
+                twice_edges += nbrs.bit_count()
+                spine |= low if nbrs.bit_count() > 1 else 0
+            rest &= ~comp
+            if twice_edges == 2 * comp.bit_count() and spine.bit_count() < best_len:
+                best_mask, best_len = spine, spine.bit_count()
         return best_mask, 0 if best_mask else self.n
-
-    def _bfs_cycle(self, cand: int, root: int) -> int:
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in _iter_bits(self.adj[u] & cand):
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        # Close the cycle: walk the deeper end up until
-                        # the two tree paths meet.
-                        mask = 0
-                        while u != w:
-                            if dist[u] < dist[w]:
-                                u, w = w, u
-                            mask |= 1 << u
-                            u = parent[u]
-                        return mask | 1 << w
-            frontier = nxt
-        return 0

@@ -95,14 +95,19 @@ class Graph:
 
     def leaf_tags(self) -> list[int | None]:
         """Per vertex, in `vertices` order: its neighbor's degree if it is a leaf, else None."""
-        deg = dict(zip(self._vertices, self.degrees()))
-        tags = dict.fromkeys(self._vertices)
-        for u, v in zip(*self._ends) if self._ends else self.edges():
+        return self._leaf_tags(self.degrees())
+
+    def _leaf_tags(self, deg: list[int]) -> list[int | None]:
+        """leaf_tags, given degrees(): before the sets are built, off the edge arrays."""
+        if (adj := self._adj) is not None:
+            return [len(adj[min(adj[v])]) if d == 1 else None for v, d in zip(self._vertices, deg)]
+        tags: list[int | None] = [None] * self.n
+        for u, v in zip(*self._ends):
             if deg[u] == 1:
                 tags[u] = deg[v]
             if deg[v] == 1:
                 tags[v] = deg[u]
-        return list(tags.values())
+        return tags
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

@@ -168,22 +168,22 @@ def ab_star_gain(part: str, d: int) -> Fraction:
     return ab_star_weight(part, d - 1) - ab_star_weight(part, d)
 
 
-def _label_tags(g: Graph, labels):
+def _label_tags(g: Graph, labels, deg):
     return map(labels.part, g.vertices)
 
 
 # Each bound variant: whether it takes k; the top of its eps range as a
 # function of k (None when it takes no eps); the tags of g's vertices in
-# g.vertices order, given g and the partition (None for an untagged
-# variant); and the weight of a vertex given k, eps and its key, which is
-# its degree if the variant is untagged and (tag, degree) otherwise.
+# g.vertices order, given g, the partition and g.degrees() (None for an
+# untagged variant); and the weight of a vertex given k, eps and its key,
+# which is its degree if the variant is untagged and (tag, degree) otherwise.
 _VARIANTS = {
     "flin": (False, None, None, lambda k, eps, d: f_lin(d)),
     # the Alon-Kahn-Seymour weight at k = 1, the caterpillar forest bound
     "aks": (False, None, None, lambda k, eps, d: min(_ONE, Fraction(2, d + 1))),
     "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
     "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
-    "hkg": (True, None, lambda g, labels: g.leaf_tags(), lambda k, eps, key: hkg_weight(k, *key)),
+    "hkg": (True, None, lambda g, _, d: g._leaf_tags(d), lambda k, eps, key: hkg_weight(k, *key)),
     "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: star_f_eps(eps, d)),
     "abc": (False, None, _label_tags, lambda k, eps, key: abc_weight(*key)),
     "abstar": (False, None, _label_tags, lambda k, eps, key: ab_star_weight(*key)),
@@ -283,7 +283,8 @@ def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
     if hist is not None and tags is None:
         counts = hist.counts
     else:
-        counts = Counter(g.degrees() if tags is None else zip(tags(g, labels), g.degrees()))
+        deg = g.degrees()
+        counts = Counter(deg if tags is None else zip(tags(g, labels, deg), deg))
     eps = spec.eps
     if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
         eps, _ = select_eps(spec, hist or DegreeHistogram.from_counts(counts))

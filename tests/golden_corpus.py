@@ -229,10 +229,12 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
             _run_constrained(g, _random_partition(g, mode, seed), rules) for g, seed in gnps
         ]
     groups["dp_component/cycles-n=5..7"] = [
-        f"{mode} {''.join(word)} {sorted(_dp_component(g, dict(zip(g.vertices, word)), mode))}"
+        f"{mode} {''.join(word)} {sorted(_dp_component(adj, g.vertices, labels, mode))}"
         for g in map(cycle_graph, (5, 6, 7))
+        for adj in [{v: g.neighbors(v) for v in g.vertices}]
         for mode in ("ABC", "AB")
         for word in product(mode, repeat=g.n)
+        for labels in [dict(zip(g.vertices, word))]
     ]
     groups["constrained/gadgets"] = [
         _run_constrained(g, p, rules, **kwargs) for _, g, p, kwargs in constrained_gadgets()

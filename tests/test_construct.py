@@ -449,6 +449,11 @@ def test_rule_2_bound_miss_carries_best_effort_certificate(monkeypatch, kind, g)
     assert missed.claimed_bound == total_weight(g, row.spec, p) == cert.claimed_bound
 
 
+def adjacency(g: Graph) -> dict:
+    """g's neighbor sets, as the engine's DPs read its working adjacency."""
+    return {v: g.neighbors(v) for v in g.vertices}
+
+
 def test_path_cycle_dp_matches_exact_oracle():
     from forestbound.construct import _dp_component
 
@@ -459,15 +464,10 @@ def test_path_cycle_dp_matches_exact_oracle():
             g = path_graph(n)
         else:
             g = cycle_graph(n)
-        if trial % 2 == 0:
-            labels = {v: rng.choice("ABC") for v in g.vertices}
-            p = Partition.abc(labels)
-            picks = _dp_component(g, labels, "ABC")
-        else:
-            labels = {v: rng.choice("AB") for v in g.vertices}
-            p = Partition.ab(labels)
-            picks = _dp_component(g, labels, "AB")
-        res = alpha_exact_partitioned(g, p)
+        mode = "ABC" if trial % 2 == 0 else "AB"
+        labels = {v: rng.choice(mode) for v in g.vertices}
+        picks = _dp_component(adjacency(g), g.vertices, labels, mode)
+        res = alpha_exact_partitioned(g, Partition(labels, mode))
         assert len(picks) == res.alpha, (trial, g, labels)
 
 
@@ -478,14 +478,15 @@ def test_cycle_dp_matches_rotation_scan():
 
     for n in range(3, 9):
         g = cycle_graph(n)
-        order, is_cycle = _component_order(g)
+        adj = adjacency(g)
+        order, is_cycle = _component_order(adj, g.vertices)
         assert is_cycle
         for mode in ("ABC", "AB"):
             forest = KINDS[mode.lower()].forest
             for word in product(mode, repeat=n):
                 labels = dict(zip(g.vertices, word))
                 best = max(_dp_path(order[i + 1 :] + order[:i], labels, mode)[0] for i in range(n))
-                picks = _dp_component(g, labels, mode)
+                picks = _dp_component(adj, g.vertices, labels, mode)
                 assert len(picks) == best, (mode, word)
                 cert = ForestCertificate(frozenset(picks), forest, F(0))
                 assert verify_certificate(g, cert, Partition(labels, mode)), (mode, word)
@@ -537,3 +538,42 @@ def test_long_cycle_takes_one_path_dp(monkeypatch, build, size, states):
     assert verify_certificate(g, cert) and cert.size() == size
     assert 1 <= len(paths) <= states
     assert [step.rule[1] for trace in traces for step in trace.steps] == ["2"]
+
+
+# Two components on which star_forest keeps {0, 3, 4, 9, 10, 11}, and one AB
+# engine run over both would keep {0, 4, 5, 9, 10, 11}: after two S1 steps
+# the first is a path, which rule 2 settles only once the whole instance has
+# maximum degree 2, so the merged run strips vertex 0 by S3 first.
+TWO_CORES = Graph.from_edges(12, [
+    (0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5),
+    (6, 8), (6, 9), (6, 10), (6, 11), (7, 8), (7, 9), (7, 10), (8, 9), (8, 11), (9, 11), (10, 11),
+])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return Graph.from_edges(offset, edges)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [star_forest, lambda g: k_caterpillar_forest(g, 2), lambda g: k_caterpillar_forest(g, 3)],
+    ids=["star", "caterpillar2", "caterpillar3"],
+)
+def test_leafy_constructors_solve_each_component_alone(build):
+    # star_forest and k_caterpillar_forest run the engine once per
+    # leaf-stripped core, so what they keep of a component does not depend
+    # on the rest of the graph
+    rng = random.Random(24)
+    unions = [
+        disjoint_union(*(gnp(rng.randint(4, 14), rng.choice((0.2, 0.35, 0.5)), 2400 + 2 * i + j)
+                         for j in range(2)))
+        for i in range(30)
+    ]
+    for g in (TWO_CORES, *unions):
+        parts = [build(g.induced(comp)).vertex_set for comp in g.components()]
+        assert build(g).vertex_set == frozenset().union(*parts), g.edges()
+    assert star_forest(TWO_CORES).vertex_set == {0, 3, 4, 9, 10, 11}

@@ -48,9 +48,6 @@ class ReferenceGraph:
         self.inst = inst
         self.high = sum(1 for v in inst if len(self.adj[v]) >= 3)
 
-    def graph(self, vertices) -> Graph:
-        return Graph({v: frozenset(self.adj[v]) for v in vertices})
-
     def total(self, vertices) -> F:
         labels, adj = self.labels, self.adj
         counts = Counter((labels[v], len(adj[v])) for v in vertices)

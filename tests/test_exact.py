@@ -662,6 +662,40 @@ def test_recognizers_and_oracle_scans_agree_on_the_atlas():
             assert cls.contains(g) == (search._violation(full) == 0), (g.edges(), cls)
 
 
+def test_cycle_scan_finds_a_shortest_cycle_on_the_atlas():
+    # Wherever the scans before it find nothing on the whole graph, the
+    # cycle scan's W induces a cycle of the graph's girth, and is empty on a
+    # forest: reading each component's one cycle off its degrees finds what
+    # a search from every vertex would.
+    nx = pytest.importorskip("networkx")
+    for names, _ in _CHAINS.values():
+        assert "_shortest_cycle" not in names[:-1], names
+    reached = cycles = 0
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        girth, full = nx.girth(atlas_graph), (1 << g.n) - 1
+        for cls in (LINEAR_FOREST, CATERPILLAR_FOREST, ForestClass.caterpillar(3)):
+            search = _Search(g, cls.kind, k=cls.k)
+            *earlier, last = search._chain
+            assert last == search._shortest_cycle, cls
+            if any(scan(full, 0)[0] for scan in earlier):
+                continue
+            reached += 1
+            cycle = g.induced(search.vs[i] for i in _iter_bits(last(full, 0)[0]))
+            if girth == float("inf"):
+                assert cycle.n == 0, (g.edges(), cls)
+                continue
+            cycles += 1
+            assert cycle.n == girth and set(cycle.degrees()) == {2}, (g.edges(), cls)
+            assert len(cycle.components()) == 1, (g.edges(), cls)
+    assert reached > cycles > 0
+    # a tie, which no atlas graph holds past triangles, goes to the cycle
+    # whose component has the lowest vertex
+    squares = Graph.from_edges(8, [(0, 5), (5, 2), (2, 7), (7, 0), (1, 3), (3, 4), (4, 6), (6, 1)])
+    found, anchor = _Search(squares, "linear")._shortest_cycle(255, 0)
+    assert set(_iter_bits(found)) == {0, 2, 5, 7} and anchor == 0
+
+
 def test_budget_run_on_large_clique_does_not_recurse():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)

@@ -204,6 +204,25 @@ class TestCli:
         # no second pass over the vertices and no neighbor set
         assert calls == ["degree_histogram", "degrees"]
 
+    def test_hkg_counts_degrees_once(self, workdir, capsys, monkeypatch):
+        from forestbound.graph import Graph
+
+        run_cli("gen", "star:t=3", "--out", "claw.txt")
+        capsys.readouterr()
+        calls = []
+
+        def counted(name):
+            method = getattr(Graph, name)
+            return lambda *args: calls.append(name) or method(*args)
+
+        for name in ("neighbors", "degrees"):
+            monkeypatch.setattr(Graph, name, counted(name))
+        assert run_cli("bound", "claw.txt", "hkg:k=3") == 0
+        # the leaves are tagged off the one count of the degrees and the
+        # edge arrays: no second count and no neighbor set
+        assert calls == ["degrees"]
+        assert "bound=7/2" in capsys.readouterr().out
+
     # Each command on a caterpillar whose two spine ends carry two leaves
     # each, and the number of times it builds the parsed graph's neighbor sets.
     SET_BUILDS = [

@@ -108,10 +108,10 @@ def test_no_default_binds_a_same_name_variable(path):
     assert same_name_defaults(ast.parse(path.read_text(), str(path))) == []
 
 
-def bound_miss_builders(tree: ast.AST) -> list[str]:
-    """Every call that builds a BoundMiss, as `BoundMiss(...)` or
-    `x.BoundMiss(...)`, with the innermost function around it (`<lambda>`,
-    or `<module>` outside any) and the line of the call, in line order."""
+def calls_to(tree: ast.AST, names: set[str]) -> list[str]:
+    """Every call of one of `names`, as `name(...)` or `x.name(...)`, with
+    the innermost function around it (`<lambda>`, or `<module>` outside
+    any) and the line of the call, in line order."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     found = []
     for call in ast.walk(tree):
@@ -119,7 +119,7 @@ def bound_miss_builders(tree: ast.AST) -> list[str]:
             continue
         f = call.func
         name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-        if name != "BoundMiss":
+        if name not in names:
             continue
         scope = parents.get(call)
         while scope is not None and not isinstance(
@@ -129,6 +129,17 @@ def bound_miss_builders(tree: ast.AST) -> list[str]:
         where = "<module>" if scope is None else getattr(scope, "name", "<lambda>")
         found.append((call.lineno, f"{where} at line {call.lineno}"))
     return [text for _, text in sorted(found)]
+
+
+def bound_miss_builders(tree: ast.AST) -> list[str]:
+    """Every call that builds a BoundMiss, as `BoundMiss(...)` or `x.BoundMiss(...)`."""
+    return calls_to(tree, {"BoundMiss"})
+
+
+def graph_copies(tree: ast.AST) -> list[str]:
+    """Every call that builds a graph, as `Graph(...)`, `x.Graph(...)`,
+    `x.induced(...)` or `x.delete_vertices(...)`."""
+    return calls_to(tree, {"Graph", "induced", "delete_vertices"})
 
 
 def test_detector_sees_every_bound_miss_builder():
@@ -149,6 +160,29 @@ def test_construct_builds_bound_miss_only_in_settle_and_certify():
     path = next(p for p in SOURCES if p.name == "construct.py")
     builders = bound_miss_builders(ast.parse(path.read_text(), str(path)))
     assert {b.split(" at ")[0] for b in builders} == {"_settle", "_certify"}, builders
+
+
+def test_detector_sees_every_graph_copy():
+    code = (
+        "def f(g):\n    h = Graph({})\n    return g.induced(h) | graph.Graph(h)\n"
+        "class W:\n    def m(self, g):\n        return lambda s: g.delete_vertices(s)\n"
+        "Graph.from_edges(3, [])\ng.neighbors(0)\nGraphs()\ninduced_copy(g)\n"
+    )
+    assert graph_copies(ast.parse(code)) == [
+        "f at line 2", "f at line 3", "f at line 3", "<lambda> at line 6"
+    ]
+
+
+def test_construct_copies_a_graph_only_where_named():
+    # the engine's rules read its one mutable adjacency: a graph is built only
+    # for rule 6's residual (`_reduce`), S5's contracted cubic graph, the
+    # unconstrained constructors' inputs to the engine or to greedy, and the
+    # residual that `ReductionTrace.replay` re-derives
+    path = next(p for p in SOURCES if p.name == "construct.py")
+    copies = graph_copies(ast.parse(path.read_text(), str(path)))
+    allowed = {"_reduce", "_cubic_endgame", "caterpillar_forest", "k_caterpillar_forest",
+               "_leaf_core_forest", "replay"}
+    assert copies and {c.split(" at ")[0] for c in copies} <= allowed, copies
 
 
 def chain_scans(tree: ast.Module) -> set[str]:
