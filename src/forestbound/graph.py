@@ -10,11 +10,12 @@ derived graph is directly meaningful in the graph it was derived from.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnknownVertex
 
@@ -63,8 +64,8 @@ class Graph:
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._sets()
+    def __contains__(self, v: int) -> bool:  # sets not built: the vertices are 0..n-1
+        return v in (range(self.n) if self._adj is None else self._adj)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._vertices)
@@ -372,21 +373,22 @@ def parse_edge_list(text: str) -> Graph:
     return _parse_tokens(" ".join(line for _, line in rows))  # checked: not None
 
 
-def pairs_per_line(text: str) -> bool:
-    """True if text has no `#` and each of its lines holds two tokens."""
-    return "#" not in text and set(map(len, map(str.split, text.splitlines()))) == {2}
+def pair_lines(second: str) -> Callable[[str], bool]:
+    """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal token and
+    a `second` token, spaces or tabs around them, `\r` at its end. Possessive: no backtracking."""
+    line = rf"[ \t]*+[0-9]++[ \t]++{second}[ \t\r]*+"
+    fullmatch = re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
+    return lambda text: fullmatch(text) is not None
+
+
+pairs_per_line = pair_lines("[0-9]++")
 
 
 def _parse_tokens(text: str) -> Graph | None:
-    """The graph of a well-formed `pairs_per_line` text; None if a check fails."""
-    try:
-        toks = list(map(int, text.split()))
-    except ValueError:
-        return None
+    """The graph of a `pairs_per_line` text or of checked rows; None if a check fails."""
+    toks = list(map(int, text.split()))
     n, m, us, vs = toks[0], toks[1], toks[2::2], toks[3::2]
-    if not 0 <= n <= MAX_VERTICES or len(us) != m:
-        return None
-    if m and not (min(min(us), min(vs)) >= 0 and max(max(us), max(vs)) < n):
+    if n > MAX_VERTICES or len(us) != m or m and max(max(us), max(vs)) >= n:
         return None
     # u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves fewer
     # than m keys; a self-loop or a repeat the other way round meets a reversed key.

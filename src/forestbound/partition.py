@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import MissingPartition, ParseError, UnknownVertex
-from .graph import Graph, content_lines, pairs_per_line
+from .graph import Graph, content_lines, pair_lines
 
 ABC_CAPS = {"A": 2, "B": 1, "C": 0}
 
@@ -27,9 +27,9 @@ class Partition:
         if self.mode not in ("ABC", "AB"):
             raise ValueError(f"mode must be ABC or AB, got {self.mode!r}")
         allowed = set(self.mode)
-        for v, part in self.labels.items():
-            if part not in allowed:
-                raise ParseError(f"label {part!r} on vertex {v} not allowed in {self.mode} mode")
+        if not allowed.issuperset(self.labels.values()):  # find the first bad label to name it
+            v, part = next((v, p) for v, p in self.labels.items() if p not in allowed)
+            raise ParseError(f"label {part!r} on vertex {v} not allowed in {self.mode} mode")
 
     @classmethod
     def abc(cls, labels: Mapping[int, str]) -> "Partition":
@@ -58,16 +58,16 @@ class Partition:
             raise UnknownVertex(f"labels for vertices not in graph: {extra[:8]}")
 
 
+pairs_per_line = pair_lines(r"[^\s#]++")  # a label holds no whitespace and no `#`
+
+
 def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
     """Parse the partition format: one `index label` pair per line. As in
     parse_edge_list, a text the token reader cannot take is read line by line."""
     if pairs_per_line(text):
         toks = text.split()
-        try:
-            labels = dict(zip(map(int, toks[0::2]), map(str.upper, toks[1::2])))
-        except ValueError:
-            labels = {}
-        if 2 * len(labels) == len(toks):  # else an index was bad or came twice
+        labels = dict(zip(map(int, toks[0::2]), map(str.upper, toks[1::2])))
+        if 2 * len(labels) == len(toks):  # else an index came twice
             return Partition(labels, mode)
     labels = {}
     for lineno, line in content_lines(text):

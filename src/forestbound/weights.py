@@ -169,7 +169,10 @@ def ab_star_gain(part: str, d: int) -> Fraction:
 
 
 def _label_tags(g: Graph, labels, deg):
-    return map(labels.part, g.vertices)
+    try:
+        return list(map(labels.labels.__getitem__, g.vertices))
+    except KeyError as exc:  # as Partition.part says it
+        raise MissingPartition(f"vertex {exc.args[0]} has no label") from None
 
 
 # Each bound variant: whether it takes k; the top of its eps range as a

@@ -269,6 +269,24 @@ def line_reader(module, read):
     return read_lines
 
 
+def plain_variants(text: str) -> list[str]:
+    """text, with LF, CRLF and tab separators: the files the token reader takes."""
+    plains = [text, text.replace("\n", "\r\n"), text.replace(" ", "\t")]
+    assert "\r\n" not in plains[0] and "\r\n" in plains[1] and "\t" in plains[2]
+    return plains
+
+
+def assert_line_test_is_flat(pairs_per_line, text: str):
+    """pairs_per_line takes text, and its traced peak stays under 64 KB."""
+    tracemalloc.start()
+    try:
+        assert pairs_per_line(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"peak {peak} bytes"
+
+
 def graph_key(g: Graph):
     return g.vertices, [(v, g.neighbors(v)) for v in g.vertices]
 
@@ -338,6 +356,13 @@ class TestEdgeListFormat:
         assert [g.degree(v) for v in g.vertices] == [0, 1, 1, 0, 2, 0]
         assert g == Graph.from_edges(6, [(1, 4), (4, 2)])
 
+    def test_membership_before_and_after_the_sets(self):
+        parsed, built = parse_edge_list("4 2\n0 1\n2 3\n"), Graph.from_edges(4, [(0, 1), (2, 3)])
+        for g in (parsed, built):
+            assert [v in g for v in (0, 3, 1.0, True, -1, 4, 2.5, "0")] == [True] * 4 + [False] * 4
+        assert parsed._adj is None  # answered from the vertex range 0..n-1
+        assert parsed.neighbors(0) == {1} and 1.0 in parsed and 4 not in parsed
+
     # texts of the shapes each reader must treat alike, one feature each
     SAME_OUTCOME = [
         "3 2\r\n0 1\r\n1 2\r\n",
@@ -376,6 +401,16 @@ class TestEdgeListFormat:
         "1 0",
         "4 3\n0 1\n2 3\n1 0\n",
         "4 3\n2 1\n0 3\n2 1\n",
+        # at the edges of the token reader's line pattern
+        "3 2\n0 1 \t\n1 2\t\n",
+        "3 2\r\r\n0 1\r\r\n1 2\r\r\n",
+        "3 2\n0 1\n1 2",
+        "3 2\n0 1\n1 2\n\n",
+        "010 2\n007 1\n1 009\n",
+        "3 1\n0 1#c\n",
+        "3 2\n0\x0c1\n1 2\n",
+        "5 4\n0 1\n1 2\n2 3\n3 4 0\n",
+        "3 1\n0 1\n0 1\n",  # a repeat that keeps the key count at m
     ]
 
     @pytest.mark.parametrize("text", SAME_OUTCOME)
@@ -401,8 +436,13 @@ class TestEdgeListFormat:
             raise AssertionError("line loop reached")
 
         monkeypatch.setattr(graph_module, "content_lines", fail)
-        for plain in (text, text.replace("\n", "\r\n"), text.replace(" ", "\t")):
+        for plain in plain_variants(text):
             assert graph_key(parse_edge_list(plain)) == graph_key(g)
+
+    def test_line_test_allocates_no_line_list(self):
+        # one pattern match over the text: no list of lines or of tokens
+        rows = "".join(f"{u} {(7 * u + 3) % 100000}\n" for u in range(100000))
+        assert_line_test_is_flat(graph_module.pairs_per_line, "100000 100000\n" + rows)
 
 
 class TestForestClass:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestbound import ParseError
+from forestbound import ParseError, UnknownVertex, parse_edge_list
 from forestbound import partition as partition_module
 from forestbound.partition import Partition, format_partition, parse_partition_file
-from test_graph import assert_same_outcome, line_reader, pair_texts
+from test_graph import (
+    assert_line_test_is_flat, assert_same_outcome, line_reader, pair_texts, plain_variants,
+)
 
 
 LINE_READER = line_reader(partition_module, parse_partition_file)
@@ -66,6 +68,15 @@ class TestPartitionFormat:
         "0 A # c\n",
         "0 D\n",
         "0 A\n1\n",
+        # at the edges of the token reader's line pattern
+        "0 A \t\n1 B\t\n",
+        "0 A\r\r\n1 B\r\r\n",
+        "0 A\n1 B",
+        "0 A\n1 B\n\n",
+        "007 A\n1 B\n",
+        "0 A#c\n",
+        "0\x0cA\n1 B\n",
+        "0 A\n1 B\n2 C\n3 A B\n",
     ]
 
     @pytest.mark.parametrize("mode", ["ABC", "AB"])
@@ -87,5 +98,18 @@ class TestPartitionFormat:
             raise AssertionError("line loop reached")
 
         monkeypatch.setattr(partition_module, "content_lines", fail)
-        for plain in (text, text.replace("\n", "\r\n").lower(), text.replace(" ", "\t")):
+        lf, crlf, tab = plain_variants(text)
+        for plain in (lf, crlf.lower(), tab):
             assert labels_key(parse_partition_file(plain, "AB")) == labels_key(p)
+
+    def test_line_test_allocates_no_line_list(self):
+        text = "".join(f"{v} {'ABC'[v % 3]}\n" for v in range(100000))
+        assert_line_test_is_flat(partition_module.pairs_per_line, text)
+
+    def test_extra_label_leaves_parsed_sets_unbuilt(self):
+        # naming a label outside the graph needs only the vertex range
+        g = parse_edge_list("3 1\n0 1\n")
+        p = Partition.abc({0: "A", 1: "B", 2: "C", 3: "A"})
+        with pytest.raises(UnknownVertex, match=re.escape("not in graph: [3]")):
+            p.validate_for(g)
+        assert g._adj is None

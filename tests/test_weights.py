@@ -180,6 +180,13 @@ class TestTotalWeight:
         with pytest.raises(MissingPartition):
             total_weight(path_graph(3), BoundSpec.abc())
 
+    @pytest.mark.parametrize("spec", [BoundSpec.abc(), BoundSpec.abstar()])
+    def test_unlabeled_vertex_is_named(self, spec):
+        # the message of Partition.part, for the first vertex without a label
+        p = Partition.ab({0: "A", 3: "B"})
+        with pytest.raises(MissingPartition, match=r"^vertex 1 has no label$"):
+            total_weight(path_graph(4), spec, p)
+
     def test_hkg_total(self):
         assert total_weight(star_graph(3), BoundSpec.hkg(3)) == F(7, 2)
 
