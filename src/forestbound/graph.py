@@ -143,12 +143,10 @@ class Graph:
             raise ParseError(f"self-loop at vertex {u}")
         if u not in self or v not in self:
             raise UnknownVertex(f"edge ({u}, {v}) has an endpoint outside the graph")
-        if v in self._adj[u]:
+        adj = self._sets()  # membership above leaves a parsed graph's sets unbuilt
+        if v in adj[u]:
             return self
-        adj = dict(self._adj)
-        adj[u] = adj[u] | {v}
-        adj[v] = adj[v] | {u}
-        return Graph(adj)
+        return Graph({**adj, u: adj[u] | {v}, v: adj[v] | {u}})
 
     def components(self) -> list[set[int]]:
         """Connected components, sorted by their minimum vertex id."""
@@ -373,12 +371,11 @@ def parse_edge_list(text: str) -> Graph:
     return _parse_tokens(" ".join(line for _, line in rows))  # checked: not None
 
 
-def pair_lines(second: str) -> Callable[[str], bool]:
+def pair_lines(second: str) -> Callable[[str], re.Match | None]:
     """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal token and
     a `second` token, spaces or tabs around them, `\r` at its end. Possessive: no backtracking."""
     line = rf"[ \t]*+[0-9]++[ \t]++{second}[ \t\r]*+"
-    fullmatch = re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
-    return lambda text: fullmatch(text) is not None
+    return re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
 
 
 pairs_per_line = pair_lines("[0-9]++")
@@ -386,7 +383,10 @@ pairs_per_line = pair_lines("[0-9]++")
 
 def _parse_tokens(text: str) -> Graph | None:
     """The graph of a `pairs_per_line` text or of checked rows; None if a check fails."""
-    toks = list(map(int, text.split()))
+    try:
+        toks = list(map(int, text.split()))
+    except ValueError:  # a token past int's digit limit: the line reader names its line
+        return None
     n, m, us, vs = toks[0], toks[1], toks[2::2], toks[3::2]
     if n > MAX_VERTICES or len(us) != m or m and max(max(us), max(vs)) >= n:
         return None

@@ -66,8 +66,11 @@ def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
     parse_edge_list, a text the token reader cannot take is read line by line."""
     if pairs_per_line(text):
         toks = text.split()
-        labels = dict(zip(map(int, toks[0::2]), map(str.upper, toks[1::2])))
-        if 2 * len(labels) == len(toks):  # else an index came twice
+        try:
+            labels = dict(zip(map(int, toks[0::2]), map(str.upper, toks[1::2])))
+        except ValueError:  # an index past int's digit limit
+            labels = {}
+        if 2 * len(labels) == len(toks):  # else an index was bad or came twice
             return Partition(labels, mode)
     labels = {}
     for lineno, line in content_lines(text):

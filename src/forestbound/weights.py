@@ -169,10 +169,7 @@ def ab_star_gain(part: str, d: int) -> Fraction:
 
 
 def _label_tags(g: Graph, labels, deg):
-    try:
-        return list(map(labels.labels.__getitem__, g.vertices))
-    except KeyError as exc:  # as Partition.part says it
-        raise MissingPartition(f"vertex {exc.args[0]} has no label") from None
+    return map(labels.part, g.vertices)
 
 
 # Each bound variant: whether it takes k; the top of its eps range as a

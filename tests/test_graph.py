@@ -363,6 +363,11 @@ class TestEdgeListFormat:
         assert parsed._adj is None  # answered from the vertex range 0..n-1
         assert parsed.neighbors(0) == {1} and 1.0 in parsed and 4 not in parsed
 
+    def test_add_edge_before_the_sets(self):
+        g = parse_edge_list("4 2\n0 1\n2 3\n")
+        assert g.add_edge(1, 2) == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert parse_edge_list("2 1\n0 1\n").add_edge(1, 0).m == 1
+
     # texts of the shapes each reader must treat alike, one feature each
     SAME_OUTCOME = [
         "3 2\r\n0 1\r\n1 2\r\n",
@@ -411,6 +416,9 @@ class TestEdgeListFormat:
         "3 2\n0\x0c1\n1 2\n",
         "5 4\n0 1\n1 2\n2 3\n3 4 0\n",
         "3 1\n0 1\n0 1\n",  # a repeat that keeps the key count at m
+        # past int's digit limit: a ParseError, not int's ValueError
+        pytest.param("9" * 5000 + " 1\n0 1\n", id="5000-digit-n"),
+        pytest.param("3 1\n0 " + "1" * 5000 + "\n", id="5000-digit-end"),
     ]
 
     @pytest.mark.parametrize("text", SAME_OUTCOME)

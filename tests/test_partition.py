@@ -77,6 +77,7 @@ class TestPartitionFormat:
         "0 A#c\n",
         "0\x0cA\n1 B\n",
         "0 A\n1 B\n2 C\n3 A B\n",
+        pytest.param("0 A\n" + "1" * 5000 + " B\n", id="5000-digit-index"),  # past int's limit
     ]
 
     @pytest.mark.parametrize("mode", ["ABC", "AB"])
