@@ -36,10 +36,7 @@ from .graph import (
     ForestClass,
     Graph,
     format_edge_list,
-    is_caterpillar_forest,
     is_forest,
-    is_linear_forest,
-    is_star_forest,
     parse_edge_list,
 )
 from .harness import HarnessReport, run_suite

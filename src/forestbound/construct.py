@@ -652,14 +652,14 @@ _RULES = {
 Kind = namedtuple("Kind", "forest mode spec build")
 KINDS = {
     "linear": Kind(
-        LINEAR_FOREST, None, BoundSpec.flin(), lambda g, p: (greedy_linear_forest(g), None)
+        LINEAR_FOREST, None, BoundSpec("flin"), lambda g, p: (greedy_linear_forest(g), None)
     ),
     "caterpillar": Kind(
         CATERPILLAR_FOREST, None, BoundSpec("aks"), lambda g, p: (caterpillar_forest(g), None)
     ),
-    "star": Kind(STAR_FOREST, None, BoundSpec.star(), lambda g, p: (star_forest(g), None)),
-    "abc": Kind(LINEAR_FOREST, "ABC", BoundSpec.abc(), lambda g, p: abc_construct(g, p)),
-    "ab": Kind(STAR_FOREST, "AB", BoundSpec.abstar(), lambda g, p: ab_construct(g, p)),
+    "star": Kind(STAR_FOREST, None, BoundSpec("star"), lambda g, p: (star_forest(g), None)),
+    "abc": Kind(LINEAR_FOREST, "ABC", BoundSpec("abc"), lambda g, p: abc_construct(g, p)),
+    "ab": Kind(STAR_FOREST, "AB", BoundSpec("abstar"), lambda g, p: ab_construct(g, p)),
 }
 
 
@@ -668,7 +668,7 @@ def kind_row(kind: str, k: Optional[int] = None) -> Kind:
     kind: InvalidSpec if k < 2, ValueError if kind is not a caterpillar."""
     if k is None:
         return KINDS[kind]
-    spec = BoundSpec.hkg(k)
+    spec = BoundSpec("hkg", k)  # first: a k < 2 is InvalidSpec, not ForestClass's ValueError
     forest = ForestClass(KINDS[kind].forest.kind, k)
     return Kind(forest, None, spec, lambda g, p: (k_caterpillar_forest(g, k), None))
 

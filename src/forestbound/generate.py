@@ -92,13 +92,13 @@ def fig1_gadget(gadget: str) -> tuple[Graph, Partition]:
     """The three tightness gadgets, with their drawn labelings."""
     if gadget == "P3AB":
         g = path_graph(3)
-        return g, Partition.abc({0: "A", 1: "B", 2: "A"})
+        return g, Partition({0: "A", 1: "B", 2: "A"}, "ABC")
     if gadget == "K2AC":
         g = path_graph(2)
-        return g, Partition.abc({0: "A", 1: "C"})
+        return g, Partition({0: "A", 1: "C"}, "ABC")
     if gadget == "K3ACC":
         g = cycle_graph(3)
-        return g, Partition.abc({0: "A", 1: "C", 2: "C"})
+        return g, Partition({0: "A", 1: "C", 2: "C"}, "ABC")
     raise InvalidSpec(f"unknown gadget {gadget!r}; expected one of {FIG1_GADGETS}")
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError, UnknownVertex
 
@@ -64,11 +64,11 @@ class Graph:
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
 
-    def __contains__(self, v: int) -> bool:  # sets not built: the vertices are 0..n-1
-        return v in (range(self.n) if self._adj is None else self._adj)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._vertices)
+    def __contains__(self, v: int) -> bool:
+        if self._adj is not None:
+            return v in self._adj
+        k = hash(v)  # sets not built: each vertex of 0..n-1 is its own hash, so only k can equal v
+        return 0 <= k < self.n and k == v
 
     def neighbors(self, v: int) -> frozenset[int]:
         try:
@@ -94,12 +94,9 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def leaf_tags(self) -> list[int | None]:
-        """Per vertex, in `vertices` order: its neighbor's degree if it is a leaf, else None."""
-        return self._leaf_tags(self.degrees())
-
-    def _leaf_tags(self, deg: list[int]) -> list[int | None]:
-        """leaf_tags, given degrees(): before the sets are built, off the edge arrays."""
+    def leaf_tags(self, deg: list[int]) -> list[int | None]:
+        """Per vertex, in `vertices` order, given deg = degrees(): its neighbor's degree
+        if it is a leaf, else None. Before the sets are built, off the edge arrays."""
         if (adj := self._adj) is not None:
             return [len(adj[min(adj[v])]) if d == 1 else None for v, d in zip(self._vertices, deg)]
         tags: list[int | None] = [None] * self.n
@@ -112,9 +109,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
 
     def edges(self) -> list[tuple[int, int]]:
         adj = self._sets()
@@ -240,10 +234,6 @@ class ForestClass:
         if self.k is not None and self.k < 2:
             raise ValueError("caterpillar degree bound must be >= 2")
 
-    @classmethod
-    def caterpillar(cls, k: int | None = None) -> "ForestClass":
-        return cls("caterpillar", k)
-
     def contains(self, g: Graph) -> bool:
         """True iff g is a forest within the degree bound (2 for linear, k for
         caterpillar) in which each spine vertex, one of degree >= 2, has at
@@ -302,25 +292,6 @@ STAR_FOREST = ForestClass("star")
 def is_forest(g: Graph) -> bool:
     """Acyclicity via the edge-count identity m = n - #components."""
     return g.m == g.n - len(g.components())
-
-
-def is_linear_forest(g: Graph) -> bool:
-    """True iff g is acyclic with maximum degree at most 2."""
-    return LINEAR_FOREST.contains(g)
-
-
-def is_caterpillar_forest(g: Graph, k: int | None = None) -> bool:
-    """True iff g is a forest of caterpillars, with max degree <= k if bounded.
-
-    In a forest the non-leaf vertices of each component induce a path exactly
-    when no vertex has three or more non-leaf neighbors.
-    """
-    return ForestClass.caterpillar(k).contains(g)
-
-
-def is_star_forest(g: Graph) -> bool:
-    """True iff g is acyclic and each component has at most one vertex of degree >= 2."""
-    return STAR_FOREST.contains(g)
 
 
 MAX_VERTICES = 1 << 20

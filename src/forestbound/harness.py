@@ -184,12 +184,12 @@ def _jobs_witness(seed: int, sizes: list[int]):
         g = complete_graph(d + 1)
         name = f"complete:n={d + 1}"
         for k in (2, 3):
-            yield f"{name}/k={k}", lambda: _oracle_records(name, g, ForestClass.caterpillar(k), 2)
+            yield f"{name}/k={k}", lambda: _oracle_records(name, g, ForestClass("caterpillar", k), 2)
     for n in (1, 2, 3):
         for k in (2, 3):
             g = hnk_graph(n, k)
             name = f"hnk:n={n},k={k}"
-            yield name, lambda: _oracle_records(name, g, ForestClass.caterpillar(k), (k + 1) * n)
+            yield name, lambda: _oracle_records(name, g, ForestClass("caterpillar", k), (k + 1) * n)
             yield f"{name}/construct", lambda: [
                 _construct_record(name, f"k-caterpillar:k={k}", g,
                                   lambda h: construct.k_caterpillar_forest(h, k))
@@ -218,7 +218,7 @@ def _lemma_records(instance: str, g: Graph, checks: tuple[str, str], build, orac
 def _abc_records(instance: str, n: int, inst_seed: int) -> list[dict]:
     g = gnp(n, 0.3, inst_seed)
     rng = random.Random(inst_seed + 1)
-    p = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
+    p = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
     return _lemma_records(instance, g, ("abc-construct", "abc-oracle"),
                           lambda h: construct.abc_construct(h, p)[0],
                           lambda h: exact.alpha_exact_partitioned(h, p))

@@ -8,7 +8,7 @@ star forest bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import MissingPartition, ParseError, UnknownVertex
 from .graph import Graph, content_lines, pair_lines
@@ -30,18 +30,6 @@ class Partition:
         if not allowed.issuperset(self.labels.values()):  # find the first bad label to name it
             v, part = next((v, p) for v, p in self.labels.items() if p not in allowed)
             raise ParseError(f"label {part!r} on vertex {v} not allowed in {self.mode} mode")
-
-    @classmethod
-    def abc(cls, labels: Mapping[int, str]) -> "Partition":
-        return cls(dict(labels), "ABC")
-
-    @classmethod
-    def ab(cls, labels: Mapping[int, str]) -> "Partition":
-        return cls(dict(labels), "AB")
-
-    @classmethod
-    def uniform(cls, vertices: Iterable[int], part: str, mode: str = "ABC") -> "Partition":
-        return cls({v: part for v in vertices}, mode)
 
     def part(self, v: int) -> str:
         try:

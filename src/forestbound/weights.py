@@ -183,7 +183,7 @@ _VARIANTS = {
     "aks": (False, None, None, lambda k, eps, d: min(_ONE, Fraction(2, d + 1))),
     "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
     "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
-    "hkg": (True, None, lambda g, _, d: g._leaf_tags(d), lambda k, eps, key: hkg_weight(k, *key)),
+    "hkg": (True, None, lambda g, _, d: g.leaf_tags(d), lambda k, eps, key: hkg_weight(k, *key)),
     "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: star_f_eps(eps, d)),
     "abc": (False, None, _label_tags, lambda k, eps, key: abc_weight(*key)),
     "abstar": (False, None, _label_tags, lambda k, eps, key: ab_star_weight(*key)),
@@ -216,36 +216,12 @@ class BoundSpec:
         if self.eps is not None:
             if top is None:
                 raise InvalidSpec(f"{self.variant} does not take eps")
+            try:  # one normal form: 0, 0.0 and Fraction(0) are one spec with one text
+                object.__setattr__(self, "eps", Fraction(self.eps))
+            except (ValueError, OverflowError):  # nan or inf: no Fraction, and out of range
+                pass
             if not _ZERO <= self.eps <= top(self.k):
                 raise EpsOutOfRange(f"eps={self.eps} outside [0, {top(self.k)}]")
-
-    @classmethod
-    def flin(cls) -> "BoundSpec":
-        return cls("flin")
-
-    @classmethod
-    def fkeps(cls, k: int, eps: Optional[Fraction] = None) -> "BoundSpec":
-        return cls("fkeps", k=k, eps=None if eps is None else Fraction(eps))
-
-    @classmethod
-    def fk(cls, k: int) -> "BoundSpec":
-        return cls("fk", k=k)
-
-    @classmethod
-    def hkg(cls, k: int) -> "BoundSpec":
-        return cls("hkg", k=k)
-
-    @classmethod
-    def star(cls, eps: Optional[Fraction] = None) -> "BoundSpec":
-        return cls("star", eps=None if eps is None else Fraction(eps))
-
-    @classmethod
-    def abc(cls) -> "BoundSpec":
-        return cls("abc")
-
-    @classmethod
-    def abstar(cls) -> "BoundSpec":
-        return cls("abstar")
 
     @property
     def eps_open(self) -> bool:

@@ -107,21 +107,21 @@ def constrained_gadgets() -> list[tuple[str, Graph, Partition, dict]]:
     plus two disjoint K4s, which reach R4 when all-B and S4 when all-A."""
     out = [(name, *fig1_gadget(name), {}) for name in ("P3AB", "K2AC", "K3ACC")]
     g = gnp(12, 0.3, 99)
-    out.append(("gnp12-abc-mod3", g, Partition.abc({v: "ABC"[v % 3] for v in g.vertices}), {}))
+    out.append(("gnp12-abc-mod3", g, Partition({v: "ABC"[v % 3] for v in g.vertices}, "ABC"), {}))
     g = path_graph(40)
-    out.append(("path40-A", g, Partition.uniform(g.vertices, "A", "ABC"), {}))
-    out.append(("k2-AA", path_graph(2), Partition.ab({0: "A", 1: "A"}), {}))
+    out.append(("path40-A", g, Partition(dict.fromkeys(g.vertices, "A"), "ABC"), {}))
+    out.append(("k2-AA", path_graph(2), Partition({0: "A", 1: "A"}, "AB"), {}))
     g = cycle_graph(5)
-    out.append(("c5-A", g, Partition.uniform(g.vertices, "A", "AB"), {}))
-    out.append(("p3-BAB", path_graph(3), Partition.ab({0: "B", 1: "A", 2: "B"}), {}))
+    out.append(("c5-A", g, Partition(dict.fromkeys(g.vertices, "A"), "AB"), {}))
+    out.append(("p3-BAB", path_graph(3), Partition({0: "B", 1: "A", 2: "B"}, "AB"), {}))
     g = cycle_graph(100)
-    out.append(("c100-A", g, Partition.uniform(g.vertices, "A", "AB"), {}))
+    out.append(("c100-A", g, Partition(dict.fromkeys(g.vertices, "A"), "AB"), {}))
     g = random_regular(20, 3, 8)
-    out.append(("cubic20-A", g, Partition.uniform(g.vertices, "A", "AB"), {}))
+    out.append(("cubic20-A", g, Partition(dict.fromkeys(g.vertices, "A"), "AB"), {}))
     g = Graph.from_edges(8, [(u, v) for base in (0, 4) for u in range(base, base + 4)
                              for v in range(u + 1, base + 4)])
-    out.append(("2k4-B", g, Partition.uniform(g.vertices, "B", "ABC"), {}))
-    out.append(("2k4-A", g, Partition.uniform(g.vertices, "A", "AB"), {}))
+    out.append(("2k4-B", g, Partition(dict.fromkeys(g.vertices, "B"), "ABC"), {}))
+    out.append(("2k4-A", g, Partition(dict.fromkeys(g.vertices, "A"), "AB"), {}))
     return out
 
 

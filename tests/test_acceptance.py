@@ -63,12 +63,12 @@ def test_criterion_2_witness_equalities():
     failures = []
     for d in range(2, 9):
         for k in (2, 3):
-            res = alpha_exact(complete_graph(d + 1), ForestClass.caterpillar(k))
+            res = alpha_exact(complete_graph(d + 1), ForestClass("caterpillar", k))
             if not (res.exact and res.alpha == 2):
                 failures.append(f"K_{d + 1} k={k}: {res.alpha}")
     for n in (1, 2, 3):
         for k in (2, 3):
-            res = alpha_exact(hnk_graph(n, k), ForestClass.caterpillar(k))
+            res = alpha_exact(hnk_graph(n, k), ForestClass("caterpillar", k))
             if not (res.exact and res.alpha == (k + 1) * n):
                 failures.append(f"H_{{{n},{k}}}: {res.alpha}")
     for n in range(1, 7):
@@ -124,10 +124,10 @@ def test_criterion_4_k_caterpillar_bounds():
             if not verify_certificate(g, cert):
                 violations.append(f"seed {40000 + i} k={k}: certificate invalid")
                 continue
-            h_bound = total_weight(g, BoundSpec.hkg(k))
+            h_bound = total_weight(g, BoundSpec("hkg", k))
             eps, _ = epsilon_star(hist, k)
-            f_bound = total_weight(g, BoundSpec.fkeps(k, eps))
-            res = alpha_exact(g, ForestClass.caterpillar(k))
+            f_bound = total_weight(g, BoundSpec("fkeps", k, eps))
+            res = alpha_exact(g, ForestClass("caterpillar", k))
             if not res.exact:
                 violations.append(f"seed {40000 + i} k={k}: oracle inexact")
             elif F(res.alpha) < h_bound or F(res.alpha) < f_bound:
@@ -140,7 +140,7 @@ def test_criterion_5_fig1_tightness():
     failures = []
     for name in ("P3AB", "K2AC", "K3ACC"):
         g, p = fig1_gadget(name)
-        bound = total_weight(g, BoundSpec.abc(), p)
+        bound = total_weight(g, BoundSpec("abc"), p)
         res = alpha_exact_partitioned(g, p)
         if not (res.exact and F(res.alpha) == bound):
             failures.append(f"{name}: alpha={res.alpha} bound={bound}")
@@ -180,7 +180,7 @@ def test_criterion_7_star_forest_bounds():
         if not verify_certificate(g, cert):
             violations.append(f"seed {70000 + i}: certificate invalid")
             continue
-        bound = total_weight(g, BoundSpec.star())
+        bound = total_weight(g, BoundSpec("star"))
         res = alpha_exact(g, STAR_FOREST)
         if not (res.exact and F(res.alpha) >= bound):
             violations.append(f"seed {70000 + i}: alpha {res.alpha} below {bound}")

@@ -27,7 +27,8 @@ from forestbound.construct import KINDS, kind_row
 from forestbound.graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestClass, Graph
 from forestbound.partition import Partition
 
-CLASSES = [LINEAR_FOREST, STAR_FOREST, CATERPILLAR_FOREST, *map(ForestClass.caterpillar, (2, 3, 4))]
+CLASSES = [LINEAR_FOREST, STAR_FOREST, CATERPILLAR_FOREST,
+           *(ForestClass("caterpillar", k) for k in (2, 3, 4))]
 # the classes whose kinds read a partition, and that partition's mode
 MODES = {LINEAR_FOREST: "ABC", STAR_FOREST: "AB"}
 ROWS = [*KINDS.values(), *(kind_row("caterpillar", k) for k in (2, 3, 4))]

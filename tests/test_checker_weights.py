@@ -81,8 +81,8 @@ def test_auto_eps_totals_match_the_checkers_best_total(monkeypatch):
     # eps_candidates lists whatever the grid; a coarse grid keeps the
     # checker's maximum and makes 600 of them affordable.
     monkeypatch.setattr(bc, "EPS_GRID", 6)
-    specs = [("fkeps", BoundSpec.fkeps(2), 2), ("fkeps", BoundSpec.fkeps(3), 3),
-             ("star", BoundSpec.star(), None)]
+    specs = [("fkeps", BoundSpec("fkeps", 2), 2), ("fkeps", BoundSpec("fkeps", 3), 3),
+             ("star", BoundSpec("star"), None)]
     for seed in range(200):
         g = seeded_graph(seed)
         hist = bc.histogram([set(g.neighbors(v)) for v in g.vertices])

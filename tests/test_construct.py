@@ -23,8 +23,6 @@ from forestbound import (
     certificate_to_text,
     cubic_partition,
     greedy_linear_forest,
-    is_caterpillar_forest,
-    is_linear_forest,
     k_caterpillar_forest,
     star_forest,
     total_weight,
@@ -43,7 +41,7 @@ from forestbound.generate import (
     star_graph,
 )
 from forestbound.check import ForestCertificate
-from forestbound.graph import LINEAR_FOREST
+from forestbound.graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST
 
 
 class TestGreedyLinearForest:
@@ -122,7 +120,7 @@ class TestCaterpillarForest:
         for trial in range(60):
             g = gnp(rng.randint(2, 30), 0.2, 1000 + trial)
             cert = caterpillar_forest(g)
-            assert is_caterpillar_forest(g.induced(cert.vertex_set))
+            assert CATERPILLAR_FOREST.contains(g.induced(cert.vertex_set))
             assert verify_certificate(g, cert)
 
 
@@ -147,14 +145,14 @@ class TestAbcConstruct:
         rng = random.Random(3)
         for trial in range(120):
             g = gnp(rng.randint(1, 13), rng.choice((0.2, 0.4)), 2000 + trial)
-            p = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
+            p = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
             cert, trace = abc_construct(g, p)
             assert verify_certificate(g, cert, p), trial
-            assert is_linear_forest(g.induced(cert.vertex_set))
+            assert LINEAR_FOREST.contains(g.induced(cert.vertex_set))
 
     def test_trace_replays_and_decreases(self):
         g = gnp(12, 0.3, 99)
-        p = Partition.abc({v: "ABC"[v % 3] for v in g.vertices})
+        p = Partition({v: "ABC"[v % 3] for v in g.vertices}, "ABC")
         cert1, trace1 = abc_construct(g, p)
         cert2, trace2 = abc_construct(g, p)
         assert cert1 == cert2 and trace1.steps == trace2.steps
@@ -165,30 +163,30 @@ class TestAbcConstruct:
 
     def test_deep_chain_of_leaves(self):
         g = path_graph(40)
-        p = Partition.abc({v: "A" for v in g.vertices})
+        p = Partition({v: "A" for v in g.vertices}, "ABC")
         cert, _ = abc_construct(g, p)
         assert verify_certificate(g, cert, p)
 
     def test_ab_partition_rejected(self):
         g = path_graph(3)
         with pytest.raises(ParseError, match="abc_construct needs an ABC partition"):
-            abc_construct(g, Partition.uniform(g.vertices, "A", "AB"))
+            abc_construct(g, Partition(dict.fromkeys(g.vertices, "A"), "AB"))
 
 
 class TestAbConstruct:
     def test_k2_all_a(self):
         g = path_graph(2)
-        cert, _ = ab_construct(g, Partition.ab({0: "A", 1: "A"}))
+        cert, _ = ab_construct(g, Partition({0: "A", 1: "A"}, "AB"))
         assert cert.size() == 2 and cert.claimed_bound == F(5, 3)
 
     def test_c5_all_a(self):
         g = cycle_graph(5)
-        cert, _ = ab_construct(g, Partition.uniform(g.vertices, "A", "AB"))
+        cert, _ = ab_construct(g, Partition(dict.fromkeys(g.vertices, "A"), "AB"))
         assert cert.size() == 3 and cert.claimed_bound == 3
 
     def test_p3_b_ends(self):
         g = path_graph(3)
-        p = Partition.ab({0: "B", 1: "A", 2: "B"})
+        p = Partition({0: "B", 1: "A", 2: "B"}, "AB")
         cert, _ = ab_construct(g, p)
         assert cert.claimed_bound == F(8, 5) and cert.size() == 2
         assert verify_certificate(g, cert, p)
@@ -198,31 +196,29 @@ class TestAbConstruct:
         rng = random.Random(4)
         for trial in range(120):
             g = gnp(rng.randint(1, 13), rng.choice((0.2, 0.4)), 3000 + trial)
-            p = Partition.ab({v: rng.choice("AB") for v in g.vertices})
+            p = Partition({v: rng.choice("AB") for v in g.vertices}, "AB")
             cert, trace = ab_construct(g, p)
             assert verify_certificate(g, cert, p), trial
 
     def test_large_cycle_uses_dp(self):
         g = cycle_graph(100)
-        cert, trace = ab_construct(g, Partition.uniform(g.vertices, "A", "AB"))
+        cert, trace = ab_construct(g, Partition(dict.fromkeys(g.vertices, "A"), "AB"))
         assert cert.size() >= cert.claimed_bound == 60
         assert any(step.rule == "S2" for step in trace.steps)
 
     def test_endgame_on_cubic_graph(self):
         g = random_regular(20, 3, 8)
-        cert, trace = ab_construct(g, Partition.uniform(g.vertices, "A", "AB"))
-        assert verify_certificate(g, cert, Partition.uniform(g.vertices, "A", "AB"))
+        cert, trace = ab_construct(g, Partition(dict.fromkeys(g.vertices, "A"), "AB"))
+        assert verify_certificate(g, cert, Partition(dict.fromkeys(g.vertices, "A"), "AB"))
         assert any(step.rule == "S5" for step in trace.steps)
 
 
 def brute_force_ab_optimum(g: Graph, p: Partition) -> int:
-    from forestbound import is_star_forest
-
     vs = sorted(g.vertices)
     for r in range(len(vs), 0, -1):
         for subset in combinations(vs, r):
             sub = g.induced(subset)
-            if not is_star_forest(sub):
+            if not STAR_FOREST.contains(sub):
                 continue
             ok = True
             for u, v in sub.edges():
@@ -260,8 +256,8 @@ class TestKCaterpillarForest:
                 continue
             checked += 1
             cert = k_caterpillar_forest(g, 2)
-            assert is_linear_forest(g.induced(cert.vertex_set))
-            assert cert.claimed_bound == total_weight(g, BoundSpec.flin())
+            assert LINEAR_FOREST.contains(g.induced(cert.vertex_set))
+            assert cert.claimed_bound == total_weight(g, BoundSpec("flin"))
             if checked >= 25:
                 break
         assert checked >= 10
@@ -391,8 +387,8 @@ def test_abc_bound_sampled_against_exact_oracle():
         pairs = list(combinations(range(n), 2))
         edges = [e for e in pairs if rng.random() < 0.5]
         g = Graph.from_edges(n, edges)
-        p = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
-        bound = total_weight(g, BoundSpec.abc(), p)
+        p = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
+        bound = total_weight(g, BoundSpec("abc"), p)
         res = alpha_exact_partitioned(g, p)
         assert res.exact and F(res.alpha) >= bound, (trial, edges, p.labels)
 
@@ -412,7 +408,7 @@ def test_bound_miss_carries_best_effort_certificate(monkeypatch):
     from forestbound.exact import OracleResult
 
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    p = Partition.ab(dict(zip(g.vertices, "AABB")))
+    p = Partition(dict(zip(g.vertices, "AABB")), "AB")
     assert ab_construct(g, p)[1].summary() == "S6:1"
     empty = OracleResult(0, frozenset(), 0)
     monkeypatch.setattr(construct, "alpha_exact_partitioned", lambda *args, **kwargs: empty)
@@ -421,7 +417,7 @@ def test_bound_miss_carries_best_effort_certificate(monkeypatch):
     cert = exc.value.certificate
     assert cert is not None and cert.vertex_set == frozenset()
     assert cert.forest_class == construct.KINDS["ab"].forest
-    assert cert.claimed_bound == total_weight(g, BoundSpec.abstar(), p) == F(5, 3)
+    assert cert.claimed_bound == total_weight(g, BoundSpec("abstar"), p) == F(5, 3)
 
 
 @pytest.mark.parametrize(
@@ -434,7 +430,7 @@ def test_rule_2_bound_miss_carries_best_effort_certificate(monkeypatch, kind, g)
     from forestbound.errors import BoundMiss
 
     row = construct.KINDS[kind]
-    p = Partition.uniform(g.vertices, "A", row.mode)
+    p = Partition(dict.fromkeys(g.vertices, "A"), row.mode)
     cert, trace = row.build(g, p)
     assert trace.summary() == f"{'R' if kind == 'abc' else 'S'}2:1"
     assert cert.size() == cert.claimed_bound

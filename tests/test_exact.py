@@ -17,9 +17,6 @@ from forestbound import (
     Partition,
     alpha_exact,
     alpha_exact_partitioned,
-    is_caterpillar_forest,
-    is_linear_forest,
-    is_star_forest,
 )
 from forestbound.exact import _CHAINS, OracleResult, _iter_bits, _Search
 from forestbound.generate import (
@@ -44,7 +41,7 @@ def naive_alpha(g: Graph, accept) -> int:
 
 def abc_accept(p: Partition):
     def check(sub: Graph) -> bool:
-        if not is_linear_forest(sub):
+        if not LINEAR_FOREST.contains(sub):
             return False
         return all(sub.degree(v) <= ABC_CAPS[p.part(v)] for v in sub.vertices)
 
@@ -53,7 +50,7 @@ def abc_accept(p: Partition):
 
 def ab_accept(p: Partition):
     def check(sub: Graph) -> bool:
-        if not is_star_forest(sub):
+        if not STAR_FOREST.contains(sub):
             return False
         for u, v in sub.edges():
             for a, b in ((u, v), (v, u)):
@@ -69,14 +66,15 @@ def test_agreement_with_naive_enumeration():
     for trial in range(200):
         n = rng.randint(1, 7)
         g = gnp(n, rng.choice((0.2, 0.4, 0.6)), 7000 + trial)
-        checks = [
-            (LINEAR_FOREST, is_linear_forest),
-            (STAR_FOREST, is_star_forest),
-            (CATERPILLAR_FOREST, is_caterpillar_forest),
-            (ForestClass.caterpillar(2), lambda h: is_caterpillar_forest(h, 2)),
-            (ForestClass.caterpillar(3), lambda h: is_caterpillar_forest(h, 3)),
+        classes = [
+            LINEAR_FOREST,
+            STAR_FOREST,
+            CATERPILLAR_FOREST,
+            ForestClass("caterpillar", 2),
+            ForestClass("caterpillar", 3),
         ]
-        cls, accept = checks[trial % len(checks)]
+        cls = classes[trial % len(classes)]
+        accept = cls.contains
         res = alpha_exact(g, cls)
         assert res.exact
         assert res.alpha == naive_alpha(g, accept), (trial, cls)
@@ -90,10 +88,10 @@ def test_partitioned_agreement_with_naive_enumeration():
         n = rng.randint(1, 7)
         g = gnp(n, 0.4, 8000 + trial)
         if trial % 2 == 0:
-            p = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
+            p = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
             accept = abc_accept(p)
         else:
-            p = Partition.ab({v: rng.choice("AB") for v in g.vertices})
+            p = Partition({v: rng.choice("AB") for v in g.vertices}, "AB")
             accept = ab_accept(p)
         res = alpha_exact_partitioned(g, p)
         assert res.exact
@@ -105,13 +103,13 @@ class TestWitnessFamilies:
     def test_complete_graphs(self):
         for d in range(2, 9):
             for k in (2, 3):
-                res = alpha_exact(complete_graph(d + 1), ForestClass.caterpillar(k))
+                res = alpha_exact(complete_graph(d + 1), ForestClass("caterpillar", k))
                 assert res.exact and res.alpha == 2, (d, k)
 
     def test_hnk(self):
         for n in (1, 2, 3):
             for k in (2, 3):
-                res = alpha_exact(hnk_graph(n, k), ForestClass.caterpillar(k))
+                res = alpha_exact(hnk_graph(n, k), ForestClass("caterpillar", k))
                 assert res.exact and res.alpha == (k + 1) * n, (n, k)
 
     def test_kprime(self):
@@ -128,7 +126,7 @@ def test_hereditary_monotonicity_under_deletion():
     rng = random.Random(55)
     for trial in range(40):
         g = gnp(rng.randint(2, 10), 0.35, 9000 + trial)
-        cls = (LINEAR_FOREST, STAR_FOREST, ForestClass.caterpillar(2))[trial % 3]
+        cls = (LINEAR_FOREST, STAR_FOREST, ForestClass("caterpillar", 2))[trial % 3]
         base = alpha_exact(g, cls).alpha
         v = rng.choice(g.vertices)
         assert alpha_exact(g.delete_vertices((v,)), cls).alpha <= base
@@ -150,7 +148,7 @@ def test_all_c_partition_equals_independence_number():
     rng = random.Random(77)
     for trial in range(40):
         g = gnp(rng.randint(1, 12), rng.choice((0.2, 0.5)), 9500 + trial)
-        p = Partition.uniform(g.vertices, "C", "ABC")
+        p = Partition(dict.fromkeys(g.vertices, "C"), "ABC")
         res = alpha_exact_partitioned(g, p)
         assert res.exact and res.alpha == independent_set_solver(g), trial
         # the all-C optimum dominates the degree-sequence independence bound
@@ -164,7 +162,7 @@ def test_budget_exhaustion_is_flagged_not_raised():
     assert not res.exact
     assert res.nodes_explored <= 5
     # the witness is still a valid linear forest and a true lower bound
-    assert is_linear_forest(g.induced(res.witness))
+    assert LINEAR_FOREST.contains(g.induced(res.witness))
     full = alpha_exact(g, LINEAR_FOREST)
     assert full.exact and res.alpha <= full.alpha
 
@@ -173,7 +171,7 @@ def test_witness_is_optimal_no_larger_set_exists():
     g = gnp(7, 0.5, 2)
     res = alpha_exact(g, LINEAR_FOREST)
     for subset in combinations(sorted(g.vertices), res.alpha + 1):
-        assert not is_linear_forest(g.induced(subset))
+        assert not LINEAR_FOREST.contains(g.induced(subset))
 
 
 class MemoSearch(_Search):
@@ -223,8 +221,8 @@ ALL_CLASSES = (
     LINEAR_FOREST,
     STAR_FOREST,
     CATERPILLAR_FOREST,
-    ForestClass.caterpillar(2),
-    ForestClass.caterpillar(3),
+    ForestClass("caterpillar", 2),
+    ForestClass("caterpillar", 3),
 )
 
 
@@ -579,7 +577,7 @@ def test_linear_forest_on_gnp28_is_exact_within_2m_nodes():
     g = gnp(28, 0.3, 7)
     res = alpha_exact(g, LINEAR_FOREST, budget=2_000_000)
     assert res.exact  # the memo search ran out of 2 M nodes here
-    assert is_linear_forest(g.induced(res.witness))
+    assert LINEAR_FOREST.contains(g.induced(res.witness))
 
 
 def test_search_peak_allocation_stays_under_1mb():
@@ -616,11 +614,11 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 41_218),
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 33_155),
         # k = 2 runs the linear row and its two-violation cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass.caterpillar(2)), 97_521),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 97_521),
         # the other caterpillars run the degree-count cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass.caterpillar(3)), 34_426),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 34_426),
         (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 13_141),
-        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass.caterpillar(3)), 145),
+        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 145),
     ],
     ids=[
         "linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar2-gnp28",
@@ -674,7 +672,7 @@ def test_cycle_scan_finds_a_shortest_cycle_on_the_atlas():
     for atlas_graph in nx.graph_atlas_g()[1:]:
         g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
         girth, full = nx.girth(atlas_graph), (1 << g.n) - 1
-        for cls in (LINEAR_FOREST, CATERPILLAR_FOREST, ForestClass.caterpillar(3)):
+        for cls in (LINEAR_FOREST, CATERPILLAR_FOREST, ForestClass("caterpillar", 3)):
             search = _Search(g, cls.kind, k=cls.k)
             *earlier, last = search._chain
             assert last == search._shortest_cycle, cls

@@ -1,8 +1,11 @@
 """Generators: witness families, gadgets, random models."""
 
+import importlib
+import re
+
 import pytest
 
-from forestbound import InfeasibleDegree, InvalidSpec, ParseError
+from forestbound import InfeasibleDegree, InvalidSpec, ParseError, RetryLimit
 from forestbound.generate import (
     GenSpec,
     complete_graph,
@@ -161,3 +164,37 @@ class TestGenSpecText:
         with pytest.raises(InvalidSpec, match=r"^family 'fig1' needs parameter 'id'$"):
             generate(parse_gen_spec("fig1"))
         assert parse_gen_spec("fig1:id=K2AC") == GenSpec("fig1", id="K2AC")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: complete_graph(0), "complete graph needs n >= 1"),
+        (lambda: star_graph(-1), "star needs t >= 0"),
+        (lambda: path_graph(0), "path needs n >= 1"),
+        (lambda: hnk_graph(0, 2), "hnk needs n >= 1 and k >= 2"),
+        (lambda: hnk_graph(1, 1), "hnk needs n >= 1 and k >= 2"),
+        (lambda: k_prime_graph(0), "kprime needs n >= 1"),
+        (lambda: gnp(0, 0.5, 1), "gnp needs n >= 1 and p in [0, 1]"),
+        (lambda: gnp(3, 1.5, 1), "gnp needs n >= 1 and p in [0, 1]"),
+    ],
+    ids=["complete", "star", "path", "hnk-n", "hnk-k", "kprime", "gnp-n", "gnp-p"],
+)
+def test_family_size_checks(build, message):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_zero_regular_graph_has_no_edges():
+    g = random_regular(5, 0, 1)
+    assert (g.n, g.m, g.vertices) == (5, 0, (0, 1, 2, 3, 4))
+
+
+def test_pairing_gives_up_after_the_retry_cap(monkeypatch):
+    # the package's `generate` is the function; the module is fetched by name
+    generate_module = importlib.import_module("forestbound.generate")
+    attempts = []
+    monkeypatch.setattr(generate_module, "_pair_edge_by_edge", lambda n, d, rng: attempts.append(n))
+    with pytest.raises(RetryLimit, match=r"^pairing model failed 10000 times for n=4, d=3$"):
+        random_regular(4, 3, 0)
+    assert len(attempts) == generate_module.PAIRING_RETRY_CAP == 10_000

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,15 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestbound import (
+    CATERPILLAR_FOREST,
+    LINEAR_FOREST,
+    STAR_FOREST,
     ForestClass,
     Graph,
     ParseError,
     UnknownVertex,
     format_edge_list,
-    is_caterpillar_forest,
     is_forest,
-    is_linear_forest,
-    is_star_forest,
     parse_edge_list,
 )
 from forestbound import graph as graph_module
@@ -63,7 +64,7 @@ class TestInducedSubgraph:
 
     def test_c5_minus_vertex_is_p4(self):
         sub = cycle_graph(5).induced({1, 2, 3, 4})
-        assert sub.n == 4 and sub.m == 3 and is_linear_forest(sub)
+        assert sub.n == 4 and sub.m == 3 and LINEAR_FOREST.contains(sub)
 
     def test_empty_subset(self):
         sub = complete_graph(4).induced(set())
@@ -81,38 +82,38 @@ class TestInducedSubgraph:
 
 class TestRecognizers:
     def test_path_is_linear(self):
-        assert is_linear_forest(path_graph(5))
+        assert LINEAR_FOREST.contains(path_graph(5))
 
     def test_claw_is_not_linear(self):
-        assert not is_linear_forest(star_graph(3))
+        assert not LINEAR_FOREST.contains(star_graph(3))
 
     def test_triangle_is_not_linear(self):
-        assert not is_linear_forest(cycle_graph(3))
+        assert not LINEAR_FOREST.contains(cycle_graph(3))
 
     def test_claw_caterpillar_degree_bounds(self):
-        assert is_caterpillar_forest(star_graph(3), 3)
-        assert not is_caterpillar_forest(star_graph(3), 2)
+        assert ForestClass("caterpillar", 3).contains(star_graph(3))
+        assert not ForestClass("caterpillar", 2).contains(star_graph(3))
 
     def test_spider_is_not_caterpillar(self):
         # three legs of length 2: removing leaves leaves a claw, not a path
         spider = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
         assert strip_leaves_is_path_oracle(spider) is False
-        assert not is_caterpillar_forest(spider)
-        assert is_caterpillar_forest(star_graph(3))
+        assert not CATERPILLAR_FOREST.contains(spider)
+        assert CATERPILLAR_FOREST.contains(star_graph(3))
 
     def test_star_forest_members(self):
-        assert is_star_forest(star_graph(5))
-        assert not is_star_forest(path_graph(4))
+        assert STAR_FOREST.contains(star_graph(5))
+        assert not STAR_FOREST.contains(path_graph(4))
         two_comp = Graph.from_edges(3, [(0, 1)])
-        assert is_star_forest(two_comp)
+        assert STAR_FOREST.contains(two_comp)
 
     def test_isolated_vertices_allowed_everywhere(self):
         g = Graph.from_edges(3, [])
-        assert is_linear_forest(g) and is_caterpillar_forest(g) and is_star_forest(g)
+        assert all(cls.contains(g) for cls in (LINEAR_FOREST, CATERPILLAR_FOREST, STAR_FOREST))
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            is_caterpillar_forest(path_graph(2), 1)
+            ForestClass("caterpillar", 1).contains(path_graph(2))
 
 
 def strip_leaves_is_path_oracle(g: Graph) -> bool:
@@ -152,7 +153,7 @@ def test_linear_forest_forbidden_structure_exhaustive():
         for mask in range(total):
             g = graph_from_mask(n, mask)
             expected = acyclic_by_union_find(g) and all(g.degree(v) <= 2 for v in g.vertices)
-            assert is_linear_forest(g) == expected, (n, mask)
+            assert LINEAR_FOREST.contains(g) == expected, (n, mask)
 
 
 def test_caterpillar_and_star_against_oracles_small():
@@ -161,13 +162,14 @@ def test_caterpillar_and_star_against_oracles_small():
         for mask in range(total):
             g = graph_from_mask(n, mask)
             caterpillar = strip_leaves_is_path_oracle(g)
-            assert is_caterpillar_forest(g) == caterpillar
+            assert CATERPILLAR_FOREST.contains(g) == caterpillar
             for k in (2, 3):
-                assert is_caterpillar_forest(g, k) == (caterpillar and g.max_degree() <= k), (mask, k)
+                bounded = caterpillar and g.max_degree() <= k
+                assert ForestClass("caterpillar", k).contains(g) == bounded, (mask, k)
             star_expected = acyclic_by_union_find(g) and all(
                 not (g.degree(u) >= 2 and g.degree(v) >= 2) for u, v in g.edges()
             )
-            assert is_star_forest(g) == star_expected
+            assert STAR_FOREST.contains(g) == star_expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,10 +180,10 @@ def test_recognizers_hereditary(g, data):
     inner &= outer
     big, small = g.induced(outer), g.induced(inner)
     for check in (
-        is_linear_forest,
-        is_star_forest,
-        lambda h: is_caterpillar_forest(h),
-        lambda h: is_caterpillar_forest(h, 3),
+        LINEAR_FOREST.contains,
+        STAR_FOREST.contains,
+        CATERPILLAR_FOREST.contains,
+        ForestClass("caterpillar", 3).contains,
     ):
         if check(big):
             assert check(small)
@@ -190,14 +192,14 @@ def test_recognizers_hereditary(g, data):
 @settings(max_examples=120, deadline=None)
 @given(forests())
 def test_class_containment_chain(f):
-    if is_star_forest(f):
-        assert is_caterpillar_forest(f)
-    if is_caterpillar_forest(f) and f.max_degree() <= 2:
-        assert is_linear_forest(f)
+    if STAR_FOREST.contains(f):
+        assert CATERPILLAR_FOREST.contains(f)
+    if CATERPILLAR_FOREST.contains(f) and f.max_degree() <= 2:
+        assert LINEAR_FOREST.contains(f)
     # every forest with max degree <= 2 is linear, and every linear forest is
     # a caterpillar forest
-    if is_linear_forest(f):
-        assert is_caterpillar_forest(f, 2)
+    if LINEAR_FOREST.contains(f):
+        assert ForestClass("caterpillar", 2).contains(f)
 
 
 # Pieces of texts in the two-tokens-a-line formats: odd but valid integer
@@ -298,7 +300,7 @@ def assert_degrees_match_sets(text: str):
     """The degrees, degree histogram and leaf tags of the graph of text,
     read before its neighbor sets are built, are those of the sets."""
     g = parse_edge_list(text)
-    read = g.degrees(), g.degree_histogram(), g.leaf_tags()
+    read = g.degrees(), g.degree_histogram(), g.leaf_tags(g.degrees())
     degree = {v: len(g.neighbors(v)) for v in g.vertices}
     tags = [degree[min(g.neighbors(v))] if degree[v] == 1 else None for v in g.vertices]
     histogram = graph_module.DegreeHistogram(dict(Counter(degree.values())))
@@ -358,10 +360,32 @@ class TestEdgeListFormat:
 
     def test_membership_before_and_after_the_sets(self):
         parsed, built = parse_edge_list("4 2\n0 1\n2 3\n"), Graph.from_edges(4, [(0, 1), (2, 3)])
+        keys = (0, 3, 1.0, True, Fraction(3), 3.0, -1, 4, 2.5, "0", -2.0)
         for g in (parsed, built):
-            assert [v in g for v in (0, 3, 1.0, True, -1, 4, 2.5, "0")] == [True] * 4 + [False] * 4
+            assert [v in g for v in keys] == [True] * 6 + [False] * 5
+            with pytest.raises(TypeError):
+                [0] in g
         assert parsed._adj is None  # answered from the vertex range 0..n-1
         assert parsed.neighbors(0) == {1} and 1.0 in parsed and 4 not in parsed
+
+    def test_membership_compares_a_key_at_most_once(self):
+        # before the sets are built, a key that is not an int is compared only
+        # with the vertex its hash names, not with every vertex in turn
+        class Probe:
+            def __init__(self, h):
+                self.h, self.compared = h, 0
+
+            def __hash__(self):
+                return self.h
+
+            def __eq__(self, other):
+                self.compared += 1
+                return other == self.h
+
+        g = parse_edge_list(f"{MAX_VERTICES} 0\n")
+        probes = [Probe(h) for h in (0, MAX_VERTICES - 1, MAX_VERTICES, -5)]
+        assert [p in g for p in probes] == [True, True, False, False]
+        assert g._adj is None and max(p.compared for p in probes) <= 1
 
     def test_add_edge_before_the_sets(self):
         g = parse_edge_list("4 2\n0 1\n2 3\n")
@@ -462,14 +486,14 @@ class TestForestClass:
         for cls in (
             ForestClass("linear"),
             ForestClass("star"),
-            ForestClass.caterpillar(),
-            ForestClass.caterpillar(4),
+            ForestClass("caterpillar"),
+            ForestClass("caterpillar", 4),
         ):
             assert ForestClass.from_text(cls.to_text()) == cls
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            ForestClass.caterpillar(1)
+            ForestClass("caterpillar", 1)
         with pytest.raises(ParseError):
             ForestClass.from_text("banana")
 
@@ -512,6 +536,26 @@ def test_spec_readers_reject_alike(reader, template, message):
 def test_spec_readers_drop_whitespace_alike(reader, template):
     read, name, key, _ = SPEC_READERS[reader]
     assert read(template.format(name=name, key=key)).to_text() == f"{name}:{key}=3"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Graph.from_edges(3, [(0, 1), (1, 1)]), ParseError, "self-loop at vertex 1"),
+        (lambda: Graph.from_edges(3, [(0, 3)]), UnknownVertex, "edge (0, 3) outside 0..2"),
+        (lambda: path_graph(3).neighbors(5), UnknownVertex, "vertex 5 not in graph"),
+        (lambda: path_graph(3).delete_vertices([1, 5]), UnknownVertex, "vertex 5 not in graph"),
+        (lambda: path_graph(3).add_edge(2, 2), ParseError, "self-loop at vertex 2"),
+        (lambda: path_graph(3).add_edge(0, 3), UnknownVertex,
+         "edge (0, 3) has an endpoint outside the graph"),
+    ],
+    ids=["from_edges-loop", "from_edges-range", "neighbors", "delete_vertices",
+         "add_edge-loop", "add_edge-range"],
+)
+def test_graph_input_checks(call, error, message):
+    # path_graph builds the neighbor sets; the readers have their own error tests
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_degree_histogram():

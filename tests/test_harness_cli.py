@@ -133,7 +133,7 @@ class TestHarness:
             assert [r["check"] for r in records] == ["star-forest", "star-oracle"]
             assert all(r["status"] == "pass" for r in records)
             assert records[0]["bound"] == records[1]["bound"]
-        assert sums.count(BoundSpec.star()) == len(jobs) == 10
+        assert sums.count(BoundSpec("star")) == len(jobs) == 10
 
     def test_a_star_bound_miss_fails_one_record(self, monkeypatch):
         from forestbound import construct

@@ -23,12 +23,12 @@ def labels_key(p: Partition):
 
 class TestPartitionFormat:
     def test_round_trip(self):
-        p = Partition.abc({0: "A", 1: "C", 2: "B"})
+        p = Partition({0: "A", 1: "C", 2: "B"}, "ABC")
         assert parse_partition_file(format_partition(p)) == p
 
     def test_comments_blanks_and_case(self):
         p = parse_partition_file("# labels\n\n2 b  # inline\n  0\ta\n", "AB")
-        assert p == Partition.ab({2: "B", 0: "A"})
+        assert p == Partition({2: "B", 0: "A"}, "AB")
         assert list(p.labels) == [2, 0]
 
     # each malformed input, its mode and the message it must raise
@@ -92,7 +92,7 @@ class TestPartitionFormat:
         assert_same_outcome(parse_partition_file, LINE_READER, text, mode, key=labels_key)
 
     def test_plain_file_skips_line_reader(self, monkeypatch):
-        p = Partition.ab({v: "AB"[v % 3 == 0] for v in range(30)})
+        p = Partition({v: "AB"[v % 3 == 0] for v in range(30)}, "AB")
         text = format_partition(p)
 
         def fail(text):
@@ -110,7 +110,17 @@ class TestPartitionFormat:
     def test_extra_label_leaves_parsed_sets_unbuilt(self):
         # naming a label outside the graph needs only the vertex range
         g = parse_edge_list("3 1\n0 1\n")
-        p = Partition.abc({0: "A", 1: "B", 2: "C", 3: "A"})
+        p = Partition({0: "A", 1: "B", 2: "C", 3: "A"}, "ABC")
         with pytest.raises(UnknownVertex, match=re.escape("not in graph: [3]")):
             p.validate_for(g)
         assert g._adj is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Partition({0: "A"}, "XY"), lambda: parse_partition_file("0 A\n", "XY")],
+    ids=["constructor", "reader"],
+)
+def test_unknown_mode_is_refused(build):
+    with pytest.raises(ValueError, match=r"^mode must be ABC or AB, got 'XY'$"):
+        build()

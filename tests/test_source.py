@@ -334,3 +334,44 @@ def test_every_error_class_is_raised():
     declared = [n.name for n in ast.parse(path.read_text()).body if isinstance(n, ast.ClassDef)]
     raised = set().union(*(raised_names(ast.parse(p.read_text(), str(p))) for p in SOURCES))
     assert declared and [name for name in declared if name not in raised] == []
+
+
+def foreign_private_reads(tree: ast.AST) -> list[str]:
+    """Every read `x._name` (not a dunder) of a name that the module does not
+    define itself, as a function, class, variable, import or stored
+    attribute, with the line, in line order."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(a.asname or a.name for a in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        name = node.attr
+        dunder = name.startswith("__") and name.endswith("__")
+        if name.startswith("_") and not dunder and name not in defined:
+            found.append((node.lineno, f"{name} at line {node.lineno}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_detector_sees_foreign_private_reads():
+    code = (
+        "from .graph import _own\nimport m as _alias\n"
+        "class C:\n    def _m(self):\n        self._x = 1\n        return self._x + self._m()\n"
+        "def f(g):\n    return g._hidden(g.__dict__) + g._own + _alias._y\n"
+        "_v = 2\nz = m._v + m._w\nz.__class__\n"
+    )
+    assert foreign_private_reads(ast.parse(code)) == [
+        "_hidden at line 8", "_y at line 8", "_w at line 10"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_name(path):
+    # a name a module keeps private is read by that module alone
+    assert foreign_private_reads(ast.parse(path.read_text(), str(path))) == []

@@ -1,6 +1,7 @@
 """Weight functions, gain/loss tables, and the epsilon selectors."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -29,7 +30,7 @@ from forestbound import (
 from forestbound import weights
 from forestbound.errors import DegreeZero, InvalidSpec, ParseError
 from forestbound.generate import complete_graph, cycle_graph, gnp, path_graph, star_graph
-from forestbound.weights import STAR_EPS_MAX, eps_max
+from forestbound.weights import STAR_EPS_MAX, ab_star_gain, eps_max
 
 
 def fkeps_total(hist, k, eps):
@@ -167,49 +168,49 @@ class TestGainLossTables:
 
 class TestTotalWeight:
     def test_k4_flin(self):
-        assert total_weight(complete_graph(4), BoundSpec.flin()) == 2
+        assert total_weight(complete_graph(4), BoundSpec("flin")) == 2
 
     def test_claw_flin(self):
-        assert total_weight(star_graph(3), BoundSpec.flin()) == 3
+        assert total_weight(star_graph(3), BoundSpec("flin")) == 3
 
     def test_p3_abc(self):
-        p = Partition.abc({0: "A", 1: "B", 2: "A"})
-        assert total_weight(path_graph(3), BoundSpec.abc(), p) == 2
+        p = Partition({0: "A", 1: "B", 2: "A"}, "ABC")
+        assert total_weight(path_graph(3), BoundSpec("abc"), p) == 2
 
     def test_missing_partition(self):
         with pytest.raises(MissingPartition):
-            total_weight(path_graph(3), BoundSpec.abc())
+            total_weight(path_graph(3), BoundSpec("abc"))
 
-    @pytest.mark.parametrize("spec", [BoundSpec.abc(), BoundSpec.abstar()])
+    @pytest.mark.parametrize("spec", [BoundSpec("abc"), BoundSpec("abstar")])
     def test_unlabeled_vertex_is_named(self, spec):
         # the message of Partition.part, for the first vertex without a label
-        p = Partition.ab({0: "A", 3: "B"})
+        p = Partition({0: "A", 3: "B"}, "AB")
         with pytest.raises(MissingPartition, match=r"^vertex 1 has no label$"):
             total_weight(path_graph(4), spec, p)
 
     def test_hkg_total(self):
-        assert total_weight(star_graph(3), BoundSpec.hkg(3)) == F(7, 2)
+        assert total_weight(star_graph(3), BoundSpec("hkg", 3)) == F(7, 2)
 
     def test_histogram_sums_equal_per_vertex_sums(self):
         rng = random.Random(41)
         for trial in range(30):
             g = gnp(rng.randint(1, 40), rng.choice((0.05, 0.2, 0.5)), 4100 + trial)
-            abc = Partition.abc({v: rng.choice("ABC") for v in g.vertices})
-            ab = Partition.ab({v: rng.choice("AB") for v in g.vertices})
+            abc = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
+            ab = Partition({v: rng.choice("AB") for v in g.vertices}, "AB")
             hist = g.degree_histogram()
             per_vertex = [
-                (BoundSpec.flin(), None, lambda v: f_lin(g.degree(v))),
-                (BoundSpec.fk(3), None, lambda v: f_k(3, g.degree(v))),
-                (BoundSpec.fkeps(2, F(1, 10)), None, lambda v: f_k_eps(2, F(1, 10), g.degree(v))),
-                (BoundSpec.fkeps(2), None,
+                (BoundSpec("flin"), None, lambda v: f_lin(g.degree(v))),
+                (BoundSpec("fk", 3), None, lambda v: f_k(3, g.degree(v))),
+                (BoundSpec("fkeps", 2, F(1, 10)), None, lambda v: f_k_eps(2, F(1, 10), g.degree(v))),
+                (BoundSpec("fkeps", 2), None,
                  lambda v: f_k_eps(2, epsilon_star(hist, 2)[0], g.degree(v))),
-                (BoundSpec.star(F(1, 12)), None, lambda v: star_f_eps(F(1, 12), g.degree(v))),
-                (BoundSpec.star(), None,
+                (BoundSpec("star", eps=F(1, 12)), None, lambda v: star_f_eps(F(1, 12), g.degree(v))),
+                (BoundSpec("star"), None,
                  lambda v: star_f_eps(star_epsilon_opt(hist), g.degree(v))),
-                (BoundSpec.abc(), abc, lambda v: abc_weight(abc.part(v), g.degree(v))),
-                (BoundSpec.abstar(), ab, lambda v: ab_star_weight(ab.part(v), g.degree(v))),
-                (BoundSpec.hkg(2), None, lambda v: h_kg(g, 2, v)),
-                (BoundSpec.hkg(3), None, lambda v: h_kg(g, 3, v)),
+                (BoundSpec("abc"), abc, lambda v: abc_weight(abc.part(v), g.degree(v))),
+                (BoundSpec("abstar"), ab, lambda v: ab_star_weight(ab.part(v), g.degree(v))),
+                (BoundSpec("hkg", 2), None, lambda v: h_kg(g, 2, v)),
+                (BoundSpec("hkg", 3), None, lambda v: h_kg(g, 3, v)),
             ]
             for spec, labels, weight in per_vertex:
                 expected = sum((weight(v) for v in g.vertices), F(0))
@@ -222,8 +223,8 @@ class TestTotalWeight:
     def test_weight_evaluated_once_per_key(self, monkeypatch, text):
         g = gnp(60, 0.08, 4242)
         rng = random.Random(4242)
-        labels = {"abc": Partition.abc({v: rng.choice("ABC") for v in g.vertices}),
-                  "abstar": Partition.ab({v: rng.choice("AB") for v in g.vertices})}.get(text)
+        labels = {"abc": Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC"),
+                  "abstar": Partition({v: rng.choice("AB") for v in g.vertices}, "AB")}.get(text)
         spec = parse_bound_spec(text)
         expected = total_weight(g, spec, labels)
         calls, depth = Counter(), []
@@ -417,3 +418,33 @@ class TestBoundSpecText:
     def test_errors(self, text):
         with pytest.raises((ParseError, EpsOutOfRange, InvalidSpec)):
             parse_bound_spec(text)
+
+    @pytest.mark.parametrize("variant, k", [("fkeps", 2), ("star", None)])
+    def test_one_normal_form(self, variant, k):
+        # however eps is given, the spec holds a Fraction, reads back from its
+        # text as itself, and equal specs print the same text
+        specs = [BoundSpec(variant, k, eps) for eps in (0, 0.0, F(1, 10), 0.1)]
+        for spec in specs:
+            assert type(spec.eps) is F and parse_bound_spec(spec.to_text()) == spec
+        for a in specs:
+            assert [a == b for b in specs] == [a.to_text() == b.to_text() for b in specs]
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_eps_is_out_of_range(self, eps):
+        with pytest.raises(EpsOutOfRange, match="outside"):
+            BoundSpec("star", eps=eps)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: f_lin(-1), ValueError, "degree must be nonnegative, got -1"),
+        (lambda: abc_weight("D", 1), ValueError, "part must be A, B, or C, got 'D'"),
+        (lambda: ab_star_weight("C", 1), ValueError, "part must be A or B, got 'C'"),
+        (lambda: ab_star_gain("A", 0), DegreeZero, "gain is undefined for degree 0"),
+    ],
+    ids=["negative-degree", "abc-part", "abstar-part", "abstar-gain-degree-0"],
+)
+def test_weight_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
