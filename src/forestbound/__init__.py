@@ -1,7 +1,16 @@
 """Degree-sequence lower bounds for induced linear, caterpillar, and star
 forests, with certified constructors and an exact oracle."""
 
-from .check import ForestCertificate, certificate_from_text, certificate_to_text, verify_certificate
+from .check import (
+    CATERPILLAR_FOREST,
+    LINEAR_FOREST,
+    STAR_FOREST,
+    ForestCertificate,
+    ForestClass,
+    certificate_from_text,
+    certificate_to_text,
+    verify_certificate,
+)
 from .construct import (
     ReductionStep,
     ReductionTrace,
@@ -28,17 +37,7 @@ from .errors import (
 )
 from .exact import OracleResult, alpha_exact, alpha_exact_partitioned
 from .generate import GenSpec, generate, gnp, parse_gen_spec, random_regular
-from .graph import (
-    CATERPILLAR_FOREST,
-    LINEAR_FOREST,
-    STAR_FOREST,
-    DegreeHistogram,
-    ForestClass,
-    Graph,
-    format_edge_list,
-    is_forest,
-    parse_edge_list,
-)
+from .graph import DegreeHistogram, Graph, format_edge_list, parse_edge_list
 from .harness import HarnessReport, run_suite
 from .partition import Partition, format_partition, parse_partition_file
 from .weights import (

@@ -1,21 +1,79 @@
-"""The checker: a forest certificate, its text form, and whether it holds.
-
-`verify_certificate` decides a certificate from the graph and, for the
-classes built on a partition, the labels. Of the package this module imports
-only errors, graph, partition and weights, never the constructors or the
-oracle, so what a user has to trust is this file and those four."""
+"""The checker: the forest classes, a forest certificate, its text form and whether it
+holds. `_holds`, the one rule of class and labels, is asked by `ForestClass.contains` and
+`verify_certificate`. Of the package this module imports only errors, graph, partition and
+weights, never the constructors or the oracle: a user has to trust this file and those four."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .errors import ParseError
-from .graph import ForestClass, Graph
+from .graph import Graph, components_of, parse_spec_text, spec_text
 from .partition import ABC_CAPS, Partition
 from .weights import rat_text
+
+
+@dataclass(frozen=True)
+class ForestClass:
+    """One of the three hereditary target classes: kind is "linear", "caterpillar"
+    or "star"; k bounds a caterpillar forest's degree (None means unbounded)."""
+
+    kind: str
+    k: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "caterpillar", "star"):
+            raise ValueError(f"unknown forest class {self.kind!r}")
+        if self.kind != "caterpillar" and self.k is not None:
+            raise ValueError("only caterpillar forests take a degree bound")
+        if self.k is not None and self.k < 2:
+            raise ValueError("caterpillar degree bound must be >= 2")
+
+    def contains(self, g: Graph) -> bool:
+        return _holds(self, {v: g.neighbors(v) for v in g.vertices})
+
+    def to_text(self) -> str:
+        return spec_text(self.kind, [("k", self.k)])
+
+    @classmethod
+    def from_text(cls, text: str) -> "ForestClass":
+        kind, args = parse_spec_text(text, "forest class", ("k",))
+        try:
+            return cls(kind, int(args["k"]) if args else None)
+        except ValueError as exc:
+            raise ParseError(f"bad forest class {text!r}") from exc
+
+
+LINEAR_FOREST = ForestClass("linear")
+CATERPILLAR_FOREST = ForestClass("caterpillar")
+STAR_FOREST = ForestClass("star")
+
+
+def _holds(forest: ForestClass, adj: Mapping[int, AbstractSet[int]], labels=None) -> bool:
+    """Is the graph of adj (each vertex to its neighbours) a forest within the degree
+    bound (2 for linear, k for caterpillar) in which each spine vertex, one of degree
+    >= 2, has at most `limit` spine neighbours (none for star, two otherwise)? With
+    labels, also ABC: each vertex within its part's cap, or AB: each B's neighbour an A leaf."""
+    degs = list(map(len, adj.values()))
+    top = max(degs, default=0)
+    bound = 2 if forest.kind == "linear" else forest.k
+    limit = 0 if forest.kind == "star" else 2
+    # acyclic iff m = n - #components
+    if bound is not None and top > bound or sum(degs) != 2 * (len(adj) - len(components_of(adj, adj))):
+        return False
+    # only a spine vertex of degree above limit can break the rule
+    spine = {v for v, d in zip(adj, degs) if d >= 2} if top > max(limit, 1) else ()
+    if any(len(adj[v] & spine) > limit for v in spine):
+        return False
+    if labels is None:
+        return True
+    if labels.mode == "ABC":
+        return all(len(adj[v]) <= ABC_CAPS[labels.part(v)] for v in adj)
+    return all(labels.part(a) == "A" and len(adj[a]) == 1
+               for b in adj if labels.part(b) == "B" for a in adj[b])
 
 
 @dataclass(frozen=True)
@@ -32,22 +90,11 @@ class ForestCertificate:
 
 def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Partition] = None) -> bool:
     """Check class membership, optional per-part constraints, and the bound."""
-    if not set(cert.vertex_set) <= set(g.vertices):
+    s = frozenset(cert.vertex_set)
+    if not s.issubset(g.vertices):
         return False
-    sub = g.induced(cert.vertex_set)
-    if not cert.forest_class.contains(sub):
-        return False
-    if labels is not None:
-        if labels.mode == "ABC":  # every vertex is within its part's cap
-            holds = all(sub.degree(v) <= ABC_CAPS[labels.part(v)] for v in sub.vertices)
-        else:  # every neighbour of a B vertex is an A leaf
-            holds = all(
-                labels.part(a) == "A" and sub.degree(a) == 1
-                for b in sub.vertices if labels.part(b) == "B" for a in sub.neighbors(b)
-            )
-        if not holds:
-            return False
-    return Fraction(len(cert.vertex_set)) >= cert.claimed_bound
+    adj = {v: g.neighbors(v) & s for v in sorted(s)}  # sorted: the first unlabeled vertex is named
+    return _holds(cert.forest_class, adj, labels) and Fraction(len(s)) >= cert.claimed_bound
 
 
 def certificate_to_text(cert: ForestCertificate, graph_hash: str = "", trace=None) -> str:

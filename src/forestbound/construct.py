@@ -34,10 +34,12 @@ from itertools import product
 from math import lcm
 from typing import AbstractSet, Optional
 
-from .check import ForestCertificate, verify_certificate
+from .check import (
+    CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestCertificate, ForestClass, verify_certificate
+)
 from .errors import BoundMiss, NotCubic, ParseError
 from .exact import alpha_exact_partitioned
-from .graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestClass, Graph, components_of
+from .graph import Graph, components_of
 from .partition import ABC_CAPS, Partition
 from .weights import (
     BoundSpec,
@@ -479,15 +481,14 @@ def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
     low = {v for v in inst if len(adj[v]) == 2}
     contracted = {v: set(adj[v]) for v in inst if len(adj[v]) == 3}
     for v in low:
-        # u and w have degree 3 unless one is in low, within distance 1 of v
-        # (_within_distance never reports its start)
+        # u and w have degree 3 unless one is in low, within distance 1 of v (_within_distance
+        # never reports its start); low vertices are more than 3 apart, so u has no other: its
+        # v goes for a w it did not have, and every contracted set keeps 3 vertices
         u, w = adj[v]
         if w in adj[u] or _within_distance(adj, v, low, 3):
             return None
         contracted[u] = contracted[u] - {v} | {w}
         contracted[w] = contracted[w] - {v} | {u}
-    if any(len(nbrs) != 3 for nbrs in contracted.values()):
-        return None
     part1, part2 = cubic_partition(Graph({v: frozenset(n) for v, n in contracted.items()}))
     keep = part1 if len(part1) >= len(part2) else part2
     chosen = set(keep) | low

@@ -52,7 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import ForestClass, Graph
+from .check import ForestClass
+from .graph import Graph
 from .partition import ABC_CAPS, Partition
 
 DEFAULT_BUDGET = 10_000_000

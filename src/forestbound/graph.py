@@ -1,6 +1,5 @@
-"""Simple undirected graphs with stable vertex identifiers, plus the one
-recognizer, ForestClass.contains, of the three hereditary target classes:
-linear forests, degree-bounded caterpillar forests and star forests.
+"""Simple undirected graphs with stable vertex identifiers, their components
+and degree histograms, and the edge-list and `name:key=value` text formats.
 
 Graphs are immutable: every mutation-like operation returns a new graph.
 Vertex identifiers survive deletions, so a vertex subset computed on a
@@ -215,50 +214,6 @@ class DegreeHistogram:
         return self.counts.get(d, 0)
 
 
-@dataclass(frozen=True)
-class ForestClass:
-    """One of the three hereditary target classes.
-
-    kind is "linear", "caterpillar", or "star"; k bounds the maximum degree
-    for caterpillar forests (None means unbounded).
-    """
-
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "caterpillar", "star"):
-            raise ValueError(f"unknown forest class {self.kind!r}")
-        if self.kind != "caterpillar" and self.k is not None:
-            raise ValueError("only caterpillar forests take a degree bound")
-        if self.k is not None and self.k < 2:
-            raise ValueError("caterpillar degree bound must be >= 2")
-
-    def contains(self, g: Graph) -> bool:
-        """True iff g is a forest within the degree bound (2 for linear, k for
-        caterpillar) in which each spine vertex, one of degree >= 2, has at
-        most `limit` spine neighbours: none for star, two for the others."""
-        bound = 2 if self.kind == "linear" else self.k
-        limit = 0 if self.kind == "star" else 2
-        top = g.max_degree()
-        if bound is not None and top > bound or not is_forest(g):
-            return False
-        # only a spine vertex of degree above limit can break the rule
-        spine = {v for v in g.vertices if g.degree(v) >= 2} if top > max(limit, 1) else ()
-        return all(len(g.neighbors(v) & spine) <= limit for v in spine)
-
-    def to_text(self) -> str:
-        return spec_text(self.kind, [("k", self.k)])
-
-    @classmethod
-    def from_text(cls, text: str) -> "ForestClass":
-        kind, args = parse_spec_text(text, "forest class", ("k",))
-        try:
-            return cls(kind, int(args["k"]) if args else None)
-        except ValueError as exc:
-            raise ParseError(f"bad forest class {text!r}") from exc
-
-
 def parse_spec_text(text: str, what: str, keys: Collection[str]) -> tuple[str, dict[str, str]]:
     """The name and arguments of a `name[:key=value,...]` text, whitespace
     around each part dropped. A piece without `=` (the empty one of `name:` or
@@ -282,16 +237,6 @@ def spec_text(name: str, pairs: Iterable[tuple[str, object]]) -> str:
     """The canonical `name[:key=value,...]` text of the pairs whose value is set."""
     args = ",".join(f"{key}={value}" for key, value in pairs if value is not None)
     return f"{name}:{args}" if args else name
-
-
-LINEAR_FOREST = ForestClass("linear")
-CATERPILLAR_FOREST = ForestClass("caterpillar")
-STAR_FOREST = ForestClass("star")
-
-
-def is_forest(g: Graph) -> bool:
-    """Acyclicity via the edge-count identity m = n - #components."""
-    return g.m == g.n - len(g.components())
 
 
 MAX_VERTICES = 1 << 20

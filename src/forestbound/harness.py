@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from . import construct, exact
+from .check import LINEAR_FOREST, STAR_FOREST, ForestClass
 from .errors import BoundMiss, ForestBoundError
 from .generate import (
     complete_graph,
@@ -26,7 +27,7 @@ from .generate import (
     k_prime_graph,
     random_regular,
 )
-from .graph import LINEAR_FOREST, STAR_FOREST, ForestClass, Graph
+from .graph import Graph
 from .partition import Partition
 from .weights import rat_text
 

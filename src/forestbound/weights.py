@@ -217,9 +217,12 @@ class BoundSpec:
             if top is None:
                 raise InvalidSpec(f"{self.variant} does not take eps")
             try:  # one normal form: 0, 0.0 and Fraction(0) are one spec with one text
-                object.__setattr__(self, "eps", Fraction(self.eps))
+                eps = Fraction(None if isinstance(self.eps, str) else self.eps)
+            except TypeError:  # no number; a str too, which Fraction would read ("1/10")
+                raise InvalidSpec(f"eps {self.eps!r} is not a number") from None
             except (ValueError, OverflowError):  # nan or inf: no Fraction, and out of range
-                pass
+                eps = self.eps
+            object.__setattr__(self, "eps", eps)
             if not _ZERO <= self.eps <= top(self.k):
                 raise EpsOutOfRange(f"eps={self.eps} outside [0, {top(self.k)}]")
 

@@ -7,24 +7,30 @@ claims the bound 0 must pass `verify_certificate` exactly when the checker
 puts its vertex set in its class under its labels, and its text form must
 read back as the same certificate and graph hash. The cases are random
 subsets of seeded graphs with at most 9 vertices and the constructors'
-outputs on them with one vertex dropped or added or one label flipped. The
-bound itself is not compared here.
+outputs on them with one vertex dropped or added or one label flipped, and
+every graph of 1 to 7 vertices whole (networkx's atlas, skipped without
+networkx). The bound itself is not compared here.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from test_checker_weights import bc
 
 from forestbound.check import (
+    CATERPILLAR_FOREST,
+    LINEAR_FOREST,
+    STAR_FOREST,
     ForestCertificate,
+    ForestClass,
     certificate_from_text,
     certificate_to_text,
     verify_certificate,
 )
 from forestbound.construct import KINDS, kind_row
-from forestbound.graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestClass, Graph
+from forestbound.graph import Graph
 from forestbound.partition import Partition
 
 CLASSES = [LINEAR_FOREST, STAR_FOREST, CATERPILLAR_FOREST,
@@ -94,3 +100,19 @@ def test_verdicts_match_the_independent_checker():
             for vertices, mutant_labels in mutants(g, cert.vertex_set, labels):
                 verdicts[both_verdicts(g, vertices, row.forest, mutant_labels)] += 1
     assert sum(verdicts.values()) >= 2000 and min(verdicts[True], verdicts[False]) >= 500, verdicts
+
+
+def test_whole_atlas_graphs_match_the_independent_checker():
+    # each graph of 1 to 7 vertices, its whole vertex set in each class, and
+    # for the two classes built on a partition once more under seeded labels
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(27)
+    verdicts = Counter()
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        for forest in CLASSES:
+            verdicts[both_verdicts(g, g.vertices, forest)] += 1
+            if forest in MODES:
+                verdicts[both_verdicts(g, g.vertices, forest, random_labels(rng, g, MODES[forest]))] += 1
+    # 1 252 graphs, 8 verdicts each; mostly refusals, as most small graphs hold a cycle
+    assert sum(verdicts.values()) == 8 * 1252 and verdicts[True] >= 300, verdicts

@@ -40,8 +40,7 @@ from forestbound.generate import (
     random_regular,
     star_graph,
 )
-from forestbound.check import ForestCertificate
-from forestbound.graph import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST
+from forestbound.check import CATERPILLAR_FOREST, LINEAR_FOREST, STAR_FOREST, ForestCertificate
 
 
 class TestGreedyLinearForest:
@@ -443,6 +442,40 @@ def test_rule_2_bound_miss_carries_best_effort_certificate(monkeypatch, kind, g)
     assert missed.vertex_set < cert.vertex_set
     assert missed.forest_class == row.forest
     assert missed.claimed_bound == total_weight(g, row.spec, p) == cert.claimed_bound
+
+
+def test_cubic_endgame_short_of_the_share_leaves_k4_to_the_fallback(monkeypatch):
+    # S5 keeps the bigger side of cubic_partition's split; a split whose sides
+    # fall short of the bound makes S5 decline, and S6 settles K4 the same way
+    g = complete_graph(4)
+    p = Partition(dict.fromkeys(g.vertices, "A"), "AB")
+    cert, trace = ab_construct(g, p)
+    assert trace.summary() == "S5:1"
+    monkeypatch.setattr(construct, "cubic_partition", lambda h: (frozenset(), frozenset()))
+    fallback, trace = ab_construct(g, p)
+    assert trace.summary() == "S6:1"
+    assert fallback == cert and cert.vertex_set == {2, 3} and cert.claimed_bound == 2
+
+
+CONSTRUCTOR_ROWS = {
+    "greedy_linear_forest": ("linear", None), "caterpillar_forest": ("caterpillar", None),
+    "k_caterpillar_forest": ("caterpillar", 3), "star_forest": ("star", None),
+    "abc_construct": ("abc", None), "ab_construct": ("ab", None),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTOR_ROWS)
+def test_a_refused_certificate_is_a_bound_miss_that_names_its_constructor(monkeypatch, name):
+    # the checker refuses only the certificate of the input graph itself, so a
+    # constructor that certifies a part first (caterpillar_forest) gets past it
+    from forestbound.errors import BoundMiss
+
+    g, row = path_graph(2), construct.kind_row(*CONSTRUCTOR_ROWS[name])
+    p = Partition(dict.fromkeys(g.vertices, "A"), row.mode) if row.mode else None
+    monkeypatch.setattr(construct, "verify_certificate", lambda h, cert, labels=None: h is not g)
+    with pytest.raises(BoundMiss, match=rf"^{name} produced an invalid certificate$") as exc:
+        row.build(g, p)
+    assert exc.value.certificate.forest_class == row.forest
 
 
 def adjacency(g: Graph) -> dict:

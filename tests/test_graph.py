@@ -19,7 +19,6 @@ from forestbound import (
     ParseError,
     UnknownVertex,
     format_edge_list,
-    is_forest,
     parse_edge_list,
 )
 from forestbound import graph as graph_module
@@ -118,7 +117,7 @@ class TestRecognizers:
 
 def strip_leaves_is_path_oracle(g: Graph) -> bool:
     """Leaf-removal oracle for caterpillar trees: spine must be empty/path."""
-    if not is_forest(g):
+    if g.m != g.n - len(g.components()):  # acyclic iff m = n - #components
         return False
     for comp in g.components():
         sub = g.induced(comp)
@@ -391,6 +390,12 @@ class TestEdgeListFormat:
         g = parse_edge_list("4 2\n0 1\n2 3\n")
         assert g.add_edge(1, 2) == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert parse_edge_list("2 1\n0 1\n").add_edge(1, 0).m == 1
+
+    def test_parsed_graph_hashes_as_an_equal_built_one(self):
+        g, h = parse_edge_list("4 2\n2 3\n0 1\n"), Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert hash(g) != hash(Graph.from_edges(4, [(0, 1), (1, 2)]))
+        assert repr(g) == "Graph(n=4, m=2)" and repr(Graph.from_edges(0, [])) == "Graph(n=0, m=0)"
 
     # texts of the shapes each reader must treat alike, one feature each
     SAME_OUTCOME = [

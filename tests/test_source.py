@@ -185,6 +185,22 @@ def test_construct_copies_a_graph_only_where_named():
     assert copies and {c.split(" at ")[0] for c in copies} <= allowed, copies
 
 
+def test_checker_builds_no_graph():
+    # verify_certificate reads the set's neighbours off the graph it is given:
+    # the checker's verdict passes through no induced copy or new Graph
+    path = next(p for p in SOURCES if p.name == "check.py")
+    assert graph_copies(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_forest_classes_are_defined_by_the_checker_alone():
+    # the class rule and the label rules are written once, in check.py
+    defined = [
+        path.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "ForestClass"
+    ]
+    assert defined == ["check.py"]
+
+
 def chain_scans(tree: ast.Module) -> set[str]:
     """The scan names in the rows of the module's `_CHAINS` table."""
     for node in tree.body:

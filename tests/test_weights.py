@@ -434,6 +434,12 @@ class TestBoundSpecText:
         with pytest.raises(EpsOutOfRange, match="outside"):
             BoundSpec("star", eps=eps)
 
+    @pytest.mark.parametrize("eps", ["x", [1], "1/10"], ids=["word", "list", "ratio-text"])
+    def test_non_numeric_eps_is_invalid(self, eps):
+        # a str is refused even where Fraction would read it; text goes through parse_bound_spec
+        with pytest.raises(InvalidSpec, match=rf"^eps {re.escape(repr(eps))} is not a number$"):
+            BoundSpec("star", eps=eps)
+
 
 @pytest.mark.parametrize(
     "call, error, message",
