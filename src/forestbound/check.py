@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping, Optional
 
-from .errors import ParseError
+from .errors import ParseError, UnknownVertex
 from .graph import Graph, components_of, parse_spec_text, spec_text
 from .partition import ABC_CAPS, Partition
 from .weights import rat_text
@@ -33,7 +33,7 @@ class ForestClass:
             raise ValueError("caterpillar degree bound must be >= 2")
 
     def contains(self, g: Graph) -> bool:
-        return _holds(self, {v: g.neighbors(v) for v in g.vertices})
+        return _holds(self, g.adjacency())
 
     def to_text(self) -> str:
         return spec_text(self.kind, [("k", self.k)])
@@ -90,11 +90,11 @@ class ForestCertificate:
 
 def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Partition] = None) -> bool:
     """Check class membership, optional per-part constraints, and the bound."""
-    s = frozenset(cert.vertex_set)
-    if not s.issubset(g.vertices):
+    try:
+        adj = g.adjacency(cert.vertex_set)  # sorted keys: the first unlabeled vertex is named
+    except UnknownVertex:
         return False
-    adj = {v: g.neighbors(v) & s for v in sorted(s)}  # sorted: the first unlabeled vertex is named
-    return _holds(cert.forest_class, adj, labels) and Fraction(len(s)) >= cert.claimed_bound
+    return _holds(cert.forest_class, adj, labels) and Fraction(len(adj)) >= cert.claimed_bound
 
 
 def certificate_to_text(cert: ForestCertificate, graph_hash: str = "", trace=None) -> str:

@@ -108,14 +108,14 @@ def greedy_linear_forest(g: Graph) -> ForestCertificate:
     (the bound never decreases under such a deletion), then takes every path
     component whole and every cycle component minus one vertex.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    adj = g.adjacency()
     # buckets[d] is a heap of the vertices last seen at degree d. Degrees
     # only fall, so `top` only falls, and an entry whose vertex has since
     # lost a neighbor or been deleted is skipped.
-    buckets: list[list[int]] = [[] for _ in range(g.max_degree() + 1)]
+    top = max(map(len, adj.values()), default=0)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for v in g.vertices:
         buckets[len(adj[v])].append(v)
-    top = len(buckets) - 1
     while top >= 3:
         if not buckets[top]:
             top -= 1
@@ -298,7 +298,7 @@ class _WorkingGraph:
         self.weight = cache(globals()[table["weight"]])
         self.gain = cache(globals()[table["gain"]])
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.adj = adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self.adj = adj = g.adjacency()
         self.labels = labels
         self.inst: set[int] = set()
         self.high = 0

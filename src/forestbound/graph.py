@@ -12,8 +12,8 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain, compress, repeat
+from operator import add, and_, lt, mul
 from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError, UnknownVertex
@@ -21,7 +21,9 @@ from .errors import ParseError, UnknownVertex
 
 class Graph:
     """Immutable simple undirected graph over integer vertex ids. One read by
-    parse_edge_list keeps its edge arrays and builds neighbor sets on first use."""
+    parse_edge_list keeps its edge arrays: `edges` (and so `edge_hash`, `__hash__` and
+    `format_edge_list`) reads them always; `degrees`, `leaf_tags` and `adjacency` read
+    them until the neighbor sets are built, on first use by any other method."""
 
     __slots__ = ("_adj", "_vertices", "_m", "_ends")
 
@@ -110,8 +112,32 @@ class Graph:
         return len(self.neighbors(v))
 
     def edges(self) -> list[tuple[int, int]]:
-        adj = self._sets()
-        return [(u, v) for u in self._vertices for v in sorted(adj[u]) if u < v]
+        """Every edge (u, v) once, with u < v, in sorted order."""
+        if self._ends is None:
+            return [(u, v) for u in self._vertices for v in sorted(self._adj[u]) if u < v]
+        us, vs = self._ends
+        return sorted(chain(compress(zip(us, vs), map(lt, us, vs)),
+                            compress(zip(vs, us), map(lt, vs, us))))
+
+    def adjacency(self, s: Iterable[int] | None = None) -> dict[int, set[int]]:
+        """A fresh dict of the neighbor sets of the graph, or of its subgraph induced by s, in
+        `vertices` order; read off the edge arrays while the sets are unbuilt."""
+        keep = None if s is None else set(s)
+        if keep is not None and (missing := keep.difference(self._vertices)):
+            raise UnknownVertex(f"vertex {min(missing)} not in graph")
+        keys = self._vertices if keep is None else sorted(keep)
+        if (adj := self._adj) is not None:
+            return {v: set(adj[v]) if keep is None else keep & adj[v] for v in keys}
+        us, vs = self._ends
+        pairs = zip(us, vs)
+        if keep is not None:  # the vertices are 0..n-1: only the edges inside s are met below
+            mark = bytes(map(keep.__contains__, range(self.n))).__getitem__
+            pairs = compress(pairs, map(and_, map(mark, us), map(mark, vs)))
+        nbrs: dict[int, set[int]] = {v: set() for v in keys}
+        for u, v in pairs:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return nbrs
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -150,8 +176,9 @@ class Graph:
 
     def edge_hash(self) -> str:
         """Stable hash of the labelled edge set, used in certificate records."""
-        payload = f"n={self.n};v={','.join(map(str, self._vertices))};" + ";".join(
-            f"{u}-{v}" for u, v in self.edges()
+        names = dict(zip(self._vertices, map(str, self._vertices)))  # each id formatted once
+        payload = f"n={self.n};v={','.join(names.values())};" + ";".join(
+            f"{names[u]}-{names[v]}" for u, v in self.edges()
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -231,7 +231,7 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
     groups["dp_component/cycles-n=5..7"] = [
         f"{mode} {''.join(word)} {sorted(_dp_component(adj, g.vertices, labels, mode))}"
         for g in map(cycle_graph, (5, 6, 7))
-        for adj in [{v: g.neighbors(v) for v in g.vertices}]
+        for adj in [g.adjacency()]
         for mode in ("ABC", "AB")
         for word in product(mode, repeat=g.n)
         for labels in [dict(zip(g.vertices, word))]

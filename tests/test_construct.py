@@ -478,11 +478,6 @@ def test_a_refused_certificate_is_a_bound_miss_that_names_its_constructor(monkey
     assert exc.value.certificate.forest_class == row.forest
 
 
-def adjacency(g: Graph) -> dict:
-    """g's neighbor sets, as the engine's DPs read its working adjacency."""
-    return {v: g.neighbors(v) for v in g.vertices}
-
-
 def test_path_cycle_dp_matches_exact_oracle():
     from forestbound.construct import _dp_component
 
@@ -495,7 +490,7 @@ def test_path_cycle_dp_matches_exact_oracle():
             g = cycle_graph(n)
         mode = "ABC" if trial % 2 == 0 else "AB"
         labels = {v: rng.choice(mode) for v in g.vertices}
-        picks = _dp_component(adjacency(g), g.vertices, labels, mode)
+        picks = _dp_component(g.adjacency(), g.vertices, labels, mode)
         res = alpha_exact_partitioned(g, Partition(labels, mode))
         assert len(picks) == res.alpha, (trial, g, labels)
 
@@ -507,7 +502,7 @@ def test_cycle_dp_matches_rotation_scan():
 
     for n in range(3, 9):
         g = cycle_graph(n)
-        adj = adjacency(g)
+        adj = g.adjacency()
         order, is_cycle = _component_order(adj, g.vertices)
         assert is_cycle
         for mode in ("ABC", "AB"):

@@ -233,10 +233,13 @@ class TestCli:
         (("epsilon-opt", "g.txt", "--k", "2"), 0),
         (("epsilon-opt", "g.txt", "--star"), 0),
         (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 1),
-        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 1),
-        (("verify", "g.txt", "g.cert"), 1),
+        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 0),
+        (("verify", "g.txt", "g.cert"), 0),
         (("exact", "g.txt", "linear"), 1),
         (("exact", "g.txt", "abc", "--partition", "g.part"), 1),
+        (("construct", "g.txt", "linear", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 0),
+        (("verify", "g.txt", "abc.cert", "--partition", "g.part"), 0),
     ]
 
     @pytest.mark.parametrize("argv,builds", SET_BUILDS)
@@ -248,6 +251,7 @@ class TestCli:
         Path("g.txt").write_text("7 6\n0 1\n1 2\n2 3\n3 4\n1 5\n3 6\n")
         Path("g.part").write_text("0 A\n1 A\n2 B\n3 A\n4 A\n5 A\n6 A\n")
         assert run_cli("construct", "g.txt", "linear", "--out", "g.cert") == 0
+        assert run_cli("construct", "g.txt", "abc", "--partition", "g.part", "--out", "abc.cert") == 0
         sets = graph_module._neighbor_sets
         calls = []
         monkeypatch.setattr(

@@ -192,6 +192,14 @@ def test_checker_builds_no_graph():
     assert graph_copies(ast.parse(path.read_text(), str(path))) == []
 
 
+def test_checker_reads_a_graph_only_through_adjacency():
+    # check.py reads a graph only through `adjacency` (and `vertices`), which a parsed
+    # graph gives off its edge arrays: neither verify nor contains builds a neighbor set
+    path = next(p for p in SOURCES if p.name == "check.py")
+    reads = calls_to(ast.parse(path.read_text(), str(path)), {"neighbors", "degree", "_sets", "edges"})
+    assert reads == []
+
+
 def test_forest_classes_are_defined_by_the_checker_alone():
     # the class rule and the label rules are written once, in check.py
     defined = [
