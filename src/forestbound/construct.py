@@ -141,7 +141,7 @@ def caterpillar_forest(g: Graph) -> ForestCertificate:
     Strips the degree-1 vertices, builds a linear forest of the remainder
     (which keeps every isolated vertex), and adds the stripped vertices back.
     """
-    leaves = {v for v in g.vertices if g.degree(v) == 1}
+    leaves = {v for v, d in zip(g.vertices, g.degrees()) if d == 1}
     inner = greedy_linear_forest(g.delete_vertices(leaves))
     return _certify("caterpillar_forest", g, inner.vertex_set | leaves, KINDS["caterpillar"])
 
@@ -153,19 +153,18 @@ def cubic_partition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
     two or more same-side neighbors strictly increases the cut, so at most
     |E| moves happen.
     """
-    if any(g.degree(v) != 3 for v in g.vertices):
+    adj = g.adjacency()
+    if any(len(ws) != 3 for ws in adj.values()):
         raise NotCubic("every vertex must have degree exactly 3")
-    side = {v: 0 for v in g.vertices}
+    side = dict.fromkeys(adj, 0)
     moved = True
     while moved:
         moved = False
-        for v in g.vertices:
-            if sum(1 for w in g.neighbors(v) if side[w] == side[v]) >= 2:
+        for v, ws in adj.items():
+            if sum(side[w] == side[v] for w in ws) >= 2:
                 side[v] ^= 1
                 moved = True
-    part1 = frozenset(v for v in g.vertices if side[v] == 0)
-    part2 = frozenset(v for v in g.vertices if side[v] == 1)
-    return part1, part2
+    return frozenset(v for v in adj if not side[v]), frozenset(v for v in adj if side[v])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
             # 2**16 nodes, so only a larger instance can exhaust _STUCK_BUDGET.
             inst = work.inst
             part = Partition({v: labels[v] for v in inst}, row.mode)
-            residual = Graph({v: frozenset(adj[v]) for v in inst})
+            residual = Graph({v: adj[v] for v in inst})
             result = alpha_exact_partitioned(residual, part, budget=_STUCK_BUDGET)
             note = "over-threshold" if len(inst) > DEFAULT_EXACT_THRESHOLD else ""
             chosen |= _settle(work, trace, f"{prefix}6", inst, result.witness, row.forest, note)
@@ -489,7 +488,7 @@ def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
             return None
         contracted[u] = contracted[u] - {v} | {w}
         contracted[w] = contracted[w] - {v} | {u}
-    part1, part2 = cubic_partition(Graph({v: frozenset(n) for v, n in contracted.items()}))
+    part1, part2 = cubic_partition(Graph(contracted))
     keep = part1 if len(part1) >= len(part2) else part2
     chosen = set(keep) | low
     if len(chosen) * work.scale < work.total(inst):
@@ -698,8 +697,9 @@ def _overloaded(g: Graph, k: int) -> set[int]:
     """Vertices left to drop by repeatedly dropping one with k+1 or more leaf
     neighbors. A drop can only turn a neighbor into a new leaf, never take a
     leaf from a vertex that stays, so the set does not depend on the order."""
-    degree = {v: g.degree(v) for v in g.vertices}
-    carried = {v: sum(1 for w in g.neighbors(v) if degree[w] == 1) for v in g.vertices}
+    adj = g.adjacency()
+    degree = {v: len(ws) for v, ws in adj.items()}
+    carried = {v: sum(1 for w in ws if degree[w] == 1) for v, ws in adj.items()}
     work = [v for v in g.vertices if carried[v] >= k + 1]
     dropped: set[int] = set()
     while work:
@@ -707,10 +707,10 @@ def _overloaded(g: Graph, k: int) -> set[int]:
         if v in dropped:
             continue
         dropped.add(v)
-        for w in g.neighbors(v):
+        for w in adj[v]:
             degree[w] -= 1
             if degree[w] == 1 and w not in dropped:
-                (u,) = g.neighbors(w) - dropped
+                (u,) = adj[w] - dropped
                 carried[u] += 1
                 if carried[u] >= k + 1:
                     work.append(u)
@@ -733,15 +733,17 @@ def _leaf_core_forest(g: Graph, kind: str, label) -> set[int]:
     carries)`, and add the leaves to what `KINDS[kind].build` keeps of that core.
     Each core gets its own engine run: in one run over all cores, rule 2 would
     wait for every core to reach maximum degree 2, and what is kept can change."""
+    adj = g.adjacency()
     chosen: set[int] = set()
-    for comp in g.components():
+    for comp in components_of(adj, adj):
         if len(comp) <= 2:
             chosen |= comp
             continue
-        leaves = {v for v in comp if g.degree(v) == 1}
+        leaves = {v for v in comp if len(adj[v]) == 1}
         core = comp - leaves
-        labels = {v: label(len(g.neighbors(v) & leaves)) for v in core}
-        inner, _ = KINDS[kind].build(g.induced(core), Partition(labels, KINDS[kind].mode))
+        labels = {v: label(len(adj[v] & leaves)) for v in core}
+        core_graph = Graph({v: adj[v] & core for v in core})  # induced() is O(n + m) per core
+        inner, _ = KINDS[kind].build(core_graph, Partition(labels, KINDS[kind].mode))
         chosen |= inner.vertex_set | leaves
     return chosen
 

@@ -115,7 +115,7 @@ class _Search:
         self.vs = list(g.vertices)
         index = {v: i for i, v in enumerate(self.vs)}
         self.n = len(self.vs)
-        self.adj = [sum(1 << index[w] for w in g.neighbors(v)) for v in self.vs]
+        self.adj = [sum(1 << index[w] for w in ws) for ws in g.adjacency().values()]
         self.labels = labels
         # Per-vertex degree caps, read only by the degree scan.
         self.caps = [ABC_CAPS[p] for p in labels] if kind == "abc" else [k or 2] * self.n

@@ -10,48 +10,66 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, and_, lt, mul
 from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError, UnknownVertex
 
+_ID_LIMIT = (1 << 61) - 1  # the hash modulus of 64-bit CPython: an int id below it is its own hash
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a `_mark` of some vertices into that of the others
+
 
 class Graph:
-    """Immutable simple undirected graph over integer vertex ids. One read by
-    parse_edge_list keeps its edge arrays: `edges` (and so `edge_hash`, `__hash__` and
-    `format_edge_list`) reads them always; `degrees`, `leaf_tags` and `adjacency` read
-    them until the neighbor sets are built, on first use by any other method."""
+    """Immutable simple undirected graph: the sorted tuple `vertices` of its int ids, and two
+    lists of positions into it, one entry per edge. Every constructor makes this form and every
+    read works off it; the neighbor sets are only a cache, built by the first `neighbors` call."""
 
-    __slots__ = ("_adj", "_vertices", "_m", "_ends")
+    __slots__ = ("_vertices", "_us", "_vs", "_adj")
 
-    def __init__(self, adjacency: dict[int, frozenset[int]]):
-        self._adj = adjacency
-        self._vertices = tuple(sorted(adjacency))
-        self._m = sum(map(len, adjacency.values())) // 2
-        self._ends = None
+    def __init__(self, adjacency: Mapping[int, Collection[int]]):
+        """The graph of the neighbor sets `adjacency`. ParseError: an id not an int in
+        [0, 2**61 - 1), a self-loop or a one-sided edge; UnknownVertex: a neighbor not a key."""
+        for v in adjacency:
+            if not (isinstance(v, int) and 0 <= v < _ID_LIMIT):
+                raise ParseError(f"vertex id {v!r} is not an int in [0, 2**61 - 1)")
+        vertices = tuple(sorted(adjacency))
+        at, us, vs = dict(zip(vertices, range(len(vertices)))), [], []
+        for v, ws in adjacency.items():
+            for w in ws:
+                j = at.get(w, -1)
+                if j < 0:
+                    raise UnknownVertex(f"neighbor {w!r} of vertex {v} not in graph")
+                if w == v:
+                    raise ParseError(f"self-loop at vertex {v}")
+                if v not in adjacency[w]:
+                    raise ParseError(f"one-sided edge ({v}, {w}): {v} is not a neighbor of {w}")
+                if v < w:
+                    us.append(at[v])
+                    vs.append(j)
+        self._vertices, self._us, self._vs, self._adj = vertices, us, vs, None
 
     @classmethod
-    def _from_edge_arrays(cls, n: int, us: list[int], vs: list[int]) -> "Graph":
-        """The graph on 0..n-1 with the checked edges zip(us, vs)."""
+    def _of(cls, vertices: tuple[int, ...], us: list[int], vs: list[int]) -> "Graph":
+        """The graph on the sorted ids `vertices` with the checked edges zip(us, vs) of positions."""
         g = cls.__new__(cls)
-        g._adj, g._vertices, g._m, g._ends = None, tuple(range(n)), len(us), (us, vs)
+        g._vertices, g._us, g._vs, g._adj = vertices, us, vs, None
         return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph on vertices 0..n-1 from an iterable of edges."""
-        adj: dict[int, set[int]] = {v: set() for v in range(n)}
+        """Build a graph on vertices 0..n-1 from an iterable of edges; a repeat is kept once."""
+        ids, pairs = range(n), {}
         for u, v in edges:
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
+            if u not in ids or v not in ids:
                 raise UnknownVertex(f"edge ({u}, {v}) outside 0..{n - 1}")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls({v: frozenset(nbrs) for v, nbrs in adj.items()})
+            pairs[(u, v) if u < v else (v, u)] = None
+        return cls._of(tuple(ids), [u for u, _ in pairs], [v for _, v in pairs])
 
     @property
     def n(self) -> int:
@@ -59,102 +77,92 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self._us)
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return self._vertices
 
     def __contains__(self, v: int) -> bool:
-        if self._adj is not None:
-            return v in self._adj
-        k = hash(v)  # sets not built: each vertex of 0..n-1 is its own hash, so only k can equal v
-        return 0 <= k < self.n and k == v
+        i = bisect_left(self._vertices, k := hash(v))  # each id is its own hash: v is compared once
+        return i < self.n and self._vertices[i] == k and k == v
 
     def neighbors(self, v: int) -> frozenset[int]:
+        """The neighbor set of v, from the cache that the first call builds."""
+        if self._adj is None:
+            self._adj = _neighbor_sets(self)
         try:
             return self._adj[v]
-        except (KeyError, TypeError):  # TypeError: the sets are not built yet
-            adj = self._sets()
-        if v not in adj:
-            raise UnknownVertex(f"vertex {v} not in graph")
-        return adj[v]
-
-    def _sets(self) -> dict[int, frozenset[int]]:
-        """The neighbor sets, built from the edge arrays on first use."""
-        if self._adj is None:
-            self._adj = _neighbor_sets(self.n, *self._ends)
-        return self._adj
-
-    def degrees(self) -> list[int]:
-        """The degree of each vertex, in `vertices` order."""
-        if self._adj is not None:
-            return list(map(len, map(self._adj.__getitem__, self._vertices)))
-        deg = [0] * self.n  # parsed, sets not built: vertices 0..n-1, counted off the edge arrays
-        for v in chain(*self._ends):
-            deg[v] += 1
-        return deg
-
-    def leaf_tags(self, deg: list[int]) -> list[int | None]:
-        """Per vertex, in `vertices` order, given deg = degrees(): its neighbor's degree
-        if it is a leaf, else None. Before the sets are built, off the edge arrays."""
-        if (adj := self._adj) is not None:
-            return [len(adj[min(adj[v])]) if d == 1 else None for v, d in zip(self._vertices, deg)]
-        tags: list[int | None] = [None] * self.n
-        for u, v in zip(*self._ends):
-            if deg[u] == 1:
-                tags[u] = deg[v]
-            if deg[v] == 1:
-                tags[v] = deg[u]
-        return tags
+        except KeyError:
+            raise UnknownVertex(f"vertex {v} not in graph") from None
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every edge (u, v) once, with u < v, in sorted order."""
-        if self._ends is None:
-            return [(u, v) for u in self._vertices for v in sorted(self._adj[u]) if u < v]
-        us, vs = self._ends
+    def degrees(self) -> list[int]:
+        """The degree of each vertex, in `vertices` order."""
+        deg = [0] * self.n
+        for i in chain(self._us, self._vs):
+            deg[i] += 1
+        return deg
+
+    def leaf_tags(self, deg: list[int]) -> list[int | None]:
+        """Per vertex in `vertices` order, given deg = degrees(): a leaf's neighbor's degree or None."""
+        tags: list[int | None] = [None] * self.n
+        for i, j in zip(self._us, self._vs):
+            if deg[i] == 1:
+                tags[i] = deg[j]
+            if deg[j] == 1:
+                tags[j] = deg[i]
+        return tags
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """Every edge once as its positions (i, j), i < j, in sorted order."""
+        us, vs = self._us, self._vs
         return sorted(chain(compress(zip(us, vs), map(lt, us, vs)),
                             compress(zip(vs, us), map(lt, vs, us))))
 
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge (u, v) once, with u < v, in sorted order."""
+        return [(self._vertices[i], self._vertices[j]) for i, j in self._pairs()]
+
+    def _mark(self, s: Iterable[int]) -> bytes:
+        """1 at the position of each vertex of s, else 0; UnknownVertex names the least outside."""
+        keep = s if isinstance(s, (set, frozenset)) else set(s)
+        mark = bytes(map(keep.__contains__, self._vertices))
+        if mark.count(1) < len(keep):
+            raise UnknownVertex(f"vertex {min(keep.difference(self._vertices))} not in graph")
+        return mark
+
     def adjacency(self, s: Iterable[int] | None = None) -> dict[int, set[int]]:
-        """A fresh dict of the neighbor sets of the graph, or of its subgraph induced by s, in
-        `vertices` order; read off the edge arrays while the sets are unbuilt."""
-        keep = None if s is None else set(s)
-        if keep is not None and (missing := keep.difference(self._vertices)):
-            raise UnknownVertex(f"vertex {min(missing)} not in graph")
-        keys = self._vertices if keep is None else sorted(keep)
-        if (adj := self._adj) is not None:
-            return {v: set(adj[v]) if keep is None else keep & adj[v] for v in keys}
-        us, vs = self._ends
-        pairs = zip(us, vs)
-        if keep is not None:  # the vertices are 0..n-1: only the edges inside s are met below
-            mark = bytes(map(keep.__contains__, range(self.n))).__getitem__
-            pairs = compress(pairs, map(and_, map(mark, us), map(mark, vs)))
-        nbrs: dict[int, set[int]] = {v: set() for v in keys}
-        for u, v in pairs:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return nbrs
+        """A fresh dict of the neighbor sets of the graph, or of its subgraph induced by s,
+        in `vertices` order."""
+        ids, mark = self._vertices, b"\1" * self.n if s is None else self._mark(s)
+        sets = [set() if k else None for k in mark]  # by position
+        for i, j in zip(self._us, self._vs):
+            if mark[i] and mark[j]:
+                sets[i].add(ids[j])
+                sets[j].add(ids[i])
+        return dict(compress(zip(ids, sets), mark))
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
     def induced(self, s: Iterable[int]) -> "Graph":
-        keep, adj = frozenset(s), self._sets()
-        for v in keep:
-            if v not in adj:
-                raise UnknownVertex(f"vertex {v} not in graph")
-        return Graph({v: adj[v] & keep for v in keep})
+        """The subgraph induced by s, ids kept; O(n + m)."""
+        return self._sub(self._mark(s))
 
     def delete_vertices(self, s: Iterable[int]) -> "Graph":
-        drop, adj = frozenset(s), self._sets()
-        for v in drop:
-            if v not in adj:
-                raise UnknownVertex(f"vertex {v} not in graph")
-        return Graph({v: adj[v] - drop for v in adj if v not in drop})
+        """The subgraph without the vertices of s, ids kept; O(n + m)."""
+        return self._sub(self._mark(s).translate(_FLIP))
+
+    def _sub(self, mark: bytes) -> "Graph":
+        """The subgraph on the marked positions, each renumbered by the marks before it."""
+        at = list(accumulate(mark, initial=0)).__getitem__
+        us, vs = self._us, self._vs
+        both = list(map(and_, map(mark.__getitem__, us), map(mark.__getitem__, vs)))
+        ids = tuple(compress(self._vertices, mark))
+        return Graph._of(ids, [*map(at, compress(us, both))], [*map(at, compress(vs, both))])
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with edge uv added (no-op if already present)."""
@@ -162,31 +170,32 @@ class Graph:
             raise ParseError(f"self-loop at vertex {u}")
         if u not in self or v not in self:
             raise UnknownVertex(f"edge ({u}, {v}) has an endpoint outside the graph")
-        adj = self._sets()  # membership above leaves a parsed graph's sets unbuilt
-        if v in adj[u]:
+        i, j = bisect_left(self._vertices, u), bisect_left(self._vertices, v)
+        if (i, j) in zip(self._us, self._vs) or (j, i) in zip(self._us, self._vs):
             return self
-        return Graph({**adj, u: adj[u] | {v}, v: adj[v] | {u}})
+        return Graph._of(self._vertices, [*self._us, i], [*self._vs, j])
 
     def components(self) -> list[set[int]]:
         """Connected components, sorted by their minimum vertex id."""
-        return components_of(self._sets(), self._vertices)
+        return components_of(adj := self.adjacency(), adj)
 
     def degree_histogram(self) -> "DegreeHistogram":
         return DegreeHistogram(dict(Counter(self.degrees())))
 
     def edge_hash(self) -> str:
         """Stable hash of the labelled edge set, used in certificate records."""
-        names = dict(zip(self._vertices, map(str, self._vertices)))  # each id formatted once
-        payload = f"n={self.n};v={','.join(names.values())};" + ";".join(
-            f"{names[u]}-{names[v]}" for u, v in self.edges()
+        names = list(map(str, self._vertices))  # each id formatted once
+        payload = f"n={self.n};v={','.join(names)};" + ";".join(
+            f"{names[i]}-{names[j]}" for i, j in self._pairs()
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self._sets() == other._sets()
+        return (isinstance(other, Graph) and self._vertices == other._vertices
+                and self._pairs() == other._pairs())
 
     def __hash__(self):
-        return hash((self._vertices, frozenset(self.edges())))
+        return hash((self._vertices, tuple(self._pairs())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -338,19 +347,20 @@ def _parse_tokens(text: str) -> Graph | None:
     keys = set(map(add, map(mul, us, repeat(n)), vs))
     if len(keys) != m or not keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)):
         return None
-    return Graph._from_edge_arrays(n, us, vs)
+    return Graph._of(tuple(range(n)), us, vs)
 
 
-def _neighbor_sets(n: int, us: list[int], vs: list[int]) -> dict[int, frozenset[int]]:
-    """The neighbor set of each vertex 0..n-1 of the edges zip(us, vs)."""
-    nbrs: list = [[] for _ in range(n)]
-    for u, v in zip(us, vs):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+def _neighbor_sets(g: Graph) -> dict[int, frozenset[int]]:
+    """The neighbor set of each vertex of g, off its edge arrays: the cache of `Graph.neighbors`."""
+    ids = g.vertices
+    nbrs: list = [[] for _ in ids]
+    for i, j in zip(g._us, g._vs):
+        nbrs[i].append(ids[j])
+        nbrs[j].append(ids[i])
     isolated = frozenset()  # shared by every vertex on no edge
-    for v, ws in enumerate(nbrs):  # each list is freed as its set is made
-        nbrs[v] = frozenset(ws) if ws else isolated
-    return dict(enumerate(nbrs))
+    for i, ws in enumerate(nbrs):  # each list is freed as its set is made
+        nbrs[i] = frozenset(ws) if ws else isolated
+    return dict(zip(ids, nbrs))
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:
@@ -361,7 +371,6 @@ def content_lines(text: str) -> list[tuple[int, str]]:
 
 def format_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format (vertices renumbered 0..n-1 if needed)."""
-    index = {v: i for i, v in enumerate(g.vertices)}
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{index[u]} {index[v]}" for u, v in g.edges())
+    lines.extend(f"{i} {j}" for i, j in g._pairs())
     return "\n".join(lines) + "\n"

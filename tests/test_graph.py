@@ -393,6 +393,11 @@ class TestEdgeListFormat:
         probes = [Probe(h) for h in (0, MAX_VERTICES - 1, MAX_VERTICES, -5)]
         assert [p in g for p in probes] == [True, True, False, False]
         assert g._adj is None and max(p.compared for p in probes) <= 1
+        # the ids of an induced graph are not 0..n-1: a key is still compared at most once
+        evens = g.induced(range(0, MAX_VERTICES, 2))
+        probes = [Probe(h) for h in (0, 1, 2, MAX_VERTICES - 2, MAX_VERTICES - 1, -5)]
+        assert [p in evens for p in probes] == [True, False, True, True, False, False]
+        assert evens._adj is None and max(p.compared for p in probes) <= 1
 
     def test_add_edge_before_the_sets(self):
         g = parse_edge_list("4 2\n0 1\n2 3\n")
@@ -501,9 +506,18 @@ def random_edge_text(n: int, m: int, seed: int) -> str:
 
 
 def graph_reads(g: Graph, s) -> tuple:
-    """What a graph gives off its edges and neighbor sets, keys in their order."""
-    return (g.edges(), g.edge_hash(), hash(g), list(g.adjacency().items()),
-            list(g.adjacency(s).items()))
+    """What a graph gives off its edge arrays, keys in their order."""
+    return (g.vertices, g.edges(), g.degrees(), g.leaf_tags(g.degrees()), g.edge_hash(), hash(g),
+            list(g.adjacency().items()), list(g.adjacency(s).items()))
+
+
+def assert_reads_agree(g: Graph, ref: Graph, s):
+    """g reads as ref off its edge arrays, with no neighbor set built; then g's neighbor
+    sets are ref's, its reads do not change, and g == ref."""
+    reads = graph_reads(ref, s)
+    assert graph_reads(g, s) == reads and g._adj is None
+    assert [g.neighbors(v) for v in g.vertices] == [ref.neighbors(v) for v in ref.vertices]
+    assert graph_reads(g, s) == reads and g == ref
 
 
 class TestEdgeArrays:
@@ -531,26 +545,33 @@ class TestEdgeArrays:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_parsed_graph_reads_as_a_built_one(self, seed):
-        # lines shuffled and edges reversed at random; read off the edge arrays, then
-        # off the sets, then on an induced subgraph, whose ids are not 0..n-1
+        # lines shuffled and edges reversed at random. The parsed graph and the graph of the
+        # same neighbor sets read as the one built from the edges; an induced subgraph and a
+        # deletion (whose ids are not 0..n-1) read as the graph of their sets, picked out here
         rng = random.Random(seed)
         n = rng.randint(0, 20)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.25]
         lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in edges]
         rng.shuffle(lines)
-        g = parse_edge_list("".join(f"{line}\n" for line in [f"{n} {len(edges)}", *lines]))
-        built = Graph.from_edges(n, edges)
+        text = "".join(f"{line}\n" for line in [f"{n} {len(edges)}", *lines])
+        g = parse_edge_list(text)
+        nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+        for u, v in edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         s = [v for v in range(n) if rng.random() < 0.6]
-        assert graph_reads(g, s) == graph_reads(built, s) and g._adj is None
-        t = [v for v in range(n) if rng.random() < 0.7]
-        sub = g.induced(t)
-        assert graph_reads(g, s) == graph_reads(built, s)
-        inner = [v for v in s if v in sub]
-        assert graph_reads(sub, inner) == graph_reads(built.induced(t), inner)
-        keep = set(inner)
-        assert list(sub.adjacency(inner).items()) == [
-            (v, {w for w in built.neighbors(v) if w in keep}) for v in sorted(keep)
-        ]
+        assert list(g.adjacency(s).items()) == [(v, nbrs[v] & set(s)) for v in s]
+        for h in (g, Graph(nbrs)):
+            assert_reads_agree(h, Graph.from_edges(n, edges), s)
+        t = {v for v in range(n) if rng.random() < 0.7}
+        assert_reads_agree(g.induced(t), Graph({v: nbrs[v] & t for v in t}), [v for v in s if v in t])
+        drop = {v for v in range(n) if rng.random() < 0.3}
+        rest = {v: nbrs[v] - drop for v in range(n) if v not in drop}
+        assert_reads_agree(g.delete_vertices(drop), Graph(rest), [v for v in s if v in rest])
+        if n >= 2:
+            a, b = rng.sample(range(n), 2)
+            plus = parse_edge_list(text).add_edge(a, b)  # g itself if ab is an edge: read anew
+            assert_reads_agree(plus, Graph.from_edges(n, [*edges, (a, b)]), s)
 
     @pytest.mark.parametrize("g", [parse_edge_list("3 2\n0 1\n1 2\n"), path_graph(3)],
                              ids=["arrays", "sets"])
@@ -572,7 +593,7 @@ class TestEdgeArrays:
         text = random_edge_text(n, 3 * n // 2, seed=1)
         cert = greedy_linear_forest(parse_edge_list(text))
         g = parse_edge_list(text)
-        _, sets = traced_peak(lambda: graph_module._neighbor_sets(n, *g._ends))
+        _, sets = traced_peak(lambda: graph_module._neighbor_sets(g))
         (_, verdict), checked = traced_peak(lambda: (g.edge_hash(), verify_certificate(g, cert)))
         assert verdict and g._adj is None
         assert checked < sets, f"peak {checked} bytes, the sets' build {sets}"
@@ -649,12 +670,20 @@ def test_spec_readers_drop_whitespace_alike(reader, template):
         (lambda: path_graph(3).add_edge(2, 2), ParseError, "self-loop at vertex 2"),
         (lambda: path_graph(3).add_edge(0, 3), UnknownVertex,
          "edge (0, 3) has an endpoint outside the graph"),
+        (lambda: Graph({0: frozenset({1})}), UnknownVertex, "neighbor 1 of vertex 0 not in graph"),
+        (lambda: Graph({0: frozenset({0})}), ParseError, "self-loop at vertex 0"),
+        (lambda: Graph({0: frozenset({1}), 1: frozenset()}), ParseError,
+         "one-sided edge (0, 1): 0 is not a neighbor of 1"),
+        *((lambda v=v: Graph({0: frozenset(), v: frozenset()}), ParseError,
+           f"vertex id {v!r} is not an int in [0, 2**61 - 1)")
+          for v in ("1", 1.5, -1, 2**61 - 1)),
     ],
     ids=["from_edges-loop", "from_edges-range", "neighbors", "delete_vertices",
-         "add_edge-loop", "add_edge-range"],
+         "add_edge-loop", "add_edge-range", "Graph-neighbor", "Graph-loop", "Graph-one-sided",
+         "Graph-id-str", "Graph-id-float", "Graph-id-negative", "Graph-id-2**61-1"],
 )
 def test_graph_input_checks(call, error, message):
-    # path_graph builds the neighbor sets; the readers have their own error tests
+    # the readers have their own error tests
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 

@@ -179,10 +179,15 @@ def test_construct_copies_a_graph_only_where_named():
     # unconstrained constructors' inputs to the engine or to greedy, and the
     # residual that `ReductionTrace.replay` re-derives
     path = next(p for p in SOURCES if p.name == "construct.py")
-    copies = graph_copies(ast.parse(path.read_text(), str(path)))
+    tree = ast.parse(path.read_text(), str(path))
+    copies = graph_copies(tree)
     allowed = {"_reduce", "_cubic_endgame", "caterpillar_forest", "k_caterpillar_forest",
                "_leaf_core_forest", "replay"}
     assert copies and {c.split(" at ")[0] for c in copies} <= allowed, copies
+    # each leaf-stripped core is a Graph of the one adjacency map: an induced copy costs
+    # O(n + m), so one per core would cost O(k(n + m)) over k cores
+    cores = [c for c in copies if c.startswith("_leaf_core_forest ")]
+    assert cores and set(cores) <= set(calls_to(tree, {"Graph"})), copies
 
 
 def test_checker_builds_no_graph():
@@ -193,11 +198,15 @@ def test_checker_builds_no_graph():
 
 
 def test_checker_reads_a_graph_only_through_adjacency():
-    # check.py reads a graph only through `adjacency` (and `vertices`), which a parsed
-    # graph gives off its edge arrays: neither verify nor contains builds a neighbor set
-    path = next(p for p in SOURCES if p.name == "check.py")
-    reads = calls_to(ast.parse(path.read_text(), str(path)), {"neighbors", "degree", "_sets", "edges"})
-    assert reads == []
+    # the checker, the constructors and the oracle read a graph only through `adjacency`,
+    # `degrees` and `vertices`, which read its edge arrays: none calls `neighbors` or
+    # `degree`, which build the neighbor-set cache, or `components`, one more adjacency map
+    names = {"neighbors", "degree", "components", "_sets", "edges"}
+    reads = {
+        path.name: calls_to(ast.parse(path.read_text(), str(path)), names)
+        for path in SOURCES if path.name in ("check.py", "construct.py", "exact.py")
+    }
+    assert reads == {"check.py": [], "construct.py": [], "exact.py": []}
 
 
 def test_forest_classes_are_defined_by_the_checker_alone():
