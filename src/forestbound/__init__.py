@@ -49,7 +49,6 @@ from .weights import (
     f_k_eps,
     f_lin,
     gain,
-    h_kg,
     loss,
     parse_bound_spec,
     star_epsilon_opt,

@@ -23,22 +23,31 @@ _ID_LIMIT = (1 << 61) - 1  # the hash modulus of 64-bit CPython: an int id below
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a `_mark` of some vertices into that of the others
 
 
+def _check_id(v) -> None:
+    """ParseError unless v is an int in [0, 2**61 - 1), the one rule for vertex ids."""
+    if not (isinstance(v, int) and 0 <= v < _ID_LIMIT):
+        raise ParseError(f"vertex id {v!r} is not an int in [0, 2**61 - 1)")
+
+
 class Graph:
     """Immutable simple undirected graph: the sorted tuple `vertices` of its int ids, and two
     lists of positions into it, one entry per edge. Every constructor makes this form and every
-    read works off it; the neighbor sets are only a cache, built by the first `neighbors` call."""
+    read works off it; `adjacency(S)` is the one read of neighbor sets, `degrees()` of degrees."""
 
-    __slots__ = ("_vertices", "_us", "_vs", "_adj")
+    __slots__ = ("_vertices", "_us", "_vs")
 
     def __init__(self, adjacency: Mapping[int, Collection[int]]):
         """The graph of the neighbor sets `adjacency`. ParseError: an id not an int in
-        [0, 2**61 - 1), a self-loop or a one-sided edge; UnknownVertex: a neighbor not a key."""
+        [0, 2**61 - 1), a neighbor listed twice, a self-loop or a one-sided edge;
+        UnknownVertex: a neighbor not a key."""
         for v in adjacency:
-            if not (isinstance(v, int) and 0 <= v < _ID_LIMIT):
-                raise ParseError(f"vertex id {v!r} is not an int in [0, 2**61 - 1)")
+            _check_id(v)
         vertices = tuple(sorted(adjacency))
         at, us, vs = dict(zip(vertices, range(len(vertices)))), [], []
         for v, ws in adjacency.items():
+            if not isinstance(ws, (set, frozenset)) and len(set(ws)) < len(ws):
+                (w, _), = Counter(ws).most_common(1)
+                raise ParseError(f"vertex {v} lists neighbor {w} twice")
             for w in ws:
                 j = at.get(w, -1)
                 if j < 0:
@@ -50,20 +59,26 @@ class Graph:
                 if v < w:
                     us.append(at[v])
                     vs.append(j)
-        self._vertices, self._us, self._vs, self._adj = vertices, us, vs, None
+        self._vertices, self._us, self._vs = vertices, us, vs
 
     @classmethod
     def _of(cls, vertices: tuple[int, ...], us: list[int], vs: list[int]) -> "Graph":
         """The graph on the sorted ids `vertices` with the checked edges zip(us, vs) of positions."""
         g = cls.__new__(cls)
-        g._vertices, g._us, g._vs, g._adj = vertices, us, vs, None
+        g._vertices, g._us, g._vs = vertices, us, vs
         return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph on vertices 0..n-1 from an iterable of edges; a repeat is kept once."""
+        """Build a graph on vertices 0..n-1 from an iterable of edges; a repeat is kept once.
+        ParseError: n above MAX_VERTICES (before any edge is read) or an endpoint not an int."""
+        if n > MAX_VERTICES:
+            raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         ids, pairs = range(n), {}
         for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                _check_id(u)
+                _check_id(v)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}")
             if u not in ids or v not in ids:
@@ -86,18 +101,6 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         i = bisect_left(self._vertices, k := hash(v))  # each id is its own hash: v is compared once
         return i < self.n and self._vertices[i] == k and k == v
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        """The neighbor set of v, from the cache that the first call builds."""
-        if self._adj is None:
-            self._adj = _neighbor_sets(self)
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} not in graph") from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def degrees(self) -> list[int]:
         """The degree of each vertex, in `vertices` order."""
@@ -348,19 +351,6 @@ def _parse_tokens(text: str) -> Graph | None:
     if len(keys) != m or not keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)):
         return None
     return Graph._of(tuple(range(n)), us, vs)
-
-
-def _neighbor_sets(g: Graph) -> dict[int, frozenset[int]]:
-    """The neighbor set of each vertex of g, off its edge arrays: the cache of `Graph.neighbors`."""
-    ids = g.vertices
-    nbrs: list = [[] for _ in ids]
-    for i, j in zip(g._us, g._vs):
-        nbrs[i].append(ids[j])
-        nbrs[j].append(ids[i])
-    isolated = frozenset()  # shared by every vertex on no edge
-    for i, ws in enumerate(nbrs):  # each list is freed as its set is made
-        nbrs[i] = frozenset(ws) if ws else isolated
-    return dict(zip(ids, nbrs))
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

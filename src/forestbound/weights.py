@@ -89,12 +89,6 @@ def hkg_weight(k: int, dw: Optional[int], d: int) -> Fraction:
     return 1 - Fraction(2, (k + 1) * (dw + 1))
 
 
-def h_kg(g: Graph, k: int, v: int) -> Fraction:
-    """Local caterpillar weight of vertex v of g; total_weight sums them all in one pass."""
-    d = g.degree(v)
-    return hkg_weight(k, g.degree(next(iter(g.neighbors(v)))) if d == 1 else None, d)
-
-
 def star_f_eps(eps: Fraction, d: int) -> Fraction:
     """Weight family for star forests."""
     _check_degree(d)

@@ -215,7 +215,7 @@ def outputs() -> tuple[dict[str, list[str]], Counter]:
     # what it returned before it took isolated vertices too
     groups["caterpillar_forest/no-isolated-vertex"] = [
         _run(caterpillar_forest, g) for g in (*small, *(g for g, _ in gnps), *fams)
-        if all(g.degree(v) for v in g.vertices)
+        if all(g.degrees())
     ]
     tiny = small_graphs(4)
     for mode in ("ABC", "AB"):

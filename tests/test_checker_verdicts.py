@@ -60,7 +60,7 @@ def random_labels(rng: random.Random, g: Graph, mode: str) -> Partition:
 def both_verdicts(g: Graph, vertices, forest: ForestClass, labels=None) -> bool:
     """verify_certificate's verdict on vertices, after checking that it is
     the checker's and that the certificate's text reads back unchanged."""
-    adj, s = [g.neighbors(v) for v in g.vertices], set(vertices)
+    adj, s = list(g.adjacency().values()), set(vertices)
     expected = bc.in_class(adj, s, forest.kind, forest.k) and (
         labels is None or bc.partition_ok(adj, s, dict(labels.labels), labels.mode.lower())
     )

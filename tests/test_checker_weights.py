@@ -85,6 +85,6 @@ def test_auto_eps_totals_match_the_checkers_best_total(monkeypatch):
              ("star", BoundSpec("star"), None)]
     for seed in range(200):
         g = seeded_graph(seed)
-        hist = bc.histogram([set(g.neighbors(v)) for v in g.vertices])
+        hist = bc.histogram(list(g.adjacency().values()))
         for family, spec, k in specs:
             assert total_weight(g, spec) == bc.best_family_total(hist, family, k), (seed, family, k)

@@ -72,10 +72,11 @@ class TestGreedyLinearForest:
             h = g
             while h.max_degree() >= 3:
                 top = h.max_degree()
-                h = h.delete_vertices((min(u for u in h.vertices if h.degree(u) == top),))
-            chosen = set()
+                deg = dict(zip(h.vertices, h.degrees()))
+                h = h.delete_vertices((min(u for u in h.vertices if deg[u] == top),))
+            chosen, adj = set(), h.adjacency()
             for comp in h.components():
-                if sum(len(h.neighbors(u) & comp) for u in comp) // 2 == len(comp):
+                if sum(len(adj[u] & comp) for u in comp) // 2 == len(comp):
                     chosen |= comp - {min(comp)}
                 else:
                     chosen |= comp
@@ -219,10 +220,10 @@ def brute_force_ab_optimum(g: Graph, p: Partition) -> int:
             sub = g.induced(subset)
             if not STAR_FOREST.contains(sub):
                 continue
-            ok = True
+            ok, deg = True, dict(zip(sub.vertices, sub.degrees()))
             for u, v in sub.edges():
                 for a, b in ((u, v), (v, u)):
-                    if p.part(b) == "B" and not (p.part(a) == "A" and sub.degree(a) == 1):
+                    if p.part(b) == "B" and not (p.part(a) == "A" and deg[a] == 1):
                         ok = False
             if ok:
                 return r
@@ -251,7 +252,7 @@ class TestKCaterpillarForest:
         checked = 0
         for trial in range(200):
             g = gnp(rng.randint(4, 14), 0.45, 4000 + trial)
-            if any(g.degree(v) == 1 for v in g.vertices):
+            if 1 in g.degrees():
                 continue
             checked += 1
             cert = k_caterpillar_forest(g, 2)

@@ -33,7 +33,7 @@ class ReferenceGraph:
         self.weight = cache(getattr(construct, table["weight"]))
         self.gain = cache(getattr(construct, table["gain"]))
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self.adj = g.adjacency()
         self.labels = labels
         self.inst: set[int] = set()
         self.high = 0
@@ -346,5 +346,5 @@ def test_gain_terms_touched_within_sum_of_squared_degrees(monkeypatch, build):
 
     monkeypatch.setattr(construct, engine.__name__, recording)
     BUILDS[build](g)
-    squares = sum(g.degree(v) ** 2 for v in g.vertices)
+    squares = sum(d ** 2 for d in g.degrees())
     assert checks and 0 < CountedGraph.terms_touched + sum(checks) <= squares

@@ -43,7 +43,7 @@ def abc_accept(p: Partition):
     def check(sub: Graph) -> bool:
         if not LINEAR_FOREST.contains(sub):
             return False
-        return all(sub.degree(v) <= ABC_CAPS[p.part(v)] for v in sub.vertices)
+        return all(d <= ABC_CAPS[p.part(v)] for v, d in zip(sub.vertices, sub.degrees()))
 
     return check
 
@@ -52,9 +52,10 @@ def ab_accept(p: Partition):
     def check(sub: Graph) -> bool:
         if not STAR_FOREST.contains(sub):
             return False
+        deg = dict(zip(sub.vertices, sub.degrees()))
         for u, v in sub.edges():
             for a, b in ((u, v), (v, u)):
-                if p.part(b) == "B" and not (p.part(a) == "A" and sub.degree(a) == 1):
+                if p.part(b) == "B" and not (p.part(a) == "A" and deg[a] == 1):
                     return False
         return True
 
@@ -136,11 +137,12 @@ def independent_set_solver(g: Graph) -> int:
     """Direct MIS by recursion on the highest-degree vertex."""
     if g.n == 0:
         return 0
-    v = max(g.vertices, key=lambda u: (g.degree(u), -u))
-    if g.degree(v) == 0:
+    deg = dict(zip(g.vertices, g.degrees()))
+    v = max(g.vertices, key=lambda u: (deg[u], -u))
+    if deg[v] == 0:
         return g.n
     without = independent_set_solver(g.delete_vertices((v,)))
-    with_v = 1 + independent_set_solver(g.delete_vertices(set(g.neighbors(v)) | {v}))
+    with_v = 1 + independent_set_solver(g.delete_vertices(g.adjacency()[v] | {v}))
     return max(without, with_v)
 
 
@@ -152,7 +154,7 @@ def test_all_c_partition_equals_independence_number():
         res = alpha_exact_partitioned(g, p)
         assert res.exact and res.alpha == independent_set_solver(g), trial
         # the all-C optimum dominates the degree-sequence independence bound
-        degree_bound = sum(F(1, g.degree(v) + 1) for v in g.vertices)
+        degree_bound = sum(F(1, d + 1) for d in g.degrees())
         assert F(res.alpha) >= degree_bound
 
 

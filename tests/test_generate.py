@@ -61,8 +61,7 @@ class TestFixedFamilies:
 
     def test_core_first_numbering(self):
         g = hnk_graph(2, 2)
-        assert g.degree(0) == 4 and g.degree(1) == 4
-        assert all(g.degree(v) == 1 for v in range(2, 8))
+        assert g.degrees() == [4, 4] + [1] * 6
 
 
 class TestFig1Gadgets:
@@ -101,18 +100,18 @@ class TestRandomModels:
 
     def test_regular_two_gives_cycle_cover(self):
         g = random_regular(6, 2, 5)
-        assert all(g.degree(v) == 2 for v in g.vertices)
+        assert g.degrees() == [2] * 6
         assert g.m == 6
 
     def test_regular_cubic_ten(self):
         g = random_regular(10, 3, 7)
-        assert all(g.degree(v) == 3 for v in g.vertices)
+        assert g.degrees() == [3] * 10
 
     def test_regular_after_whole_pairings_run_out(self):
         # a whole 6-regular pairing is simple with probability about e^-8.75,
         # so this size once took thousands of tries; edge by edge it takes one
         g = random_regular(20, 6, 200)
-        assert g.m == 60 and all(g.degree(v) == 6 for v in g.vertices)
+        assert g.m == 60 and g.degrees() == [6] * 20
         assert g == random_regular(20, 6, 200)
 
     def test_regular_deterministic(self):

@@ -79,7 +79,8 @@ class TestInducedSubgraph:
     def test_identifiers_survive(self):
         g = cycle_graph(5).delete_vertices((0,))
         assert g.vertices == (1, 2, 3, 4)
-        assert g.degree(1) == 1 and g.degree(2) == 2
+        deg = dict(zip(g.vertices, g.degrees()))
+        assert deg[1] == 1 and deg[2] == 2
 
 
 class TestRecognizers:
@@ -124,7 +125,7 @@ def strip_leaves_is_path_oracle(g: Graph) -> bool:
         return False
     for comp in g.components():
         sub = g.induced(comp)
-        spine = {v for v in sub.vertices if sub.degree(v) >= 2}
+        spine = {v for v, d in zip(sub.vertices, sub.degrees()) if d >= 2}
         core = sub.induced(spine)
         if core.n and (core.max_degree() > 2 or len(core.components()) > 1):
             return False
@@ -154,7 +155,7 @@ def test_linear_forest_forbidden_structure_exhaustive():
         total = 1 << (n * (n - 1) // 2)
         for mask in range(total):
             g = graph_from_mask(n, mask)
-            expected = acyclic_by_union_find(g) and all(g.degree(v) <= 2 for v in g.vertices)
+            expected = acyclic_by_union_find(g) and all(d <= 2 for d in g.degrees())
             assert LINEAR_FOREST.contains(g) == expected, (n, mask)
 
 
@@ -168,8 +169,9 @@ def test_caterpillar_and_star_against_oracles_small():
             for k in (2, 3):
                 bounded = caterpillar and g.max_degree() <= k
                 assert ForestClass("caterpillar", k).contains(g) == bounded, (mask, k)
+            deg = dict(zip(g.vertices, g.degrees()))
             star_expected = acyclic_by_union_find(g) and all(
-                not (g.degree(u) >= 2 and g.degree(v) >= 2) for u, v in g.edges()
+                not (deg[u] >= 2 and deg[v] >= 2) for u, v in g.edges()
             )
             assert STAR_FOREST.contains(g) == star_expected
 
@@ -297,19 +299,20 @@ def assert_line_test_is_flat(pairs_per_line, text: str):
 
 
 def graph_key(g: Graph):
-    return g.vertices, [(v, g.neighbors(v)) for v in g.vertices]
+    return g.vertices, list(g.adjacency().items())
 
 
 LINE_READER = line_reader(graph_module, parse_edge_list)
 
 
 def assert_degrees_match_sets(text: str):
-    """The degrees, degree histogram and leaf tags of the graph of text,
-    read before its neighbor sets are built, are those of the sets."""
+    """The degrees, degree histogram and leaf tags of the graph of text, each
+    counted off its edge arrays, are those of its neighbor sets."""
     g = parse_edge_list(text)
     read = g.degrees(), g.degree_histogram(), g.leaf_tags(g.degrees())
-    degree = {v: len(g.neighbors(v)) for v in g.vertices}
-    tags = [degree[min(g.neighbors(v))] if degree[v] == 1 else None for v in g.vertices]
+    adj = g.adjacency()
+    degree = {v: len(ws) for v, ws in adj.items()}
+    tags = [degree[min(adj[v])] if degree[v] == 1 else None for v in g.vertices]
     histogram = graph_module.DegreeHistogram(dict(Counter(degree.values())))
     assert read == (list(degree.values()), histogram, tags), repr(text)
 
@@ -346,23 +349,20 @@ class TestEdgeListFormat:
             parse_edge_list(text)
 
     def test_isolated_vertices_cost_no_set_each(self):
-        # a header n with no edges must not cost one adjacency set per vertex,
-        # when the sets are built either
+        # a header n with no edges must not cost one object per vertex
         tracemalloc.start()
         try:
             g = parse_edge_list("300000 0\n")
-            assert g.neighbors(0) == frozenset()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert g.n == 300000 and g.m == 0
-        assert g.neighbors(299999) is g.neighbors(0)
         assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_isolated_vertices_among_edges(self):
         g = parse_edge_list("6 2\n1 4\n4 2\n")
         assert g.vertices == tuple(range(6))
-        assert [g.degree(v) for v in g.vertices] == [0, 1, 1, 0, 2, 0]
+        assert g.degrees() == [0, 1, 1, 0, 2, 0]
         assert g == Graph.from_edges(6, [(1, 4), (4, 2)])
 
     def test_membership_before_and_after_the_sets(self):
@@ -372,12 +372,11 @@ class TestEdgeListFormat:
             assert [v in g for v in keys] == [True] * 6 + [False] * 5
             with pytest.raises(TypeError):
                 [0] in g
-        assert parsed._adj is None  # answered from the vertex range 0..n-1
-        assert parsed.neighbors(0) == {1} and 1.0 in parsed and 4 not in parsed
+        assert parsed.adjacency()[0] == {1} and 1.0 in parsed and 4 not in parsed
 
     def test_membership_compares_a_key_at_most_once(self):
-        # before the sets are built, a key that is not an int is compared only
-        # with the vertex its hash names, not with every vertex in turn
+        # a key that is not an int is compared only with the vertex its hash
+        # names, not with every vertex in turn
         class Probe:
             def __init__(self, h):
                 self.h, self.compared = h, 0
@@ -392,12 +391,12 @@ class TestEdgeListFormat:
         g = parse_edge_list(f"{MAX_VERTICES} 0\n")
         probes = [Probe(h) for h in (0, MAX_VERTICES - 1, MAX_VERTICES, -5)]
         assert [p in g for p in probes] == [True, True, False, False]
-        assert g._adj is None and max(p.compared for p in probes) <= 1
+        assert max(p.compared for p in probes) <= 1
         # the ids of an induced graph are not 0..n-1: a key is still compared at most once
         evens = g.induced(range(0, MAX_VERTICES, 2))
         probes = [Probe(h) for h in (0, 1, 2, MAX_VERTICES - 2, MAX_VERTICES - 1, -5)]
         assert [p in evens for p in probes] == [True, False, True, True, False, False]
-        assert evens._adj is None and max(p.compared for p in probes) <= 1
+        assert max(p.compared for p in probes) <= 1
 
     def test_add_edge_before_the_sets(self):
         g = parse_edge_list("4 2\n0 1\n2 3\n")
@@ -512,12 +511,8 @@ def graph_reads(g: Graph, s) -> tuple:
 
 
 def assert_reads_agree(g: Graph, ref: Graph, s):
-    """g reads as ref off its edge arrays, with no neighbor set built; then g's neighbor
-    sets are ref's, its reads do not change, and g == ref."""
-    reads = graph_reads(ref, s)
-    assert graph_reads(g, s) == reads and g._adj is None
-    assert [g.neighbors(v) for v in g.vertices] == [ref.neighbors(v) for v in ref.vertices]
-    assert graph_reads(g, s) == reads and g == ref
+    """g reads as ref off its edge arrays, its neighbor sets among them, and g == ref."""
+    assert graph_reads(g, s) == graph_reads(ref, s) and g == ref
 
 
 class TestEdgeArrays:
@@ -584,18 +579,17 @@ class TestEdgeArrays:
     def test_contains_leaves_parsed_sets_unbuilt(self):
         g = parse_edge_list("5 4\n0 1\n1 2\n2 3\n3 4\n")
         assert LINEAR_FOREST.contains(g) and not STAR_FOREST.contains(g)
-        assert g._adj is None
 
     def test_hash_and_verify_peak_below_the_sets(self):
-        # on a parsed graph edge_hash and verify_certificate build no neighbor set:
-        # at n = 2^15, m = 1.5 n they peak at 0.89 of the sets' build (1.84 when they built it)
+        # on a parsed graph edge_hash and verify_certificate build no whole-graph neighbor
+        # sets: at n = 2^15, m = 1.5 n they peak at 11.2 MB, against 12.4 MB for adjacency()
         n = 1 << 15
         text = random_edge_text(n, 3 * n // 2, seed=1)
         cert = greedy_linear_forest(parse_edge_list(text))
         g = parse_edge_list(text)
-        _, sets = traced_peak(lambda: graph_module._neighbor_sets(g))
+        _, sets = traced_peak(g.adjacency)
         (_, verdict), checked = traced_peak(lambda: (g.edge_hash(), verify_certificate(g, cert)))
-        assert verdict and g._adj is None
+        assert verdict
         assert checked < sets, f"peak {checked} bytes, the sets' build {sets}"
 
 
@@ -665,21 +659,26 @@ def test_spec_readers_drop_whitespace_alike(reader, template):
     [
         (lambda: Graph.from_edges(3, [(0, 1), (1, 1)]), ParseError, "self-loop at vertex 1"),
         (lambda: Graph.from_edges(3, [(0, 3)]), UnknownVertex, "edge (0, 3) outside 0..2"),
-        (lambda: path_graph(3).neighbors(5), UnknownVertex, "vertex 5 not in graph"),
+        (lambda: Graph.from_edges(3, [(0, 1.0)]), ParseError,
+         "vertex id 1.0 is not an int in [0, 2**61 - 1)"),
+        (lambda: Graph.from_edges(MAX_VERTICES + 1, map(pytest.fail, ["an edge was read"])),
+         ParseError, f"{MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}"),
         (lambda: path_graph(3).delete_vertices([1, 5]), UnknownVertex, "vertex 5 not in graph"),
         (lambda: path_graph(3).add_edge(2, 2), ParseError, "self-loop at vertex 2"),
         (lambda: path_graph(3).add_edge(0, 3), UnknownVertex,
          "edge (0, 3) has an endpoint outside the graph"),
         (lambda: Graph({0: frozenset({1})}), UnknownVertex, "neighbor 1 of vertex 0 not in graph"),
         (lambda: Graph({0: frozenset({0})}), ParseError, "self-loop at vertex 0"),
+        (lambda: Graph({0: [1, 1], 1: [0]}), ParseError, "vertex 0 lists neighbor 1 twice"),
         (lambda: Graph({0: frozenset({1}), 1: frozenset()}), ParseError,
          "one-sided edge (0, 1): 0 is not a neighbor of 1"),
         *((lambda v=v: Graph({0: frozenset(), v: frozenset()}), ParseError,
            f"vertex id {v!r} is not an int in [0, 2**61 - 1)")
           for v in ("1", 1.5, -1, 2**61 - 1)),
     ],
-    ids=["from_edges-loop", "from_edges-range", "neighbors", "delete_vertices",
-         "add_edge-loop", "add_edge-range", "Graph-neighbor", "Graph-loop", "Graph-one-sided",
+    ids=["from_edges-loop", "from_edges-range", "from_edges-id-float", "from_edges-n-limit",
+         "delete_vertices", "add_edge-loop", "add_edge-range", "Graph-neighbor", "Graph-loop",
+         "Graph-repeat", "Graph-one-sided",
          "Graph-id-str", "Graph-id-float", "Graph-id-negative", "Graph-id-2**61-1"],
 )
 def test_graph_input_checks(call, error, message):

@@ -7,6 +7,7 @@ import pytest
 from forestbound import run_suite
 from forestbound.cli import main
 from forestbound.errors import BoundMiss, ForestBoundError
+from forestbound.graph import MAX_VERTICES
 from forestbound.harness import SUITES, all_labeled_graphs
 
 
@@ -197,7 +198,7 @@ class TestCli:
             method = getattr(Graph, name)
             return lambda *args: calls.append(name) or method(*args)
 
-        for name in ("neighbors", "degrees", "degree_histogram"):
+        for name in ("adjacency", "degrees", "degree_histogram"):
             monkeypatch.setattr(Graph, name, counted(name))
         assert run_cli("bound", "c7.txt", spec) == 0
         # one histogram, of one count of the degrees, picks eps and is summed:
@@ -215,7 +216,7 @@ class TestCli:
             method = getattr(Graph, name)
             return lambda *args: calls.append(name) or method(*args)
 
-        for name in ("neighbors", "degrees"):
+        for name in ("adjacency", "degrees"):
             monkeypatch.setattr(Graph, name, counted(name))
         assert run_cli("bound", "claw.txt", "hkg:k=3") == 0
         # the leaves are tagged off the one count of the degrees and the
@@ -224,8 +225,10 @@ class TestCli:
         assert "bound=7/2" in capsys.readouterr().out
 
     # Each command on a caterpillar whose two spine ends carry two leaves
-    # each, and the number of times it builds the graph's neighbor-set cache:
-    # every command reads the edge arrays, so none builds it.
+    # each, and the number of times it builds the neighbor sets of the whole
+    # graph (`adjacency()` with no subset): bounds and verify read only the
+    # edge arrays; a constructor or the oracle builds them once per stage it
+    # runs, never once per step.
     SET_BUILDS = [
         *((("bound", "g.txt", spec), 0) for spec in ("flin", "fkeps:k=2", "fk:k=2", "hkg:k=2",
                                                       "star", "aks")),
@@ -233,15 +236,15 @@ class TestCli:
         (("bound", "g.txt", "abstar", "--partition", "g.part"), 0),
         (("epsilon-opt", "g.txt", "--k", "2"), 0),
         (("epsilon-opt", "g.txt", "--star"), 0),
-        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 0),
-        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 3),
+        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 1),
         (("verify", "g.txt", "g.cert"), 0),
-        (("exact", "g.txt", "linear"), 0),
-        (("exact", "g.txt", "abc", "--partition", "g.part"), 0),
-        (("construct", "g.txt", "linear", "--out", "c.cert"), 0),
-        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 0),
+        (("exact", "g.txt", "linear"), 1),
+        (("exact", "g.txt", "abc", "--partition", "g.part"), 1),
+        (("construct", "g.txt", "linear", "--out", "c.cert"), 1),
+        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 1),
         (("verify", "g.txt", "abc.cert", "--partition", "g.part"), 0),
-        (("construct", "g.txt", "star", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "star", "--out", "c.cert"), 2),
     ]
 
     @pytest.mark.parametrize("argv,builds", SET_BUILDS)
@@ -254,11 +257,15 @@ class TestCli:
         Path("g.part").write_text("0 A\n1 A\n2 B\n3 A\n4 A\n5 A\n6 A\n")
         assert run_cli("construct", "g.txt", "linear", "--out", "g.cert") == 0
         assert run_cli("construct", "g.txt", "abc", "--partition", "g.part", "--out", "abc.cert") == 0
-        sets = graph_module._neighbor_sets
+        adjacency = graph_module.Graph.adjacency
         calls = []
-        monkeypatch.setattr(
-            graph_module, "_neighbor_sets", lambda *args: calls.append(1) or sets(*args)
-        )
+
+        def counted(g, s=None):
+            if s is None:
+                calls.append(1)
+            return adjacency(g, s)
+
+        monkeypatch.setattr(graph_module.Graph, "adjacency", counted)
         assert run_cli(*argv) == 0
         assert len(calls) == builds
 
@@ -350,6 +357,12 @@ class TestCli:
         Path("huge.txt").write_text("2000000 1\n")
         assert run_cli("bound", "huge.txt", "flin") == 3
         assert "exceed the limit" in capsys.readouterr().err
+
+    def test_gen_refuses_what_no_command_reads(self, workdir, capsys):
+        # past the vertex limit gen stops before it makes an edge and writes no file
+        assert run_cli("gen", f"path:n={MAX_VERTICES + 1}", "--out", "big.txt") == 3
+        assert f"{MAX_VERTICES + 1} vertices exceed the limit" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
     def test_construct_with_partition(self, workdir, capsys):
         run_cli("gen", "fig1:id=P3AB", "--out", "p3.txt", "--partition-out", "p3.part")

@@ -166,7 +166,7 @@ def test_detector_sees_every_graph_copy():
     code = (
         "def f(g):\n    h = Graph({})\n    return g.induced(h) | graph.Graph(h)\n"
         "class W:\n    def m(self, g):\n        return lambda s: g.delete_vertices(s)\n"
-        "Graph.from_edges(3, [])\ng.neighbors(0)\nGraphs()\ninduced_copy(g)\n"
+        "Graph.from_edges(3, [])\ng.adjacency()\nGraphs()\ninduced_copy(g)\n"
     )
     assert graph_copies(ast.parse(code)) == [
         "f at line 2", "f at line 3", "f at line 3", "<lambda> at line 6"
@@ -199,14 +199,27 @@ def test_checker_builds_no_graph():
 
 def test_checker_reads_a_graph_only_through_adjacency():
     # the checker, the constructors and the oracle read a graph only through `adjacency`,
-    # `degrees` and `vertices`, which read its edge arrays: none calls `neighbors` or
-    # `degree`, which build the neighbor-set cache, or `components`, one more adjacency map
+    # `degrees` and `vertices`, which read its edge arrays: none calls `components`, one
+    # more adjacency map, `edges`, which sorts them, or a per-vertex read
     names = {"neighbors", "degree", "components", "_sets", "edges"}
     reads = {
         path.name: calls_to(ast.parse(path.read_text(), str(path)), names)
         for path in SOURCES if path.name in ("check.py", "construct.py", "exact.py")
     }
     assert reads == {"check.py": [], "construct.py": [], "exact.py": []}
+
+
+def test_graph_stores_only_its_ids_and_edge_arrays():
+    # a Graph is its sorted ids and two lists of edge positions, with no neighbor-set cache
+    # beside them: `adjacency(S)` is its one read of neighbor sets
+    path = next(p for p in SOURCES if p.name == "graph.py")
+    tree = ast.parse(path.read_text(), str(path))
+    graph = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Graph")
+    slots = [ast.literal_eval(n.value) for n in graph.body if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in n.targets)]
+    assert slots == [("_vertices", "_us", "_vs")]
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"neighbors", "degree", "_neighbor_sets"}, defined
 
 
 def test_forest_classes_are_defined_by_the_checker_alone():

@@ -20,7 +20,6 @@ from forestbound import (
     f_k_eps,
     f_lin,
     gain,
-    h_kg,
     loss,
     parse_bound_spec,
     star_epsilon_opt,
@@ -30,7 +29,7 @@ from forestbound import (
 from forestbound import weights
 from forestbound.errors import DegreeZero, InvalidSpec, ParseError
 from forestbound.generate import complete_graph, cycle_graph, gnp, path_graph, star_graph
-from forestbound.weights import STAR_EPS_MAX, ab_star_gain, eps_max
+from forestbound.weights import STAR_EPS_MAX, ab_star_gain, eps_max, hkg_weight
 
 
 def fkeps_total(hist, k, eps):
@@ -86,17 +85,22 @@ class TestPointValues:
             f_k_eps(1, F(0), 1)
 
 
+def hkg_weights(g, k: int) -> dict:
+    """hkg_weight of each vertex of g by id, its degree and leaf tag read off the edge arrays."""
+    deg = g.degrees()
+    return dict(zip(g.vertices, (hkg_weight(k, tag, d) for tag, d in zip(g.leaf_tags(deg), deg))))
+
+
 class TestHkg:
     def test_k2_edge(self):
-        g = path_graph(2)
-        assert h_kg(g, 2, 0) == 1 and h_kg(g, 2, 1) == 1
+        w = hkg_weights(path_graph(2), 2)
+        assert w[0] == 1 and w[1] == 1
 
     def test_star_leaf_with_heavy_center(self):
-        g = star_graph(4)
-        assert h_kg(g, 2, 1) == 1 - F(2, 3 * 5)  # 13/15
+        assert hkg_weights(star_graph(4), 2)[1] == 1 - F(2, 3 * 5)  # 13/15
 
     def test_cycle_vertex(self):
-        assert h_kg(cycle_graph(5), 2, 0) == F(2, 3)
+        assert hkg_weights(cycle_graph(5), 2)[0] == F(2, 3)
 
 
 class TestDifferenceIdentities:
@@ -197,20 +201,21 @@ class TestTotalWeight:
             g = gnp(rng.randint(1, 40), rng.choice((0.05, 0.2, 0.5)), 4100 + trial)
             abc = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
             ab = Partition({v: rng.choice("AB") for v in g.vertices}, "AB")
-            hist = g.degree_histogram()
+            hist, deg = g.degree_histogram(), dict(zip(g.vertices, g.degrees()))
+            hkg = {k: hkg_weights(g, k) for k in (2, 3)}
             per_vertex = [
-                (BoundSpec("flin"), None, lambda v: f_lin(g.degree(v))),
-                (BoundSpec("fk", 3), None, lambda v: f_k(3, g.degree(v))),
-                (BoundSpec("fkeps", 2, F(1, 10)), None, lambda v: f_k_eps(2, F(1, 10), g.degree(v))),
+                (BoundSpec("flin"), None, lambda v: f_lin(deg[v])),
+                (BoundSpec("fk", 3), None, lambda v: f_k(3, deg[v])),
+                (BoundSpec("fkeps", 2, F(1, 10)), None, lambda v: f_k_eps(2, F(1, 10), deg[v])),
                 (BoundSpec("fkeps", 2), None,
-                 lambda v: f_k_eps(2, epsilon_star(hist, 2)[0], g.degree(v))),
-                (BoundSpec("star", eps=F(1, 12)), None, lambda v: star_f_eps(F(1, 12), g.degree(v))),
+                 lambda v: f_k_eps(2, epsilon_star(hist, 2)[0], deg[v])),
+                (BoundSpec("star", eps=F(1, 12)), None, lambda v: star_f_eps(F(1, 12), deg[v])),
                 (BoundSpec("star"), None,
-                 lambda v: star_f_eps(star_epsilon_opt(hist), g.degree(v))),
-                (BoundSpec("abc"), abc, lambda v: abc_weight(abc.part(v), g.degree(v))),
-                (BoundSpec("abstar"), ab, lambda v: ab_star_weight(ab.part(v), g.degree(v))),
-                (BoundSpec("hkg", 2), None, lambda v: h_kg(g, 2, v)),
-                (BoundSpec("hkg", 3), None, lambda v: h_kg(g, 3, v)),
+                 lambda v: star_f_eps(star_epsilon_opt(hist), deg[v])),
+                (BoundSpec("abc"), abc, lambda v: abc_weight(abc.part(v), deg[v])),
+                (BoundSpec("abstar"), ab, lambda v: ab_star_weight(ab.part(v), deg[v])),
+                (BoundSpec("hkg", 2), None, lambda v: hkg[2][v]),
+                (BoundSpec("hkg", 3), None, lambda v: hkg[3][v]),
             ]
             for spec, labels, weight in per_vertex:
                 expected = sum((weight(v) for v in g.vertices), F(0))
@@ -228,7 +233,7 @@ class TestTotalWeight:
         spec = parse_bound_spec(text)
         expected = total_weight(g, spec, labels)
         calls, depth = Counter(), []
-        for name in ("f_lin", "f_k_eps", "h_kg", "hkg_weight", "star_f_eps", "abc_weight",
+        for name in ("f_lin", "f_k_eps", "hkg_weight", "star_f_eps", "abc_weight",
                      "ab_star_weight"):
             def counted(*args, _original=getattr(weights, name), _name=name):
                 if not depth:  # abc_weight's part A calls f_lin: one evaluation
@@ -241,13 +246,15 @@ class TestTotalWeight:
             monkeypatch.setattr(weights, name, counted)
         assert total_weight(g, spec, labels) == expected
 
+        deg, adj = dict(zip(g.vertices, g.degrees())), g.adjacency()
+
         def key(v):
-            d = g.degree(v)
+            d = deg[v]
             if labels is not None:
                 return labels.part(v), d
             if spec.variant == "hkg" and d == 1:
-                (w,) = g.neighbors(v)
-                return g.degree(w), d
+                (w,) = adj[v]
+                return deg[w], d
             return d
 
         keys = {key(v) for v in g.vertices}
