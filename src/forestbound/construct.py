@@ -4,34 +4,37 @@ corresponding degree-sequence bound.
 
 abc_construct (ABC linear-forest weights) and ab_construct (AB star-forest
 weights) run one reduction engine, `_reduce`, which applies six rules in a
-fixed priority order to one mutable working graph. It re-checks rules 1 and
-3 only near what each step changed, on integer weights and gains scaled by
-one multiple of their denominators, and keeps each vertex's total of its
-neighbors' gains up to date, so each check is one comparison. Rules 2 and 6
-settle a whole instance through one bound check, `_settle`. What differs
-between the two modes' rules sits in one table each, `_RULES["ABC"]` and
-`_RULES["AB"]`: weights and gains, the leaf rule, the path automaton, the
-rule-id prefix (R or S) and the mode's own rule 5. Each applied rule records
-its graph delta in a trace, and every comparison is exact. No function here
-recurses, so the constructors' call depth does not grow with the input.
+fixed priority order to one mutable working graph on vertex positions. It
+re-checks rules 1 and 3 only near what each step changed, on integer weights
+and gains scaled by one multiple of their denominators, and keeps each
+vertex's total of its neighbors' gains up to date, so each check is one
+comparison. Rules 2 and 6 settle a whole instance through one bound check,
+`_settle`. What differs between the two modes' rules sits in one table each,
+`_RULES["ABC"]` and `_RULES["AB"]`: weights and gains, the leaf rule, the
+path automaton, the rule-id prefix (R or S) and the mode's own rule 5. Each
+applied rule records its graph delta in a trace, and every comparison is
+exact. No function here recurses, so the call depth does not grow with n.
 
 `KINDS` has one row per kind that `construct` and `exact` take: its forest
 class (for `abc` and `ab`, the engine's), its partition mode (None if it
 takes no partition), its bound as a named BoundSpec and its constructor;
-`kind_row` gives the caterpillar row for a degree bound k. Every constructor
-ends in `_certify`, which sums the row's bound with `total_weight` and
-raises BoundMiss unless check's `verify_certificate` passes the certificate.
+`kind_row` gives the caterpillar row for a degree bound k. A constructor makes
+at most one engine run, copies no graph and ends in one `_certify`, which sums
+the row's bound with `total_weight` and raises BoundMiss unless check's
+`verify_certificate` passes the certificate of the whole input graph.
 """
 
 from __future__ import annotations
 
-import heapq
+import gc
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from functools import cache, wraps
+from heapq import heappop, heappush
+from itertools import chain, compress, product
 from math import lcm
+from operator import and_
 from typing import AbstractSet, Optional
 
 from .check import (
@@ -97,41 +100,58 @@ class ReductionTrace:
         return " ".join(f"{rule}:{counts[rule]}" for rule in sorted(counts)) or "-"
 
 
+def _uncollected(fn):
+    """The constructor fn with the cyclic garbage collector paused while it runs: the
+    engine and the checker make no cycles, but a full pass scans every set they build."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        running = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if running:
+                gc.enable()
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # Unconstrained constructors
 
 
 def greedy_linear_forest(g: Graph) -> ForestCertificate:
-    """Induced linear forest of size at least the linear forest bound.
+    """Induced linear forest of size at least the linear forest bound."""
+    return _certify("greedy_linear_forest", g, _greedy_linear(g.adjacency()), KINDS["linear"])
 
-    Deletes a maximum-degree vertex while the maximum degree is at least 3
+
+def _greedy_linear(adj: dict[int, set[int]]) -> set[int]:
+    """An induced linear forest of the graph of the neighbor sets `adj`, which it
+    edits: deletes a maximum-degree vertex while the maximum degree is at least 3
     (the bound never decreases under such a deletion), then takes every path
-    component whole and every cycle component minus one vertex.
-    """
-    adj = g.adjacency()
+    component whole and every cycle component minus one vertex."""
     # buckets[d] is a heap of the vertices last seen at degree d. Degrees
     # only fall, so `top` only falls, and an entry whose vertex has since
     # lost a neighbor or been deleted is skipped.
     top = max(map(len, adj.values()), default=0)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    for v in g.vertices:
-        buckets[len(adj[v])].append(v)
+    for v, ws in adj.items():
+        buckets[len(ws)].append(v)
     while top >= 3:
         if not buckets[top]:
             top -= 1
             continue
-        v = heapq.heappop(buckets[top])
+        v = heappop(buckets[top])
         if v in adj and len(adj[v]) == top:
             for w in adj.pop(v):
                 adj[w].discard(v)
-                heapq.heappush(buckets[len(adj[w])], w)
+                heappush(buckets[len(adj[w])], w)
     chosen: set[int] = set()
     for comp in components_of(adj, adj):
         if all(len(adj[u]) == 2 for u in comp):
             chosen |= comp - {min(comp)}
         else:
             chosen |= comp
-    return _certify("greedy_linear_forest", g, chosen, KINDS["linear"])
+    return chosen
 
 
 def caterpillar_forest(g: Graph) -> ForestCertificate:
@@ -142,8 +162,8 @@ def caterpillar_forest(g: Graph) -> ForestCertificate:
     (which keeps every isolated vertex), and adds the stripped vertices back.
     """
     leaves = {v for v, d in zip(g.vertices, g.degrees()) if d == 1}
-    inner = greedy_linear_forest(g.delete_vertices(leaves))
-    return _certify("caterpillar_forest", g, inner.vertex_set | leaves, KINDS["caterpillar"])
+    chosen = _greedy_linear(g.adjacency(set(g.vertices) - leaves)) | leaves
+    return _certify("caterpillar_forest", g, chosen, KINDS["caterpillar"])
 
 
 def cubic_partition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
@@ -183,32 +203,37 @@ def ab_construct(g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTr
     return _construct("ab", g, p)
 
 
+@_uncollected
 def _construct(kind: str, g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     row, name = KINDS[kind], f"{kind}_construct"
     if p.mode != row.mode:
         raise ParseError(f"{name} needs an {row.mode} partition")
     p.validate_for(g)
-    chosen, trace = _reduce(g, dict(p.labels), row)
+    chosen, trace = _reduce(g, [p.labels[v] for v in g.vertices], row)
     return _certify(name, g, chosen, row, p), trace
 
 
-def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], ReductionTrace]:
+def _reduce(g: Graph, labels: list, row: Kind, split=False) -> tuple[set[int], ReductionTrace]:
     """Apply the rules of `_RULES[row.mode]` in priority order until nothing is left.
 
-    Pending instances wait on an explicit stack. Each step applies the first
-    rule that fits the current instance; components split off by rule 4 are
-    pushed in reverse, so they are solved, and logged, in order of their
-    smallest vertex. All instances share one `_WorkingGraph`.
+    The instance is every position of g with a label (None: not the engine's),
+    or with `split` each component of them, solved alone. Pending instances
+    wait on an explicit stack. Each step applies the first rule that fits the
+    current instance; components split off by rule 4 are pushed in reverse,
+    so they are solved, and logged, in order of their smallest vertex. All
+    instances share one `_WorkingGraph`. Returns the kept ids and the trace.
     """
     table = _RULES[row.mode]
     prefix = table["prefix"]
     trace = ReductionTrace()
     chosen: set[int] = set()
     work = _WorkingGraph(g, labels, table)
-    adj, labels = work.adj, work.labels
-    stack = [set(g.vertices)]
+    nbrs, labels, ids = work.nbrs, work.labels, g.vertices
+    live = [v for v, part in enumerate(labels) if part is not None]
+    # a first instance has all its vertices checked, rule 4's components none
+    stack = [(inst, True) for inst in reversed(components_of(nbrs, live) if split else [set(live)])]
     while stack:
-        work.start(stack.pop())
+        work.start(*stack.pop())
         while work.inst:
             trace.evaluations += work.refresh()
 
@@ -223,8 +248,8 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
             # 2: max degree <= 2 means every component is a path or a cycle,
             # solved optimally by dynamic programming.
             if work.high == 0:
-                for comp in components_of(adj, sorted(work.inst)):
-                    picks = _dp_component(adj, comp, labels, row.mode)
+                for comp in components_of(nbrs, sorted(work.inst)):
+                    picks = _dp_component(nbrs, comp, labels, row.mode)
                     chosen |= _settle(work, trace, f"{prefix}2", comp, picks, row.forest)
                 break
 
@@ -232,7 +257,7 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
             # its neighbor one rank; the leaf is always re-added.
             v = work.lowest_leaf()
             if v is not None:
-                (w,) = adj[v]
+                (w,) = nbrs[v]
                 step = ReductionStep(
                     f"{prefix}3", removed=(v,), relabeled=((w, table["demote"][labels[w]]),)
                 )
@@ -242,11 +267,11 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
                 continue
 
             # 4: solve components independently.
-            comps = components_of(adj, sorted(work.inst))
+            comps = components_of(nbrs, sorted(work.inst))
             if len(comps) > 1:
                 note = f"split into {len(comps)} components"
                 trace.append(ReductionStep(f"{prefix}4", note=note))
-                stack.extend(reversed(comps))
+                stack.extend((comp, False) for comp in reversed(comps))
                 break
 
             # 5: the mode's own rule.
@@ -262,54 +287,78 @@ def _reduce(g: Graph, labels: dict[int, str], row: Kind) -> tuple[set[int], Redu
             # 2**16 nodes, so only a larger instance can exhaust _STUCK_BUDGET.
             inst = work.inst
             part = Partition({v: labels[v] for v in inst}, row.mode)
-            residual = Graph({v: adj[v] for v in inst})
+            residual = Graph({v: nbrs[v] for v in inst})
             result = alpha_exact_partitioned(residual, part, budget=_STUCK_BUDGET)
             note = "over-threshold" if len(inst) > DEFAULT_EXACT_THRESHOLD else ""
             chosen |= _settle(work, trace, f"{prefix}6", inst, result.witness, row.forest, note)
             break
-    return chosen, trace
+    if ids and ids[-1] != len(ids) - 1:  # positions are ids only on a graph on 0..n-1
+        trace.steps = [_named(step, ids) for step in trace.steps]
+    return set(map(ids.__getitem__, chosen)), trace
+
+
+def _edges(g: Graph, keep: Optional[bytes] = None) -> tuple[list[int], list[int]]:
+    """g's two edge arrays, or with `keep` those of its subgraph on the positions keep marks."""
+    us, vs = g.edge_arrays()
+    if keep is None:
+        return us, vs
+    both = list(map(and_, map(keep.__getitem__, us), map(keep.__getitem__, vs)))
+    return list(compress(us, both)), list(compress(vs, both))
+
+
+def _neighbor_sets(g: Graph, keep: Optional[bytes] = None) -> list[set[int]]:
+    """Per position of g, the positions of its neighbors along `_edges(g, keep)`."""
+    sets: list[set[int]] = [set() for _ in range(g.n)]
+    for i, j in zip(*_edges(g, keep)):
+        sets[i].add(j)
+        sets[j].add(i)
+    return sets
 
 
 class _WorkingGraph:
     """The one mutable graph of a reduction run, with its rule-1/rule-3 state.
 
-    `adj` and `labels` cover every vertex not yet deleted, `inst` is the
-    instance being reduced and `high` counts its vertices of degree >= 3.
-    Instances are disjoint and no edge joins two of them, so one adjacency
-    map serves them all, and rules 2 and 5 read it in place.
+    Every list is indexed by vertex position in g. `nbrs` and `labels` cover
+    every labeled vertex not yet deleted, `inst` is the instance being
+    reduced and `high` counts its vertices of degree >= 3. Instances are
+    disjoint and no edge joins two of them, so one list of neighbor sets
+    serves them all, and rules 2 and 5 read it in place.
 
-    Rules 1 and 3 compare integers: `weights[part, d]` and `gains[part, d]`
+    Rules 1 and 3 compare integers: `weights[part][d]` and `gains[part][d]`
     are the mode's values times `scale`, which all their denominators
     divide, and `sums[v]` totals the `terms` (scaled gains, 0 at degree 0)
-    of v's neighbors. The tables hold only the keys met so far, so the scale
-    stays small while the degrees met do. A change of v's label or degree
-    moves the change of its term into its neighbors' sums and marks v and
-    them dirty, to be checked again. Passing vertices wait in heaps, keyed
-    (scaled weight, id) for rule 1 and by id for rule 3; an entry that no
-    longer matches `deletable` or `leaves`, or whose vertex has left the
-    instance, is dropped when it comes up; a deleted vertex's entries are
-    never read again. When rules 1 and 3 both fail on an instance, none of
-    its vertices is a candidate, so rule 4's components start with none.
+    of v's neighbors. The tables hold only the keys met so far (None at the
+    others), so the scale stays small while the degrees met do. A change of
+    v's label or degree moves the change of its term into its neighbors'
+    sums and marks v and them dirty, to be checked again. Passing vertices
+    wait in heaps, keyed (scaled weight, position) for rule 1 and by position
+    for rule 3; an entry that no longer matches `deletable` or `leaves`, or
+    whose vertex has left the instance, is dropped when it comes up; a
+    deleted vertex's entries are never read again. When rules 1 and 3 both
+    fail on an instance, none of its vertices is a candidate, so rule 4's
+    components start with none.
     """
 
-    def __init__(self, g: Graph, labels: dict[int, str], table: dict):
+    def __init__(self, g: Graph, labels: list, table: dict):
         # per-run memos of this module's functions as bound now: a wrapper there sees every call
         self.weight = cache(globals()[table["weight"]])
         self.gain = cache(globals()[table["gain"]])
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.adj = adj = g.adjacency()
-        self.labels = labels
-        self.inst: set[int] = set()
-        self.high = 0
-        self.dirty = set(g.vertices)
-        self.deletable: dict[int, int] = {}
-        self.deletable_heap: list[tuple[int, int]] = []
-        self.leaves: set[int] = set()
-        self.leaf_heap: list[int] = []
-        self.scale, self.weights, self.gains = 1, {}, {}
-        self.terms, self.sums = dict.fromkeys(adj, 0), dict.fromkeys(adj, 0)
-        for v in adj:
-            self._touch(v)
+        self.ids, self.labels = g.vertices, labels
+        keep = bytes(part is not None for part in labels) if None in labels else None
+        self.nbrs = nbrs = _neighbor_sets(g, keep)
+        self.inst, self.high, self.dirty = set(), 0, set()
+        self.leaves, self.leaf_heap, self.deletable_heap = bytearray(g.n), [], []
+        degrees = list(map(len, nbrs))
+        self.scale, top = 1, max(degrees, default=0) + 1
+        self.terms, self.sums, self.deletable = [], [], []  # filled once the keys met so far are in
+        self.weights = {part: [None] * top for part in ABC_CAPS}
+        self.gains = gains = {part: [None] * top for part in ABC_CAPS}
+        for key in sorted(set(zip(labels, degrees)) - {(None, 0)}):
+            self._cover(*key)
+        self.terms = [0 if part is None else gains[part][d] for part, d in zip(labels, degrees)]
+        self.sums = [sum(map(self.terms.__getitem__, ws)) for ws in nbrs]
+        self.deletable = [None] * g.n
 
     def _cover(self, part: str, d: int) -> None:
         """Enter (part, d) in the tables. If its denominators do not divide the
@@ -317,93 +366,98 @@ class _WorkingGraph:
         w, x = self.weight(part, d), self.gain(part, d) if d else _ZERO
         scale = lcm(self.scale, w.denominator, x.denominator)
         factor, self.scale = scale // self.scale, scale
-        if factor > 1:
-            for store in (self.weights, self.gains, self.terms, self.sums, self.deletable):
-                store.update((k, y * factor) for k, y in store.items())
-            self.deletable_heap = [(fv * factor, v) for fv, v in self.deletable_heap]
-        self.weights[part, d], self.gains[part, d] = int(w * scale), int(x * scale)
+        if factor > 1:  # in place: callers hold the stores
+            for store in (*self.weights.values(), *self.gains.values(), self.terms, self.sums,
+                          self.deletable):
+                store[:] = [None if y is None else y * factor for y in store]
+            self.deletable_heap[:] = [(fv * factor, v) for fv, v in self.deletable_heap]
+        self.weights[part][d], self.gains[part][d] = int(w * scale), int(x * scale)
 
-    def start(self, inst: set[int]) -> None:
+    def start(self, inst: set[int], fresh: bool) -> None:
+        """Reduce `inst` next; a fresh instance has every vertex checked."""
         self.inst = inst
-        self.high = sum(1 for v in inst if len(self.adj[v]) >= 3)
+        self.high = sum(1 for v in inst if len(self.nbrs[v]) >= 3)
+        if fresh:
+            self.dirty.update(inst)
 
     def total(self, vertices) -> int:
         """The vertices' total weight times `scale`."""
-        return sum([self.weights[self.labels[v], len(self.adj[v])] for v in vertices])
+        weights, labels, nbrs = self.weights, self.labels, self.nbrs
+        return sum([weights[labels[v]][len(nbrs[v])] for v in vertices])
 
     def refresh(self) -> int:
-        """Re-check rules 1 and 3 at the dirty vertices; returns how many."""
-        adj, labels, weights, sums = self.adj, self.labels, self.weights, self.sums
-        inst, deletable, leaves = self.inst, self.deletable, self.leaves
-        checked = 0
-        for v in self.dirty:
-            if v not in inst:
-                continue
-            checked += 1
-            part, d = labels[v], len(adj[v])
-            fv = weights[part, d]
-            if fv <= sums[v]:
-                if deletable.get(v) != fv:
-                    deletable[v] = fv
-                    heapq.heappush(self.deletable_heap, (fv, v))
-            else:
-                deletable.pop(v, None)
-            if d == 1 and part in self.leaf_parts and self._strippable(v, part):
-                if v not in leaves:
-                    leaves.add(v)
-                    heapq.heappush(self.leaf_heap, v)
-            else:
-                leaves.discard(v)
+        """Re-check rules 1 and 3 at the dirty vertices of the instance; returns how many."""
+        nbrs, labels, weights, sums = self.nbrs, self.labels, self.weights, self.sums
+        deletable, leaves, leaf_parts = self.deletable, self.leaves, self.leaf_parts
+        dirty = self.dirty & self.inst
         self.dirty.clear()
-        return checked
+        for v in dirty:
+            part, d = labels[v], len(nbrs[v])
+            fv = weights[part][d]
+            if fv <= sums[v]:
+                if deletable[v] != fv:
+                    deletable[v] = fv
+                    heappush(self.deletable_heap, (fv, v))
+            else:
+                deletable[v] = None
+            if d == 1 and part in leaf_parts and self._strippable(v, part):
+                if not leaves[v]:
+                    leaves[v] = 1
+                    heappush(self.leaf_heap, v)
+            else:
+                leaves[v] = 0
+        return len(dirty)
 
     def _strippable(self, v: int, part: str) -> bool:
         """Rule 3's test at a leaf v: its weight plus its neighbor's weight
         loss on demotion is at most 1."""
-        (w,) = self.adj[v]
+        (w,) = self.nbrs[v]
         demoted = self.demote.get(self.labels[w])
         if demoted is None:
             return False
-        weights, dw = self.weights, len(self.adj[w])
-        if (demoted, dw - 1) not in weights:  # before any read: this may grow the scale
+        weights, dw = self.weights, len(self.nbrs[w])
+        if weights[demoted][dw - 1] is None:  # before any read: this may grow the scale
             self._cover(demoted, dw - 1)
-        loss = weights[self.labels[w], dw] - weights[demoted, dw - 1]
-        return weights[part, 1] + loss <= self.scale
+        loss = weights[self.labels[w]][dw] - weights[demoted][dw - 1]
+        return weights[part][1] + loss <= self.scale
 
     def lightest_deletable(self) -> Optional[int]:
         """Rule 1's choice: the lightest, then lowest, candidate."""
         heap = self.deletable_heap
         while heap:
             fv, v = heap[0]
-            if v in self.inst and self.deletable.get(v) == fv:
+            if v in self.inst and self.deletable[v] == fv:
                 return v
-            heapq.heappop(heap)
+            heappop(heap)
         return None
 
     def lowest_leaf(self) -> Optional[int]:
         """Rule 3's choice: the lowest candidate."""
         heap = self.leaf_heap
-        while heap and not (heap[0] in self.inst and heap[0] in self.leaves):
-            heapq.heappop(heap)
+        while heap and not (heap[0] in self.inst and self.leaves[heap[0]]):
+            heappop(heap)
         return heap[0] if heap else None
 
     def apply(self, step: ReductionStep) -> None:
-        """Apply a step's graph delta and relabels, marking what they touch."""
-        adj, terms, sums = self.adj, self.terms, self.sums
+        """Apply a step's graph delta and relabels, given in positions, marking what they touch."""
+        nbrs, terms, sums = self.nbrs, self.terms, self.sums
         for x, y in step.added_edges:
             for a, b in ((x, y), (y, x)):
-                self.high += len(adj[a]) == 2
-                adj[a].add(b)
+                self.high += len(nbrs[a]) == 2
+                nbrs[a].add(b)
                 sums[a] += terms[b]
+            top = max(len(nbrs[x]), len(nbrs[y])) + 1  # rule 5 may pass the input's maximum
+            for values in (*self.weights.values(), *self.gains.values()):
+                values.extend([None] * (top - len(values)))
             self._touch(x)
             self._touch(y)
         for v in step.removed:
-            nbrs = adj.pop(v)
+            ws, nbrs[v] = nbrs[v], _GONE
             self.inst.discard(v)
-            self.high -= len(nbrs) >= 3
-            for w in nbrs:
-                self.high -= len(adj[w]) == 3
-                adj[w].discard(v)
+            self.high -= len(ws) >= 3
+            for w in ws:
+                self.high -= len(nbrs[w]) == 3
+                nbrs[w].discard(v)
                 sums[w] -= terms[v]  # read each time: a touch may grow the scale
                 self._touch(w)
         for v, part in step.relabeled:
@@ -412,16 +466,29 @@ class _WorkingGraph:
 
     def _touch(self, v: int) -> None:
         """Move the change of v's term into its neighbors' sums; mark them and v dirty."""
-        nbrs = self.adj[v]
-        key = (self.labels[v], len(nbrs))
-        if key not in self.gains:
-            self._cover(*key)
-        term = self.gains[key]
+        ws = self.nbrs[v]
+        part, d = self.labels[v], len(ws)
+        term = self.gains[part][d]
+        if term is None:
+            self._cover(part, d)
+            term = self.gains[part][d]
         if term != self.terms[v]:
             change, self.terms[v], sums = term - self.terms[v], term, self.sums
-            for u in nbrs:
+            for u in ws:
                 sums[u] += change
-        self.dirty.update(nbrs, (v,))
+        self.dirty.update(ws, (v,))
+
+
+_GONE: frozenset[int] = frozenset()  # a deleted vertex's neighbor set
+
+
+def _named(step: ReductionStep, ids: tuple[int, ...]) -> ReductionStep:
+    """A step given in positions, with each position replaced by its id in `ids`."""
+    at = ids.__getitem__
+    edges = tuple((at(x), at(y)) for x, y in step.added_edges)
+    relabeled = tuple((at(v), part) for v, part in step.relabeled)
+    return ReductionStep(step.rule, tuple(map(at, step.removed)), edges, relabeled,
+                         tuple(map(at, step.chosen)), step.note)
 
 
 def _settle(
@@ -434,7 +501,8 @@ def _settle(
     if len(picks) * work.scale < total:
         need = Fraction(total, work.scale)
         message = f"{rule} kept {len(picks)} of {len(vertices)} vertices, below the bound {need}"
-        raise BoundMiss(message, ForestCertificate(frozenset(picks), forest, need))
+        kept = frozenset(map(work.ids.__getitem__, picks))
+        raise BoundMiss(message, ForestCertificate(kept, forest, need))
     trace.append(_solved(rule, vertices, picks, note))
     return picks
 
@@ -450,19 +518,19 @@ def _promote_and_contract(work: _WorkingGraph) -> Optional[ReductionStep]:
     """R5: promote a degree-3 B vertex, delete its lightest neighbor, and tie
     the two heavier ones together; apply only when the rewritten instance
     keeps the full bound."""
-    adj, labels, weight = work.adj, work.labels, work.weight
+    nbrs, labels, weight = work.nbrs, work.labels, work.weight
     for v in sorted(work.inst):
-        if labels[v] != "B" or len(adj[v]) != 3:
+        if labels[v] != "B" or len(nbrs[v]) != 3:
             continue
-        x, y, z = sorted(adj[v], key=lambda w: (-weight(labels[w], len(adj[w])), w))
-        new_edge = y not in adj[x]
+        x, y, z = sorted(nbrs[v], key=lambda w: (-weight(labels[w], len(nbrs[w])), w))
+        new_edge = y not in nbrs[x]
         # The bound changes only at z, which goes, at z's neighbors (v among
         # them), which lose a degree, and at x and y, which gain one if the
         # edge is new; v is weighed as A afterwards.
-        change = -weight(labels[z], len(adj[z]))
-        for u in adj[z] | {x, y}:
-            d = len(adj[u])
-            after = d - (u in adj[z]) + (new_edge and u in (x, y))
+        change = -weight(labels[z], len(nbrs[z]))
+        for u in nbrs[z] | {x, y}:
+            d = len(nbrs[u])
+            after = d - (u in nbrs[z]) + (new_edge and u in (x, y))
             change += weight("A" if u == v else labels[u], after) - weight(labels[u], d)
         if change >= 0:
             added = ((x, y),) if new_edge else ()
@@ -474,17 +542,17 @@ def _cubic_endgame(work: _WorkingGraph) -> Optional[ReductionStep]:
     """S5: all vertices in A with degrees 2 and 3, the degree-2 vertices far
     apart: contract each degree-2 path into an edge, split the resulting
     cubic graph, and keep the bigger side plus every degree-2 vertex."""
-    adj, inst = work.adj, work.inst
-    if any(work.labels[v] != "A" or len(adj[v]) not in (2, 3) for v in inst):
+    nbrs, inst = work.nbrs, work.inst
+    if any(work.labels[v] != "A" or len(nbrs[v]) not in (2, 3) for v in inst):
         return None
-    low = {v for v in inst if len(adj[v]) == 2}
-    contracted = {v: set(adj[v]) for v in inst if len(adj[v]) == 3}
+    low = {v for v in inst if len(nbrs[v]) == 2}
+    contracted = {v: set(nbrs[v]) for v in inst if len(nbrs[v]) == 3}
     for v in low:
         # u and w have degree 3 unless one is in low, within distance 1 of v (_within_distance
         # never reports its start); low vertices are more than 3 apart, so u has no other: its
         # v goes for a w it did not have, and every contracted set keeps 3 vertices
-        u, w = adj[v]
-        if w in adj[u] or _within_distance(adj, v, low, 3):
+        u, w = nbrs[v]
+        if w in nbrs[u] or _within_distance(nbrs, v, low, 3):
             return None
         contracted[u] = contracted[u] - {v} | {w}
         contracted[w] = contracted[w] - {v} | {u}
@@ -520,7 +588,7 @@ def _component_order(adj, comp) -> tuple[list[int], bool]:
     return order, not ends
 
 
-def _dp_component(adj, comp, labels: dict[int, str], mode: str) -> set[int]:
+def _dp_component(adj, comp, labels, mode: str) -> set[int]:
     """Largest allowed selection on a path or cycle component `comp` of an
     adjacency map.
 
@@ -531,6 +599,8 @@ def _dp_component(adj, comp, labels: dict[int, str], mode: str) -> set[int]:
     cycle, so it is refused; only an all-A ABC cycle reaches it, and state 0
     then gives n - 1.
     """
+    if len(comp) == 1:  # what the path DP keeps of a lone vertex
+        return set(comp)
     order, is_cycle = _component_order(adj, comp)
     if not is_cycle:
         return _dp_path(order, labels, mode)[1]
@@ -552,7 +622,7 @@ def _dp_component(adj, comp, labels: dict[int, str], mode: str) -> set[int]:
 
 
 def _dp_path(
-    order: list[int], labels: dict[int, str], mode: str, first: Optional[int] = None, ends=None
+    order: list[int], labels, mode: str, first: Optional[int] = None, ends=None
 ) -> tuple[int, set[int]]:
     """Largest selection along a path that the mode's automaton accepts.
 
@@ -677,6 +747,7 @@ def kind_row(kind: str, k: Optional[int] = None) -> Kind:
 # Bound-specific wrappers
 
 
+@_uncollected
 def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     """Caterpillar forest of maximum degree at most k meeting the local bound.
 
@@ -686,37 +757,49 @@ def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     """
     kind = kind_row("caterpillar", k)
     chosen = _leaf_core_forest(
-        g.delete_vertices(_overloaded(g, k)),
+        g,
         "abc",
         lambda carried: "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C"),
+        _overloaded(g, k),
     )
     return _certify("k_caterpillar_forest", g, chosen, kind)
 
 
 def _overloaded(g: Graph, k: int) -> set[int]:
-    """Vertices left to drop by repeatedly dropping one with k+1 or more leaf
+    """Positions left to drop by repeatedly dropping one with k+1 or more leaf
     neighbors. A drop can only turn a neighbor into a new leaf, never take a
     leaf from a vertex that stays, so the set does not depend on the order."""
-    adj = g.adjacency()
-    degree = {v: len(ws) for v, ws in adj.items()}
-    carried = {v: sum(1 for w in ws if degree[w] == 1) for v, ws in adj.items()}
-    work = [v for v in g.vertices if carried[v] >= k + 1]
+    us, vs = g.edge_arrays()
+    degree = g.degrees()
+    carried = _leaf_counts(us, vs, degree)
+    work = [v for v, count in enumerate(carried) if count >= k + 1]
+    nbrs = _neighbor_sets(g) if work else []
     dropped: set[int] = set()
     while work:
         v = work.pop()
         if v in dropped:
             continue
         dropped.add(v)
-        for w in adj[v]:
+        for w in nbrs[v]:
             degree[w] -= 1
             if degree[w] == 1 and w not in dropped:
-                (u,) = adj[w] - dropped
+                (u,) = nbrs[w] - dropped
                 carried[u] += 1
                 if carried[u] >= k + 1:
                     work.append(u)
     return dropped
 
 
+def _leaf_counts(us, vs, degree: list[int]) -> list[int]:
+    """Per position, how many of its neighbors along the edges zip(us, vs) have degree 1."""
+    leaf = bytes(map((1).__eq__, degree))
+    counts = [0] * len(degree)
+    for v in chain(compress(us, map(leaf.__getitem__, vs)), compress(vs, map(leaf.__getitem__, us))):
+        counts[v] += 1
+    return counts
+
+
+@_uncollected
 def star_forest(g: Graph) -> ForestCertificate:
     """Star forest meeting the best epsilon-family bound for g's degrees.
 
@@ -727,25 +810,26 @@ def star_forest(g: Graph) -> ForestCertificate:
     return _certify("star_forest", g, chosen, KINDS["star"])
 
 
-def _leaf_core_forest(g: Graph, kind: str, label) -> set[int]:
-    """Per component: take it whole if it has at most two vertices; otherwise
-    strip its leaves, label every other vertex by `label(number of leaves it
-    carries)`, and add the leaves to what `KINDS[kind].build` keeps of that core.
-    Each core gets its own engine run: in one run over all cores, rule 2 would
-    wait for every core to reach maximum degree 2, and what is kept can change."""
-    adj = g.adjacency()
-    chosen: set[int] = set()
-    for comp in components_of(adj, adj):
-        if len(comp) <= 2:
-            chosen |= comp
-            continue
-        leaves = {v for v in comp if len(adj[v]) == 1}
-        core = comp - leaves
-        labels = {v: label(len(adj[v] & leaves)) for v in core}
-        core_graph = Graph({v: adj[v] & core for v in core})  # induced() is O(n + m) per core
-        inner, _ = KINDS[kind].build(core_graph, Partition(labels, KINDS[kind].mode))
-        chosen |= inner.vertex_set | leaves
-    return chosen
+def _leaf_core_forest(g: Graph, kind: str, label, dropped: AbstractSet[int] = frozenset()) -> set[int]:
+    """Per component of g without the positions `dropped`: take it whole if it
+    has at most two vertices (none of degree 2 or more); otherwise strip its
+    leaves, label the rest, its core (a component of the vertices of degree
+    >= 2), by `label(number of leaves carried)`, and add the leaves to what
+    kind's engine keeps of the core. One engine run solves each core as its own
+    instance: in one instance over all cores, rule 2 would wait for every core
+    to reach maximum degree 2, and what is kept can change."""
+    keep = bytearray(b"\1") * g.n
+    for v in dropped:
+        keep[v] = 0
+    us, vs = _edges(g, keep if dropped else None)
+    degree = [0] * g.n
+    for v in chain(us, vs):
+        degree[v] += 1
+    carried = _leaf_counts(us, vs, degree)
+    names = list(map(label, range(max(carried, default=0) + 1)))
+    labels = [names[c] if d >= 2 else None for c, d in zip(carried, degree)]
+    chosen, _ = _reduce(g, labels, KINDS[kind], split=True)
+    return chosen | set(compress(g.vertices, map(and_, keep, map((2).__gt__, degree))))
 
 
 # ---------------------------------------------------------------------------

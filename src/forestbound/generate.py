@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InfeasibleDegree, InvalidSpec, ParseError, RetryLimit
-from .graph import Graph, parse_spec_text, spec_text
+from .graph import MAX_VERTICES, Graph, parse_spec_text, spec_text
 from .partition import Partition
 
 PAIRING_RETRY_CAP = 10_000
@@ -164,9 +164,19 @@ _FAMILIES = {
 }
 
 
+# The vertex count of each family whose count is not its n.
+_VERTICES = {
+    "star": lambda s: s.t + 1,
+    "hnk": lambda s: s.n + s.n * (s.k + 1),
+    "kprime": lambda s: 2 * s.n,
+    "fig1": lambda s: 3,
+}
+
+
 def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
     """Materialize a GenSpec; Fig. 1 gadgets also return their labeling.
-    Every parameter the family takes must be set, and no other."""
+    Every parameter the family takes must be set, and no other. A family's
+    vertex count above MAX_VERTICES is a ParseError before anything is built."""
     if spec.family not in _FAMILIES:
         raise InvalidSpec(f"unknown family {spec.family!r}")
     build, takes = _FAMILIES[spec.family]
@@ -174,6 +184,9 @@ def generate(spec: GenSpec) -> tuple[Graph, Optional[Partition]]:
         if (getattr(spec, key) is None) == (key in takes):
             verb = "needs" if key in takes else "takes no"
             raise InvalidSpec(f"family {spec.family!r} {verb} parameter {key!r}")
+    vertices = _VERTICES.get(spec.family, lambda s: s.n)(spec)
+    if vertices > MAX_VERTICES:
+        raise ParseError(f"{vertices} vertices exceed the limit of {MAX_VERTICES}")
     made = build(*(getattr(spec, key) for key in takes))
     return made if spec.family == "fig1" else (made, None)
 

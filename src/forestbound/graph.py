@@ -32,7 +32,8 @@ def _check_id(v) -> None:
 class Graph:
     """Immutable simple undirected graph: the sorted tuple `vertices` of its int ids, and two
     lists of positions into it, one entry per edge. Every constructor makes this form and every
-    read works off it; `adjacency(S)` is the one read of neighbor sets, `degrees()` of degrees."""
+    read works off it; `adjacency(S)` is the one read of neighbor sets, `degrees()` of degrees
+    and `edge_arrays()` of the two lists themselves."""
 
     __slots__ = ("_vertices", "_us", "_vs")
 
@@ -101,6 +102,10 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         i = bisect_left(self._vertices, k := hash(v))  # each id is its own hash: v is compared once
         return i < self.n and self._vertices[i] == k and k == v
+
+    def edge_arrays(self) -> tuple[list[int], list[int]]:
+        """The graph's own two lists (not to be changed): edge e joins positions us[e] and vs[e]."""
+        return self._us, self._vs
 
     def degrees(self) -> list[int]:
         """The degree of each vertex, in `vertices` order."""

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from golden_corpus import comb
+from golden_corpus import comb, families, seeded_gnp, small_graphs
 
 from forestbound import construct
 from forestbound import (
@@ -520,15 +520,14 @@ def test_cycle_dp_matches_rotation_scan():
 def _engine_traces(monkeypatch) -> list:
     """Record the trace of every engine run the constructors make."""
     traces = []
-    for name in ("abc_construct", "ab_construct"):
-        engine = getattr(construct, name)
+    engine = construct._reduce
 
-        def recording(*args, engine=engine):
-            cert, trace = engine(*args)
-            traces.append(trace)
-            return cert, trace
+    def recording(*args, **kwargs):
+        chosen, trace = engine(*args, **kwargs)
+        traces.append(trace)
+        return chosen, trace
 
-        monkeypatch.setattr(construct, name, recording)
+    monkeypatch.setattr(construct, "_reduce", recording)
     return traces
 
 
@@ -602,3 +601,103 @@ def test_leafy_constructors_solve_each_component_alone(build):
         parts = [build(g.induced(comp)).vertex_set for comp in g.components()]
         assert build(g).vertex_set == frozenset().union(*parts), g.edges()
     assert star_forest(TWO_CORES).vertex_set == {0, 3, 4, 9, 10, 11}
+
+
+def seeded_unions() -> list[Graph]:
+    """Thirty disjoint unions of two seeded G(n, p)."""
+    rng = random.Random(24)
+    return [
+        disjoint_union(*(gnp(rng.randint(4, 14), rng.choice((0.2, 0.35, 0.5)), 2400 + 2 * i + j)
+                         for j in range(2)))
+        for i in range(30)
+    ]
+
+
+def overloaded(g: Graph, k: int) -> set[int]:
+    """The vertices k_caterpillar_forest drops, found round by round: every vertex with
+    more than k leaf neighbors goes at once, until none is left."""
+    h, dropped = g, set()
+    while True:
+        adj = h.adjacency()
+        heavy = {v for v, ws in adj.items() if sum(len(adj[w]) == 1 for w in ws) > k}
+        if not heavy:
+            return dropped
+        dropped |= heavy
+        h = h.delete_vertices(heavy)
+
+
+# The leaf-core constructors: the degree bound k (None for star_forest) and the
+# engine kind with the label of a core vertex by how many leaves it carries.
+LEAFY = {
+    "star": (None, "ab", lambda carried: "B" if carried else "A"),
+    "caterpillar2": (2, "abc", lambda carried: "A" if carried == 0 else ("B" if carried == 1 else "C")),
+    "caterpillar3": (3, "abc", lambda carried: "A" if carried <= 1 else ("B" if carried == 2 else "C")),
+}
+
+
+@pytest.mark.parametrize("name", LEAFY)
+def test_each_core_keeps_its_own_constrained_bound(name):
+    # only the whole graph's certificate is checked when the constructors run;
+    # the lemma they rest on is that what the engine keeps of each leaf-stripped
+    # core meets that core's abc/abstar bound in the engine's class
+    k, kind, label = LEAFY[name]
+    row = construct.KINDS[kind]
+    cores = 0
+    for g in (*small_graphs(5), *(g for g, _ in seeded_gnp()), *families(), *seeded_unions()):
+        chosen = (star_forest(g) if k is None else k_caterpillar_forest(g, k)).vertex_set
+        h = g if k is None else g.delete_vertices(overloaded(g, k))
+        adj = h.adjacency()
+        for comp in h.components():
+            if len(comp) <= 2:
+                assert chosen >= comp, g.edges()
+                continue
+            leaves = {v for v in comp if len(adj[v]) == 1}
+            assert chosen >= leaves, g.edges()
+            core = h.induced(comp - leaves)
+            labels = Partition({v: label(len(adj[v] & leaves)) for v in core.vertices}, row.mode)
+            bound = total_weight(core, row.spec, labels)
+            kept = ForestCertificate(chosen & frozenset(core.vertices), row.forest, bound)
+            assert verify_certificate(core, kept, labels), (g.edges(), sorted(core.vertices))
+            cores += 1
+    assert cores > 1000
+
+
+ROWS = {
+    "star": ("star", None), "caterpillar": ("caterpillar", None),
+    "caterpillar2": ("caterpillar", 2), "caterpillar3": ("caterpillar", 3),
+    "linear": ("linear", None), "abc": ("abc", None), "ab": ("ab", None),
+}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_one_engine_run_and_one_certificate_per_call(monkeypatch, name):
+    # every core of the input is an instance of one engine run on one working
+    # graph (greedy needs none), and only the whole graph's certificate is checked
+    from collections import Counter
+
+    counts = Counter()
+
+    class Counted(construct._WorkingGraph):
+        def __init__(self, *args):
+            counts["_WorkingGraph"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(construct, "_WorkingGraph", Counted)
+    for fn in ("_reduce", "verify_certificate"):
+        original = getattr(construct, fn)
+
+        def counted(*args, original=original, fn=fn, **kwargs):
+            counts[fn] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(construct, fn, counted)
+    kind, k = ROWS[name]
+    row = construct.kind_row(kind, k)
+    engine = 1 if row.mode or kind == "star" or k else 0
+    rng = random.Random(7)
+    for g in (TWO_CORES, disjoint_union(gnp(14, 0.35, 3100), gnp(12, 0.4, 3101))):
+        assert sum(len(comp) >= 3 for comp in g.components()) == 2
+        p = Partition({v: rng.choice(row.mode) for v in g.vertices}, row.mode) if row.mode else None
+        counts.clear()
+        row.build(g, p)
+        assert counts == Counter(_WorkingGraph=engine, _reduce=engine, verify_certificate=1)

@@ -25,46 +25,53 @@ class ReferenceGraph:
     """The working graph before its integer tables, kept as a reference: it
     re-sums the Fraction gains of a dirty vertex's whole neighbourhood at
     every check, behind a memo keyed by the sorted neighbourhood. Its scale
-    is 1, so `_reduce` compares its Fraction totals unchanged."""
+    is 1, so `_reduce` compares its Fraction totals unchanged. Like the
+    engine it works on vertex positions, but reads them off `g.adjacency()`."""
 
     scale = 1
 
-    def __init__(self, g: Graph, labels: dict[int, str], table: dict):
+    def __init__(self, g: Graph, labels: list, table: dict):
         self.weight = cache(getattr(construct, table["weight"]))
         self.gain = cache(getattr(construct, table["gain"]))
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.adj = g.adjacency()
-        self.labels = labels
+        self.ids, self.labels = g.vertices, labels
+        at = {v: i for i, v in enumerate(g.vertices)}
+        self.nbrs = [
+            {at[w] for w in ws if labels[at[w]] is not None} if labels[i] is not None else set()
+            for i, ws in enumerate(g.adjacency().values())
+        ]
         self.inst: set[int] = set()
         self.high = 0
-        self.dirty = set(g.vertices)
+        self.dirty: set[int] = set()
         self.deletable: dict[int, F] = {}
         self.deletable_heap: list[tuple[F, int]] = []
         self.leaves: set[int] = set()
         self.leaf_heap: list[int] = []
         self.verdicts: dict[tuple, bool] = {}
 
-    def start(self, inst: set[int]) -> None:
+    def start(self, inst: set[int], fresh: bool) -> None:
         self.inst = inst
-        self.high = sum(1 for v in inst if len(self.adj[v]) >= 3)
+        self.high = sum(1 for v in inst if len(self.nbrs[v]) >= 3)
+        if fresh:
+            self.dirty |= inst
 
     def total(self, vertices) -> F:
-        labels, adj = self.labels, self.adj
-        counts = Counter((labels[v], len(adj[v])) for v in vertices)
+        labels, nbrs = self.labels, self.nbrs
+        counts = Counter((labels[v], len(nbrs[v])) for v in vertices)
         return sum((count * self.weight(*key) for key, count in counts.items()), _ZERO)
 
     def refresh(self) -> int:
-        adj, labels, weight, gain = self.adj, self.labels, self.weight, self.gain
+        nbrs, labels, weight, gain = self.nbrs, self.labels, self.weight, self.gain
         inst, deletable, leaves, verdicts = self.inst, self.deletable, self.leaves, self.verdicts
         checked = 0
         for v in self.dirty:
             if v not in inst:
                 continue
             checked += 1
-            nbrs = adj[v]
+            around_v = nbrs[v]
             part = labels[v]
-            fv = weight(part, len(nbrs))
-            around = (part, tuple(sorted([(labels[w], len(adj[w])) for w in nbrs])))
+            fv = weight(part, len(around_v))
+            around = (part, tuple(sorted([(labels[w], len(nbrs[w])) for w in around_v])))
             ok = verdicts.get(around)
             if ok is None:
                 ok = verdicts[around] = fv <= sum([gain(*key) for key in around[1]], _ZERO)
@@ -84,13 +91,13 @@ class ReferenceGraph:
         return checked
 
     def _strippable(self, v: int, part: str) -> bool:
-        if len(self.adj[v]) != 1 or part not in self.leaf_parts:
+        if len(self.nbrs[v]) != 1 or part not in self.leaf_parts:
             return False
-        (w,) = self.adj[v]
+        (w,) = self.nbrs[v]
         demoted = self.demote.get(self.labels[w])
         if demoted is None:
             return False
-        weight, dw = self.weight, len(self.adj[w])
+        weight, dw = self.weight, len(self.nbrs[w])
         return weight(part, 1) + (weight(self.labels[w], dw) - weight(demoted, dw - 1)) <= 1
 
     def lightest_deletable(self) -> Optional[int]:
@@ -109,22 +116,22 @@ class ReferenceGraph:
         return heap[0] if heap else None
 
     def apply(self, step: ReductionStep) -> None:
-        adj = self.adj
+        nbrs = self.nbrs
         for x, y in step.added_edges:
             for a, b in ((x, y), (y, x)):
-                self.high += len(adj[a]) == 2
-                adj[a].add(b)
+                self.high += len(nbrs[a]) == 2
+                nbrs[a].add(b)
             self._touch(x)
             self._touch(y)
         for v in step.removed:
-            nbrs = adj.pop(v)
+            around_v, nbrs[v] = nbrs[v], set()
             self.inst.discard(v)
             self.deletable.pop(v, None)
             self.leaves.discard(v)
-            self.high -= len(nbrs) >= 3
-            for w in nbrs:
-                self.high -= len(adj[w]) == 3
-                adj[w].discard(v)
+            self.high -= len(around_v) >= 3
+            for w in around_v:
+                self.high -= len(nbrs[w]) == 3
+                nbrs[w].discard(v)
                 self._touch(w)
         for v, part in step.relabeled:
             self.labels[v] = part
@@ -132,7 +139,7 @@ class ReferenceGraph:
 
     def _touch(self, v: int) -> None:
         self.dirty.add(v)
-        self.dirty.update(self.adj[v])
+        self.dirty.update(self.nbrs[v])
 
 
 def _runs(monkeypatch, build, engine) -> tuple:
@@ -140,15 +147,14 @@ def _runs(monkeypatch, build, engine) -> tuple:
     steps and check count of every engine run it made."""
     runs = []
     monkeypatch.setattr(construct, "_WorkingGraph", engine)
-    for name in ("abc_construct", "ab_construct"):
-        original = getattr(construct, name)
+    reduce = construct._reduce
 
-        def recording(*args, original=original):
-            cert, trace = original(*args)
-            runs.append((trace.steps, trace.evaluations))
-            return cert, trace
+    def recording(*args, **kwargs):
+        chosen, trace = reduce(*args, **kwargs)
+        runs.append((trace.steps, trace.evaluations))
+        return chosen, trace
 
-        monkeypatch.setattr(construct, name, recording)
+    monkeypatch.setattr(construct, "_reduce", recording)
     chosen = build()
     monkeypatch.undo()
     return chosen, runs
@@ -247,29 +253,29 @@ def _check_against_fractions(work: _WorkingGraph, mode: str) -> None:
     and rule 1's choice is the lightest, then lowest, deletable vertex."""
     weight, gain_of = _FRACTIONS[mode]
     table = _RULES[mode]
-    adj, labels = work.adj, work.labels
+    nbrs, labels = work.nbrs, work.labels
     work.refresh()
     deletable = []
     for v in work.inst:
-        fv = weight(labels[v], len(adj[v]))
-        around = sum((gain_of(labels[w], len(adj[w])) for w in adj[v]), _ZERO)
+        fv = weight(labels[v], len(nbrs[v]))
+        around = sum((gain_of(labels[w], len(nbrs[w])) for w in nbrs[v]), _ZERO)
         assert F(work.sums[v], work.scale) == around
-        assert (v in work.deletable) == (fv <= around), v
+        assert (work.deletable[v] is not None) == (fv <= around), v
         if fv <= around:
             assert F(work.deletable[v], work.scale) == fv
             deletable.append((fv, v))
         leaf = False
-        if len(adj[v]) == 1 and labels[v] in table["leaf"]:
-            (w,) = adj[v]
+        if len(nbrs[v]) == 1 and labels[v] in table["leaf"]:
+            (w,) = nbrs[v]
             demoted = table["demote"].get(labels[w])
-            dw = len(adj[w])
+            dw = len(nbrs[w])
             leaf = demoted is not None and (
                 weight(labels[v], 1) + weight(labels[w], dw) - weight(demoted, dw - 1) <= 1
             )
-        assert (v in work.leaves) == leaf, v
+        assert bool(work.leaves[v]) == leaf, v
     expected = min(deletable)[1] if deletable else None
     assert work.lightest_deletable() == expected
-    total = sum((weight(labels[v], len(adj[v])) for v in work.inst), _ZERO)
+    total = sum((weight(labels[v], len(nbrs[v])) for v in work.inst), _ZERO)
     assert F(work.total(work.inst), work.scale) == total
 
 
@@ -281,9 +287,9 @@ def test_verdicts_exact_past_the_initial_scale(mode, seed):
     # scale with them, with verdicts pending in the heap
     rng = random.Random(seed)
     g = gnp(24, 0.15, seed)
-    labels = {v: rng.choice(mode) for v in g.vertices}
+    labels = [rng.choice(mode) for v in g.vertices]
     work = _WorkingGraph(g, labels, _RULES[mode])
-    work.start(set(g.vertices))
+    work.start(set(range(g.n)), True)
     scales = {work.scale}
     _check_against_fractions(work, mode)
     for _ in range(60):
@@ -293,8 +299,8 @@ def test_verdicts_exact_past_the_initial_scale(mode, seed):
         v = rng.choice(live)
         kind = rng.random()
         if kind < 0.5:
-            v = max(live, key=lambda u: (len(work.adj[u]), -u)) if kind < 0.25 else v
-            others = [w for w in live if w != v and w not in work.adj[v]]
+            v = max(live, key=lambda u: (len(work.nbrs[u]), -u)) if kind < 0.25 else v
+            others = [w for w in live if w != v and w not in work.nbrs[v]]
             step = ReductionStep("t", added_edges=((v, rng.choice(others)),)) if others else None
         elif kind < 0.8:
             step = ReductionStep("t", relabeled=((v, rng.choice(mode)),))
@@ -304,27 +310,33 @@ def test_verdicts_exact_past_the_initial_scale(mode, seed):
             work.apply(step)
             scales.add(work.scale)
             _check_against_fractions(work, mode)
-    assert max(d for _, d in work.weights) > g.max_degree() and len(scales) > 1
+    met = [d for row in work.weights.values() for d, fv in enumerate(row) if fv is not None]
+    assert max(met) > g.max_degree() and len(scales) > 1
 
 
 def test_degree_zero_gains_nothing():
     g = Graph.from_edges(3, [(0, 1)])
-    work = _WorkingGraph(g, {0: "A", 1: "B", 2: "C"}, _RULES["ABC"])
+    work = _WorkingGraph(g, ["A", "B", "C"], _RULES["ABC"])
     assert work.terms[2] == 0 and work.sums[2] == 0
     work.apply(ReductionStep("t", removed=(0,)))
     assert work.terms[1] == 0 and work.sums[1] == 0
 
 
 class CountedGraph(_WorkingGraph):
-    """Counts the gain terms a run reads or updates: at each touch of v
-    (building the sums touches every vertex once), v's own term and one sum
-    per neighbour; the deleted or added neighbour's term that a touch
-    follows is the one more."""
+    """Counts the gain terms a run reads or updates: building the sums reads,
+    as one touch of every vertex would, its own term and one per neighbour;
+    at each touch of v, v's own term and one sum per neighbour; the deleted
+    or added neighbour's term that a touch follows is the one more."""
 
     terms_touched = 0
 
+    def __init__(self, g, labels, table):
+        super().__init__(g, labels, table)
+        engine = [len(ws) for ws, part in zip(self.nbrs, labels) if part is not None]
+        CountedGraph.terms_touched += len(engine) + sum(engine)
+
     def _touch(self, v):
-        CountedGraph.terms_touched += 1 + len(self.adj[v])
+        CountedGraph.terms_touched += 1 + len(self.nbrs[v])
         super()._touch(v)
 
 
@@ -337,14 +349,51 @@ def test_gain_terms_touched_within_sum_of_squared_degrees(monkeypatch, build):
     monkeypatch.setattr(construct, "_WorkingGraph", CountedGraph)
     monkeypatch.setattr(CountedGraph, "terms_touched", 0)
     checks = []
-    engine = construct.abc_construct if build != "star" else construct.ab_construct
+    engine = construct._reduce
 
-    def recording(*args):
-        cert, trace = engine(*args)
+    def recording(*args, **kwargs):
+        chosen, trace = engine(*args, **kwargs)
         checks.append(trace.evaluations)
-        return cert, trace
+        return chosen, trace
 
-    monkeypatch.setattr(construct, engine.__name__, recording)
+    monkeypatch.setattr(construct, "_reduce", recording)
     BUILDS[build](g)
     squares = sum(d ** 2 for d in g.degrees())
     assert checks and 0 < CountedGraph.terms_touched + sum(checks) <= squares
+
+
+def test_steps_are_logged_in_ids():
+    # the engine works on vertex positions; on a graph whose ids are not its
+    # positions it takes the same steps, each logged with ids for positions
+    g = gnp(11, 0.15, 33)
+    rng = random.Random(33)
+    cases = [(g, Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC"))]  # R5
+    cubic = random_regular(20, 3, 8)
+    cases.append((cubic, Partition(dict.fromkeys(cubic.vertices, "A"), "AB")))  # S5
+    rng = random.Random(5)
+    for seed in range(16):
+        g = gnp(30, (0.06, 0.1, 0.15, 0.25)[seed % 4], seed)
+        mode = ("ABC", "AB")[seed % 2]
+        cases.append((g, Partition({v: rng.choice(mode) for v in g.vertices}, mode)))
+    fired = Counter()
+    for g, p in cases:
+        build = construct.abc_construct if p.mode == "ABC" else construct.ab_construct
+        at = {v: 3 * v + 7 for v in g.vertices}.__getitem__
+        h = Graph({at(v): set(map(at, ws)) for v, ws in g.adjacency().items()})
+        cert, trace = build(g, p)
+        renamed, renamed_trace = build(h, Partition({at(v): x for v, x in p.labels.items()}, p.mode))
+        assert renamed.vertex_set == set(map(at, cert.vertex_set))
+        assert renamed_trace.steps == [
+            ReductionStep(
+                step.rule,
+                tuple(map(at, step.removed)),
+                tuple((at(x), at(y)) for x, y in step.added_edges),
+                tuple((at(v), part) for v, part in step.relabeled),
+                tuple(map(at, step.chosen)),
+                step.note,
+            )
+            for step in trace.steps
+        ]
+        fired.update(step.rule[1] for step in trace.steps)
+        assert construct.star_forest(h).vertex_set == set(map(at, construct.star_forest(g).vertex_set))
+    assert set("12345") <= set(fired)

@@ -197,3 +197,35 @@ def test_pairing_gives_up_after_the_retry_cap(monkeypatch):
     with pytest.raises(RetryLimit, match=r"^pairing model failed 10000 times for n=4, d=3$"):
         random_regular(4, 3, 0)
     assert len(attempts) == generate_module.PAIRING_RETRY_CAP == 10_000
+
+
+LIMIT = 1 << 20
+# Per family: a spec at the vertex limit, and one past it with its vertex count.
+AT_THE_LIMIT = {
+    "complete": (f"complete:n={LIMIT}", f"complete:n={LIMIT + 1}", LIMIT + 1),
+    "star": (f"star:t={LIMIT - 1}", f"star:t={LIMIT}", LIMIT + 1),
+    "path": (f"path:n={LIMIT}", f"path:n={LIMIT + 1}", LIMIT + 1),
+    "cycle": (f"cycle:n={LIMIT}", f"cycle:n={LIMIT + 1}", LIMIT + 1),
+    "hnk": (f"hnk:n={LIMIT // 4},k=2", f"hnk:n={LIMIT // 8 + 1},k=6", LIMIT + 8),
+    "kprime": (f"kprime:n={LIMIT // 2}", f"kprime:n={LIMIT // 2 + 1}", LIMIT + 2),
+    "gnp": (f"gnp:n={LIMIT},p=0,seed=1", f"gnp:n={LIMIT + 1},p=0,seed=1", LIMIT + 1),
+    "regular": (f"regular:n={LIMIT},d=2,seed=1", f"regular:n={LIMIT + 1},d=2,seed=1", LIMIT + 1),
+}
+
+
+@pytest.mark.parametrize("family", AT_THE_LIMIT)
+def test_vertex_limit_checked_before_the_builder_runs(monkeypatch, family):
+    # a count past MAX_VERTICES is refused before the family's builder makes an
+    # edge (gnp's pair loop alone would take about 5.5e11 steps); at the limit
+    # the builder runs
+    generate_module = importlib.import_module("forestbound.generate")
+    assert generate_module.MAX_VERTICES == LIMIT
+    build, takes = generate_module._FAMILIES[family]
+    calls = []
+    monkeypatch.setitem(generate_module._FAMILIES, family, (lambda *args: calls.append(args), takes))
+    at, past, count = AT_THE_LIMIT[family]
+    generate(parse_gen_spec(at))
+    assert len(calls) == 1
+    with pytest.raises(ParseError, match=rf"^{count} vertices exceed the limit of {LIMIT}$"):
+        generate(parse_gen_spec(past))
+    assert len(calls) == 1

@@ -227,8 +227,8 @@ class TestCli:
     # Each command on a caterpillar whose two spine ends carry two leaves
     # each, and the number of times it builds the neighbor sets of the whole
     # graph (`adjacency()` with no subset): bounds and verify read only the
-    # edge arrays; a constructor or the oracle builds them once per stage it
-    # runs, never once per step.
+    # edge arrays, the engine builds its own sets by vertex position, and
+    # greedy and the oracle build them once.
     SET_BUILDS = [
         *((("bound", "g.txt", spec), 0) for spec in ("flin", "fkeps:k=2", "fk:k=2", "hkg:k=2",
                                                       "star", "aks")),
@@ -236,15 +236,15 @@ class TestCli:
         (("bound", "g.txt", "abstar", "--partition", "g.part"), 0),
         (("epsilon-opt", "g.txt", "--k", "2"), 0),
         (("epsilon-opt", "g.txt", "--star"), 0),
-        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 3),
-        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 1),
+        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 0),
         (("verify", "g.txt", "g.cert"), 0),
         (("exact", "g.txt", "linear"), 1),
         (("exact", "g.txt", "abc", "--partition", "g.part"), 1),
         (("construct", "g.txt", "linear", "--out", "c.cert"), 1),
-        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 1),
+        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 0),
         (("verify", "g.txt", "abc.cert", "--partition", "g.part"), 0),
-        (("construct", "g.txt", "star", "--out", "c.cert"), 2),
+        (("construct", "g.txt", "star", "--out", "c.cert"), 0),
     ]
 
     @pytest.mark.parametrize("argv,builds", SET_BUILDS)
@@ -361,6 +361,12 @@ class TestCli:
     def test_gen_refuses_what_no_command_reads(self, workdir, capsys):
         # past the vertex limit gen stops before it makes an edge and writes no file
         assert run_cli("gen", f"path:n={MAX_VERTICES + 1}", "--out", "big.txt") == 3
+        assert f"{MAX_VERTICES + 1} vertices exceed the limit" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+    def test_gen_checks_the_limit_before_it_draws_an_edge(self, workdir, capsys):
+        # gnp would otherwise draw a coin for each of about 5.5e11 pairs first
+        assert run_cli("gen", f"gnp:n={MAX_VERTICES + 1},p=0,seed=1", "--out", "big.txt") == 3
         assert f"{MAX_VERTICES + 1} vertices exceed the limit" in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 

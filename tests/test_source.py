@@ -174,20 +174,14 @@ def test_detector_sees_every_graph_copy():
 
 
 def test_construct_copies_a_graph_only_where_named():
-    # the engine's rules read its one mutable adjacency: a graph is built only
-    # for rule 6's residual (`_reduce`), S5's contracted cubic graph, the
-    # unconstrained constructors' inputs to the engine or to greedy, and the
-    # residual that `ReductionTrace.replay` re-derives
+    # the engine's rules read its one list of neighbor sets, and the unconstrained
+    # constructors read the input's edge arrays: a graph is built only for rule 6's
+    # residual (`_reduce`), S5's contracted cubic graph, and the residual that
+    # `ReductionTrace.replay` re-derives; no constructor copies its input
     path = next(p for p in SOURCES if p.name == "construct.py")
-    tree = ast.parse(path.read_text(), str(path))
-    copies = graph_copies(tree)
-    allowed = {"_reduce", "_cubic_endgame", "caterpillar_forest", "k_caterpillar_forest",
-               "_leaf_core_forest", "replay"}
+    copies = graph_copies(ast.parse(path.read_text(), str(path)))
+    allowed = {"_reduce", "_cubic_endgame", "replay"}
     assert copies and {c.split(" at ")[0] for c in copies} <= allowed, copies
-    # each leaf-stripped core is a Graph of the one adjacency map: an induced copy costs
-    # O(n + m), so one per core would cost O(k(n + m)) over k cores
-    cores = [c for c in copies if c.startswith("_leaf_core_forest ")]
-    assert cores and set(cores) <= set(calls_to(tree, {"Graph"})), copies
 
 
 def test_checker_builds_no_graph():
