@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
         return EXIT_VIOLATION
     if labels is not None:
         labels.validate_for(g)
-    return _verdict(cert, check.verify_certificate(g, cert, labels))
+    return _verdict(cert, construct.uncollected(check.verify_certificate)(g, cert, labels))
 
 
 def _verdict(cert, ok: bool) -> int:

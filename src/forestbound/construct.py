@@ -100,9 +100,9 @@ class ReductionTrace:
         return " ".join(f"{rule}:{counts[rule]}" for rule in sorted(counts)) or "-"
 
 
-def _uncollected(fn):
-    """The constructor fn with the cyclic garbage collector paused while it runs: the
-    engine and the checker make no cycles, but a full pass scans every set they build."""
+def uncollected(fn):
+    """fn (a constructor, or the checker) with the cyclic garbage collector paused while it
+    runs: neither makes cycles, but a full pass scans every set they build."""
     @wraps(fn)
     def paused(*args, **kwargs):
         running = gc.isenabled()
@@ -119,6 +119,7 @@ def _uncollected(fn):
 # Unconstrained constructors
 
 
+@uncollected
 def greedy_linear_forest(g: Graph) -> ForestCertificate:
     """Induced linear forest of size at least the linear forest bound."""
     return _certify("greedy_linear_forest", g, _greedy_linear(g.adjacency()), KINDS["linear"])
@@ -129,22 +130,19 @@ def _greedy_linear(adj: dict[int, set[int]]) -> set[int]:
     edits: deletes a maximum-degree vertex while the maximum degree is at least 3
     (the bound never decreases under such a deletion), then takes every path
     component whole and every cycle component minus one vertex."""
-    # buckets[d] is a heap of the vertices last seen at degree d. Degrees
-    # only fall, so `top` only falls, and an entry whose vertex has since
-    # lost a neighbor or been deleted is skipped.
+    # buckets[d] holds the vertices seen at degree d. Degrees only fall, so the
+    # top bucket is worked off in one sorted pass: a deletion sends each neighbor
+    # to a lower bucket, and an entry whose vertex has since lost a neighbor is skipped.
     top = max(map(len, adj.values()), default=0)
     buckets: list[list[int]] = [[] for _ in range(top + 1)]
     for v, ws in adj.items():
         buckets[len(ws)].append(v)
-    while top >= 3:
-        if not buckets[top]:
-            top -= 1
-            continue
-        v = heappop(buckets[top])
-        if v in adj and len(adj[v]) == top:
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                heappush(buckets[len(adj[w])], w)
+    for top in range(top, 2, -1):
+        for v in sorted(buckets[top]):
+            if len(adj[v]) == top:
+                for w in adj.pop(v):
+                    adj[w].discard(v)
+                    buckets[len(adj[w])].append(w)
     chosen: set[int] = set()
     for comp in components_of(adj, adj):
         if all(len(adj[u]) == 2 for u in comp):
@@ -154,6 +152,7 @@ def _greedy_linear(adj: dict[int, set[int]]) -> set[int]:
     return chosen
 
 
+@uncollected
 def caterpillar_forest(g: Graph) -> ForestCertificate:
     """Induced caterpillar forest of size at least the `aks` bound, the sum
     of min{1, 2/(d(v)+1)}.
@@ -203,7 +202,7 @@ def ab_construct(g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTr
     return _construct("ab", g, p)
 
 
-@_uncollected
+@uncollected
 def _construct(kind: str, g: Graph, p: Partition) -> tuple[ForestCertificate, ReductionTrace]:
     row, name = KINDS[kind], f"{kind}_construct"
     if p.mode != row.mode:
@@ -747,7 +746,7 @@ def kind_row(kind: str, k: Optional[int] = None) -> Kind:
 # Bound-specific wrappers
 
 
-@_uncollected
+@uncollected
 def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     """Caterpillar forest of maximum degree at most k meeting the local bound.
 
@@ -799,7 +798,7 @@ def _leaf_counts(us, vs, degree: list[int]) -> list[int]:
     return counts
 
 
-@_uncollected
+@uncollected
 def star_forest(g: Graph) -> ForestCertificate:
     """Star forest meeting the best epsilon-family bound for g's degrees.
 
@@ -815,9 +814,9 @@ def _leaf_core_forest(g: Graph, kind: str, label, dropped: AbstractSet[int] = fr
     has at most two vertices (none of degree 2 or more); otherwise strip its
     leaves, label the rest, its core (a component of the vertices of degree
     >= 2), by `label(number of leaves carried)`, and add the leaves to what
-    kind's engine keeps of the core. One engine run solves each core as its own
-    instance: in one instance over all cores, rule 2 would wait for every core
-    to reach maximum degree 2, and what is kept can change."""
+    kind's engine keeps of the core. One engine run (none without a core) solves
+    each core as its own instance: in one instance over all cores, rule 2 would
+    wait for every core to reach maximum degree 2, and what is kept can change."""
     keep = bytearray(b"\1") * g.n
     for v in dropped:
         keep[v] = 0
@@ -828,7 +827,7 @@ def _leaf_core_forest(g: Graph, kind: str, label, dropped: AbstractSet[int] = fr
     carried = _leaf_counts(us, vs, degree)
     names = list(map(label, range(max(carried, default=0) + 1)))
     labels = [names[c] if d >= 2 else None for c, d in zip(carried, degree)]
-    chosen, _ = _reduce(g, labels, KINDS[kind], split=True)
+    chosen = _reduce(g, labels, KINDS[kind], split=True)[0] if any(labels) else set()
     return chosen | set(compress(g.vertices, map(and_, keep, map((2).__gt__, degree))))
 
 

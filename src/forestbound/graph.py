@@ -328,7 +328,7 @@ def parse_edge_list(text: str) -> Graph:
         if (u, v) in seen:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
         seen.update(((u, v), (v, u)))
-    return _parse_tokens(" ".join(line for _, line in rows))  # checked: not None
+    return _parse_tokens("\n".join(line for _, line in rows))  # checked: not None
 
 
 def pair_lines(second: str) -> Callable[[str], re.Match | None]:
@@ -341,13 +341,25 @@ def pair_lines(second: str) -> Callable[[str], re.Match | None]:
 pairs_per_line = pair_lines("[0-9]++")
 
 
+_BLOCK = 1 << 16  # the characters `_parse_tokens` converts at a time, up to a line end
+
+
 def _parse_tokens(text: str) -> Graph | None:
-    """The graph of a `pairs_per_line` text or of checked rows; None if a check fails."""
+    """The graph of a `pairs_per_line` text or of checked rows; None if a check fails.
+    Each line holds two tokens, so blocks of whole lines hold whole pairs: converted a block
+    at a time, the text's tokens are never all held at once."""
+    head = text.find("\n") + 1 or len(text)
+    us, vs = [], []
     try:
-        toks = list(map(int, text.split()))
+        n, m = map(int, text[:head].split())
+        while head < len(text) and n <= MAX_VERTICES:
+            end = text.find("\n", head + _BLOCK) + 1 or len(text)
+            toks = text[head:end].split()
+            us += map(int, toks[0::2])
+            vs += map(int, toks[1::2])
+            head = end
     except ValueError:  # a token past int's digit limit: the line reader names its line
         return None
-    n, m, us, vs = toks[0], toks[1], toks[2::2], toks[3::2]
     if n > MAX_VERTICES or len(us) != m or m and max(max(us), max(vs)) >= n:
         return None
     # u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves fewer

@@ -53,9 +53,9 @@ def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
     """Parse the partition format: one `index label` pair per line. As in
     parse_edge_list, a text the token reader cannot take is read line by line."""
     if pairs_per_line(text):
-        toks = text.split()
+        toks = text.upper().split()  # upper-casing a text upper-cases each label alike
         try:
-            labels = dict(zip(map(int, toks[0::2]), map(str.upper, toks[1::2])))
+            labels = dict(zip(map(int, toks[0::2]), toks[1::2]))
         except ValueError:  # an index past int's digit limit
             labels = {}
         if 2 * len(labels) == len(toks):  # else an index was bad or came twice

@@ -163,7 +163,10 @@ def ab_star_gain(part: str, d: int) -> Fraction:
 
 
 def _label_tags(g: Graph, labels, deg):
-    return map(labels.part, g.vertices)
+    try:
+        return list(map(labels.labels.__getitem__, g.vertices))
+    except KeyError:  # Partition.part names the first unlabeled vertex
+        return list(map(labels.part, g.vertices))
 
 
 # Each bound variant: whether it takes k; the top of its eps range as a

@@ -701,3 +701,23 @@ def test_one_engine_run_and_one_certificate_per_call(monkeypatch, name):
         counts.clear()
         row.build(g, p)
         assert counts == Counter(_WorkingGraph=engine, _reduce=engine, verify_certificate=1)
+
+
+@pytest.mark.parametrize("build, g, kept", [
+    # k = 2 drops every spine vertex, which carries three leaves: the leaves are left isolated
+    (lambda g: k_caterpillar_forest(g, 2), comb(1100, 3), set(range(1100, 4400))),
+    (lambda g: k_caterpillar_forest(g, 2), star_graph(5), set(range(1, 6))),
+    (star_forest, Graph.from_edges(7, [(0, 1), (2, 3), (4, 5)]), set(range(7))),
+], ids=["comb-k2", "star5-k2", "matching-star"])
+def test_no_engine_run_without_a_core(monkeypatch, build, g, kept):
+    # with every vertex dropped, a leaf or isolated there is no core, and an engine run
+    # over no labelled position would keep nothing: none is made
+    reduce, calls = construct._reduce, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "_reduce", counted)
+    assert build(g).vertex_set == kept and calls == []
+    assert reduce(g, [None] * g.n, construct.KINDS["abc"], split=True)[0] == set()

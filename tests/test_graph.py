@@ -317,6 +317,20 @@ def assert_degrees_match_sets(text: str):
     assert read == (list(degree.values()), histogram, tags), repr(text)
 
 
+def path_text(n: int, *extra: str, eol: str = "\n", final: bool = True) -> str:
+    """The edge list of the path 0-1-...-(n-1) with the rows `extra` after it, the header
+    counting them, lines ended by eol (the last one too if final)."""
+    rows = [f"{n} {n - 1 + len(extra)}", *(f"{i} {i + 1}" for i in range(n - 1)), *extra]
+    return eol.join(rows) + (eol if final else "")
+
+
+def block_end_path_text() -> str:
+    """A path text with no final line break whose last `\n` is the first at or past a block's
+    length into the edge lines: the token reader's last block is that line alone."""
+    rows = "".join(f"{i} {i + 1}\n" for i in range(graph_module._BLOCK))
+    return path_text(rows.count("\n", 0, graph_module._BLOCK) + 3, final=False)
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = cycle_graph(6)
@@ -460,12 +474,29 @@ class TestEdgeListFormat:
         # past int's digit limit: a ParseError, not int's ValueError
         pytest.param("9" * 5000 + " 1\n0 1\n", id="5000-digit-n"),
         pytest.param("3 1\n0 " + "1" * 5000 + "\n", id="5000-digit-end"),
+        # many blocks of the token reader, the fault in a later one
+        pytest.param(path_text(20000), id="blocks"),
+        pytest.param(path_text(20000, eol="\r\n"), id="blocks-crlf"),
+        pytest.param(path_text(20000, final=False), id="blocks-no-final-newline"),
+        pytest.param(block_end_path_text(), id="blocks-no-final-newline-at-block-end"),
+        pytest.param(path_text(20000, "19998 " + "1" * 5000), id="blocks-5000-digit-token"),
+        pytest.param(path_text(20000, "19998 19998"), id="blocks-self-loop"),
+        pytest.param(path_text(20000, "5 6"), id="blocks-repeat"),
+        pytest.param(path_text(20000, "6 5"), id="blocks-reversed-repeat"),
+        pytest.param(path_text(20000, "19998 20000"), id="blocks-out-of-range"),
+        pytest.param(path_text(20000).replace(" 19999\n", " 20000\n", 1), id="blocks-line-missing"),
     ]
 
     @pytest.mark.parametrize("text", SAME_OUTCOME)
     def test_readers_agree_on_cases(self, text):
         if assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key) is not None:
             assert_degrees_match_sets(text)
+
+    @pytest.mark.parametrize("text", SAME_OUTCOME)
+    def test_readers_agree_on_cases_in_short_blocks(self, text, monkeypatch):
+        # a block of 8 characters ends at nearly every line end
+        monkeypatch.setattr(graph_module, "_BLOCK", 8)
+        assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
@@ -487,6 +518,16 @@ class TestEdgeListFormat:
         monkeypatch.setattr(graph_module, "content_lines", fail)
         for plain in plain_variants(text):
             assert graph_key(parse_edge_list(plain)) == graph_key(g)
+
+    def test_token_reader_peak_below_one_token_list(self):
+        # converted a block of lines at a time, the text's tokens are never all held at
+        # once: at n = 2^15, m = 1.5 n the parse peaks at 8.8 MB, their one list at 9.6 MB
+        n = 1 << 15
+        text = random_edge_text(n, 3 * n // 2, seed=1)
+        _, tokens = traced_peak(lambda: list(map(int, text.split())))
+        g, parsed = traced_peak(lambda: parse_edge_list(text))
+        assert g.m == 3 * n // 2
+        assert parsed < tokens, f"peak {parsed} bytes, the token list's {tokens}"
 
     def test_line_test_allocates_no_line_list(self):
         # one pattern match over the text: no list of lines or of tokens

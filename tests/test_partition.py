@@ -44,6 +44,9 @@ class TestPartitionFormat:
         ("# c\n\n0 A B\n", "ABC"): "line 3: expected `index label`, got '0 A B'",
         ("0 A # c\n\n  \n0 B\n", "ABC"): "line 4: vertex 0 labeled twice",
         ("# 0 A\n0 A\n# 0 B\n0 x # y\n", "AB"): "line 4: vertex 0 labeled twice",
+        # labels that upper-case to longer ones
+        ("0 A\n1 \u00df\n", "ABC"): "label 'SS' on vertex 1 not allowed in ABC mode",
+        ("0 \ufb01\n", "AB"): "label 'FI' on vertex 0 not allowed in AB mode",
     }
 
     @pytest.mark.parametrize("text, mode", list(PARTITION_ERRORS))
@@ -77,6 +80,8 @@ class TestPartitionFormat:
         "0 A#c\n",
         "0\x0cA\n1 B\n",
         "0 A\n1 B\n2 C\n3 A B\n",
+        "0 \u00df\n1 \ufb01\n2 b\n",
+        "0 a\u00df\n1 \ufb01\n1 B\n",
         pytest.param("0 A\n" + "1" * 5000 + " B\n", id="5000-digit-index"),  # past int's limit
     ]
 
