@@ -21,7 +21,10 @@ takes no partition), its bound as a named BoundSpec and its constructor;
 `kind_row` gives the caterpillar row for a degree bound k. A constructor makes
 at most one engine run, copies no graph and ends in one `_certify`, which sums
 the row's bound with `total_weight` and raises BoundMiss unless check's
-`verify_certificate` passes the certificate of the whole input graph.
+`verify_certificate` passes the certificate of the whole input graph. An engine
+run reads its input once, as `Graph.position_sets()`: the neighbor sets by
+vertex position that the overloaded-vertex drops, the leaf strip and the engine
+then edit in place.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, wraps
 from heapq import heappop, heappush
-from itertools import chain, compress, product
+from itertools import compress, product
 from math import lcm
-from operator import and_
 from typing import AbstractSet, Optional
 
 from .check import (
@@ -208,26 +210,28 @@ def _construct(kind: str, g: Graph, p: Partition) -> tuple[ForestCertificate, Re
     if p.mode != row.mode:
         raise ParseError(f"{name} needs an {row.mode} partition")
     p.validate_for(g)
-    chosen, trace = _reduce(g, [p.labels[v] for v in g.vertices], row)
+    chosen, trace = _reduce(g.vertices, g.position_sets(), [p.labels[v] for v in g.vertices], row)
     return _certify(name, g, chosen, row, p), trace
 
 
-def _reduce(g: Graph, labels: list, row: Kind, split=False) -> tuple[set[int], ReductionTrace]:
+def _reduce(
+    ids: tuple[int, ...], nbrs: list[set[int]], labels: list, row: Kind, split=False
+) -> tuple[set[int], ReductionTrace]:
     """Apply the rules of `_RULES[row.mode]` in priority order until nothing is left.
 
-    The instance is every position of g with a label (None: not the engine's),
-    or with `split` each component of them, solved alone. Pending instances
-    wait on an explicit stack. Each step applies the first rule that fits the
-    current instance; components split off by rule 4 are pushed in reverse,
-    so they are solved, and logged, in order of their smallest vertex. All
+    `nbrs` holds, per position of `ids`, its neighbors' positions; the engine edits
+    it. The instance is every position with a label (None: not the engine's, its set
+    empty and in no other), or with `split` each component of them, solved alone.
+    Pending instances wait on an explicit stack. Each step applies the first rule
+    that fits the current instance; components split off by rule 4 are pushed in
+    reverse, so they are solved, and logged, in order of their smallest vertex. All
     instances share one `_WorkingGraph`. Returns the kept ids and the trace.
     """
     table = _RULES[row.mode]
     prefix = table["prefix"]
     trace = ReductionTrace()
     chosen: set[int] = set()
-    work = _WorkingGraph(g, labels, table)
-    nbrs, labels, ids = work.nbrs, work.labels, g.vertices
+    work = _WorkingGraph(ids, nbrs, labels, table)
     live = [v for v, part in enumerate(labels) if part is not None]
     # a first instance has all its vertices checked, rule 4's components none
     stack = [(inst, True) for inst in reversed(components_of(nbrs, live) if split else [set(live)])]
@@ -296,28 +300,10 @@ def _reduce(g: Graph, labels: list, row: Kind, split=False) -> tuple[set[int], R
     return set(map(ids.__getitem__, chosen)), trace
 
 
-def _edges(g: Graph, keep: Optional[bytes] = None) -> tuple[list[int], list[int]]:
-    """g's two edge arrays, or with `keep` those of its subgraph on the positions keep marks."""
-    us, vs = g.edge_arrays()
-    if keep is None:
-        return us, vs
-    both = list(map(and_, map(keep.__getitem__, us), map(keep.__getitem__, vs)))
-    return list(compress(us, both)), list(compress(vs, both))
-
-
-def _neighbor_sets(g: Graph, keep: Optional[bytes] = None) -> list[set[int]]:
-    """Per position of g, the positions of its neighbors along `_edges(g, keep)`."""
-    sets: list[set[int]] = [set() for _ in range(g.n)]
-    for i, j in zip(*_edges(g, keep)):
-        sets[i].add(j)
-        sets[j].add(i)
-    return sets
-
-
 class _WorkingGraph:
     """The one mutable graph of a reduction run, with its rule-1/rule-3 state.
 
-    Every list is indexed by vertex position in g. `nbrs` and `labels` cover
+    Every list is indexed by vertex position in `ids`. `nbrs` and `labels` cover
     every labeled vertex not yet deleted, `inst` is the instance being
     reduced and `high` counts its vertices of degree >= 3. Instances are
     disjoint and no edge joins two of them, so one list of neighbor sets
@@ -338,16 +324,14 @@ class _WorkingGraph:
     components start with none.
     """
 
-    def __init__(self, g: Graph, labels: list, table: dict):
+    def __init__(self, ids: tuple[int, ...], nbrs: list[set[int]], labels: list, table: dict):
         # per-run memos of this module's functions as bound now: a wrapper there sees every call
         self.weight = cache(globals()[table["weight"]])
         self.gain = cache(globals()[table["gain"]])
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.ids, self.labels = g.vertices, labels
-        keep = bytes(part is not None for part in labels) if None in labels else None
-        self.nbrs = nbrs = _neighbor_sets(g, keep)
+        self.ids, self.nbrs, self.labels = ids, nbrs, labels
         self.inst, self.high, self.dirty = set(), 0, set()
-        self.leaves, self.leaf_heap, self.deletable_heap = bytearray(g.n), [], []
+        self.leaves, self.leaf_heap, self.deletable_heap = bytearray(len(ids)), [], []
         degrees = list(map(len, nbrs))
         self.scale, top = 1, max(degrees, default=0) + 1
         self.terms, self.sums, self.deletable = [], [], []  # filled once the keys met so far are in
@@ -357,7 +341,7 @@ class _WorkingGraph:
             self._cover(*key)
         self.terms = [0 if part is None else gains[part][d] for part, d in zip(labels, degrees)]
         self.sums = [sum(map(self.terms.__getitem__, ws)) for ws in nbrs]
-        self.deletable = [None] * g.n
+        self.deletable = [None] * len(ids)
 
     def _cover(self, part: str, d: int) -> None:
         """Enter (part, d) in the tables. If its denominators do not divide the
@@ -756,46 +740,37 @@ def k_caterpillar_forest(g: Graph, k: int) -> ForestCertificate:
     """
     kind = kind_row("caterpillar", k)
     chosen = _leaf_core_forest(
-        g,
-        "abc",
+        g, "abc", lambda nbrs: _overloaded(nbrs, k),
         lambda carried: "A" if carried <= k - 2 else ("B" if carried == k - 1 else "C"),
-        _overloaded(g, k),
     )
     return _certify("k_caterpillar_forest", g, chosen, kind)
 
 
-def _overloaded(g: Graph, k: int) -> set[int]:
+def _overloaded(nbrs: list[set[int]], k: int) -> set[int]:
     """Positions left to drop by repeatedly dropping one with k+1 or more leaf
-    neighbors. A drop can only turn a neighbor into a new leaf, never take a
-    leaf from a vertex that stays, so the set does not depend on the order."""
-    us, vs = g.edge_arrays()
-    degree = g.degrees()
-    carried = _leaf_counts(us, vs, degree)
-    work = [v for v, count in enumerate(carried) if count >= k + 1]
-    nbrs = _neighbor_sets(g) if work else []
+    neighbors, given each position's set of neighbors, which it edits: a dropped
+    position leaves its neighbors' sets and keeps an empty one. A drop can only
+    turn a neighbor into a new leaf, never take a leaf from a vertex that stays,
+    so the set does not depend on the order."""
+    carried = [0] * len(nbrs)
+    for (u,) in compress(nbrs, map((1).__eq__, map(len, nbrs))):
+        carried[u] += 1
+    work = [v for v, count in enumerate(carried) if count > k]
     dropped: set[int] = set()
     while work:
         v = work.pop()
         if v in dropped:
             continue
         dropped.add(v)
-        for w in nbrs[v]:
-            degree[w] -= 1
-            if degree[w] == 1 and w not in dropped:
-                (u,) = nbrs[w] - dropped
+        ws, nbrs[v] = nbrs[v], set()
+        for w in ws:
+            nbrs[w].discard(v)
+            if len(nbrs[w]) == 1:
+                (u,) = nbrs[w]
                 carried[u] += 1
-                if carried[u] >= k + 1:
+                if carried[u] > k:
                     work.append(u)
     return dropped
-
-
-def _leaf_counts(us, vs, degree: list[int]) -> list[int]:
-    """Per position, how many of its neighbors along the edges zip(us, vs) have degree 1."""
-    leaf = bytes(map((1).__eq__, degree))
-    counts = [0] * len(degree)
-    for v in chain(compress(us, map(leaf.__getitem__, vs)), compress(vs, map(leaf.__getitem__, us))):
-        counts[v] += 1
-    return counts
 
 
 @uncollected
@@ -805,30 +780,32 @@ def star_forest(g: Graph) -> ForestCertificate:
     Hands each component's leaf-stripped core to the AB engine, labeled by
     whether each vertex carried a leaf.
     """
-    chosen = _leaf_core_forest(g, "ab", lambda carried: "B" if carried else "A")
+    chosen = _leaf_core_forest(g, "ab", lambda nbrs: (), lambda carried: "B" if carried else "A")
     return _certify("star_forest", g, chosen, KINDS["star"])
 
 
-def _leaf_core_forest(g: Graph, kind: str, label, dropped: AbstractSet[int] = frozenset()) -> set[int]:
-    """Per component of g without the positions `dropped`: take it whole if it
-    has at most two vertices (none of degree 2 or more); otherwise strip its
+def _leaf_core_forest(g: Graph, kind: str, drop, label) -> set[int]:
+    """Per component of g without the positions that `drop(nbrs)` takes out of g's
+    neighbor sets by position, `nbrs` (each left with an empty set): take it whole if
+    it has at most two vertices (none of degree 2 or more); otherwise strip its
     leaves, label the rest, its core (a component of the vertices of degree
     >= 2), by `label(number of leaves carried)`, and add the leaves to what
     kind's engine keeps of the core. One engine run (none without a core) solves
     each core as its own instance: in one instance over all cores, rule 2 would
     wait for every core to reach maximum degree 2, and what is kept can change."""
-    keep = bytearray(b"\1") * g.n
-    for v in dropped:
-        keep[v] = 0
-    us, vs = _edges(g, keep if dropped else None)
-    degree = [0] * g.n
-    for v in chain(us, vs):
-        degree[v] += 1
-    carried = _leaf_counts(us, vs, degree)
+    nbrs = g.position_sets()  # the one build: the drops, the strip and the engine edit it
+    dropped = drop(nbrs)
+    degree, carried = list(map(len, nbrs)), [0] * g.n
+    for v in compress(range(g.n), map((1).__eq__, degree)):
+        for w in nbrs[v]:  # none if v's neighbor, a leaf too, came first
+            carried[w] += 1
+            nbrs[w].discard(v)
+        nbrs[v].clear()
     names = list(map(label, range(max(carried, default=0) + 1)))
     labels = [names[c] if d >= 2 else None for c, d in zip(carried, degree)]
-    chosen = _reduce(g, labels, KINDS[kind], split=True)[0] if any(labels) else set()
-    return chosen | set(compress(g.vertices, map(and_, keep, map((2).__gt__, degree))))
+    chosen = _reduce(g.vertices, nbrs, labels, KINDS[kind], split=True)[0] if any(labels) else set()
+    kept = compress(range(g.n), map((2).__gt__, degree))
+    return chosen | {g.vertices[v] for v in kept if v not in dropped}
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,8 @@ _CHAINS = {
 class _Search:
     def __init__(self, g: Graph, kind: str, k: int | None = None, labels=None):
         self.vs = list(g.vertices)
-        index = {v: i for i, v in enumerate(self.vs)}
         self.n = len(self.vs)
-        self.adj = [sum(1 << index[w] for w in ws) for ws in g.adjacency().values()]
+        self.adj = [sum(1 << j for j in js) for js in g.position_sets()]
         self.labels = labels
         # Per-vertex degree caps, read only by the degree scan.
         self.caps = [ABC_CAPS[p] for p in labels] if kind == "abc" else [k or 2] * self.n

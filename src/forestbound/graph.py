@@ -32,8 +32,8 @@ def _check_id(v) -> None:
 class Graph:
     """Immutable simple undirected graph: the sorted tuple `vertices` of its int ids, and two
     lists of positions into it, one entry per edge. Every constructor makes this form and every
-    read works off it; `adjacency(S)` is the one read of neighbor sets, `degrees()` of degrees
-    and `edge_arrays()` of the two lists themselves."""
+    read works off it, and no other module sees the two lists: `adjacency(S)` is the one read of
+    neighbor sets by id, `position_sets()` by position, and `degrees()` the one of degrees."""
 
     __slots__ = ("_vertices", "_us", "_vs")
 
@@ -103,9 +103,13 @@ class Graph:
         i = bisect_left(self._vertices, k := hash(v))  # each id is its own hash: v is compared once
         return i < self.n and self._vertices[i] == k and k == v
 
-    def edge_arrays(self) -> tuple[list[int], list[int]]:
-        """The graph's own two lists (not to be changed): edge e joins positions us[e] and vs[e]."""
-        return self._us, self._vs
+    def position_sets(self) -> list[set[int]]:
+        """A fresh list of, per vertex position, the set of its neighbors' positions."""
+        sets = [set() for _ in range(self.n)]
+        for i, j in zip(self._us, self._vs):
+            sets[i].add(j)
+            sets[j].add(i)
+        return sets
 
     def degrees(self) -> list[int]:
         """The degree of each vertex, in `vertices` order."""

@@ -266,13 +266,55 @@ class TestKCaterpillarForest:
         # at k = 2, vertex 4 carries three leaves; dropping it makes 3 a leaf
         # of 0, which then carries three leaves too
         g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (4, 7)])
-        assert construct._overloaded(g, 2) == {0, 4}
+        assert construct._overloaded(g.position_sets(), 2) == {0, 4}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_overloaded_matches_a_drop_until_stable_peel(self, k):
+        # every graph of 1 to 7 vertices, a comb whose spine vertices all go, and
+        # seeded caterpillars whose spine vertices carry 0, k or k+1 leaves, where
+        # drops cascade (no graph of the atlas is big enough for that); the peel
+        # also edits the sets to those of what is left
+        nx = pytest.importorskip("networkx")
+        atlas = [Graph.from_edges(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()[1:]]
+        rng = random.Random(k)
+        caterpillars = []
+        for spine in rng.choices(range(3, 12), k=300):
+            edges = [(i - 1, i) for i in range(1, spine)]
+            for v in range(spine):
+                edges += [(v, len(edges) + 1 + i) for i in range(rng.choice((0, 0, k, k + 1)))]
+            caterpillars.append(Graph.from_edges(len(edges) + 1, edges))
+        drops = cascades = 0
+        for g in [*atlas, comb(30, k + 1), *caterpillars]:
+            nbrs = g.position_sets()
+            dropped = construct._overloaded(nbrs, k)
+            assert dropped == drop_until_stable(g, k), g.edges()
+            whole = g.position_sets()
+            assert nbrs == [set() if v in dropped else whole[v] - dropped for v in range(g.n)]
+            drops += bool(dropped)
+            cascades += len(dropped) > len(overloaded_now(g.adjacency(), set(), k))
+        assert drops >= 250 and cascades >= 50, (drops, cascades)  # 299, 74 at k = 2; 275, 75 at 3
 
     def test_k_caterpillar_comb_no_recursion(self):
         # every spine vertex carries three leaves, so k = 2 drops the whole
         # spine and keeps the 3300 leaves, under the default recursion limit
         cert = k_caterpillar_forest(comb(1100, 3), 2)
         assert cert.vertex_set == set(range(1100, 4400))
+
+
+def overloaded_now(adj: dict, dropped: set[int], k: int) -> list[int]:
+    """The vertices of the graph of `adj` without `dropped` that have k+1 or more
+    neighbors of degree 1 there."""
+    left = {v: ws - dropped for v, ws in adj.items() if v not in dropped}
+    return [v for v, ws in left.items() if sum(len(left[w]) == 1 for w in ws) > k]
+
+
+def drop_until_stable(g: Graph, k: int) -> set[int]:
+    """The vertices dropped by dropping, one at a time, the least overloaded
+    vertex of what is left, until none is."""
+    adj, dropped = g.adjacency(), set()
+    while over := overloaded_now(adj, dropped, k):
+        dropped.add(min(over))
+    return dropped
 
 
 class TestStarForest:
@@ -669,13 +711,29 @@ ROWS = {
 }
 
 
+# A 5-cycle whose vertex 0 carries four leaves, beside a K4: k_caterpillar_forest
+# drops vertex 0 at k = 2 and at k = 3.
+OVERLOADED = Graph.from_edges(13, [
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (0, 6), (0, 7), (0, 8),
+    (9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12),
+])
+
+
 @pytest.mark.parametrize("name", ROWS)
 def test_one_engine_run_and_one_certificate_per_call(monkeypatch, name):
     # every core of the input is an instance of one engine run on one working
-    # graph (greedy needs none), and only the whole graph's certificate is checked
+    # graph, whose neighbor sets are built once, also where vertices are dropped
+    # first (greedy needs none), and only the whole graph's certificate is checked
     from collections import Counter
 
     counts = Counter()
+    position_sets = Graph.position_sets
+
+    def counted_sets(self):
+        counts["position_sets"] += 1
+        return position_sets(self)
+
+    monkeypatch.setattr(Graph, "position_sets", counted_sets)
 
     class Counted(construct._WorkingGraph):
         def __init__(self, *args):
@@ -695,12 +753,15 @@ def test_one_engine_run_and_one_certificate_per_call(monkeypatch, name):
     row = construct.kind_row(kind, k)
     engine = 1 if row.mode or kind == "star" or k else 0
     rng = random.Random(7)
-    for g in (TWO_CORES, disjoint_union(gnp(14, 0.35, 3100), gnp(12, 0.4, 3101))):
+    for g in (TWO_CORES, disjoint_union(gnp(14, 0.35, 3100), gnp(12, 0.4, 3101)), OVERLOADED):
         assert sum(len(comp) >= 3 for comp in g.components()) == 2
         p = Partition({v: rng.choice(row.mode) for v in g.vertices}, row.mode) if row.mode else None
         counts.clear()
         row.build(g, p)
-        assert counts == Counter(_WorkingGraph=engine, _reduce=engine, verify_certificate=1)
+        assert counts == Counter(
+            _WorkingGraph=engine, _reduce=engine, verify_certificate=1, position_sets=engine
+        )
+    assert all(construct._overloaded(OVERLOADED.position_sets(), k) == {0} for k in (2, 3))
 
 
 @pytest.mark.parametrize("build, g, kept", [
@@ -720,4 +781,5 @@ def test_no_engine_run_without_a_core(monkeypatch, build, g, kept):
 
     monkeypatch.setattr(construct, "_reduce", counted)
     assert build(g).vertex_set == kept and calls == []
-    assert reduce(g, [None] * g.n, construct.KINDS["abc"], split=True)[0] == set()
+    empty = [set() for _ in g.vertices]
+    assert reduce(g.vertices, empty, [None] * g.n, construct.KINDS["abc"], split=True)[0] == set()

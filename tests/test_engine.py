@@ -26,20 +26,19 @@ class ReferenceGraph:
     re-sums the Fraction gains of a dirty vertex's whole neighbourhood at
     every check, behind a memo keyed by the sorted neighbourhood. Its scale
     is 1, so `_reduce` compares its Fraction totals unchanged. Like the
-    engine it works on vertex positions, but reads them off `g.adjacency()`."""
+    engine it works on the neighbour sets by vertex position that it is
+    given, and it checks that they leave out every unlabelled position."""
 
     scale = 1
 
-    def __init__(self, g: Graph, labels: list, table: dict):
+    def __init__(self, ids: tuple, nbrs: list[set[int]], labels: list, table: dict):
         self.weight = cache(getattr(construct, table["weight"]))
         self.gain = cache(getattr(construct, table["gain"]))
         self.leaf_parts, self.demote = table["leaf"], table["demote"]
-        self.ids, self.labels = g.vertices, labels
-        at = {v: i for i, v in enumerate(g.vertices)}
-        self.nbrs = [
-            {at[w] for w in ws if labels[at[w]] is not None} if labels[i] is not None else set()
-            for i, ws in enumerate(g.adjacency().values())
-        ]
+        self.ids, self.nbrs, self.labels = ids, nbrs, labels
+        assert len(nbrs) == len(labels) == len(ids)
+        for ws, part in zip(nbrs, labels):
+            assert not ws if part is None else None not in map(labels.__getitem__, ws)
         self.inst: set[int] = set()
         self.high = 0
         self.dirty: set[int] = set()
@@ -288,7 +287,7 @@ def test_verdicts_exact_past_the_initial_scale(mode, seed):
     rng = random.Random(seed)
     g = gnp(24, 0.15, seed)
     labels = [rng.choice(mode) for v in g.vertices]
-    work = _WorkingGraph(g, labels, _RULES[mode])
+    work = _WorkingGraph(g.vertices, g.position_sets(), labels, _RULES[mode])
     work.start(set(range(g.n)), True)
     scales = {work.scale}
     _check_against_fractions(work, mode)
@@ -316,7 +315,7 @@ def test_verdicts_exact_past_the_initial_scale(mode, seed):
 
 def test_degree_zero_gains_nothing():
     g = Graph.from_edges(3, [(0, 1)])
-    work = _WorkingGraph(g, ["A", "B", "C"], _RULES["ABC"])
+    work = _WorkingGraph(g.vertices, g.position_sets(), ["A", "B", "C"], _RULES["ABC"])
     assert work.terms[2] == 0 and work.sums[2] == 0
     work.apply(ReductionStep("t", removed=(0,)))
     assert work.terms[1] == 0 and work.sums[1] == 0
@@ -330,8 +329,8 @@ class CountedGraph(_WorkingGraph):
 
     terms_touched = 0
 
-    def __init__(self, g, labels, table):
-        super().__init__(g, labels, table)
+    def __init__(self, ids, nbrs, labels, table):
+        super().__init__(ids, nbrs, labels, table)
         engine = [len(ws) for ws, part in zip(self.nbrs, labels) if part is not None]
         CountedGraph.terms_touched += len(engine) + sum(engine)
 

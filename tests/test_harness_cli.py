@@ -226,9 +226,9 @@ class TestCli:
 
     # Each command on a caterpillar whose two spine ends carry two leaves
     # each, and the number of times it builds the neighbor sets of the whole
-    # graph (`adjacency()` with no subset): bounds and verify read only the
-    # edge arrays, the engine builds its own sets by vertex position, and
-    # greedy and the oracle build them once.
+    # graph (`adjacency()` with no subset, or `position_sets()`): bounds and
+    # verify read only the edge arrays, and greedy, the engine's constructors
+    # and the oracle build them once.
     SET_BUILDS = [
         *((("bound", "g.txt", spec), 0) for spec in ("flin", "fkeps:k=2", "fk:k=2", "hkg:k=2",
                                                       "star", "aks")),
@@ -236,15 +236,15 @@ class TestCli:
         (("bound", "g.txt", "abstar", "--partition", "g.part"), 0),
         (("epsilon-opt", "g.txt", "--k", "2"), 0),
         (("epsilon-opt", "g.txt", "--star"), 0),
-        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 0),
-        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "caterpillar", "--k", "3", "--out", "c.cert"), 1),
+        (("construct", "g.txt", "ab", "--partition", "g.part", "--out", "c.cert"), 1),
         (("verify", "g.txt", "g.cert"), 0),
         (("exact", "g.txt", "linear"), 1),
         (("exact", "g.txt", "abc", "--partition", "g.part"), 1),
         (("construct", "g.txt", "linear", "--out", "c.cert"), 1),
-        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "abc", "--partition", "g.part", "--out", "c.cert"), 1),
         (("verify", "g.txt", "abc.cert", "--partition", "g.part"), 0),
-        (("construct", "g.txt", "star", "--out", "c.cert"), 0),
+        (("construct", "g.txt", "star", "--out", "c.cert"), 1),
     ]
 
     @pytest.mark.parametrize("argv,builds", SET_BUILDS)
@@ -257,7 +257,7 @@ class TestCli:
         Path("g.part").write_text("0 A\n1 A\n2 B\n3 A\n4 A\n5 A\n6 A\n")
         assert run_cli("construct", "g.txt", "linear", "--out", "g.cert") == 0
         assert run_cli("construct", "g.txt", "abc", "--partition", "g.part", "--out", "abc.cert") == 0
-        adjacency = graph_module.Graph.adjacency
+        adjacency, position_sets = graph_module.Graph.adjacency, graph_module.Graph.position_sets
         calls = []
 
         def counted(g, s=None):
@@ -266,6 +266,9 @@ class TestCli:
             return adjacency(g, s)
 
         monkeypatch.setattr(graph_module.Graph, "adjacency", counted)
+        monkeypatch.setattr(
+            graph_module.Graph, "position_sets", lambda g: calls.append(1) or position_sets(g)
+        )
         assert run_cli(*argv) == 0
         assert len(calls) == builds
 

@@ -192,9 +192,10 @@ def test_checker_builds_no_graph():
 
 
 def test_checker_reads_a_graph_only_through_adjacency():
-    # the checker, the constructors and the oracle read a graph only through `adjacency`,
-    # `degrees` and `vertices`, which read its edge arrays: none calls `components`, one
-    # more adjacency map, `edges`, which sorts them, or a per-vertex read
+    # the checker reads a graph only through `adjacency`, `degrees` and `vertices`, the
+    # constructors and the oracle through `position_sets` too, all of which read its edge
+    # arrays: none calls `components`, one more adjacency map, `edges`, which sorts them,
+    # or a per-vertex read
     names = {"neighbors", "degree", "components", "_sets", "edges"}
     reads = {
         path.name: calls_to(ast.parse(path.read_text(), str(path)), names)
@@ -205,7 +206,7 @@ def test_checker_reads_a_graph_only_through_adjacency():
 
 def test_graph_stores_only_its_ids_and_edge_arrays():
     # a Graph is its sorted ids and two lists of edge positions, with no neighbor-set cache
-    # beside them: `adjacency(S)` is its one read of neighbor sets
+    # beside them: `adjacency(S)` and `position_sets()` build neighbor sets on each call
     path = next(p for p in SOURCES if p.name == "graph.py")
     tree = ast.parse(path.read_text(), str(path))
     graph = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Graph")
@@ -214,6 +215,31 @@ def test_graph_stores_only_its_ids_and_edge_arrays():
     assert slots == [("_vertices", "_us", "_vs")]
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert not defined & {"neighbors", "degree", "_neighbor_sets"}, defined
+
+
+def edge_array_reads(tree: ast.AST) -> list[str]:
+    """Every name or attribute `_us`, `_vs` or `edge_arrays`, with its line, in line order."""
+    names = {"_us", "_vs", "edge_arrays"}
+    found = [
+        (node.lineno, f"{name} at line {node.lineno}")
+        for node in ast.walk(tree)
+        if (name := getattr(node, "id", None) or getattr(node, "attr", None)) in names
+    ]
+    return [text for _, text in sorted(found)]
+
+
+def test_detector_sees_every_edge_array_read():
+    code = "us, vs = g.edge_arrays()\ndef f(g):\n    return g._us + g._vs\n_us = 1\ng.us\n"
+    assert edge_array_reads(ast.parse(code)) == [
+        "edge_arrays at line 1", "_us at line 3", "_vs at line 3", "_us at line 4"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graph.py"], ids=lambda p: p.name)
+def test_only_graph_reads_the_edge_arrays(path):
+    # the edge-array layout is graph.py's alone: every other module reads a graph
+    # through its methods (`position_sets()` for neighbor sets by position)
+    assert edge_array_reads(ast.parse(path.read_text(), str(path))) == []
 
 
 def test_forest_classes_are_defined_by_the_checker_alone():
