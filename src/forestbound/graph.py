@@ -9,12 +9,13 @@ derived graph is directly meaningful in the graph it was derived from.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, lt, mul
+from operator import add, and_, ge, lt, mul
 from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError, UnknownVertex
@@ -317,6 +318,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise ParseError(f"header declares {m} edges but {len(rows) - 1} edge lines found")
     seen: set[tuple[int, int]] = set()
+    us, vs = [], []
     for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -332,44 +334,57 @@ def parse_edge_list(text: str) -> Graph:
         if (u, v) in seen:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
         seen.update(((u, v), (v, u)))
-    return _parse_tokens("\n".join(line for _, line in rows))  # checked: not None
+        us.append(u)
+        vs.append(v)
+    return Graph._of(tuple(range(n)), us, vs)
 
 
 def pair_lines(second: str) -> Callable[[str], re.Match | None]:
-    """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal token and
-    a `second` token, spaces or tabs around them, `\r` at its end. Possessive: no backtracking."""
-    line = rf"[ \t]*+[0-9]++[ \t]++{second}[ \t\r]*+"
+    """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal index with
+    no leading zero, one space or tab, a `second` token and an optional `\r`, nothing else: the
+    one line shape the token readers take. Possessive: no backtracking."""
+    line = rf"(?>0|[1-9][0-9]*+)[ \t]{second}\r?+"
     return re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
 
 
-pairs_per_line = pair_lines("[0-9]++")
+pairs_per_line = pair_lines("(?>0|[1-9][0-9]*+)")
 
 
 _BLOCK = 1 << 16  # the characters `_parse_tokens` converts at a time, up to a line end
+_decode = json.JSONDecoder().decode  # the stdlib's C scanner: a JSON list of ints, no str per token
+_COMMAS = str.maketrans(" \t\n\r", ",,, ")  # `pair_lines` lines to a JSON list's items; `\r` a blank
+
+
+def _ints(lines: str) -> list[int]:
+    """The tokens of `pairs_per_line` lines (no final `\n`) as ints; ValueError past int's limit."""
+    return _decode(f"[{lines.translate(_COMMAS)}]")
 
 
 def _parse_tokens(text: str) -> Graph | None:
-    """The graph of a `pairs_per_line` text or of checked rows; None if a check fails.
-    Each line holds two tokens, so blocks of whole lines hold whole pairs: converted a block
-    at a time, the text's tokens are never all held at once."""
-    head = text.find("\n") + 1 or len(text)
+    """The graph of a `pairs_per_line` text; None if a check fails. Each line holds two tokens,
+    so blocks of whole lines hold whole pairs: decoded a block at a time, the text's tokens
+    are never all held at once."""
+    last = len(text) - text.endswith("\n")  # the end of the last line
+    head = text.find("\n", 0, last) + 1 or last + 1
     us, vs = [], []
     try:
-        n, m = map(int, text[:head].split())
-        while head < len(text) and n <= MAX_VERTICES:
-            end = text.find("\n", head + _BLOCK) + 1 or len(text)
-            toks = text[head:end].split()
-            us += map(int, toks[0::2])
-            vs += map(int, toks[1::2])
+        n, m = _ints(text[:head - 1])
+        while head < last and n <= MAX_VERTICES:
+            end = text.find("\n", head + _BLOCK, last) + 1 or last + 1
+            toks = _ints(text[head:end - 1])
+            us += toks[0::2]
+            vs += toks[1::2]
             head = end
     except ValueError:  # a token past int's digit limit: the line reader names its line
         return None
     if n > MAX_VERTICES or len(us) != m or m and max(max(us), max(vs)) >= n:
         return None
-    # u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves fewer
-    # than m keys; a self-loop or a repeat the other way round meets a reversed key.
+    # u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves fewer than
+    # m keys. A self-loop or a repeat the other way round meets a reversed key, and one of
+    # its lines has u >= v: only those lines are probed, none in a file written with u < v.
     keys = set(map(add, map(mul, us, repeat(n)), vs))
-    if len(keys) != m or not keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)):
+    back = compress(zip(vs, us), map(ge, us, vs))
+    if len(keys) != m or not keys.isdisjoint(v * n + u for v, u in back):
         return None
     return Graph._of(tuple(range(n)), us, vs)
 

@@ -207,13 +207,16 @@ def test_class_containment_chain(f):
 
 
 # Pieces of texts in the two-tokens-a-line formats: odd but valid integer
-# spellings and bad ones; separators inside a line (\x1f is whitespace but
-# no line break); plain line breaks (\x1c and \x0b are line breaks too);
-# and breaks that bring blank, whitespace-only or comment lines.
+# spellings and bad ones; leading blanks and separators inside a line (\x1f
+# is whitespace but no line break); line breaks (\x1c and \x0b are line
+# breaks too), and breaks that bring blank, whitespace-only or comment lines.
+# The token readers' shape keeps to SHAPED_INNER and SHAPED_BREAKS, no lead.
 ODD_TOKENS = ["+3", "1_0", "\u0663", "\uff11", "03", "-0", "-1", "x", "1.0", "\u00b2"]
-INNER = [" ", "\t", "  ", "\x1f", " \t "]
-PLAIN_BREAKS = ["\n", "\r\n", "\x1c", "\x0b"]
-BREAKS = PLAIN_BREAKS + ["\n\n", "\n \t\n", "  # c\n", "\n#\n", "#"]
+LEADS = ["", " ", "\t"]
+SHAPED_INNER = [" ", "\t"]
+INNER = SHAPED_INNER + ["  ", "\x1f", " \t "]
+SHAPED_BREAKS = ["\n", "\r\n"]
+BREAKS = SHAPED_BREAKS + ["\x1c", "\x0b", "\n\n", "\n \t\n", "  # c\n", "\n#\n", "#"]
 
 
 @st.composite
@@ -221,7 +224,9 @@ def pair_texts(draw, first, second, header=None):
     """Lines of two tokens, drawn from the strategies first and second or
     now and then from ODD_TOKENS, with a row of one or three tokens now and
     then. header(number of rows, draw) gives an optional first row. About
-    half the texts keep to plain breaks, so that both readers see them."""
+    half the texts keep to the token readers' line shape but for those odd
+    tokens and rows (no leading blank, one space or tab between the tokens,
+    LF or CRLF breaks), so that both readers see them."""
     def token(values):
         return draw(st.sampled_from(ODD_TOKENS)) if draw(st.integers(0, 15)) == 0 else draw(values)
 
@@ -231,9 +236,10 @@ def pair_texts(draw, first, second, header=None):
             row[1:] = [] if draw(st.booleans()) else [row[1], token(second)]
     if header is not None:
         rows.insert(0, header(len(rows), draw))
-    breaks = PLAIN_BREAKS if draw(st.booleans()) else BREAKS
+    leads, inner, breaks = ([""], SHAPED_INNER, SHAPED_BREAKS) if draw(st.booleans()) else (
+        LEADS, INNER, BREAKS)
     return "".join(
-        draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from(INNER)).join(row)
+        draw(st.sampled_from(leads)) + draw(st.sampled_from(inner)).join(row)
         + draw(st.sampled_from(breaks))
         for row in rows
     )
@@ -329,6 +335,15 @@ def block_end_path_text() -> str:
     length into the edge lines: the token reader's last block is that line alone."""
     rows = "".join(f"{i} {i + 1}\n" for i in range(graph_module._BLOCK))
     return path_text(rows.count("\n", 0, graph_module._BLOCK) + 3, final=False)
+
+
+# texts of the token readers' line shape, read without the line reader
+PLAIN_SHAPES = [
+    "3 2\n0\t1\n1 2\n",
+    "3 2\n0 1\r\n1 2\n",
+    "3\t2\r\n0 1\n1\t2\r",
+    "4 3\n0\t1\r\n1 2\n2\t3",
+]
 
 
 class TestEdgeListFormat:
@@ -471,6 +486,15 @@ class TestEdgeListFormat:
         "3 2\n0\x0c1\n1 2\n",
         "5 4\n0 1\n1 2\n2 3\n3 4 0\n",
         "3 1\n0 1\n0 1\n",  # a repeat that keeps the key count at m
+        # the token readers' line shape: no leading zero, blank or trailing blank, one
+        # space or tab between the tokens, an optional `\r` at the end
+        "3 2\n00 1\n1 2\n",
+        "03 2\n0 1\n1 2\n",
+        "3 2\n0  1\n1 2\n",
+        "3 2\n 0 1\n1 2\n",
+        "3 2\n0 1 \n1 2\n",
+        "3 2\n0 1\n1 2\n\r",
+        *PLAIN_SHAPES,
         # past int's digit limit: a ParseError, not int's ValueError
         pytest.param("9" * 5000 + " 1\n0 1\n", id="5000-digit-n"),
         pytest.param("3 1\n0 " + "1" * 5000 + "\n", id="5000-digit-end"),
@@ -480,6 +504,8 @@ class TestEdgeListFormat:
         pytest.param(path_text(20000, final=False), id="blocks-no-final-newline"),
         pytest.param(block_end_path_text(), id="blocks-no-final-newline-at-block-end"),
         pytest.param(path_text(20000, "19998 " + "1" * 5000), id="blocks-5000-digit-token"),
+        pytest.param(path_text(20000).replace("\n15000 ", "\n" + "1" * 5000 + " ", 1),
+                     id="blocks-5000-digit-token-mid-block"),
         pytest.param(path_text(20000, "19998 19998"), id="blocks-self-loop"),
         pytest.param(path_text(20000, "5 6"), id="blocks-repeat"),
         pytest.param(path_text(20000, "6 5"), id="blocks-reversed-repeat"),
@@ -519,9 +545,34 @@ class TestEdgeListFormat:
         for plain in plain_variants(text):
             assert graph_key(parse_edge_list(plain)) == graph_key(g)
 
+    @pytest.mark.parametrize("text", PLAIN_SHAPES)
+    def test_plain_shapes_skip_line_reader(self, text, monkeypatch):
+        expected = graph_key(LINE_READER(text))
+        monkeypatch.setattr(graph_module, "content_lines", None)  # a call raises TypeError
+        assert graph_key(parse_edge_list(text)) == expected
+
+    def test_line_reader_builds_its_own_graph(self, monkeypatch):
+        # the line reader makes the graph of the pairs it has checked: no second pass
+        texts = [path_text(300, eol="\r\n"), PLAIN_SHAPES[2], "# c\n3 2\n0  1\n 2 1 # d\n"]
+        expected = [graph_key(parse_edge_list(text)) for text in texts]
+        monkeypatch.setattr(graph_module, "_parse_tokens", None)  # a call raises TypeError
+        assert [graph_key(LINE_READER(text)) for text in texts] == expected
+
+    def test_one_decode_per_block(self, monkeypatch):
+        # the header line is decoded, then the edge lines in blocks of _BLOCK characters that
+        # run on to a line end: the 19 999 lines of 5 to 12 characters make 4 blocks
+        decoded = []
+        decode = graph_module._decode
+        monkeypatch.setattr(graph_module, "_decode", lambda s: decode(decoded.append(s) or s))
+        assert parse_edge_list(text := path_text(20000)).m == 19999
+        header, *blocks = decoded
+        assert header == "[20000,19999]" and len(blocks) == 4
+        assert sum(map(len, blocks)) == len(text) - len("20000 19999\n") + len(blocks)
+        assert all(graph_module._BLOCK <= len(b) - 2 < graph_module._BLOCK + 12 for b in blocks[:-1])
+
     def test_token_reader_peak_below_one_token_list(self):
         # converted a block of lines at a time, the text's tokens are never all held at
-        # once: at n = 2^15, m = 1.5 n the parse peaks at 8.8 MB, their one list at 9.6 MB
+        # once: at n = 2^15, m = 1.5 n the parse peaks at 8.6 MB, their one list at 9.6 MB
         n = 1 << 15
         text = random_edge_text(n, 3 * n // 2, seed=1)
         _, tokens = traced_peak(lambda: list(map(int, text.split())))

@@ -195,13 +195,16 @@ def test_checker_reads_a_graph_only_through_adjacency():
     # the checker reads a graph only through `adjacency`, `degrees` and `vertices`, the
     # constructors and the oracle through `position_sets` too, all of which read its edge
     # arrays: none calls `components`, one more adjacency map, `edges`, which sorts them,
-    # or a per-vertex read
-    names = {"neighbors", "degree", "components", "_sets", "edges"}
-    reads = {
-        path.name: calls_to(ast.parse(path.read_text(), str(path)), names)
+    # or a per-vertex read, and the checker builds no neighbor sets by position
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
         for path in SOURCES if path.name in ("check.py", "construct.py", "exact.py")
     }
+    reads = {name: calls_to(tree, {"neighbors", "degree", "components", "edges"})
+             for name, tree in trees.items()}
     assert reads == {"check.py": [], "construct.py": [], "exact.py": []}
+    by_position = {name: bool(calls_to(tree, {"position_sets"})) for name, tree in trees.items()}
+    assert by_position == {"check.py": False, "construct.py": True, "exact.py": True}
 
 
 def test_graph_stores_only_its_ids_and_edge_arrays():
