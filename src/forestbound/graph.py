@@ -14,14 +14,14 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, ge, lt, mul
+from itertools import chain, compress, repeat
+from operator import add, ge, lt, mul
 from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import ParseError, UnknownVertex
 
+MAX_VERTICES = 1 << 20  # the most vertices a graph may have
 _ID_LIMIT = (1 << 61) - 1  # the hash modulus of 64-bit CPython: an int id below it is its own hash
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a `_mark` of some vertices into that of the others
 
 
 def _check_id(v) -> None:
@@ -39,9 +39,11 @@ class Graph:
     __slots__ = ("_vertices", "_us", "_vs")
 
     def __init__(self, adjacency: Mapping[int, Collection[int]]):
-        """The graph of the neighbor sets `adjacency`. ParseError: an id not an int in
-        [0, 2**61 - 1), a neighbor listed twice, a self-loop or a one-sided edge;
-        UnknownVertex: a neighbor not a key."""
+        """The graph of the neighbor sets `adjacency`. ParseError: more than MAX_VERTICES keys
+        (before any id is checked), an id not an int in [0, 2**61 - 1), a neighbor listed twice,
+        a self-loop or a one-sided edge; UnknownVertex: a neighbor not a key."""
+        if len(adjacency) > MAX_VERTICES:
+            raise ParseError(f"{len(adjacency)} vertices exceed the limit of {MAX_VERTICES}")
         for v in adjacency:
             _check_id(v)
         vertices = tuple(sorted(adjacency))
@@ -65,7 +67,8 @@ class Graph:
 
     @classmethod
     def _of(cls, vertices: tuple[int, ...], us: list[int], vs: list[int]) -> "Graph":
-        """The graph on the sorted ids `vertices` with the checked edges zip(us, vs) of positions."""
+        """The graph of sorted ids and position pairs zip(us, vs), unchecked: for from_edges and
+        the edge-list readers alone, which check their input themselves."""
         g = cls.__new__(cls)
         g._vertices, g._us, g._vs = vertices, us, vs
         return g
@@ -73,7 +76,10 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on vertices 0..n-1 from an iterable of edges; a repeat is kept once.
-        ParseError: n above MAX_VERTICES (before any edge is read) or an endpoint not an int."""
+        ParseError: n not an int in [0, MAX_VERTICES] (before any edge is read) or an endpoint
+        not an int."""
+        if not (isinstance(n, int) and n >= 0):
+            raise ParseError(f"vertex count {n!r} is not a nonnegative int")
         if n > MAX_VERTICES:
             raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         ids, pairs = range(n), {}
@@ -163,30 +169,22 @@ class Graph:
 
     def induced(self, s: Iterable[int]) -> "Graph":
         """The subgraph induced by s, ids kept; O(n + m)."""
-        return self._sub(self._mark(s))
+        return Graph(self.adjacency(s))
 
     def delete_vertices(self, s: Iterable[int]) -> "Graph":
         """The subgraph without the vertices of s, ids kept; O(n + m)."""
-        return self._sub(self._mark(s).translate(_FLIP))
-
-    def _sub(self, mark: bytes) -> "Graph":
-        """The subgraph on the marked positions, each renumbered by the marks before it."""
-        at = list(accumulate(mark, initial=0)).__getitem__
-        us, vs = self._us, self._vs
-        both = list(map(and_, map(mark.__getitem__, us), map(mark.__getitem__, vs)))
-        ids = tuple(compress(self._vertices, mark))
-        return Graph._of(ids, [*map(at, compress(us, both))], [*map(at, compress(vs, both))])
+        return Graph(self.adjacency([v for v, k in zip(self._vertices, self._mark(s)) if not k]))
 
     def add_edge(self, u: int, v: int) -> "Graph":
-        """Return a copy with edge uv added (no-op if already present)."""
+        """Return a copy with edge uv added (an equal copy if already present)."""
         if u == v:
             raise ParseError(f"self-loop at vertex {u}")
         if u not in self or v not in self:
             raise UnknownVertex(f"edge ({u}, {v}) has an endpoint outside the graph")
-        i, j = bisect_left(self._vertices, u), bisect_left(self._vertices, v)
-        if (i, j) in zip(self._us, self._vs) or (j, i) in zip(self._us, self._vs):
-            return self
-        return Graph._of(self._vertices, [*self._us, i], [*self._vs, j])
+        adj = self.adjacency()
+        adj[u].add(v)
+        adj[v].add(u)
+        return Graph(adj)
 
     def components(self) -> list[set[int]]:
         """Connected components, sorted by their minimum vertex id."""
@@ -286,9 +284,6 @@ def spec_text(name: str, pairs: Iterable[tuple[str, object]]) -> str:
     """The canonical `name[:key=value,...]` text of the pairs whose value is set."""
     args = ",".join(f"{key}={value}" for key, value in pairs if value is not None)
     return f"{name}:{args}" if args else name
-
-
-MAX_VERTICES = 1 << 20
 
 
 def parse_edge_list(text: str) -> Graph:

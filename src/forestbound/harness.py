@@ -100,8 +100,6 @@ def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) 
     if default_sizes and not sizes:
         raise ForestBoundError(f"suite {suite} needs at least one size")
     report = HarnessReport(suite, seed, sizes)
-    # Each job runs before the suite is asked for its next pair, so a job may
-    # read the suite's loop variables directly: never collect the pairs first.
     for name, job in jobs(seed, sizes):
         start = time.perf_counter()
         try:
@@ -117,7 +115,8 @@ def run_suite(suite: str, seed: int = 0, sizes: Optional[Iterable[int]] = None) 
 
 
 # ---------------------------------------------------------------------------
-# Suites: each yields (job name, job) pairs, and a job returns its records
+# Suites: each yields (job name, job) pairs, and a job returns its records. A job
+# binds its inputs when it is made, so the pairs may also be collected first.
 
 
 def _exhaustive_records(n: int) -> list[dict]:
@@ -141,7 +140,7 @@ def _exhaustive_records(n: int) -> list[dict]:
 
 def _jobs_exhaustive(seed: int, sizes: list[int]):
     for n in sizes:
-        yield f"exhaustive:n={n}", lambda: _exhaustive_records(n)
+        yield f"exhaustive:n={n}", partial(_exhaustive_records, n)
 
 
 def _construct_record(instance: str, check: str, g: Graph, runner) -> dict:
@@ -169,7 +168,7 @@ def _jobs_random_bounds(seed: int, sizes: list[int]):
         for i, p in enumerate((0.1, 0.3, 0.6)):
             instance = f"gnp:n={n},p={p},seed={seed + i}"
             g = gnp(n, p, seed + i)
-            yield instance, lambda: _random_bounds_records(instance, g)
+            yield instance, partial(_random_bounds_records, instance, g)
 
 
 def _oracle_records(instance: str, g: Graph, cls: ForestClass, expected: int) -> list[dict]:
@@ -180,30 +179,33 @@ def _oracle_records(instance: str, g: Graph, cls: ForestClass, expected: int) ->
     ]
 
 
+def _construct_records(instance: str, check: str, g: Graph, runner) -> list[dict]:
+    return [_construct_record(instance, check, g, runner)]
+
+
 def _jobs_witness(seed: int, sizes: list[int]):
     for d in range(2, 9):
         g = complete_graph(d + 1)
         name = f"complete:n={d + 1}"
         for k in (2, 3):
-            yield f"{name}/k={k}", lambda: _oracle_records(name, g, ForestClass("caterpillar", k), 2)
+            cls = ForestClass("caterpillar", k)
+            yield f"{name}/k={k}", partial(_oracle_records, name, g, cls, 2)
     for n in (1, 2, 3):
         for k in (2, 3):
             g = hnk_graph(n, k)
             name = f"hnk:n={n},k={k}"
-            yield name, lambda: _oracle_records(name, g, ForestClass("caterpillar", k), (k + 1) * n)
-            yield f"{name}/construct", lambda: [
-                _construct_record(name, f"k-caterpillar:k={k}", g,
-                                  lambda h: construct.k_caterpillar_forest(h, k))
-            ]
+            cls = ForestClass("caterpillar", k)
+            yield name, partial(_oracle_records, name, g, cls, (k + 1) * n)
+            yield f"{name}/construct", partial(
+                _construct_records, name, f"k-caterpillar:k={k}", g,
+                partial(construct.k_caterpillar_forest, k=k))
     for n in range(1, 7):
         g = k_prime_graph(n)
         name = f"kprime:n={n}"
-        yield name, lambda: _oracle_records(name, g, STAR_FOREST, n + 1)
-        yield f"{name}/construct", lambda: [
-            _construct_record(name, "star-forest", g, construct.star_forest)
-        ]
-    c5 = cycle_graph(5)
-    yield "cycle:n=5", lambda: _oracle_records("cycle:n=5", c5, STAR_FOREST, 3)
+        yield name, partial(_oracle_records, name, g, STAR_FOREST, n + 1)
+        yield f"{name}/construct", partial(
+            _construct_records, name, "star-forest", g, construct.star_forest)
+    yield "cycle:n=5", partial(_oracle_records, "cycle:n=5", cycle_graph(5), STAR_FOREST, 3)
 
 
 def _lemma_records(instance: str, g: Graph, checks: tuple[str, str], build, oracle) -> list[dict]:
@@ -248,7 +250,7 @@ def _seeded_jobs(prefix: str, records, reps: int, seed: int, sizes: Iterable[int
         for rep in range(reps):
             inst_seed = seed * 1000 + n * 10 + rep
             instance = f"{prefix}:n={n},seed={inst_seed}"
-            yield instance, lambda: records(instance, n, inst_seed)
+            yield instance, partial(records, instance, n, inst_seed)
 
 
 def _jobs_cubic(seed: int, sizes: list[int]):

@@ -161,6 +161,27 @@ class TestAbcConstruct:
             if step.rule not in ("R4", "S4"):
                 assert len(step.removed) >= 1
 
+    def test_every_prefix_replays_as_on_plain_sets(self):
+        # R5 fires on this graph (tests/test_engine.py): each prefix of its trace replays to
+        # the residual of a test-side replay over a dict of sets, added edges and removals alike
+        g = gnp(11, 0.15, 33)
+        rng = random.Random(33)
+        _, trace = abc_construct(g, Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC"))
+        assert any(step.rule == "R5" and step.added_edges for step in trace.steps)
+        adj = g.adjacency()
+        for k in range(len(trace.steps) + 1):
+            if k:
+                step = trace.steps[k - 1]
+                for u, v in step.added_edges:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                for v in step.removed:
+                    for w in adj.pop(v):
+                        adj[w].discard(v)
+            residual = construct.ReductionTrace(trace.steps[:k]).replay(g)
+            assert residual.vertices == tuple(sorted(adj)), k
+            assert residual.edges() == sorted((u, w) for u in adj for w in adj[u] if u < w), k
+
     def test_deep_chain_of_leaves(self):
         g = path_graph(40)
         p = Partition({v: "A" for v in g.vertices}, "ABC")

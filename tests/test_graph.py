@@ -5,7 +5,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -257,6 +257,23 @@ def edge_list_texts():
     return pair_texts(ids, ids, header)
 
 
+def simple_graph_text(seed: int) -> str:
+    """The edge list of a random simple graph in the token readers' shape: a true header, then
+    distinct unordered pairs below n in random order, each in either orientation, one space or
+    tab between the tokens and LF or CRLF line ends. The token reader takes every one."""
+    rng = random.Random(seed)
+    n, p = rng.randint(0, 12), rng.random()
+    edges = [e if rng.random() < 0.5 else e[::-1]
+             for e in combinations(range(n), 2) if rng.random() < p]
+    rng.shuffle(edges)
+    return "".join(f"{a}{rng.choice(SHAPED_INNER)}{b}{rng.choice(SHAPED_BREAKS)}"
+                   for a, b in [(n, len(edges)), *edges])
+
+
+# drawn by seed, as hypothesis draws one integer faster than a draw per edge
+simple_graph_texts = st.integers(0, 2**32 - 1).map(simple_graph_text)
+
+
 def assert_same_outcome(read, reference, text, *args, key):
     """read(text, *args) gives what reference does, compared by key, or
     raises a ParseError with the same message; returns the result."""
@@ -321,6 +338,16 @@ def assert_degrees_match_sets(text: str):
     tags = [degree[min(adj[v])] if degree[v] == 1 else None for v in g.vertices]
     histogram = graph_module.DegreeHistogram(dict(Counter(degree.values())))
     assert read == (list(degree.values()), histogram, tags), repr(text)
+
+
+def assert_readers_agree(text: str):
+    """Both readers give text the same graph or the same ParseError, a good text of the plain
+    shape is read token by token, and a graph's degrees are those of its neighbor sets."""
+    g = assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
+    if g is not None and graph_module.pairs_per_line(text):
+        assert graph_module._parse_tokens(text) is not None
+    if g is not None:
+        assert_degrees_match_sets(text)
 
 
 def path_text(n: int, *extra: str, eol: str = "\n", final: bool = True) -> str:
@@ -527,12 +554,14 @@ class TestEdgeListFormat:
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
     def test_readers_agree(self, text):
-        g = assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
-        if g is not None and graph_module.pairs_per_line(text):
-            # every good text of the plain shape is read token by token
-            assert graph_module._parse_tokens(text) is not None
-        if g is not None:
-            assert_degrees_match_sets(text)
+        assert_readers_agree(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graph_texts)
+    def test_readers_agree_on_simple_graphs(self, text):
+        # edge_list_texts draws few texts the token reader takes: these it takes all
+        assert graph_module._parse_tokens(text) is not None
+        assert_readers_agree(text)
 
     def test_plain_file_skips_line_reader(self, monkeypatch):
         g = Graph.from_edges(40, [(u, (3 * u + 7) % 40) for u in range(0, 40, 2)])
@@ -755,6 +784,10 @@ def test_spec_readers_drop_whitespace_alike(reader, template):
          "vertex id 1.0 is not an int in [0, 2**61 - 1)"),
         (lambda: Graph.from_edges(MAX_VERTICES + 1, map(pytest.fail, ["an edge was read"])),
          ParseError, f"{MAX_VERTICES + 1} vertices exceed the limit of {MAX_VERTICES}"),
+        (lambda: Graph.from_edges(-3, []), ParseError, "vertex count -3 is not a nonnegative int"),
+        (lambda: Graph.from_edges(-3, [(0, 1)]), ParseError,
+         "vertex count -3 is not a nonnegative int"),
+        (lambda: Graph.from_edges(3.0, []), ParseError, "vertex count 3.0 is not a nonnegative int"),
         (lambda: path_graph(3).delete_vertices([1, 5]), UnknownVertex, "vertex 5 not in graph"),
         (lambda: path_graph(3).add_edge(2, 2), ParseError, "self-loop at vertex 2"),
         (lambda: path_graph(3).add_edge(0, 3), UnknownVertex,
@@ -769,6 +802,7 @@ def test_spec_readers_drop_whitespace_alike(reader, template):
           for v in ("1", 1.5, -1, 2**61 - 1)),
     ],
     ids=["from_edges-loop", "from_edges-range", "from_edges-id-float", "from_edges-n-limit",
+         "from_edges-n-negative", "from_edges-n-negative-edge", "from_edges-n-float",
          "delete_vertices", "add_edge-loop", "add_edge-range", "Graph-neighbor", "Graph-loop",
          "Graph-repeat", "Graph-one-sided",
          "Graph-id-str", "Graph-id-float", "Graph-id-negative", "Graph-id-2**61-1"],
@@ -777,6 +811,14 @@ def test_graph_input_checks(call, error, message):
     # the readers have their own error tests
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_graph_refuses_more_keys_than_the_limit():
+    # as from_edges and the readers do, so format_edge_list never writes a file the readers
+    # refuse; all keys share one empty set, and the count is checked before the first id, -1
+    empty = frozenset()
+    with pytest.raises(ParseError, match=f"^{MAX_VERTICES + 1} vertices exceed the limit of "):
+        Graph(dict.fromkeys(chain([-1], range(MAX_VERTICES)), empty))
 
 
 def test_degree_histogram():

@@ -44,6 +44,16 @@ class TestHarness:
         b = run_suite("witness-families", seed=2)
         assert a.payload() == b.payload()
 
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_jobs_bind_their_inputs_when_made(self, suite):
+        # a job reads only what it was made with: run after the suite has made
+        # every job, the jobs give run_suite's records
+        jobs, sizes = SUITES[suite]
+        made = list(jobs(1, list(sizes)))
+        records = sorted((r for _, job in made for r in job()),
+                         key=lambda r: (r["instance"], r["check"]))
+        assert records == run_suite(suite, seed=1).records
+
     def test_all_labeled_graphs_count(self):
         assert sum(1 for _ in all_labeled_graphs(4)) == 64
 

@@ -103,8 +103,8 @@ def test_detector_sees_same_name_defaults():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_default_binds_a_same_name_variable(path):
-    # a closure that needs a loop variable runs before the loop moves on (the
-    # harness suites yield their jobs), so no default argument freezes one
+    # a harness job binds its inputs with `partial` when it is made, so no
+    # default argument freezes a loop variable
     assert same_name_defaults(ast.parse(path.read_text(), str(path))) == []
 
 
@@ -182,6 +182,17 @@ def test_construct_copies_a_graph_only_where_named():
     copies = graph_copies(ast.parse(path.read_text(), str(path)))
     allowed = {"_reduce", "_cubic_endgame", "replay"}
     assert copies and {c.split(" at ")[0] for c in copies} <= allowed, copies
+
+
+def test_only_from_edges_and_the_readers_build_an_unchecked_graph():
+    # `Graph._of` takes its edge arrays unchecked: `from_edges` and the two edge-list
+    # readers check their input themselves, and every other graph, a derived one too,
+    # is built by `Graph(adjacency)`, which checks it
+    calls = [f"{path.name}: {call}" for path in SOURCES
+             for call in calls_to(ast.parse(path.read_text(), str(path)), {"_of"})]
+    assert {c.split(" at ")[0] for c in calls} == {
+        "graph.py: from_edges", "graph.py: parse_edge_list", "graph.py: _parse_tokens"
+    }, calls
 
 
 def test_checker_builds_no_graph():
