@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, ge, lt, mul
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import ParseError, UnknownVertex
 
@@ -334,20 +333,27 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._of(tuple(range(n)), us, vs)
 
 
-def pair_lines(second: str) -> Callable[[str], re.Match | None]:
-    """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal index with
-    no leading zero, one space or tab, a `second` token and an optional `\r`, nothing else: the
-    one line shape the token readers take. Possessive: no backtracking."""
-    line = rf"(?>0|[1-9][0-9]*+)[ \t]{second}\r?+"
-    return re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
+def pairs_per_line(text: str) -> bool:
+    """Whether each line (a final `\n` optional) is ASCII digits, one space or tab and ASCII
+    digits, a `\r` only before a `\n` or at the end: the blanks of the token reader's line
+    shape; JSON declines an empty token or a leading zero. Checked a block of lines at a time."""
+    if "\r" in text and text.count("\r") != text.count("\r\n") + text.endswith("\r"):
+        return False
+    head, size = 0, len(text)
+    while head < size:
+        end = text.find("\n", head + _SHAPE_BLOCK) + 1 or size
+        shape = text[head:end].translate(_SHAPE) + "\n" * (text[end - 1] != "\n")
+        if len(shape) != 2 * shape.count(" \n"):  # each line " \n", none else
+            return False
+        head = end
+    return True
 
 
-pairs_per_line = pair_lines("(?>0|[1-9][0-9]*+)")
-
-
+_SHAPE = str.maketrans("\t", " ", "0123456789\r")  # a line of two numbers to one space
+_SHAPE_BLOCK = 1 << 14  # the characters `pairs_per_line` translates at a time, up to a line end
 _BLOCK = 1 << 16  # the characters `_parse_tokens` converts at a time, up to a line end
 _decode = json.JSONDecoder().decode  # the stdlib's C scanner: a JSON list of ints, no str per token
-_COMMAS = str.maketrans(" \t\n\r", ",,, ")  # `pair_lines` lines to a JSON list's items; `\r` a blank
+_COMMAS = str.maketrans(" \t\n\r", ",,, ")  # `pairs_per_line` lines to JSON items; `\r` a blank
 
 
 def _ints(lines: str) -> list[int]:
@@ -356,9 +362,9 @@ def _ints(lines: str) -> list[int]:
 
 
 def _parse_tokens(text: str) -> Graph | None:
-    """The graph of a `pairs_per_line` text; None if a check fails. Each line holds two tokens,
-    so blocks of whole lines hold whole pairs: decoded a block at a time, the text's tokens
-    are never all held at once."""
+    """The graph of a `pairs_per_line` text; None if a check fails, JSON's check of each token
+    among them. Each line holds two tokens, so blocks of whole lines hold whole pairs: decoded a
+    block at a time, the text's tokens are never all held at once."""
     last = len(text) - text.endswith("\n")  # the end of the last line
     head = text.find("\n", 0, last) + 1 or last + 1
     us, vs = [], []
@@ -370,16 +376,21 @@ def _parse_tokens(text: str) -> Graph | None:
             us += toks[0::2]
             vs += toks[1::2]
             head = end
-    except ValueError:  # a token past int's digit limit: the line reader names its line
+    except ValueError:  # a token JSON refuses, or past int's digit limit: read line by line
         return None
-    if n > MAX_VERTICES or len(us) != m or m and max(max(us), max(vs)) >= n:
+    if n > MAX_VERTICES or len(us) != m:
         return None
-    # u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves fewer than
-    # m keys. A self-loop or a repeat the other way round meets a reversed key, and one of
-    # its lines has u >= v: only those lines are probed, none in a file written with u < v.
+    # Lines u < v in increasing order, as every writer here puts them, hold no self-loop or
+    # repeat; no set is made, nor a tuple per line (zip reuses one), and v < n bounds u too.
+    pairs, later = (islice(zip(us, vs), i, None) for i in (0, 1))
+    if all(map(lt, us, vs)) and all(map(lt, pairs, later)):
+        return Graph._of(tuple(range(n)), us, vs) if max(vs, default=-1) < n else None
+    # Otherwise u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves
+    # fewer than m keys. A self-loop or a repeat the other way round meets a reversed key, and
+    # one of its lines has u >= v: only those lines are probed.
     keys = set(map(add, map(mul, us, repeat(n)), vs))
-    back = compress(zip(vs, us), map(ge, us, vs))
-    if len(keys) != m or not keys.isdisjoint(v * n + u for v, u in back):
+    back = (v * n + u for v, u in compress(zip(vs, us), map(ge, us, vs)))
+    if max(chain(us, vs)) >= n or len(keys) != m or not keys.isdisjoint(back):
         return None
     return Graph._of(tuple(range(n)), us, vs)
 

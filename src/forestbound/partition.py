@@ -7,11 +7,12 @@ star forest bound.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import MissingPartition, ParseError, UnknownVertex
-from .graph import Graph, content_lines, pair_lines
+from .graph import Graph, content_lines
 
 ABC_CAPS = {"A": 2, "B": 1, "C": 0}
 
@@ -44,6 +45,14 @@ class Partition:
         if len(self.labels) > g.n:  # each vertex has its label; the rest name no vertex
             extra = [v for v in self.labels if v not in g]
             raise UnknownVertex(f"labels for vertices not in graph: {extra[:8]}")
+
+
+def pair_lines(second: str) -> Callable[[str], re.Match | None]:
+    """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal index with
+    no leading zero, one space or tab, a `second` token and an optional `\r`, nothing else: the
+    token readers' line shape, an edge list's with a number for `second`. No backtracking."""
+    line = rf"(?>0|[1-9][0-9]*+)[ \t]{second}\r?+"
+    return re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
 
 
 pairs_per_line = pair_lines(r"[^\s#]++")  # a label holds no whitespace and no `#`

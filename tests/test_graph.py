@@ -23,6 +23,7 @@ from forestbound import (
     parse_edge_list,
 )
 from forestbound import graph as graph_module
+from forestbound import partition as partition_module
 from forestbound.check import verify_certificate
 from forestbound.construct import greedy_linear_forest
 from forestbound.graph import MAX_VERTICES
@@ -257,6 +258,42 @@ def edge_list_texts():
     return pair_texts(ids, ids, header)
 
 
+# Pieces of texts near the edge-list reader's line shape: tokens with leading zeros or none
+# at all, blanks doubled or next to a stray `\r`, and line ends with a stray `\r`, `#` or blank
+NEAR_TOKENS = ["0", "1", "2", "3", "4", "5", "10", "03", "00", "010", ""]
+NEAR_INNER = [" ", " ", "\t", "  ", " \t", "\r ", " \r", ""]
+NEAR_BREAKS = ["\n", "\n", "\r\n", "\r\r\n", "\n\r", "\r", "#\n", " \n", "\n\n"]
+
+
+@st.composite
+def near_shape_texts(draw):
+    """Edge lists on ids 0..4 of mostly the token reader's line shape, now and then a token,
+    a blank or a line end drawn from the NEAR_ pieces; the header's edge count is mostly
+    true, the last line end optional, and in half the texts each row u <= v in sorted order."""
+    def piece(shaped, near):
+        return draw(st.sampled_from(near)) if draw(st.integers(0, 5)) == 0 else shaped
+
+    rows = [[str(draw(st.integers(0, 4))), str(draw(st.integers(0, 4)))]
+            for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        rows = sorted(map(sorted, rows))
+    m = draw(st.sampled_from([len(rows)] * 3 + [len(rows) + 1]))
+    rows.insert(0, [draw(st.sampled_from(["3", "5", "5"])), str(m)])
+    text = "".join(piece(u, NEAR_TOKENS) + piece(" ", NEAR_INNER) + piece(v, NEAR_TOKENS)
+                   + piece("\n", NEAR_BREAKS) for u, v in rows)
+    return text if draw(st.booleans()) else text.removesuffix("\n")
+
+
+@st.composite
+def reference_shape_texts(draw):
+    """Texts of REFERENCE_SHAPE's lines: ASCII numbers with no leading zero, one space or tab,
+    an optional `\r` before each line end, the last line end optional; no graph in most."""
+    number = st.integers(0, 10**6).map(str)
+    lines = [draw(number) + draw(st.sampled_from(SHAPED_INNER)) + draw(number)
+             + draw(st.sampled_from(["", "\r"])) for _ in range(draw(st.integers(1, 8)))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
 def simple_graph_text(seed: int) -> str:
     """The edge list of a random simple graph in the token readers' shape: a true header, then
     distinct unordered pairs below n in random order, each in either orientation, one space or
@@ -340,12 +377,20 @@ def assert_degrees_match_sets(text: str):
     assert read == (list(degree.values()), histogram, tags), repr(text)
 
 
+# the token readers' line shape as one pattern, with a number as the second token: the edge-list
+# reader's blank test lets through every text it matches, and the token reader reads each such
+# text that holds a graph
+REFERENCE_SHAPE = partition_module.pair_lines("(?>0|[1-9][0-9]*+)")
+
+
 def assert_readers_agree(text: str):
     """Both readers give text the same graph or the same ParseError, a good text of the plain
     shape is read token by token, and a graph's degrees are those of its neighbor sets."""
     g = assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
-    if g is not None and graph_module.pairs_per_line(text):
-        assert graph_module._parse_tokens(text) is not None
+    if REFERENCE_SHAPE(text):
+        assert graph_module.pairs_per_line(text), repr(text)
+        if g is not None:
+            assert graph_module._parse_tokens(text) is not None, repr(text)
     if g is not None:
         assert_degrees_match_sets(text)
 
@@ -513,6 +558,14 @@ class TestEdgeListFormat:
         "3 2\n0\x0c1\n1 2\n",
         "5 4\n0 1\n1 2\n2 3\n3 4 0\n",
         "3 1\n0 1\n0 1\n",  # a repeat that keeps the key count at m
+        # passed by the token reader's blank test, then turned down by JSON or the repeat check
+        "5 1\n03 1\n",
+        " \n03010 00",
+        "3 1\n1\r 2\n",
+        "3 1\n1 \r2\n",
+        "3 1\n0 1\r\r\n",
+        "3 3\n0 1\n1 2\n0 1\n",
+        "3 2\n0 2\n0 1\n",  # u < v but not in increasing order: the set's check
         # the token readers' line shape: no leading zero, blank or trailing blank, one
         # space or tab between the tokens, an optional `\r` at the end
         "3 2\n00 1\n1 2\n",
@@ -542,19 +595,31 @@ class TestEdgeListFormat:
 
     @pytest.mark.parametrize("text", SAME_OUTCOME)
     def test_readers_agree_on_cases(self, text):
-        if assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key) is not None:
-            assert_degrees_match_sets(text)
+        assert_readers_agree(text)
 
     @pytest.mark.parametrize("text", SAME_OUTCOME)
     def test_readers_agree_on_cases_in_short_blocks(self, text, monkeypatch):
-        # a block of 8 characters ends at nearly every line end
+        # a block of 8 characters ends at nearly every line end, one of 4 of the blank test
+        # at every line end
         monkeypatch.setattr(graph_module, "_BLOCK", 8)
-        assert_same_outcome(parse_edge_list, LINE_READER, text, key=graph_key)
+        monkeypatch.setattr(graph_module, "_SHAPE_BLOCK", 4)
+        assert_readers_agree(text)
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
     def test_readers_agree(self, text):
         assert_readers_agree(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(near_shape_texts())
+    def test_readers_agree_near_the_line_shape(self, text):
+        assert_readers_agree(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(reference_shape_texts())
+    def test_blank_test_takes_the_reference_shape(self, text):
+        # the blank test follows from the pattern: it turns down no text that matches it
+        assert REFERENCE_SHAPE(text) and graph_module.pairs_per_line(text)
 
     @settings(max_examples=200, deadline=None)
     @given(simple_graph_texts)
@@ -613,6 +678,47 @@ class TestEdgeListFormat:
         # one pattern match over the text: no list of lines or of tokens
         rows = "".join(f"{u} {(7 * u + 3) % 100000}\n" for u in range(100000))
         assert_line_test_is_flat(graph_module.pairs_per_line, "100000 100000\n" + rows)
+
+
+def sorted_edge_list(seed: int) -> tuple[Graph, str]:
+    """A random graph at n = 2^15, m = 1.5 n and its edge list as format_edge_list writes it:
+    each line u < v, the lines in increasing order."""
+    n = 1 << 15
+    g = parse_edge_list(random_edge_text(n, 3 * n // 2, seed))
+    return g, format_edge_list(g)
+
+
+class TestSetFreeRepeatCheck:
+    def test_sorted_file_makes_no_set(self, monkeypatch):
+        g, text = sorted_edge_list(seed=1)
+
+        def no_set(*args):
+            raise AssertionError("a set was made")
+
+        monkeypatch.setattr(graph_module, "set", no_set, raising=False)
+        monkeypatch.setattr(graph_module, "content_lines", None)  # a call raises TypeError
+        assert parse_edge_list(text) == g
+
+    def test_shuffled_file_takes_the_set(self, monkeypatch):
+        # the same edges in random order, a quarter of them reversed: keys in a set
+        g, _ = sorted_edge_list(seed=1)
+        rng = random.Random(2)
+        lines = [f"{v} {u}" if rng.random() < 0.25 else f"{u} {v}" for u, v in g.edges()]
+        rng.shuffle(lines)
+        text = "".join(f"{line}\n" for line in [f"{g.n} {g.m}", *lines])
+        made = []
+        monkeypatch.setattr(graph_module, "set", lambda keys: made.append(1) or set(keys),
+                            raising=False)
+        monkeypatch.setattr(graph_module, "content_lines", None)
+        assert parse_edge_list(text) == g and made == [1]
+
+    def test_sorted_file_parse_peak(self):
+        # with no set of m keys the parse peaks at 4.9 MB, against 8.6 MB (8 588 212 bytes)
+        # when the reader made the set for every file
+        g, text = sorted_edge_list(seed=1)
+        parsed, peak = traced_peak(lambda: parse_edge_list(text))
+        assert parsed == g
+        assert peak < 6_000_000, f"peak {peak} bytes"
 
 
 def random_edge_text(n: int, m: int, seed: int) -> str:
