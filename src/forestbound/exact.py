@@ -26,10 +26,19 @@ The cycle check comes last and does not resume: it floods cand once and
 reads each component's one cycle, if any, off the degrees inside cand,
 reporting anchor 0 whenever it finds a cycle.
 
-Cuts: each row of `_CHAINS` names the one cut its class runs at a node
-that would otherwise push children (|cand| - 1 > best). No cut subtree
-holds a set larger than best, so no cut subtree updates the incumbent.
+Cuts: every class here is a forest, so a valid S of best + 1 vertices has
+e(S) <= best. Every row runs the first two cuts below; `_CHAINS` names a
+third per row, run where a node would push children (|cand| - 1 > best).
+No cut drops a set larger than best, so none changes the incumbent.
 
+- Edge count: each stack entry carries e(cand), less each deleted vertex's
+  degree in cand. The r = |cand| - best - 1 vertices of cand outside S meet
+  at most r * Delta of its edges (Delta: the maximum degree), so a node
+  with e(cand) - r * Delta > best is skipped uncounted; a valid cand larger
+  than best has at most |cand| - 1 edges and never trips it: it runs first.
+- Dead children (W from the degree scan: a centre over its cap and its
+  neighbours): no child is pushed whose kept set holds the centre and more
+  than its cap of them, since no valid set lies below it.
 - Two violations (linear, abc, star, ab): a node one deletion short of the
   incumbent (|cand| - 2 <= best) whose W came from the chain's first scan
   (anchor < n) resumes that scan at the anchor on cand - W, then for ab the
@@ -37,14 +46,12 @@ holds a set larger than best, so no cut subtree updates the incumbent.
   S within cand misses a vertex of W, and S - W (valid, the class being
   hereditary) one of W', so |S| <= best.
 - Degree count (caterpillars, whose W is a whole closed neighbourhood and
-  seldom leaves a second violation): every class here is a forest, so a
-  valid S of best + 1 vertices has e(S) <= best. The edges of cand that
-  meet S number at most e(S) + e(cand), so twice the sum of S's degrees in
-  cand is at most D + 2 * best, where D is the sum of all degrees in cand.
-  If the best + 1 smallest degrees in cand break this, so does every such
-  S, and so every larger valid set, which holds one: the node has no
-  child. A caterpillar forest of maximum degree 2 is a linear forest, so
-  k = 2 runs the linear row.
+  seldom leaves a second violation): S's degrees in cand sum to e(S) plus
+  the edges meeting S, at most best + e(cand), so if twice the sum of the
+  best + 1 smallest degrees in cand exceeds 2 * best plus the sum of all of
+  them, no valid set larger than best fits, and the node has no child. A
+  caterpillar forest of maximum degree 2 is a linear forest, so k = 2 runs
+  the linear row.
 """
 
 from __future__ import annotations
@@ -125,7 +132,7 @@ class _Search:
         self._chain = [getattr(self, name) for name in names]
 
     def run(self, budget: int) -> OracleResult:
-        n = self.n
+        n, adj = self.n, self.adj
         full = (1 << n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
@@ -133,18 +140,22 @@ class _Search:
         counting = not self._cut  # the row runs the degree-count cut
         cut_end = n if self._cut else 0  # anchors below it are the first scan's
         cut_walks = self._cut > 1  # the cut also runs the rest of the chain
+        centre_end = n if first == self._degree_scan else 0  # anchors below it are centres
+        top = max(map(int.bit_count, adj), default=0)  # the maximum degree
         nodes = 0
         stopped = False
-        stack = [(full, 0, 0)]
+        stack = [(full, 0, 0, sum(map(int.bit_count, adj)) // 2)]  # and e(cand)
         pop, push = stack.pop, stack.append
         while stack:
-            cand, kept, start = pop()
+            cand, kept, start, edges = pop()
             size = cand.bit_count()
             if size <= best_size:
                 continue
             if nodes >= budget:
                 stopped = True
                 break
+            if edges - (size - best_size - 1) * top > best_size:
+                continue  # too many edges for a forest larger than best
             nodes += 1
             bad, anchor = first(cand, start)
             if not bad:
@@ -164,17 +175,26 @@ class _Search:
             # from the highest bit down, the children pop in bit order; a
             # violation inside kept leaves no free bit and so no child.
             free = bad & ~kept
+            if anchor < centre_end:  # the top d - cap - 1 children over floor are dead
+                floor = 1 if kept >> anchor & 1 else 2 << anchor
+                dead = bad.bit_count() - self.caps[anchor] - 2
+                while dead > 0 and free >= floor:
+                    free ^= 1 << (free.bit_length() - 1)
+                    dead -= 1
             while free:
-                high = 1 << (free.bit_length() - 1)
+                i = free.bit_length() - 1
+                high = 1 << i
                 free ^= high
-                push((cand ^ high, kept | free, anchor))
+                push((cand ^ high, kept | free, anchor, edges - (adj[i] & cand).bit_count()))
         witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
         return OracleResult(best_size, witness, nodes, exact=not stopped)
 
     def _greedy_peel(self, cand: int) -> int:
-        """Initial incumbent: repeatedly delete the busiest vertex of a violation."""
+        """Initial incumbent: repeatedly delete the busiest vertex of a
+        violation, each walk resuming at the last one's anchor."""
+        anchor = 0
         while True:
-            bad = self._violation(cand)
+            bad, anchor = self._walk(cand, anchor)
             if not bad:
                 return cand
             worst, worst_deg = -1, -1

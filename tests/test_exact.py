@@ -25,6 +25,7 @@ from forestbound.generate import (
     gnp,
     hnk_graph,
     k_prime_graph,
+    path_graph,
     random_regular,
 )
 from forestbound.partition import ABC_CAPS
@@ -232,8 +233,9 @@ class RescanSearch(_Search):
     """The search before its finders resumed, kept as a reference: every
     node's violation scan starts at vertex 0, the finder is picked through
     an if-chain at every node, and children are built in a list and pushed
-    reversed. It runs no cut, or with count_cut set the degree-count cut
-    at every node with a violation."""
+    reversed. Its greedy peel rescans from vertex 0 too. It runs no cut, or
+    with count_cut set the caterpillar rows' cuts: the edge count at every
+    node, and the degree count at every node with a violation."""
 
     count_cut = False
 
@@ -245,19 +247,22 @@ class RescanSearch(_Search):
         full = (1 << self.n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        violation = self._violation
+        violation, adj = self._violation, self.adj
+        top = max(map(int.bit_count, adj), default=0)
         nodes = 0
         stopped = False
-        stack = [(full, 0)]
+        stack = [(full, 0, sum(map(int.bit_count, adj)) // 2)]
         pop = stack.pop
         while stack:
-            cand, kept = pop()
+            cand, kept, edges = pop()
             size = cand.bit_count()
             if size <= best_size:
                 continue
             if nodes >= budget:
                 stopped = True
                 break
+            if self.count_cut and edges - (size - best_size - 1) * top > best_size:
+                continue
             nodes += 1
             bad = violation(cand)
             if not bad:
@@ -272,12 +277,25 @@ class RescanSearch(_Search):
             children = []
             while free:
                 low = free & -free
-                children.append((cand ^ low, kept))
+                lost = (adj[low.bit_length() - 1] & cand).bit_count()
+                children.append((cand ^ low, kept, edges - lost))
                 kept |= low
                 free ^= low
             stack.extend(reversed(children))
         witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
         return OracleResult(best_size, witness, nodes, exact=not stopped)
+
+    def _greedy_peel(self, cand: int) -> int:
+        while True:
+            bad = self._violation(cand)
+            if not bad:
+                return cand
+            worst, worst_deg = -1, -1
+            for i in _iter_bits(bad):
+                d = (self.adj[i] & cand).bit_count()
+                if d > worst_deg:
+                    worst, worst_deg = i, d
+            cand &= ~(1 << worst)
 
     def _violation(self, cand: int) -> int:
         if self.kind in ("linear", "abc"):
@@ -552,7 +570,7 @@ class CountedSpineSearch(_Search):
 
 class CountedSpineRescan(RescanSearch):
     examined = 0
-    count_cut = True  # as the caterpillar row does
+    count_cut = True  # as the caterpillar row does: the edge and degree counts
 
     def _spine_violation(self, cand):
         self.examined += spine_scan_length(self, cand, 0)
@@ -560,10 +578,10 @@ class CountedSpineRescan(RescanSearch):
 
 
 def test_resumed_spine_scan_examines_at_most_seven_tenths_of_the_vertices():
-    # Both run the degree-count cut, so they build the same tree. It leaves
-    # trees of a few hundred to a few thousand nodes at n = 22, where how
-    # much resuming saves varies with the tree's depth, so the count is
-    # summed over ten graphs.
+    # Both run the edge and degree-count cuts, so they build the same tree.
+    # It leaves trees of a few hundred to a few thousand nodes at n = 22,
+    # where how much resuming saves varies with the tree's depth, so the
+    # count is summed over ten graphs.
     examined = [0, 0]
     for seed in range(1, 11):
         g = gnp(22, 0.3, seed)
@@ -582,6 +600,44 @@ def test_linear_forest_on_gnp28_is_exact_within_2m_nodes():
     assert LINEAR_FOREST.contains(g.induced(res.witness))
 
 
+def test_linear_forest_on_gnp40_is_exact_within_the_default_budget():
+    # Before the edge count and the dead children this search was not exact
+    # after 3 M nodes, and its best set had 13 vertices.
+    g = gnp(40, 0.3, 7)
+    res = alpha_exact(g, LINEAR_FOREST)
+    assert res.exact and res.alpha == 14
+    assert res.nodes_explored == 1_368_845
+    assert LINEAR_FOREST.contains(g.induced(res.witness))
+
+
+class CountedPeel(_Search):
+    # Counts the vertices the spine scan examines: those of cand from start
+    # up to the vertex it stops at, or to the end.
+    examined = 0
+
+    def _spine_scan(self, cand, start):
+        bad, anchor = super()._spine_scan(cand, start)
+        self.examined += (cand >> start & (1 << anchor + 1 - start) - 1).bit_count()
+        return bad, anchor
+
+
+class CountedRescanPeel(CountedPeel):
+    _greedy_peel = RescanSearch._greedy_peel  # every walk starts at vertex 0
+
+
+def test_greedy_peel_examines_each_vertex_of_a_path_a_bounded_number_of_times():
+    # A star forest on a path: the peel deletes about every other vertex,
+    # one violation at a time. Each walk resumes at the last one's anchor,
+    # so the scans examine O(n) vertices, and the peel keeps the same set as
+    # one whose every walk starts at vertex 0 and examines O(n^2).
+    for n in (200, 400):
+        full = (1 << n) - 1
+        new, ref = CountedPeel(path_graph(n), "star"), CountedRescanPeel(path_graph(n), "star")
+        assert new._greedy_peel(full) == ref._greedy_peel(full)
+        assert 0 < new.examined <= 2 * n
+        assert ref.examined >= n * n // 16
+
+
 def test_search_peak_allocation_stays_under_1mb():
     # Traced allocation slows the search several times over, so only the
     # first 10 000 nodes run; the memo search peaked at 3.3 MB there.
@@ -597,8 +653,9 @@ def test_search_peak_allocation_stays_under_1mb():
 def test_star_forest_on_gnp34_node_count():
     res = alpha_exact(gnp(34, 0.3, 7), STAR_FOREST)
     assert res.exact
-    # 117 062 without the cut; the memo search took 1.37 M
-    assert res.nodes_explored == 81_333
+    # 117 062 without a cut, 81 333 with the two-violation cut alone; the
+    # memo search took 1.37 M
+    assert res.nodes_explored == 78_614
 
 
 def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
@@ -611,16 +668,18 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
     "search, nodes",
     [
         # (without a cut: 131 142, 52 083, 43 036, 131 142, 361 942, 164 523
-        # and 6 203 nodes)
-        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 97_521),
-        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 41_218),
-        (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 33_155),
+        # and 6 203 nodes; with each row's own cut but without the edge count
+        # and the dead children: 97 521, 41 218, 33 155, 97 521, 34 426,
+        # 13 141 and 145)
+        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 17_864),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 7_087),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 30_974),
         # k = 2 runs the linear row and its two-violation cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 97_521),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 17_864),
         # the other caterpillars run the degree-count cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 34_426),
-        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 13_141),
-        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 145),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 11_001),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 13_133),
+        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 60),
     ],
     ids=[
         "linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar2-gnp28",
@@ -647,6 +706,65 @@ def test_degree_count_cut_is_sound_on_the_atlas():
             assert not search._count_cut(full, alpha - 1), (g.edges(), cls)
             fired += search._count_cut(full, alpha)
     assert fired
+
+
+def test_edge_count_cut_is_sound_on_the_atlas():
+    # On every graph of 1 to 7 vertices and in every class, the edge count
+    # at the root (m edges, maximum degree top) never rules out the optimum
+    # (best = alpha - 1), and it is not vacuous (best = alpha). Where the
+    # greedy peel already finds alpha, the search counts no node exactly
+    # when the test fires at the root.
+    nx = pytest.importorskip("networkx")
+    fired = 0
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        m, top, full = g.m, max(g.degrees()), (1 << g.n) - 1
+
+        def trips(best):
+            return m - (g.n - best - 1) * top > best
+
+        for cls in ALL_CLASSES:
+            search = _Search(g, cls.kind, k=cls.k)
+            res = search.run(10**6)
+            assert not trips(res.alpha - 1), (g.edges(), cls)
+            fired += trips(res.alpha)
+            if res.alpha < g.n and search._greedy_peel(full).bit_count() == res.alpha:
+                assert (res.nodes_explored == 0) == trips(res.alpha), (g.edges(), cls)
+    assert fired
+
+
+def test_dead_children_hold_no_valid_set_on_the_atlas():
+    # At every node of the whole uncut search tree, on every graph of 1 to 7
+    # vertices, in the rows whose W can come from the degree scan: a child
+    # whose kept set holds W's centre and more than its cap of W's other
+    # vertices, which the search does not push, keeps a set its class
+    # rejects, so no valid set lies below it.
+    nx = pytest.importorskip("networkx")
+    dropped = 0
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        labels = ["ABC"[v % 3] for v in g.vertices]
+        rows = [
+            (LINEAR_FOREST.contains, _Search(g, "linear")),
+            (ForestClass("caterpillar", 3).contains, _Search(g, "caterpillar", k=3)),
+            (abc_accept(Partition(dict(zip(g.vertices, labels)), "ABC")),
+             _Search(g, "abc", labels=labels)),
+        ]
+        for accept, search in rows:
+            stack = [((1 << g.n) - 1, 0, 0)]
+            while stack:
+                cand, kept, start = stack.pop()
+                bad, anchor = search._walk(cand, start)
+                free = bad & ~kept
+                for w in _iter_bits(free):
+                    if anchor < g.n and kept >> anchor & 1:
+                        others = (kept & bad ^ 1 << anchor).bit_count()
+                        if others > search.caps[anchor]:
+                            dropped += 1
+                            assert not accept(g.induced(search.vs[i] for i in _iter_bits(kept)))
+                    stack.append((cand ^ 1 << w, kept, anchor))
+                    kept |= 1 << w
+    assert dropped
 
 
 def test_recognizers_and_oracle_scans_agree_on_the_atlas():
