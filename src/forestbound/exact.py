@@ -27,9 +27,9 @@ reads each component's one cycle, if any, off the degrees inside cand,
 reporting anchor 0 whenever it finds a cycle.
 
 Cuts: every class here is a forest, so a valid S of best + 1 vertices has
-e(S) <= best. Every row runs the first two cuts below; `_CHAINS` names a
-third per row, run where a node would push children (|cand| - 1 > best).
-No cut drops a set larger than best, so none changes the incumbent.
+e(S) <= best. Every row runs the first two cuts below; the caterpillar rows
+also run the third where a node would push children (|cand| - 1 > best). No
+cut drops a set larger than best, so none changes the incumbent.
 
 - Edge count: each stack entry carries e(cand), less each deleted vertex's
   degree in cand. The r = |cand| - best - 1 vertices of cand outside S meet
@@ -39,19 +39,13 @@ No cut drops a set larger than best, so none changes the incumbent.
 - Dead children (W from the degree scan: a centre over its cap and its
   neighbours): no child is pushed whose kept set holds the centre and more
   than its cap of them, since no valid set lies below it.
-- Two violations (linear, abc, star, ab): a node one deletion short of the
-  incumbent (|cand| - 2 <= best) whose W came from the chain's first scan
-  (anchor < n) resumes that scan at the anchor on cand - W, then for ab the
-  spine scan, and has no child if that finds a second violation W': a valid
-  S within cand misses a vertex of W, and S - W (valid, the class being
-  hereditary) one of W', so |S| <= best.
-- Degree count (caterpillars, whose W is a whole closed neighbourhood and
-  seldom leaves a second violation): S's degrees in cand sum to e(S) plus
-  the edges meeting S, at most best + e(cand), so if twice the sum of the
-  best + 1 smallest degrees in cand exceeds 2 * best plus the sum of all of
-  them, no valid set larger than best fits, and the node has no child. A
-  caterpillar forest of maximum degree 2 is a linear forest, so k = 2 runs
-  the linear row.
+- Degree count (caterpillars; on linear and star it saves nodes but costs
+  more time than it saves): S's degrees in cand sum to e(S) plus the edges
+  meeting S, at most best + e(cand), so if twice the sum of the best + 1
+  smallest degrees in cand exceeds 2 * best plus the sum of all of them, no
+  valid set larger than best fits, and the node has no child. A caterpillar
+  forest of maximum degree 2 is a linear forest, so k = 2 runs the linear
+  row.
 """
 
 from __future__ import annotations
@@ -104,16 +98,14 @@ def _iter_bits(mask: int):
 # digits lowest first, as the bytes 0 and 1.
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
-# Each class's scans in the order a node runs them, and its cut: how many
-# leading scans the two-violation cut resumes, the first or all, or 0 for the
-# degree-count cut, which resumes none (see the module docstring).
+# Each class's scans in the order a node runs them (see the module docstring).
 _CHAINS = {
-    "linear": (("_degree_scan", "_shortest_cycle"), 1),
-    "abc": (("_degree_scan", "_shortest_cycle"), 1),
-    "caterpillar": (("_spine_scan", "_shortest_cycle"), 0),
-    "k-caterpillar": (("_degree_scan", "_spine_scan", "_shortest_cycle"), 0),
-    "star": (("_spine_scan",), 1),
-    "ab": (("_ab_violation", "_spine_scan"), 2),
+    "linear": ("_degree_scan", "_shortest_cycle"),
+    "abc": ("_degree_scan", "_shortest_cycle"),
+    "caterpillar": ("_spine_scan", "_shortest_cycle"),
+    "k-caterpillar": ("_degree_scan", "_spine_scan", "_shortest_cycle"),
+    "star": ("_spine_scan",),
+    "ab": ("_ab_violation", "_spine_scan"),
 }
 
 
@@ -128,8 +120,8 @@ class _Search:
         self.limit = 0 if kind in ("star", "ab") else 2  # spine neighbours per spine vertex
         # A caterpillar forest of maximum degree 2 is a linear forest.
         key = "linear" if k == 2 else "k-caterpillar" if k is not None else kind
-        names, self._cut = _CHAINS[key]
-        self._chain = [getattr(self, name) for name in names]
+        self._chain = [getattr(self, name) for name in _CHAINS[key]]
+        self._counting = key.endswith("caterpillar")  # the degree-count cut's rows
 
     def run(self, budget: int) -> OracleResult:
         n, adj = self.n, self.adj
@@ -137,9 +129,7 @@ class _Search:
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
         first, walk, count_cut = self._chain[0], self._walk, self._count_cut
-        counting = not self._cut  # the row runs the degree-count cut
-        cut_end = n if self._cut else 0  # anchors below it are the first scan's
-        cut_walks = self._cut > 1  # the cut also runs the rest of the chain
+        counting = self._counting
         centre_end = n if first == self._degree_scan else 0  # anchors below it are centres
         top = max(map(int.bit_count, adj), default=0)  # the maximum degree
         nodes = 0
@@ -167,10 +157,6 @@ class _Search:
                 continue  # every child would be popped and skipped uncounted
             if counting and count_cut(cand, best_size):
                 continue  # cand's degrees rule out a forest larger than best
-            if anchor < cut_end and size - 2 <= best_size:
-                rest = cand & ~bad
-                if first(rest, anchor)[0] or cut_walks and walk(rest, n)[0]:
-                    continue  # a second violation, disjoint from W: no child beats best
             # Child i deletes w_i and keeps the free w_1 ... w_{i-1}. Pushed
             # from the highest bit down, the children pop in bit order; a
             # violation inside kept leaves no free bit and so no child.
@@ -211,10 +197,6 @@ class _Search:
         selected = compress(self.adj, bin(cand)[:1:-1].encode().translate(_BITS))
         degrees = sorted(map(int.bit_count, map(cand.__and__, selected)))
         return 2 * sum(degrees[: best + 1]) > sum(degrees) + 2 * best
-
-    def _violation(self, cand: int) -> int:
-        """W for cand, scanning from vertex 0."""
-        return self._walk(cand, 0)[0]
 
     def _walk(self, cand: int, start: int) -> tuple[int, int]:
         """(W, anchor) of the chain resumed at anchor start, where anchor

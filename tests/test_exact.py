@@ -213,6 +213,9 @@ class MemoSearch(_Search):
             if bad >> i & 1:
                 self._visit(cand & ~(1 << i))
 
+    def _violation(self, cand: int) -> int:
+        return self._walk(cand, 0)[0]
+
 
 def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
@@ -398,9 +401,8 @@ class RescanSearch(_Search):
 
 
 class UnprunedSearch(_Search):
-    """The search before it cut nodes one deletion short of the incumbent
-    that hold a second, disjoint violation, kept as a reference: every node
-    that cannot be skipped pushes its children."""
+    """The search without its cuts, kept as a reference: every node that
+    cannot be skipped pushes its children."""
 
     def run(self, budget: int) -> OracleResult:
         full = (1 << self.n) - 1
@@ -472,7 +474,7 @@ def test_same_optimum_as_memo_search_with_no_more_nodes():
 
 
 def test_resumed_search_matches_rescan_search():
-    # Without the cut, the resumed scans build the same tree in the same pop
+    # Without the cuts, the resumed scans build the same tree in the same pop
     # order: equal results, and a budget cuts both off at the same node with
     # the same witness.
     for g, kind, k, labels in oracle_corpus():
@@ -483,7 +485,7 @@ def test_resumed_search_matches_rescan_search():
 
 
 def test_cut_search_matches_unpruned_search():
-    # The cut drops only subtrees that cannot beat the incumbent: the same
+    # The cuts drop only subtrees that cannot beat the incumbent: the same
     # optimum and witness in no more nodes, and under a budget the search
     # gets at least as far along the uncut one's node order, so its alpha is
     # never lower.
@@ -499,14 +501,6 @@ def test_cut_search_matches_unpruned_search():
             assert new.alpha >= ref.alpha, (*case, budget)
 
 
-def test_every_cut_resumes_none_the_first_or_all_of_its_chain():
-    # the two-violation cut runs the chain's first scan and, for a count
-    # above one, the walker, which runs on to the chain's end; 0 is the
-    # degree-count cut
-    for names, cut in _CHAINS.values():
-        assert cut in (0, 1, len(names)), names
-
-
 def degree_scan_length(search: _Search, cand: int, start: int) -> int:
     """The vertices a degree scan of cand from start examines: those of cand
     from start up to the first one over its cap, or to the end."""
@@ -520,8 +514,7 @@ def degree_scan_length(search: _Search, cand: int, start: int) -> int:
 
 
 class CountedSearch(_Search):
-    # Counts the degree scan both where a node finds its violation and where
-    # the cut looks for a second one.
+    # Counts the degree scan wherever a node looks for its violation.
     examined = 0
 
     def _degree_scan(self, cand, start):
@@ -606,7 +599,7 @@ def test_linear_forest_on_gnp40_is_exact_within_the_default_budget():
     g = gnp(40, 0.3, 7)
     res = alpha_exact(g, LINEAR_FOREST)
     assert res.exact and res.alpha == 14
-    assert res.nodes_explored == 1_368_845
+    assert res.nodes_explored == 1_369_314
     assert LINEAR_FOREST.contains(g.induced(res.witness))
 
 
@@ -623,6 +616,7 @@ class CountedPeel(_Search):
 
 class CountedRescanPeel(CountedPeel):
     _greedy_peel = RescanSearch._greedy_peel  # every walk starts at vertex 0
+    _violation = MemoSearch._violation
 
 
 def test_greedy_peel_examines_each_vertex_of_a_path_a_bounded_number_of_times():
@@ -653,9 +647,8 @@ def test_search_peak_allocation_stays_under_1mb():
 def test_star_forest_on_gnp34_node_count():
     res = alpha_exact(gnp(34, 0.3, 7), STAR_FOREST)
     assert res.exact
-    # 117 062 without a cut, 81 333 with the two-violation cut alone; the
-    # memo search took 1.37 M
-    assert res.nodes_explored == 78_614
+    # 117 062 without a cut; the memo search took 1.37 M
+    assert res.nodes_explored == 78_826
 
 
 def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
@@ -668,14 +661,13 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
     "search, nodes",
     [
         # (without a cut: 131 142, 52 083, 43 036, 131 142, 361 942, 164 523
-        # and 6 203 nodes; with each row's own cut but without the edge count
-        # and the dead children: 97 521, 41 218, 33 155, 97 521, 34 426,
-        # 13 141 and 145)
-        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 17_864),
-        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 7_087),
-        (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 30_974),
-        # k = 2 runs the linear row and its two-violation cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 17_864),
+        # and 6 203 nodes; the last three with the degree-count cut alone:
+        # 34 426, 13 141 and 145)
+        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 17_884),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 7_934),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 31_926),
+        # k = 2 runs the linear row
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 17_884),
         # the other caterpillars run the degree-count cut
         (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 11_001),
         (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 13_133),
@@ -777,7 +769,7 @@ def test_recognizers_and_oracle_scans_agree_on_the_atlas():
         full = (1 << g.n) - 1
         for cls in ALL_CLASSES:
             search = _Search(g, cls.kind, k=cls.k)
-            assert cls.contains(g) == (search._violation(full) == 0), (g.edges(), cls)
+            assert cls.contains(g) == (search._walk(full, 0)[0] == 0), (g.edges(), cls)
 
 
 def test_cycle_scan_finds_a_shortest_cycle_on_the_atlas():
@@ -786,7 +778,7 @@ def test_cycle_scan_finds_a_shortest_cycle_on_the_atlas():
     # forest: reading each component's one cycle off its degrees finds what
     # a search from every vertex would.
     nx = pytest.importorskip("networkx")
-    for names, _ in _CHAINS.values():
+    for names in _CHAINS.values():
         assert "_shortest_cycle" not in names[:-1], names
     reached = cycles = 0
     for atlas_graph in nx.graph_atlas_g()[1:]:

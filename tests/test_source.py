@@ -314,7 +314,7 @@ def orphan_scans(tree: ast.Module) -> list[str]:
 
 def test_detector_sees_every_hand_off_between_chained_scans():
     code = (
-        "_CHAINS = {'x': (('_a', '_b'), 1), 'y': (('_c',), 0)}\n"
+        "_CHAINS = {'x': ('_a', '_b'), 'y': ('_c',)}\n"
         "class _Search:\n"
         "    def _a(self, c, s):\n        return self._b(c, s)\n"
         "    def _b(self, c, s):\n        return self._walk(c, s) or self._helper(c)\n"
