@@ -55,7 +55,6 @@ from .weights import (
     total_weight,
 )
 
-DEFAULT_EXACT_THRESHOLD = 16
 _STUCK_BUDGET = 500_000
 _ZERO = Fraction(0)
 
@@ -285,15 +284,14 @@ def _reduce(
                 chosen.update(step.chosen)
                 continue
 
-            # 6: constrained exact search. Up to the threshold the search,
-            # which reaches a vertex subset at most once, explores at most
-            # 2**16 nodes, so only a larger instance can exhaust _STUCK_BUDGET.
+            # 6: constrained exact search. It reaches a vertex subset at most
+            # once, so on at most 16 vertices it explores at most 2**16 nodes:
+            # only a larger instance can exhaust _STUCK_BUDGET.
             inst = work.inst
             part = Partition({v: labels[v] for v in inst}, row.mode)
             residual = Graph({v: nbrs[v] for v in inst})
             result = alpha_exact_partitioned(residual, part, budget=_STUCK_BUDGET)
-            note = "over-threshold" if len(inst) > DEFAULT_EXACT_THRESHOLD else ""
-            chosen |= _settle(work, trace, f"{prefix}6", inst, result.witness, row.forest, note)
+            chosen |= _settle(work, trace, f"{prefix}6", inst, result.witness, row.forest)
             break
     if ids and ids[-1] != len(ids) - 1:  # positions are ids only on a graph on 0..n-1
         trace.steps = [_named(step, ids) for step in trace.steps]
@@ -475,7 +473,7 @@ def _named(step: ReductionStep, ids: tuple[int, ...]) -> ReductionStep:
 
 
 def _settle(
-    work: _WorkingGraph, trace: ReductionTrace, rule: str, vertices, picks, forest, note=""
+    work: _WorkingGraph, trace: ReductionTrace, rule: str, vertices, picks, forest
 ) -> AbstractSet[int]:
     """Settle an instance by keeping `picks`: log the step and return them if they
     meet the vertices' total weight, else raise BoundMiss with their certificate
@@ -486,7 +484,7 @@ def _settle(
         message = f"{rule} kept {len(picks)} of {len(vertices)} vertices, below the bound {need}"
         kept = frozenset(map(work.ids.__getitem__, picks))
         raise BoundMiss(message, ForestCertificate(kept, forest, need))
-    trace.append(_solved(rule, vertices, picks, note))
+    trace.append(_solved(rule, vertices, picks))
     return picks
 
 

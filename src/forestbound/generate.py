@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .errors import InfeasibleDegree, InvalidSpec, ParseError, RetryLimit
@@ -72,20 +72,16 @@ def hnk_graph(n: int, k: int) -> Graph:
     """Complete graph on n core vertices with k+1 pendant leaves each."""
     if n < 1 or k < 2:
         raise InvalidSpec("hnk needs n >= 1 and k >= 2")
-    edges = list(combinations(range(n), 2))
-    for core in range(n):
-        for j in range(k + 1):
-            edges.append((core, n + core * (k + 1) + j))
-    return Graph.from_edges(n + n * (k + 1), edges)
+    leaves = ((core, n + core * (k + 1) + j) for core in range(n) for j in range(k + 1))
+    return Graph.from_edges(n + n * (k + 1), chain(combinations(range(n), 2), leaves))
 
 
 def k_prime_graph(n: int) -> Graph:
     """Complete graph on n core vertices with one pendant leaf each."""
     if n < 1:
         raise InvalidSpec("kprime needs n >= 1")
-    edges = list(combinations(range(n), 2))
-    edges.extend((core, n + core) for core in range(n))
-    return Graph.from_edges(2 * n, edges)
+    leaves = ((core, n + core) for core in range(n))
+    return Graph.from_edges(2 * n, chain(combinations(range(n), 2), leaves))
 
 
 def fig1_gadget(gadget: str) -> tuple[Graph, Partition]:
@@ -107,8 +103,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidSpec("gnp needs n >= 1 and p in [0, 1]")
     rng = random.Random(seed)
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, (uv for uv in combinations(range(n), 2) if rng.random() < p))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

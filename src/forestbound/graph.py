@@ -333,23 +333,22 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._of(tuple(range(n)), us, vs)
 
 
-def pairs_per_line(text: str) -> bool:
-    """Whether each line (a final `\n` optional) is ASCII digits, one space or tab and ASCII
-    digits, a `\r` only before a `\n` or at the end: the blanks of the token reader's line
-    shape; JSON declines an empty token or a leading zero. Checked a block of lines at a time."""
+def pairs_per_line(text: str, tokens: str = "0123456789") -> bool:
+    """Whether each line (a final `\n` optional) is `tokens` characters, one space or tab and
+    `tokens` characters, a `\r` only before a `\n` or at the end: the token readers' blank test.
+    Each reader checks its tokens, an empty one too. Checked a block of lines at a time."""
     if "\r" in text and text.count("\r") != text.count("\r\n") + text.endswith("\r"):
         return False
-    head, size = 0, len(text)
+    head, size, blanks = 0, len(text), str.maketrans("\t", " ", tokens + "\r")
     while head < size:
         end = text.find("\n", head + _SHAPE_BLOCK) + 1 or size
-        shape = text[head:end].translate(_SHAPE) + "\n" * (text[end - 1] != "\n")
+        shape = text[head:end].translate(blanks) + "\n" * (text[end - 1] != "\n")
         if len(shape) != 2 * shape.count(" \n"):  # each line " \n", none else
             return False
         head = end
     return True
 
 
-_SHAPE = str.maketrans("\t", " ", "0123456789\r")  # a line of two numbers to one space
 _SHAPE_BLOCK = 1 << 14  # the characters `pairs_per_line` translates at a time, up to a line end
 _BLOCK = 1 << 16  # the characters `_parse_tokens` converts at a time, up to a line end
 _decode = json.JSONDecoder().decode  # the stdlib's C scanner: a JSON list of ints, no str per token

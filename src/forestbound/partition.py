@@ -7,10 +7,12 @@ star forest bound.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import partial
+from string import ascii_letters, digits
+from typing import Mapping
 
+from . import graph
 from .errors import MissingPartition, ParseError, UnknownVertex
 from .graph import Graph, content_lines
 
@@ -47,15 +49,8 @@ class Partition:
             raise UnknownVertex(f"labels for vertices not in graph: {extra[:8]}")
 
 
-def pair_lines(second: str) -> Callable[[str], re.Match | None]:
-    """A test that each `\n`-joined line (a final `\n` optional) is an ASCII-decimal index with
-    no leading zero, one space or tab, a `second` token and an optional `\r`, nothing else: the
-    token readers' line shape, an edge list's with a number for `second`. No backtracking."""
-    line = rf"(?>0|[1-9][0-9]*+)[ \t]{second}\r?+"
-    return re.compile(rf"{line}(?:\n{line})*+\n?+").fullmatch
-
-
-pairs_per_line = pair_lines(r"[^\s#]++")  # a label holds no whitespace and no `#`
+# the token reader's line test: each index and each label ASCII letters and digits
+pairs_per_line = partial(graph.pairs_per_line, tokens=ascii_letters + digits)
 
 
 def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
@@ -65,9 +60,10 @@ def parse_partition_file(text: str, mode: str = "ABC") -> Partition:
         toks = text.upper().split()  # upper-casing a text upper-cases each label alike
         try:
             labels = dict(zip(map(int, toks[0::2]), toks[1::2]))
-        except ValueError:  # an index past int's digit limit
+        except ValueError:  # a letter in an index, or an index past int's digit limit
             labels = {}
-        if 2 * len(labels) == len(toks):  # else an index was bad or came twice
+        # else a token was empty (split drops it), an index bad or one given twice
+        if 2 * len(labels) == len(toks) == 2 * (text.count("\n") + (text[-1:] != "\n")):
             return Partition(labels, mode)
     labels = {}
     for lineno, line in content_lines(text):

@@ -229,3 +229,22 @@ def test_vertex_limit_checked_before_the_builder_runs(monkeypatch, family):
     with pytest.raises(ParseError, match=rf"^{count} vertices exceed the limit of {LIMIT}$"):
         generate(parse_gen_spec(past))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build, args, count", [
+    (gnp, (LIMIT + 1, 0.5, 1), LIMIT + 1),
+    (hnk_graph, (LIMIT // 8 + 1, 6), LIMIT + 8),
+    (k_prime_graph, (LIMIT // 2 + 1,), LIMIT + 2),
+], ids=["gnp", "hnk", "kprime"])
+def test_direct_call_past_the_limit_draws_no_edge(monkeypatch, build, args, count):
+    # a builder called directly hands Graph.from_edges its pairs undrawn, so the count is
+    # refused before the first pair is made (gnp's would be the first of about 5.5e11)
+    generate_module = importlib.import_module("forestbound.generate")
+
+    def pairs(*_):
+        raise AssertionError("a pair was drawn")
+        yield
+
+    monkeypatch.setattr(generate_module, "combinations", pairs)
+    with pytest.raises(ParseError, match=rf"^{count} vertices exceed the limit of {LIMIT}$"):
+        build(*args)

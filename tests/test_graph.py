@@ -23,7 +23,6 @@ from forestbound import (
     parse_edge_list,
 )
 from forestbound import graph as graph_module
-from forestbound import partition as partition_module
 from forestbound.check import verify_certificate
 from forestbound.construct import greedy_linear_forest
 from forestbound.graph import MAX_VERTICES
@@ -377,10 +376,11 @@ def assert_degrees_match_sets(text: str):
     assert read == (list(degree.values()), histogram, tags), repr(text)
 
 
-# the token readers' line shape as one pattern, with a number as the second token: the edge-list
-# reader's blank test lets through every text it matches, and the token reader reads each such
-# text that holds a graph
-REFERENCE_SHAPE = partition_module.pair_lines("(?>0|[1-9][0-9]*+)")
+# an edge list's line shape as one pattern: two ASCII-decimal numbers with no leading zero, one
+# space or tab between them, an optional `\r`. The edge-list reader's blank test lets through
+# every text it matches, and the token reader reads each such text that holds a graph
+REFERENCE_LINE = r"(?>0|[1-9][0-9]*+)[ \t](?>0|[1-9][0-9]*+)\r?+"
+REFERENCE_SHAPE = re.compile(rf"{REFERENCE_LINE}(?:\n{REFERENCE_LINE})*+\n?+").fullmatch
 
 
 def assert_readers_agree(text: str):

@@ -83,6 +83,12 @@ class TestPartitionFormat:
         "0 \u00df\n1 \ufb01\n2 b\n",
         "0 a\u00df\n1 \ufb01\n1 B\n",
         pytest.param("0 A\n" + "1" * 5000 + " B\n", id="5000-digit-index"),  # past int's limit
+        # past the blank test: an empty token (which split drops), a letter index, a label
+        # of letters and digits; and one it turns down, a label outside ASCII
+        "0 \n A\n",
+        "A 0\n",
+        "0 A1\n",
+        "0 \u00c4\n",
     ]
 
     @pytest.mark.parametrize("mode", ["ABC", "AB"])

@@ -280,10 +280,10 @@ def chain_scans(tree: ast.Module) -> set[str]:
 
 def chain_hand_offs(tree: ast.Module) -> list[str]:
     """Every reference that a scan named in the module's `_CHAINS` table
-    makes to a scan of that table or to the walker (`_walk`, `_violation`),
-    as `self.name` or a bare name, with the line, in line order."""
+    makes to a scan of that table or to the walker `_walk`, as `self.name`
+    or a bare name, with the line, in line order."""
     scans = chain_scans(tree)
-    targets = scans | {"_walk", "_violation"}
+    targets = scans | {"_walk"}
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name not in scans:
@@ -318,7 +318,7 @@ def test_detector_sees_every_hand_off_between_chained_scans():
         "class _Search:\n"
         "    def _a(self, c, s):\n        return self._b(c, s)\n"
         "    def _b(self, c, s):\n        return self._walk(c, s) or self._helper(c)\n"
-        "    def _c(self, c, s):\n        scan = self._a\n        return _violation(c)\n"
+        "    def _c(self, c, s):\n        scan = self._a\n        return _walk(c)\n"
         "    def _helper(self, c):\n        return self._a(c, 0)\n"
         "    def _walk(self, cand, start):\n        return self._a(cand, start)\n"
         "    def _orphan(self, cand, start):\n        return 0, 0\n"
@@ -327,7 +327,7 @@ def test_detector_sees_every_hand_off_between_chained_scans():
     assert chain_scans(ast.parse(code)) == {"_a", "_b", "_c"}
     assert chain_hand_offs(ast.parse(code)) == [
         "_a -> _b at line 4", "_b -> _walk at line 6", "_c -> _a at line 8",
-        "_c -> _violation at line 9",
+        "_c -> _walk at line 9",
     ]
     assert orphan_scans(ast.parse(code)) == ["_orphan at line 14"]
 
