@@ -27,31 +27,27 @@ reads each component's one cycle, if any, off the degrees inside cand,
 reporting anchor 0 whenever it finds a cycle.
 
 Cuts: every class here is a forest, so a valid S of best + 1 vertices has
-e(S) <= best. Every row runs the first two cuts below; the caterpillar rows
-also run the third where a node would push children (|cand| - 1 > best). No
-cut drops a set larger than best, so none changes the incumbent.
+e(S) <= best. Every row runs the edge count, and the dead children where
+W comes from the degree scan; rows differ only in their scans, caps and
+spine limit. No cut drops a set larger than best, so none changes the
+incumbent.
 
 - Edge count: each stack entry carries e(cand), less each deleted vertex's
   degree in cand. The r = |cand| - best - 1 vertices of cand outside S meet
   at most r * Delta of its edges (Delta: the maximum degree), so a node
   with e(cand) - r * Delta > best is skipped uncounted; a valid cand larger
   than best has at most |cand| - 1 edges and never trips it: it runs first.
+  With the sum of the r largest degrees in cand for r * Delta it is the
+  degree count: a stronger cut, but its sort per node cost more time than
+  the nodes it saved on the benchmark's searches.
 - Dead children (W from the degree scan: a centre over its cap and its
   neighbours): no child is pushed whose kept set holds the centre and more
   than its cap of them, since no valid set lies below it.
-- Degree count (caterpillars; on linear and star it saves nodes but costs
-  more time than it saves): S's degrees in cand sum to e(S) plus the edges
-  meeting S, at most best + e(cand), so if twice the sum of the best + 1
-  smallest degrees in cand exceeds 2 * best plus the sum of all of them, no
-  valid set larger than best fits, and the node has no child. A caterpillar
-  forest of maximum degree 2 is a linear forest, so k = 2 runs the linear
-  row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .check import ForestClass
 from .graph import Graph
@@ -94,10 +90,6 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-# The selectors of compress(adj, ...) for the vertices of a mask: its binary
-# digits lowest first, as the bytes 0 and 1.
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
 # Each class's scans in the order a node runs them (see the module docstring).
 _CHAINS = {
     "linear": ("_degree_scan", "_shortest_cycle"),
@@ -121,15 +113,13 @@ class _Search:
         # A caterpillar forest of maximum degree 2 is a linear forest.
         key = "linear" if k == 2 else "k-caterpillar" if k is not None else kind
         self._chain = [getattr(self, name) for name in _CHAINS[key]]
-        self._counting = key.endswith("caterpillar")  # the degree-count cut's rows
 
     def run(self, budget: int) -> OracleResult:
         n, adj = self.n, self.adj
         full = (1 << n) - 1
         best_mask = self._greedy_peel(full)
         best_size = best_mask.bit_count()
-        first, walk, count_cut = self._chain[0], self._walk, self._count_cut
-        counting = self._counting
+        first, walk = self._chain[0], self._walk
         centre_end = n if first == self._degree_scan else 0  # anchors below it are centres
         top = max(map(int.bit_count, adj), default=0)  # the maximum degree
         nodes = 0
@@ -155,8 +145,6 @@ class _Search:
                     continue
             if size - 1 <= best_size:
                 continue  # every child would be popped and skipped uncounted
-            if counting and count_cut(cand, best_size):
-                continue  # cand's degrees rule out a forest larger than best
             # Child i deletes w_i and keeps the free w_1 ... w_{i-1}. Pushed
             # from the highest bit down, the children pop in bit order; a
             # violation inside kept leaves no free bit and so no child.
@@ -189,14 +177,6 @@ class _Search:
                 if d > worst_deg:
                     worst, worst_deg = i, d
             cand &= ~(1 << worst)
-
-    def _count_cut(self, cand: int, best: int) -> bool:
-        """Whether cand's degrees rule out a valid set of more than best
-        vertices: twice the sum of its best + 1 smallest degrees in cand
-        exceeds the sum of all of them plus 2 * best (best >= 0)."""
-        selected = compress(self.adj, bin(cand)[:1:-1].encode().translate(_BITS))
-        degrees = sorted(map(int.bit_count, map(cand.__and__, selected)))
-        return 2 * sum(degrees[: best + 1]) > sum(degrees) + 2 * best
 
     def _walk(self, cand: int, start: int) -> tuple[int, int]:
         """(W, anchor) of the chain resumed at anchor start, where anchor

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InfeasibleDegree, InvalidSpec, ParseError, RetryLimit
 from .graph import MAX_VERTICES, Graph, parse_spec_text, spec_text
@@ -65,7 +65,7 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidSpec("cycle needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def hnk_graph(n: int, k: int) -> Graph:
@@ -110,17 +110,21 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """Simple d-regular graph via the pairing model, paired edge by edge.
 
     An attempt that gets stuck starts over; after PAIRING_RETRY_CAP stuck
-    attempts it raises RetryLimit.
+    attempts it raises RetryLimit. No stub is paired before from_edges has
+    checked n.
     """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise InfeasibleDegree(f"no simple {d}-regular graph on {n} vertices")
-    if d == 0:
-        return Graph.from_edges(n, [])
-    rng = random.Random(seed)
+    return Graph.from_edges(n, _pairing(n, d, random.Random(seed)))
+
+
+def _pairing(n: int, d: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """The edges of the first edge-by-edge pairing that does not get stuck."""
     for _ in range(PAIRING_RETRY_CAP):
         edges = _pair_edge_by_edge(n, d, rng)
         if edges is not None:
-            return Graph.from_edges(n, edges)
+            yield from edges
+            return
     raise RetryLimit(f"pairing model failed {PAIRING_RETRY_CAP} times for n={n}, d={d}")
 
 

@@ -237,10 +237,9 @@ class RescanSearch(_Search):
     node's violation scan starts at vertex 0, the finder is picked through
     an if-chain at every node, and children are built in a list and pushed
     reversed. Its greedy peel rescans from vertex 0 too. It runs no cut, or
-    with count_cut set the caterpillar rows' cuts: the edge count at every
-    node, and the degree count at every node with a violation."""
+    with edge_cut set the edge count at every node, as every row does."""
 
-    count_cut = False
+    edge_cut = False
 
     def __init__(self, g: Graph, kind: str, k: int | None = None, labels=None):
         super().__init__(g, kind, k, labels)
@@ -264,14 +263,12 @@ class RescanSearch(_Search):
             if nodes >= budget:
                 stopped = True
                 break
-            if self.count_cut and edges - (size - best_size - 1) * top > best_size:
+            if self.edge_cut and edges - (size - best_size - 1) * top > best_size:
                 continue
             nodes += 1
             bad = violation(cand)
             if not bad:
                 best_size, best_mask = size, cand
-                continue
-            if self.count_cut and self._count_cut(cand, best_size):
                 continue
             # Children in bit order of the free part of the violation, pushed
             # last-first so they pop in bit order; a violation inside kept
@@ -563,7 +560,7 @@ class CountedSpineSearch(_Search):
 
 class CountedSpineRescan(RescanSearch):
     examined = 0
-    count_cut = True  # as the caterpillar row does: the edge and degree counts
+    edge_cut = True  # as the caterpillar row does
 
     def _spine_violation(self, cand):
         self.examined += spine_scan_length(self, cand, 0)
@@ -571,7 +568,7 @@ class CountedSpineRescan(RescanSearch):
 
 
 def test_resumed_spine_scan_examines_at_most_seven_tenths_of_the_vertices():
-    # Both run the edge and degree-count cuts, so they build the same tree.
+    # Both run the edge count alone, so they build the same tree.
     # It leaves trees of a few hundred to a few thousand nodes at n = 22,
     # where how much resuming saves varies with the tree's depth, so the
     # count is summed over ten graphs.
@@ -661,17 +658,16 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
     "search, nodes",
     [
         # (without a cut: 131 142, 52 083, 43 036, 131 142, 361 942, 164 523
-        # and 6 203 nodes; the last three with the degree-count cut alone:
-        # 34 426, 13 141 and 145)
+        # and 6 203 nodes)
         (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 17_884),
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 7_934),
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 31_926),
         # k = 2 runs the linear row
         (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 17_884),
-        # the other caterpillars run the degree-count cut
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 11_001),
-        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 13_133),
-        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 60),
+        # the other caterpillars run the spine scan, after the degree scan when k is set
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 48_720),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 47_911),
+        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 77),
     ],
     ids=[
         "linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar2-gnp28",
@@ -681,23 +677,6 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
 def test_oracle_node_counts(search, nodes):
     res = search()
     assert res.exact and res.nodes_explored == nodes
-
-
-def test_degree_count_cut_is_sound_on_the_atlas():
-    # On every graph of 1 to 7 vertices and in every class, whether or not
-    # its row runs the cut, the degree count never rules out the optimum
-    # (best = alpha - 1), and it is not vacuous (best = alpha).
-    nx = pytest.importorskip("networkx")
-    fired = 0
-    for atlas_graph in nx.graph_atlas_g()[1:]:
-        g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
-        full = (1 << g.n) - 1
-        for cls in ALL_CLASSES:
-            search = _Search(g, cls.kind, k=cls.k)
-            alpha = search.run(10**6).alpha
-            assert not search._count_cut(full, alpha - 1), (g.edges(), cls)
-            fired += search._count_cut(full, alpha)
-    assert fired
 
 
 def test_edge_count_cut_is_sound_on_the_atlas():

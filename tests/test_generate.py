@@ -2,6 +2,7 @@
 
 import importlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -248,3 +249,30 @@ def test_direct_call_past_the_limit_draws_no_edge(monkeypatch, build, args, coun
     monkeypatch.setattr(generate_module, "combinations", pairs)
     with pytest.raises(ParseError, match=rf"^{count} vertices exceed the limit of {LIMIT}$"):
         build(*args)
+
+
+def test_regular_past_the_limit_pairs_no_stub(monkeypatch):
+    # the pairing is handed to Graph.from_edges undrawn, so the count is refused before
+    # the first stub is paired (at 2**20 + 2 vertices the pairing took about 7 s)
+    generate_module = importlib.import_module("forestbound.generate")
+
+    def pair(*_):
+        raise AssertionError("a stub was paired")
+
+    monkeypatch.setattr(generate_module, "_pair_edge_by_edge", pair)
+    with pytest.raises(ParseError, match=rf"^{LIMIT + 2} vertices exceed the limit of {LIMIT}$"):
+        random_regular(LIMIT + 2, 2, 1)
+
+
+def test_cycle_past_the_limit_builds_no_pair_list():
+    # the cycle's pairs are handed to Graph.from_edges undrawn: a list of them
+    # would take about 100 MB before the count is refused
+    message = rf"^{LIMIT + 1} vertices exceed the limit of {LIMIT}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=message):
+            cycle_graph(LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

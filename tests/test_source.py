@@ -256,6 +256,48 @@ def test_only_graph_reads_the_edge_arrays(path):
     assert edge_array_reads(ast.parse(path.read_text(), str(path))) == []
 
 
+def unused_imports(tree: ast.AST) -> list[str]:
+    """Every name that an import binds (`__future__` aside) and the module
+    never reads, with the line of its import, in line order. A string
+    constant equal to the name counts as a read: a table may name a
+    function that is looked up by name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, f"{n} at line {node.lineno}") for n in names if n not in read]
+    return [text for _, text in sorted(found)]
+
+
+def test_detector_sees_every_unused_import():
+    code = (
+        "import os, sys as system\nimport os.path\nfrom itertools import compress, chain\n"
+        "from .graph import Graph as G, MAX_VERTICES\nfrom __future__ import annotations\n"
+        "RULES = {'a': 'chain'}\ndef f(x: G) -> int:\n    compressed = 1\n    return os.sep\n"
+    )
+    assert unused_imports(ast.parse(code)) == [
+        "system at line 1", "compress at line 3", "MAX_VERTICES at line 4"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_read(path):
+    # a deleted use takes its import with it; __init__.py imports to re-export
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
 def test_forest_classes_are_defined_by_the_checker_alone():
     # the class rule and the label rules are written once, in check.py
     defined = [
