@@ -94,7 +94,7 @@ def verify_certificate(g: Graph, cert: ForestCertificate, labels: Optional[Parti
         adj = g.adjacency(cert.vertex_set)  # sorted keys: the first unlabeled vertex is named
     except UnknownVertex:
         return False
-    return _holds(cert.forest_class, adj, labels) and Fraction(len(adj)) >= cert.claimed_bound
+    return _holds(cert.forest_class, adj, labels) and len(adj) >= cert.claimed_bound
 
 
 def certificate_to_text(cert: ForestCertificate, graph_hash: str = "", trace=None) -> str:

@@ -39,7 +39,11 @@ incumbent.
   than best has at most |cand| - 1 edges and never trips it: it runs first.
   With the sum of the r largest degrees in cand for r * Delta it is the
   degree count: a stronger cut, but its sort per node cost more time than
-  the nodes it saved on the benchmark's searches.
+  the nodes it saved on the benchmark's searches. A child deleting a vertex
+  of degree d in cand trips it iff d < e(cand) - (|cand| - best - 2) * Delta
+  - best, so no such child is pushed; popped, a child is tested again, as
+  best may have grown. Raising best by 1 adds Delta to the left side and 1
+  to the right, so a child that trips it when pushed trips it at every pop.
 - Dead children (W from the degree scan: a centre over its cap and its
   neighbours): no child is pushed whose kept set holds the centre and more
   than its cap of them, since no valid set lies below it.
@@ -155,11 +159,14 @@ class _Search:
                 while dead > 0 and free >= floor:
                     free ^= 1 << (free.bit_length() - 1)
                     dead -= 1
+            need = edges - (size - best_size - 2) * top - best_size
             while free:
                 i = free.bit_length() - 1
                 high = 1 << i
                 free ^= high
-                push((cand ^ high, kept | free, anchor, edges - (adj[i] & cand).bit_count()))
+                d = (adj[i] & cand).bit_count()
+                if d >= need:
+                    push((cand ^ high, kept | free, anchor, edges - d))
         witness = frozenset(self.vs[i] for i in _iter_bits(best_mask))
         return OracleResult(best_size, witness, nodes, exact=not stopped)
 

@@ -9,6 +9,7 @@ sums of fractions, and rounding would invalidate the comparison.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,8 +247,8 @@ def parse_bound_spec(text: str) -> BoundSpec:
 def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
     """Sum the per-vertex weights of spec over g, exactly.
 
-    Vertices are counted by (tag, degree) and each count is multiplied by the
-    weight of its key, so a weight is evaluated once per distinct key. The
+    Vertices are counted by (tag, degree) and a weight is evaluated once per
+    distinct key; the sum is taken in ints over one common denominator. The
     tag is the vertex's part for abc and abstar, which need labels, and the
     degree of a leaf's neighbor (None for other vertices) for hkg; the other
     variants are untagged and count bare degrees, from hist if the caller has
@@ -264,7 +265,9 @@ def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
     eps = spec.eps
     if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
         eps, _ = select_eps(spec, hist or DegreeHistogram.from_counts(counts))
-    return sum((c * weight(spec.k, eps, key) for key, c in counts.items()), _ZERO)
+    terms = [(c, weight(spec.k, eps, key)) for key, c in counts.items()]
+    den = math.lcm(*(w.denominator for _, w in terms))
+    return Fraction(sum(c * w.numerator * (den // w.denominator) for c, w in terms), den)
 
 
 def select_eps(spec: BoundSpec, hist: DegreeHistogram) -> tuple[Fraction, Optional[int]]:

@@ -11,6 +11,7 @@ from forestbound import (
     BoundSpec,
     DegreeHistogram,
     EpsOutOfRange,
+    Graph,
     MissingPartition,
     Partition,
     ab_star_weight,
@@ -260,6 +261,87 @@ class TestTotalWeight:
         keys = {key(v) for v in g.vertices}
         assert len(keys) < g.n  # so a per-vertex sum would show
         assert sum(calls.values()) <= len(keys), calls
+
+
+def fraction_total(g, spec, labels=None):
+    """total_weight's sum taken term by term: a Fraction product and a
+    Fraction partial sum per (tag, degree) key."""
+    _, _, tags, weight = weights._VARIANTS[spec.variant]
+    deg = g.degrees()
+    counts = Counter(deg if tags is None else zip(tags(g, labels, deg), deg))
+    eps = spec.eps
+    if spec.eps_open:
+        eps, _ = weights.select_eps(spec, g.degree_histogram())
+    return sum((c * weight(spec.k, eps, key) for key, c in counts.items()), F(0))
+
+
+def row_specs():
+    """Every _VARIANTS row: k = 2 and 3 where it takes k, eps open and at
+    half its maximum where it takes eps."""
+    for variant, (takes_k, top, _, _) in weights._VARIANTS.items():
+        for k in (2, 3) if takes_k else (None,):
+            yield BoundSpec(variant, k)
+            if top is not None:
+                yield BoundSpec(variant, k, top(k) / 2)
+
+
+def seeded_labels(g, seed):
+    rng = random.Random(seed)
+    return {"abc": Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC"),
+            "abstar": Partition({v: rng.choice("AB") for v in g.vertices}, "AB")}
+
+
+def heavy_tailed_graph(n, m, seed):
+    """m edge draws between endpoints picked with weight (i + 1) ** -0.7,
+    loops and repeats dropped."""
+    rng = random.Random(seed)
+    ends = rng.choices(range(n), weights=[(i + 1) ** -0.7 for i in range(n)], k=2 * m)
+    pairs = {(min(u, v), max(u, v)) for u, v in zip(ends[::2], ends[1::2]) if u != v}
+    return Graph.from_edges(n, pairs)
+
+
+class TestIntegerSum:
+    """total_weight sums over one common denominator; the total is the one
+    the term-by-term Fraction sum gives."""
+
+    def test_every_row_on_the_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for i, atlas_graph in enumerate(nx.graph_atlas_g()[1:]):
+            g = Graph.from_edges(atlas_graph.number_of_nodes(), atlas_graph.edges())
+            labels = seeded_labels(g, 6100 + i)
+            for spec in row_specs():
+                part = labels.get(spec.variant)
+                assert total_weight(g, spec, part) == fraction_total(g, spec, part), (i, spec)
+
+    def test_every_row_on_a_heavy_tailed_graph(self):
+        g = heavy_tailed_graph(1500, 20_000, 1)
+        assert len(set(g.degrees())) >= 100
+        labels = seeded_labels(g, 1)
+        for spec in row_specs():
+            part = labels.get(spec.variant)
+            assert total_weight(g, spec, part) == fraction_total(g, spec, part), spec
+
+    def test_every_kink_eps_on_a_heavy_tailed_graph(self):
+        g = heavy_tailed_graph(1500, 20_000, 1)
+        hist = g.degree_histogram()
+        for k in (2, 3):
+            for d in hist.counts:
+                if d > k:
+                    eps = F(2, (k + 1) * (d + 1))
+                    total = total_weight(g, BoundSpec("fkeps", k, eps), hist=hist)
+                    assert total == fkeps_total(hist, k, eps), (k, d)
+        for d in hist.counts:
+            if d >= 2:
+                eps = F(1, 10) if d == 2 else F(d - 1, d * (d + 1))
+                total = total_weight(g, BoundSpec("star", eps=eps), hist=hist)
+                assert total == star_total(hist, eps), d
+
+    def test_empty_graph(self):
+        g = Graph.from_edges(0, [])
+        labels = seeded_labels(g, 0)
+        for spec in row_specs():
+            total = total_weight(g, spec, labels.get(spec.variant))
+            assert type(total) is F and total == 0, spec
 
 
 def brute_force_epsilon_star(hist, k):
