@@ -49,6 +49,7 @@ from .weights import (
     f_k_eps,
     f_lin,
     gain,
+    graph_counts,
     loss,
     parse_bound_spec,
     star_epsilon_opt,

@@ -18,9 +18,9 @@ from typing import Optional
 from . import check, construct, exact, harness
 from .generate import generate as build_generated, parse_gen_spec
 from .errors import BoundMiss, ForestBoundError, InvalidSpec, ParseError
-from .graph import format_edge_list, parse_edge_list
+from .graph import DegreeHistogram, format_edge_list, parse_edge_list
 from .partition import Partition, format_partition, parse_partition_file
-from .weights import parse_bound_spec, rat_text, select_eps, total_weight
+from .weights import parse_bound_spec, rat_text, select_eps, total_weight, weight_counts
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -119,19 +119,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bound(args) -> int:
-    g = _read(args.graph, parse_edge_list)
-    spec = parse_bound_spec(args.spec)
+    text = _read(args.graph, str)
+    try:
+        spec = parse_bound_spec(args.spec)
+    except ForestBoundError:
+        parse_edge_list(text)  # a bad edge list is named before a bad spec
+        raise
+    # hkg's leaf tags read the edges; every other bound reads the degrees alone
+    g = parse_edge_list(text) if spec.variant == "hkg" else None
+    deg = parse_edge_list(text, degrees=True) if g is None else g.degrees()
     labels = _read_partition(spec.variant, _MODE_OF_VARIANT.get(spec.variant), args.partition)
     if labels is not None:
-        labels.validate_for(g)
-    hist = g.degree_histogram() if spec.eps_open else None  # total_weight takes it too
+        labels.validate_for(range(len(deg)))
+    leaves = None if g is None else g.leaf_tags(deg)
+    counts = weight_counts(spec, range(len(deg)), deg, labels, leaves)
     if spec.eps_open:
-        eps, d_star = select_eps(spec, hist)
+        eps, d_star = select_eps(spec, DegreeHistogram.from_counts(counts))
         print(f"eps={rat_text(eps)}")
         if spec.k is not None:  # fkeps, the open-eps variant with a k, picks eps by a degree D
             print(f"d_star={d_star if d_star is not None else '-'}")
         spec = replace(spec, eps=eps)
-    print(f"bound={_rat_approx(total_weight(g, spec, labels, hist))}")
+    print(f"bound={_rat_approx(total_weight(counts, spec))}")
     return EXIT_OK
 
 
@@ -164,7 +172,7 @@ def cmd_verify(args) -> int:
         print("verdict=fail reason=graph-hash-mismatch")
         return EXIT_VIOLATION
     if labels is not None:
-        labels.validate_for(g)
+        labels.validate_for(g.vertices)
     return _verdict(cert, construct.uncollected(check.verify_certificate)(g, cert, labels))
 
 

@@ -52,6 +52,7 @@ from .weights import (
     ab_star_weight,
     abc_weight,
     gain,
+    graph_counts,
     total_weight,
 )
 
@@ -208,7 +209,7 @@ def _construct(kind: str, g: Graph, p: Partition) -> tuple[ForestCertificate, Re
     row, name = KINDS[kind], f"{kind}_construct"
     if p.mode != row.mode:
         raise ParseError(f"{name} needs an {row.mode} partition")
-    p.validate_for(g)
+    p.validate_for(g.vertices)
     chosen, trace = _reduce(g.vertices, g.position_sets(), [p.labels[v] for v in g.vertices], row)
     return _certify(name, g, chosen, row, p), trace
 
@@ -813,7 +814,8 @@ def _leaf_core_forest(g: Graph, kind: str, drop, label) -> set[int]:
 def _certify(name: str, g: Graph, chosen, kind: Kind, p=None) -> ForestCertificate:
     """The certificate of `chosen` in kind's class against kind's bound; raises
     BoundMiss, naming the constructor `name`, unless verify_certificate passes it."""
-    cert = ForestCertificate(frozenset(chosen), kind.forest, total_weight(g, kind.spec, p))
+    bound = total_weight(graph_counts(g, kind.spec, p), kind.spec)
+    cert = ForestCertificate(frozenset(chosen), kind.forest, bound)
     if not verify_certificate(g, cert, p):
         raise BoundMiss(f"{name} produced an invalid certificate", cert)
     return cert

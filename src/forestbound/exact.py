@@ -82,7 +82,7 @@ def alpha_exact(g: Graph, cls: ForestClass, budget: int = DEFAULT_BUDGET) -> Ora
 def alpha_exact_partitioned(g: Graph, p: Partition, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Constrained optimum: linear forest with ABC degree caps, or star
     forest with the AB edge condition."""
-    p.validate_for(g)
+    p.validate_for(g.vertices)
     kind = "abc" if p.mode == "ABC" else "ab"
     return _Search(g, kind, labels=[p.part(v) for v in g.vertices]).run(budget)
 
@@ -135,11 +135,11 @@ class _Search:
             size = cand.bit_count()
             if size <= best_size:
                 continue
-            if nodes >= budget:
-                stopped = True
-                break
             if edges - (size - best_size - 1) * top > best_size:
                 continue  # too many edges for a forest larger than best
+            if nodes >= budget:  # after both skips: a search left only skipped entries is exact
+                stopped = True
+                break
             nodes += 1
             bad, anchor = first(cand, start)
             if not bad:

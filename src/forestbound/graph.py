@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add, ge, lt, mul
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError, UnknownVertex
 
@@ -285,15 +285,19 @@ def spec_text(name: str, pairs: Iterable[tuple[str, object]]) -> str:
     return f"{name}:{args}" if args else name
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: header `n m`, then m lines `u v`.
+def parse_edge_list(text: str, degrees: bool = False) -> Graph | list[int]:
+    """Parse the edge-list format: header `n m`, then m lines `u v`; with degrees, the degrees
+    of the vertices 0..n-1 in place of the graph, which a text of plain blocks never builds.
 
     Blank lines and lines starting with `#` are ignored. A header n above
     MAX_VERTICES is rejected before anything is allocated for it. A text the
     token reader cannot take is read line by line, which names a bad line.
     """
-    if pairs_per_line(text) and (g := _parse_tokens(text)) is not None:
-        return g
+    if pairs_per_line(text):
+        if degrees and (deg := _plain_degrees(text)) is not None:
+            return deg
+        if (g := _parse_tokens(text)) is not None:
+            return g.degrees() if degrees else g
     rows = content_lines(text)
     if not rows:
         raise ParseError("empty edge list: missing `n m` header")
@@ -330,7 +334,8 @@ def parse_edge_list(text: str) -> Graph:
         seen.update(((u, v), (v, u)))
         us.append(u)
         vs.append(v)
-    return Graph._of(tuple(range(n)), us, vs)
+    g = Graph._of(tuple(range(n)), us, vs)
+    return g.degrees() if degrees else g
 
 
 def pairs_per_line(text: str, tokens: str = "0123456789") -> bool:
@@ -350,7 +355,7 @@ def pairs_per_line(text: str, tokens: str = "0123456789") -> bool:
 
 
 _SHAPE_BLOCK = 1 << 14  # the characters `pairs_per_line` translates at a time, up to a line end
-_BLOCK = 1 << 16  # the characters `_parse_tokens` converts at a time, up to a line end
+_BLOCK = 1 << 16  # the characters `_blocks` converts at a time, up to a line end
 _decode = json.JSONDecoder().decode  # the stdlib's C scanner: a JSON list of ints, no str per token
 _COMMAS = str.maketrans(" \t\n\r", ",,, ")  # `pairs_per_line` lines to JSON items; `\r` a blank
 
@@ -360,38 +365,69 @@ def _ints(lines: str) -> list[int]:
     return _decode(f"[{lines.translate(_COMMAS)}]")
 
 
-def _parse_tokens(text: str) -> Graph | None:
-    """The graph of a `pairs_per_line` text; None if a check fails, JSON's check of each token
-    among them. Each line holds two tokens, so blocks of whole lines hold whole pairs: decoded a
-    block at a time, the text's tokens are never all held at once."""
+def _blocks(text: str) -> Iterator:
+    """Decode a `pairs_per_line` text a block of whole lines at a time, its tokens never all held
+    at once: yield n, then per block (us, vs, plain), the lines' ints and whether each line is
+    u < v < n and above the line before it. ValueError as `_ints`, for an n above MAX_VERTICES
+    (before any line is read), and for a line count that is not the header's m."""
     last = len(text) - text.endswith("\n")  # the end of the last line
     head = text.find("\n", 0, last) + 1 or last + 1
-    us, vs = [], []
+    n, m = _ints(text[:head - 1])
+    if n > MAX_VERTICES:
+        raise ValueError(n)
+    yield n
+    line = (-1, -1)
+    while head < last:
+        end = text.find("\n", head + _BLOCK, last) + 1 or last + 1
+        toks = _ints(text[head:end - 1])
+        us, vs = toks[0::2], toks[1::2]
+        pairs, later = (islice(zip(us, vs), i, None) for i in (0, 1))  # zip reuses one tuple
+        yield us, vs, (line < (us[0], vs[0]) and max(vs) < n and all(map(lt, us, vs))
+                       and all(map(lt, pairs, later)))
+        line, head, m = (us[-1], vs[-1]), end, m - len(us)
+    if m:
+        raise ValueError(m)
+
+
+def _parse_tokens(text: str) -> Graph | None:
+    """The graph of a `pairs_per_line` text; None if a check fails, JSON's check of each token
+    among them."""
+    us, vs, plain = [], [], True
     try:
-        n, m = _ints(text[:head - 1])
-        while head < last and n <= MAX_VERTICES:
-            end = text.find("\n", head + _BLOCK, last) + 1 or last + 1
-            toks = _ints(text[head:end - 1])
-            us += toks[0::2]
-            vs += toks[1::2]
-            head = end
-    except ValueError:  # a token JSON refuses, or past int's digit limit: read line by line
+        blocks = _blocks(text)
+        n = next(blocks)
+        for block_us, block_vs, block_plain in blocks:
+            us += block_us
+            vs += block_vs
+            plain = plain and block_plain
+    except ValueError:  # a token JSON refuses, past int's digit limit, or a count: read by line
         return None
-    if n > MAX_VERTICES or len(us) != m:
-        return None
-    # Lines u < v in increasing order, as every writer here puts them, hold no self-loop or
-    # repeat; no set is made, nor a tuple per line (zip reuses one), and v < n bounds u too.
-    pairs, later = (islice(zip(us, vs), i, None) for i in (0, 1))
-    if all(map(lt, us, vs)) and all(map(lt, pairs, later)):
-        return Graph._of(tuple(range(n)), us, vs) if max(vs, default=-1) < n else None
+    if plain:  # as every writer here puts them: no self-loop, repeat or id past n, and no set
+        return Graph._of(tuple(range(n)), us, vs)
     # Otherwise u*n + v names the line `u v` (an int: no GC-tracked tuple). A repeat leaves
-    # fewer than m keys. A self-loop or a repeat the other way round meets a reversed key, and
-    # one of its lines has u >= v: only those lines are probed.
+    # fewer keys than lines. A self-loop or a repeat the other way round meets a reversed key,
+    # and one of its lines has u >= v: only those lines are probed.
     keys = set(map(add, map(mul, us, repeat(n)), vs))
     back = (v * n + u for v, u in compress(zip(vs, us), map(ge, us, vs)))
-    if max(chain(us, vs)) >= n or len(keys) != m or not keys.isdisjoint(back):
+    if max(chain(us, vs)) >= n or len(keys) != len(us) or not keys.isdisjoint(back):
         return None
     return Graph._of(tuple(range(n)), us, vs)
+
+
+def _plain_degrees(text: str) -> list[int] | None:
+    """The degrees of a `pairs_per_line` text's vertices, no edge kept; None unless each block is
+    plain and `_blocks`'s checks pass."""
+    try:
+        blocks = _blocks(text)
+        deg = [0] * next(blocks)
+        for us, vs, plain in blocks:
+            if not plain:
+                return None
+            for i in chain(us, vs):
+                deg[i] += 1
+    except ValueError:  # a token JSON refuses, past int's digit limit, or a count
+        return None
+    return deg
 
 
 def content_lines(text: str) -> list[tuple[int, str]]:

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from string import ascii_letters, digits
-from typing import Mapping
+from typing import Collection, Mapping
 
 from . import graph
 from .errors import MissingPartition, ParseError, UnknownVertex
-from .graph import Graph, content_lines
+from .graph import content_lines
 
 ABC_CAPS = {"A": 2, "B": 1, "C": 0}
 
@@ -40,12 +40,13 @@ class Partition:
         except KeyError:
             raise MissingPartition(f"vertex {v} has no label") from None
 
-    def validate_for(self, g: Graph) -> None:
-        missing = [v for v in g.vertices if v not in self.labels]
+    def validate_for(self, vertices: Collection[int]) -> None:
+        missing = [v for v in vertices if v not in self.labels]
         if missing:
             raise MissingPartition(f"unlabeled vertices: {missing[:8]}")
-        if len(self.labels) > g.n:  # each vertex has its label; the rest name no vertex
-            extra = [v for v in self.labels if v not in g]
+        if len(self.labels) > len(vertices):  # each vertex has its label; the rest name no vertex
+            known = set(vertices)
+            extra = [v for v in self.labels if v not in known]
             raise UnknownVertex(f"labels for vertices not in graph: {extra[:8]}")
 
 

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import DegreeZero, EpsOutOfRange, InvalidSpec, MissingPartition, ParseError
 from .graph import DegreeHistogram, Graph, parse_spec_text, spec_text
@@ -163,25 +163,25 @@ def ab_star_gain(part: str, d: int) -> Fraction:
     return ab_star_weight(part, d - 1) - ab_star_weight(part, d)
 
 
-def _label_tags(g: Graph, labels, deg):
+def _label_tags(vertices, labels, leaves):
     try:
-        return list(map(labels.labels.__getitem__, g.vertices))
+        return list(map(labels.labels.__getitem__, vertices))
     except KeyError:  # Partition.part names the first unlabeled vertex
-        return list(map(labels.part, g.vertices))
+        return list(map(labels.part, vertices))
 
 
 # Each bound variant: whether it takes k; the top of its eps range as a
-# function of k (None when it takes no eps); the tags of g's vertices in
-# g.vertices order, given g, the partition and g.degrees() (None for an
-# untagged variant); and the weight of a vertex given k, eps and its key,
-# which is its degree if the variant is untagged and (tag, degree) otherwise.
+# function of k (None when it takes no eps); the tags of the vertices, given
+# them, the partition and their leaf tags (None for an untagged variant); and
+# the weight of a vertex given k, eps and its key, which is its degree if the
+# variant is untagged and (tag, degree) otherwise.
 _VARIANTS = {
     "flin": (False, None, None, lambda k, eps, d: f_lin(d)),
     # the Alon-Kahn-Seymour weight at k = 1, the caterpillar forest bound
     "aks": (False, None, None, lambda k, eps, d: min(_ONE, Fraction(2, d + 1))),
     "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
     "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
-    "hkg": (True, None, lambda g, _, d: g.leaf_tags(d), lambda k, eps, key: hkg_weight(k, *key)),
+    "hkg": (True, None, lambda vs, _, leaves: leaves, lambda k, eps, key: hkg_weight(k, *key)),
     "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: star_f_eps(eps, d)),
     "abc": (False, None, _label_tags, lambda k, eps, key: abc_weight(*key)),
     "abstar": (False, None, _label_tags, lambda k, eps, key: ab_star_weight(*key)),
@@ -244,27 +244,30 @@ def parse_bound_spec(text: str) -> BoundSpec:
         raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
 
 
-def total_weight(g: Graph, spec: BoundSpec, labels=None, hist=None) -> Fraction:
-    """Sum the per-vertex weights of spec over g, exactly.
-
-    Vertices are counted by (tag, degree) and a weight is evaluated once per
-    distinct key; the sum is taken in ints over one common denominator. The
-    tag is the vertex's part for abc and abstar, which need labels, and the
-    degree of a leaf's neighbor (None for other vertices) for hkg; the other
-    variants are untagged and count bare degrees, from hist if the caller has
-    it. An open eps of fkeps or star is the optimum for g's degree histogram.
-    """
-    _, _, tags, weight = _VARIANTS[spec.variant]
+def weight_counts(spec: BoundSpec, vertices, deg: list[int], labels=None, leaves=None) -> Counter:
+    """The count of each degree among vertices of degrees deg, or of each (tag, degree): the tag
+    is a vertex's part in labels for abc and abstar, and its entry of leaves for hkg (a leaf's
+    neighbor's degree, None for any other vertex)."""
+    tags = _VARIANTS[spec.variant][2]
     if tags is _label_tags and labels is None:
         raise MissingPartition(f"{spec.variant} weights need a partition")
-    if hist is not None and tags is None:
-        counts = hist.counts
-    else:
-        deg = g.degrees()
-        counts = Counter(deg if tags is None else zip(tags(g, labels, deg), deg))
-    eps = spec.eps
-    if spec.eps_open:  # the eps variants are untagged: counts is the degree histogram
-        eps, _ = select_eps(spec, hist or DegreeHistogram.from_counts(counts))
+    return Counter(deg if tags is None else zip(tags(vertices, labels, leaves), deg))
+
+
+def graph_counts(g: Graph, spec: BoundSpec, labels=None) -> Counter:
+    """weight_counts of g's vertices, their degrees and, for hkg, leaf tags."""
+    deg = g.degrees()
+    return weight_counts(spec, g.vertices, deg, labels,
+                         g.leaf_tags(deg) if spec.variant == "hkg" else None)
+
+
+def total_weight(counts: Mapping, spec: BoundSpec) -> Fraction:
+    """Sum spec's weights over the counts of weight_counts exactly, each key's weight evaluated
+    once, in ints over one common denominator. An open eps of fkeps or star, untagged variants
+    both, is the optimum for counts, their degree histogram."""
+    eps, weight = spec.eps, _VARIANTS[spec.variant][3]
+    if spec.eps_open:
+        eps, _ = select_eps(spec, DegreeHistogram.from_counts(counts))
     terms = [(c, weight(spec.k, eps, key)) for key, c in counts.items()]
     den = math.lcm(*(w.denominator for _, w in terms))
     return Fraction(sum(c * w.numerator * (den // w.denominator) for c, w in terms), den)

@@ -17,6 +17,7 @@ from forestbound import (
     alpha_exact,
     alpha_exact_partitioned,
     cubic_partition,
+    graph_counts,
     k_caterpillar_forest,
     run_suite,
     star_forest,
@@ -124,9 +125,11 @@ def test_criterion_4_k_caterpillar_bounds():
             if not verify_certificate(g, cert):
                 violations.append(f"seed {40000 + i} k={k}: certificate invalid")
                 continue
-            h_bound = total_weight(g, BoundSpec("hkg", k))
+            h_spec = BoundSpec("hkg", k)
+            h_bound = total_weight(graph_counts(g, h_spec), h_spec)
             eps, _ = epsilon_star(hist, k)
-            f_bound = total_weight(g, BoundSpec("fkeps", k, eps))
+            f_spec = BoundSpec("fkeps", k, eps)
+            f_bound = total_weight(graph_counts(g, f_spec), f_spec)
             res = alpha_exact(g, ForestClass("caterpillar", k))
             if not res.exact:
                 violations.append(f"seed {40000 + i} k={k}: oracle inexact")
@@ -140,7 +143,8 @@ def test_criterion_5_fig1_tightness():
     failures = []
     for name in ("P3AB", "K2AC", "K3ACC"):
         g, p = fig1_gadget(name)
-        bound = total_weight(g, BoundSpec("abc"), p)
+        spec = BoundSpec("abc")
+        bound = total_weight(graph_counts(g, spec, p), spec)
         res = alpha_exact_partitioned(g, p)
         if not (res.exact and F(res.alpha) == bound):
             failures.append(f"{name}: alpha={res.alpha} bound={bound}")
@@ -180,7 +184,8 @@ def test_criterion_7_star_forest_bounds():
         if not verify_certificate(g, cert):
             violations.append(f"seed {70000 + i}: certificate invalid")
             continue
-        bound = total_weight(g, BoundSpec("star"))
+        spec = BoundSpec("star")
+        bound = total_weight(graph_counts(g, spec), spec)
         res = alpha_exact(g, STAR_FOREST)
         if not (res.exact and F(res.alpha) >= bound):
             violations.append(f"seed {70000 + i}: alpha {res.alpha} below {bound}")

@@ -22,6 +22,7 @@ from forestbound import (
     certificate_from_text,
     certificate_to_text,
     cubic_partition,
+    graph_counts,
     greedy_linear_forest,
     k_caterpillar_forest,
     star_forest,
@@ -278,7 +279,8 @@ class TestKCaterpillarForest:
             checked += 1
             cert = k_caterpillar_forest(g, 2)
             assert LINEAR_FOREST.contains(g.induced(cert.vertex_set))
-            assert cert.claimed_bound == total_weight(g, BoundSpec("flin"))
+            flin = BoundSpec("flin")
+            assert cert.claimed_bound == total_weight(graph_counts(g, flin), flin)
             if checked >= 25:
                 break
         assert checked >= 10
@@ -451,7 +453,8 @@ def test_abc_bound_sampled_against_exact_oracle():
         edges = [e for e in pairs if rng.random() < 0.5]
         g = Graph.from_edges(n, edges)
         p = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
-        bound = total_weight(g, BoundSpec("abc"), p)
+        spec = BoundSpec("abc")
+        bound = total_weight(graph_counts(g, spec, p), spec)
         res = alpha_exact_partitioned(g, p)
         assert res.exact and F(res.alpha) >= bound, (trial, edges, p.labels)
 
@@ -480,7 +483,8 @@ def test_bound_miss_carries_best_effort_certificate(monkeypatch):
     cert = exc.value.certificate
     assert cert is not None and cert.vertex_set == frozenset()
     assert cert.forest_class == construct.KINDS["ab"].forest
-    assert cert.claimed_bound == total_weight(g, BoundSpec("abstar"), p) == F(5, 3)
+    spec = BoundSpec("abstar")
+    assert cert.claimed_bound == total_weight(graph_counts(g, spec, p), spec) == F(5, 3)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +509,8 @@ def test_rule_2_bound_miss_carries_best_effort_certificate(monkeypatch, kind, g)
     assert missed is not None and missed.size() == cert.size() - 1
     assert missed.vertex_set < cert.vertex_set
     assert missed.forest_class == row.forest
-    assert missed.claimed_bound == total_weight(g, row.spec, p) == cert.claimed_bound
+    assert missed.claimed_bound == total_weight(graph_counts(g, row.spec, p), row.spec)
+    assert missed.claimed_bound == cert.claimed_bound
 
 
 def test_cubic_endgame_short_of_the_share_leaves_k4_to_the_fallback(monkeypatch):
@@ -718,7 +723,7 @@ def test_each_core_keeps_its_own_constrained_bound(name):
             assert chosen >= leaves, g.edges()
             core = h.induced(comp - leaves)
             labels = Partition({v: label(len(adj[v] & leaves)) for v in core.vertices}, row.mode)
-            bound = total_weight(core, row.spec, labels)
+            bound = total_weight(graph_counts(core, row.spec, labels), row.spec)
             kept = ForestCertificate(chosen & frozenset(core.vertices), row.forest, bound)
             assert verify_certificate(core, kept, labels), (g.edges(), sorted(core.vertices))
             cores += 1

@@ -471,6 +471,17 @@ def test_same_optimum_as_memo_search_with_no_more_nodes():
         assert new.nodes_explored <= ref.nodes_explored
 
 
+def test_a_budget_of_its_own_node_count_ends_the_search_exact():
+    # Given as many nodes as the complete search counts, a search ends as it does: a popped
+    # entry meets the size and edge-count skips before the budget, so entries that either
+    # would skip are not left behind as work (3 722 of the corpus's 12 261 searches said
+    # exact=no when the budget came first; K4 at budget 0 is one such search).
+    for g, kind, k, labels in oracle_corpus():
+        full = _Search(g, kind, k=k, labels=labels).run(10**6)
+        res = _Search(g, kind, k=k, labels=labels).run(full.nodes_explored)
+        assert res == full, (g.edges(), kind, k, labels)
+
+
 def test_resumed_search_matches_rescan_search():
     # Without the cuts, the resumed scans build the same tree in the same pop
     # order: equal results, and a budget cuts both off at the same node with

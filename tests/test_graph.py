@@ -310,6 +310,52 @@ def simple_graph_text(seed: int) -> str:
 simple_graph_texts = st.integers(0, 2**32 - 1).map(simple_graph_text)
 
 
+def plain_graph_text(seed: int) -> str:
+    """The edge list of a random simple graph as the degree pass takes it: a true header, then
+    each line u < v and the lines in increasing order, one space or tab between the tokens and
+    LF or CRLF line ends."""
+    rng = random.Random(seed)
+    n, p = rng.randint(0, 40), rng.random()
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    return "".join(f"{a}{rng.choice(SHAPED_INNER)}{b}{rng.choice(SHAPED_BREAKS)}"
+                   for a, b in [(n, len(edges)), *edges])
+
+
+plain_graph_texts = st.integers(0, 2**32 - 1).map(plain_graph_text)
+
+
+@st.composite
+def near_plain_texts(draw):
+    """A plain_graph_text with one line repeated, moved, reversed or dropped, or one more line
+    naming an id past n, the header counting its lines or not: most of them not plain."""
+    header, *lines = plain_graph_text(draw(st.integers(0, 2**32 - 1))).splitlines(keepends=True)
+    n = int(header.split()[0])
+    i, j = (draw(st.integers(0, max(len(lines) - 1, 0))) for _ in range(2))
+    change = draw(st.sampled_from(["repeat", "move", "reverse", "drop", "outside"]))
+    if change == "outside" or not lines:
+        lines.append(f"{max(n - 1, 0)} {n}\n")
+    elif change == "repeat":
+        lines.insert(j, lines[i])
+    elif change == "move":
+        lines.insert(j, lines.pop(i))
+    elif change == "reverse":
+        u, v = lines[i].split()
+        lines[i] = f"{v} {u}\n"
+    else:
+        del lines[i]
+    m = len(lines) if draw(st.booleans()) else header.split()[1]
+    return f"{n} {m}\n" + "".join(lines)
+
+
+def seam_text(line: str) -> str:
+    """The path 10-11-...-40 on 50 vertices with its third line replaced by `line`: lines of six
+    characters, so that blocks of 8 characters hold two lines each and the third opens the
+    second block."""
+    rows = [f"{i} {i + 1}\n" for i in range(10, 40)]
+    rows[2] = f"{line}\n"
+    return "50 30\n" + "".join(rows)
+
+
 def assert_same_outcome(read, reference, text, *args, key):
     """read(text, *args) gives what reference does, compared by key, or
     raises a ParseError with the same message; returns the result."""
@@ -364,6 +410,23 @@ def graph_key(g: Graph):
 LINE_READER = line_reader(graph_module, parse_edge_list)
 
 
+def read_degrees(text: str) -> list[int]:
+    return parse_edge_list(text, degrees=True)
+
+
+def line_reader_degrees(text: str) -> list[int]:
+    return LINE_READER(text).degrees()
+
+
+def assert_degrees_agree(text: str):
+    """parse_edge_list's degrees of text are the line reader's graph's, or its ParseError, and
+    the degree pass that keeps no edge, where it answers, gives them too."""
+    deg = assert_same_outcome(read_degrees, line_reader_degrees, text, key=list)
+    plain = graph_module._plain_degrees(text) if graph_module.pairs_per_line(text) else None
+    if plain is not None:
+        assert plain == deg, repr(text)
+
+
 def assert_degrees_match_sets(text: str):
     """The degrees, degree histogram and leaf tags of the graph of text, each
     counted off its edge arrays, are those of its neighbor sets."""
@@ -393,6 +456,7 @@ def assert_readers_agree(text: str):
             assert graph_module._parse_tokens(text) is not None, repr(text)
     if g is not None:
         assert_degrees_match_sets(text)
+    assert_degrees_agree(text)
 
 
 def path_text(n: int, *extra: str, eol: str = "\n", final: bool = True) -> str:
@@ -627,6 +691,36 @@ class TestEdgeListFormat:
         # edge_list_texts draws few texts the token reader takes: these it takes all
         assert graph_module._parse_tokens(text) is not None
         assert_readers_agree(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plain_graph_texts, st.sampled_from([graph_module._BLOCK, 8, 16]))
+    def test_degree_pass_takes_plain_texts(self, text, block):
+        # it answers on every plain text, in blocks of any size, with the graph's degrees
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "_BLOCK", block)
+            assert graph_module._plain_degrees(text) == parse_edge_list(text).degrees()
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_plain_texts(), st.sampled_from([graph_module._BLOCK, 8]))
+    def test_degree_pass_answers_only_with_the_graphs_degrees(self, text, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph_module, "_BLOCK", block)
+            assert_degrees_agree(text)
+
+    @pytest.mark.parametrize("line", ["11 12", "10 12"], ids=["repeat", "decreasing"])
+    def test_a_break_at_a_block_seam_takes_the_graph_path(self, line, monkeypatch):
+        # each block alone is increasing, so only the check across the seam sees a repeat of
+        # the line before it, or a line below it; the line reader then names the repeat
+        monkeypatch.setattr(graph_module, "_BLOCK", 8)
+        text = seam_text(line)
+        _, *blocks = graph_module._blocks(text)
+        assert [len(us) for us, _, _ in blocks] == [2] * 15
+        assert [plain for _, _, plain in blocks] == [True, False] + [True] * 13
+        assert graph_module._plain_degrees(text) is None
+        if line == "11 12":
+            with pytest.raises(ParseError, match=r"^line 4: duplicate edge 11 12$"):
+                LINE_READER(text)
+        assert_degrees_agree(text)
 
     def test_plain_file_skips_line_reader(self, monkeypatch):
         g = Graph.from_edges(40, [(u, (3 * u + 7) % 40) for u in range(0, 40, 2)])

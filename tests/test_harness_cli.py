@@ -197,42 +197,45 @@ class TestCli:
         out = capsys.readouterr().out
         assert "eps=1/10" in out and "bound=3/1" in out
 
-    @pytest.mark.parametrize("spec", ["fkeps:k=2", "star"])
-    def test_open_eps_counts_degrees_once(self, workdir, capsys, monkeypatch, spec):
+    # bound and epsilon-opt on the caterpillar of SET_BUILDS below, and the number of Graph
+    # objects each makes: a file of lines u < v in increasing order, as gen writes it, has its
+    # degrees counted off its lines, and only hkg parses a graph, for its leaf tags
+    GRAPH_BUILDS = [
+        *((("bound", "g.txt", spec), 0) for spec in ("flin", "fkeps:k=2", "fk:k=2", "star", "aks")),
+        (("bound", "g.txt", "hkg:k=2"), 1),
+        (("bound", "g.txt", "abc", "--partition", "g.part"), 0),
+        (("bound", "g.txt", "abstar", "--partition", "g.part"), 0),
+        (("epsilon-opt", "g.txt", "--k", "2"), 0),
+        (("epsilon-opt", "g.txt", "--star"), 0),
+    ]
+    # the same graph in files the degree pass turns down, each read through a Graph, and in one
+    # with CRLF line ends, which it takes
+    GRAPH_FILES = {
+        "shuffled.txt": ("7 6\n3 4\n1 0\n6 3\n1 2\n5 1\n2 3\n", 1),
+        "commented.txt": ("# a caterpillar\n7 6\n0 1\n1 2\n1 5\n2 3\n3 4\n3 6\n", 1),
+        "crlf.txt": ("7 6\r\n0 1\r\n1 2\r\n1 5\r\n2 3\r\n3 4\r\n3 6\r\n", 0),
+    }
+
+    @pytest.mark.parametrize("argv,builds", GRAPH_BUILDS,
+                             ids=[f"{a[0]}-{a[2].lstrip('-')}" for a, _ in GRAPH_BUILDS])
+    def test_sorted_file_makes_no_graph(self, workdir, capsys, monkeypatch, argv, builds):
         from forestbound.graph import Graph
 
-        run_cli("gen", "cycle:n=7", "--out", "c7.txt")
-        calls = []
-
-        def counted(name):
-            method = getattr(Graph, name)
-            return lambda *args: calls.append(name) or method(*args)
-
-        for name in ("adjacency", "degrees", "degree_histogram"):
-            monkeypatch.setattr(Graph, name, counted(name))
-        assert run_cli("bound", "c7.txt", spec) == 0
-        # one histogram, of one count of the degrees, picks eps and is summed:
-        # no second pass over the vertices and no neighbor set
-        assert calls == ["degree_histogram", "degrees"]
-
-    def test_hkg_counts_degrees_once(self, workdir, capsys, monkeypatch):
-        from forestbound.graph import Graph
-
-        run_cli("gen", "star:t=3", "--out", "claw.txt")
-        capsys.readouterr()
-        calls = []
-
-        def counted(name):
-            method = getattr(Graph, name)
-            return lambda *args: calls.append(name) or method(*args)
-
-        for name in ("adjacency", "degrees"):
-            monkeypatch.setattr(Graph, name, counted(name))
-        assert run_cli("bound", "claw.txt", "hkg:k=3") == 0
-        # the leaves are tagged off the one count of the degrees and the
-        # edge arrays: no second count and no neighbor set
-        assert calls == ["degrees"]
-        assert "bound=7/2" in capsys.readouterr().out
+        Path("g.txt").write_text("7 6\n0 1\n1 2\n1 5\n2 3\n3 4\n3 6\n")
+        Path("g.part").write_text("0 A\n1 A\n2 B\n3 A\n4 A\n5 A\n6 A\n")
+        for name, (text, _) in self.GRAPH_FILES.items():
+            Path(name).write_text(text, newline="")
+        made = []
+        monkeypatch.setattr(Graph, "__new__", staticmethod(
+            lambda cls, *args: made.append(cls) or object.__new__(cls)))
+        assert run_cli(*argv) == 0
+        assert len(made) == builds
+        out = capsys.readouterr().out
+        for name, (_, graph) in self.GRAPH_FILES.items():
+            made.clear()
+            assert run_cli(argv[0], name, *argv[2:]) == 0
+            assert capsys.readouterr().out == out, name
+            assert len(made) == max(builds, graph), name
 
     # Each command on a caterpillar whose two spine ends carry two leaves
     # each, and the number of times it builds the neighbor sets of the whole
@@ -473,7 +476,9 @@ class TestCli:
     def test_parse_error_exit_code(self, workdir, capsys):
         Path("bad.txt").write_text("not a graph\n")
         assert run_cli("bound", "bad.txt", "flin") == 3
+        err = capsys.readouterr().err
         assert run_cli("bound", "bad.txt", "nonsense") == 3
+        assert capsys.readouterr().err == err  # the bad file is named before the bad spec
 
     @pytest.mark.parametrize(
         "argv",
@@ -726,6 +731,11 @@ def test_exact_rejects_a_negative_budget(workdir, capsys):
     assert run_cli("exact", "k4.txt", "linear", "--budget", "-5") == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "error: exact: --budget must be >= 0, got -5\n"
-    # a zero budget explores no node and returns the greedy incumbent
+    # a zero budget explores no node and returns the greedy incumbent: exact, as the edge
+    # count cuts K4's root, and not exact on the claw, whose root passes it
     assert run_cli("exact", "k4.txt", "linear", "--budget", "0") == 0
-    assert capsys.readouterr().out == "alpha=2\nwitness=2 3\nnodes=0\nexact=no\n"
+    assert capsys.readouterr().out == "alpha=2\nwitness=2 3\nnodes=0\nexact=yes\n"
+    run_cli("gen", "star:t=3", "--out", "claw.txt")
+    capsys.readouterr()
+    assert run_cli("exact", "claw.txt", "linear", "--budget", "0") == 0
+    assert capsys.readouterr().out == "alpha=3\nwitness=1 2 3\nnodes=0\nexact=no\n"

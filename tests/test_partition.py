@@ -123,7 +123,7 @@ class TestPartitionFormat:
         g = parse_edge_list("3 1\n0 1\n")
         p = Partition({0: "A", 1: "B", 2: "C", 3: "A"}, "ABC")
         with pytest.raises(UnknownVertex, match=re.escape("not in graph: [3]")):
-            p.validate_for(g)
+            p.validate_for(g.vertices)
 
 
 @pytest.mark.parametrize(

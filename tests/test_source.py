@@ -426,6 +426,31 @@ def test_checker_imports_only_the_modules_it_needs():
     assert mods and set(mods) <= {"errors", "graph", "partition", "weights"}, mods
 
 
+def trusted_base(name: str) -> dict[str, int]:
+    """The line count of the package module `name` and of every package module it imports,
+    directly or not, by module name (the package itself is `forestbound`)."""
+    paths = {p.stem: p for p in SOURCES} | {"forestbound": SOURCES[0].with_name("__init__.py")}
+    lines, todo = {}, [name]
+    while todo:
+        mod = todo.pop()
+        if mod not in lines:
+            text = paths[mod].read_text()
+            lines[mod] = len(text.splitlines())
+            todo += package_imports(ast.parse(text))
+    return lines
+
+
+TRUSTED_BASE_LINES = 1045  # the ceiling on the trusted base; 1 005 lines before the degree pass
+
+
+def test_trusted_base_line_count():
+    # what a user has to trust to believe a certificate is check.py and every package module it
+    # imports: a change that grows it raises the ceiling above, so the growth shows in its diff
+    base = trusted_base("check")
+    assert set(base) == {"check", "errors", "graph", "partition", "weights"}
+    assert sum(base.values()) <= TRUSTED_BASE_LINES, base
+
+
 def raised_names(tree: ast.AST) -> set[str]:
     """The name of everything a `raise` statement raises, as `X`, `X(...)`,
     `m.X` or `m.X(...)`; a bare `raise` names nothing."""

@@ -21,6 +21,7 @@ from forestbound import (
     f_k_eps,
     f_lin,
     gain,
+    graph_counts,
     loss,
     parse_bound_spec,
     star_epsilon_opt,
@@ -84,6 +85,11 @@ class TestPointValues:
     def test_bad_k(self):
         with pytest.raises(InvalidSpec):
             f_k_eps(1, F(0), 1)
+
+
+def graph_total(g, spec, labels=None):
+    """total_weight of spec over g's vertices."""
+    return total_weight(graph_counts(g, spec, labels), spec)
 
 
 def hkg_weights(g, k: int) -> dict:
@@ -173,28 +179,28 @@ class TestGainLossTables:
 
 class TestTotalWeight:
     def test_k4_flin(self):
-        assert total_weight(complete_graph(4), BoundSpec("flin")) == 2
+        assert graph_total(complete_graph(4), BoundSpec("flin")) == 2
 
     def test_claw_flin(self):
-        assert total_weight(star_graph(3), BoundSpec("flin")) == 3
+        assert graph_total(star_graph(3), BoundSpec("flin")) == 3
 
     def test_p3_abc(self):
         p = Partition({0: "A", 1: "B", 2: "A"}, "ABC")
-        assert total_weight(path_graph(3), BoundSpec("abc"), p) == 2
+        assert graph_total(path_graph(3), BoundSpec("abc"), p) == 2
 
     def test_missing_partition(self):
         with pytest.raises(MissingPartition):
-            total_weight(path_graph(3), BoundSpec("abc"))
+            graph_total(path_graph(3), BoundSpec("abc"))
 
     @pytest.mark.parametrize("spec", [BoundSpec("abc"), BoundSpec("abstar")])
     def test_unlabeled_vertex_is_named(self, spec):
         # the message of Partition.part, for the first vertex without a label
         p = Partition({0: "A", 3: "B"}, "AB")
         with pytest.raises(MissingPartition, match=r"^vertex 1 has no label$"):
-            total_weight(path_graph(4), spec, p)
+            graph_total(path_graph(4), spec, p)
 
     def test_hkg_total(self):
-        assert total_weight(star_graph(3), BoundSpec("hkg", 3)) == F(7, 2)
+        assert graph_total(star_graph(3), BoundSpec("hkg", 3)) == F(7, 2)
 
     def test_histogram_sums_equal_per_vertex_sums(self):
         rng = random.Random(41)
@@ -220,7 +226,7 @@ class TestTotalWeight:
             ]
             for spec, labels, weight in per_vertex:
                 expected = sum((weight(v) for v in g.vertices), F(0))
-                assert total_weight(g, spec, labels) == expected, (trial, spec)
+                assert graph_total(g, spec, labels) == expected, (trial, spec)
 
     @pytest.mark.parametrize(
         "text", ["flin", "fkeps:k=2", "fkeps:k=3,eps=1/20", "fk:k=3", "hkg:k=2", "hkg:k=3",
@@ -232,7 +238,7 @@ class TestTotalWeight:
         labels = {"abc": Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC"),
                   "abstar": Partition({v: rng.choice("AB") for v in g.vertices}, "AB")}.get(text)
         spec = parse_bound_spec(text)
-        expected = total_weight(g, spec, labels)
+        expected = graph_total(g, spec, labels)
         calls, depth = Counter(), []
         for name in ("f_lin", "f_k_eps", "hkg_weight", "star_f_eps", "abc_weight",
                      "ab_star_weight"):
@@ -245,7 +251,7 @@ class TestTotalWeight:
                 finally:
                     depth.pop()
             monkeypatch.setattr(weights, name, counted)
-        assert total_weight(g, spec, labels) == expected
+        assert graph_total(g, spec, labels) == expected
 
         deg, adj = dict(zip(g.vertices, g.degrees())), g.adjacency()
 
@@ -268,7 +274,7 @@ def fraction_total(g, spec, labels=None):
     Fraction partial sum per (tag, degree) key."""
     _, _, tags, weight = weights._VARIANTS[spec.variant]
     deg = g.degrees()
-    counts = Counter(deg if tags is None else zip(tags(g, labels, deg), deg))
+    counts = Counter(deg if tags is None else zip(tags(g.vertices, labels, g.leaf_tags(deg)), deg))
     eps = spec.eps
     if spec.eps_open:
         eps, _ = weights.select_eps(spec, g.degree_histogram())
@@ -311,7 +317,7 @@ class TestIntegerSum:
             labels = seeded_labels(g, 6100 + i)
             for spec in row_specs():
                 part = labels.get(spec.variant)
-                assert total_weight(g, spec, part) == fraction_total(g, spec, part), (i, spec)
+                assert graph_total(g, spec, part) == fraction_total(g, spec, part), (i, spec)
 
     def test_every_row_on_a_heavy_tailed_graph(self):
         g = heavy_tailed_graph(1500, 20_000, 1)
@@ -319,7 +325,7 @@ class TestIntegerSum:
         labels = seeded_labels(g, 1)
         for spec in row_specs():
             part = labels.get(spec.variant)
-            assert total_weight(g, spec, part) == fraction_total(g, spec, part), spec
+            assert graph_total(g, spec, part) == fraction_total(g, spec, part), spec
 
     def test_every_kink_eps_on_a_heavy_tailed_graph(self):
         g = heavy_tailed_graph(1500, 20_000, 1)
@@ -328,19 +334,19 @@ class TestIntegerSum:
             for d in hist.counts:
                 if d > k:
                     eps = F(2, (k + 1) * (d + 1))
-                    total = total_weight(g, BoundSpec("fkeps", k, eps), hist=hist)
+                    total = total_weight(hist.counts, BoundSpec("fkeps", k, eps))
                     assert total == fkeps_total(hist, k, eps), (k, d)
         for d in hist.counts:
             if d >= 2:
                 eps = F(1, 10) if d == 2 else F(d - 1, d * (d + 1))
-                total = total_weight(g, BoundSpec("star", eps=eps), hist=hist)
+                total = total_weight(hist.counts, BoundSpec("star", eps=eps))
                 assert total == star_total(hist, eps), d
 
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
         labels = seeded_labels(g, 0)
         for spec in row_specs():
-            total = total_weight(g, spec, labels.get(spec.variant))
+            total = graph_total(g, spec, labels.get(spec.variant))
             assert type(total) is F and total == 0, spec
 
 
