@@ -50,7 +50,6 @@ from .weights import (
     f_lin,
     gain,
     graph_counts,
-    loss,
     parse_bound_spec,
     star_epsilon_opt,
     star_f_eps,

@@ -1,4 +1,4 @@
-"""Exact-rational weight functions, gains and losses, and epsilon selectors.
+"""Exact-rational weight functions, gains, and epsilon selectors.
 
 Every bound in this package is a sum of per-vertex weights that depend only
 on the vertex degree and a tag: the part of the vertex for the constrained
@@ -10,8 +10,11 @@ sums of fractions, and rounding would invalidate the comparison.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -20,11 +23,22 @@ from .graph import DegreeHistogram, Graph, parse_spec_text, spec_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_CHUNK = 10**500  # 500 digits, within every int digit limit Python allows (640 at the least)
+
+
+def _int_text(n: int) -> str:
+    """n in decimal at any length, written 500 digits at a time: str() refuses an int past
+    sys.get_int_max_str_digits()."""
+    high, chunks = abs(n), []
+    while high >= _CHUNK:
+        high, low = divmod(high, _CHUNK)
+        chunks.append(f"{low:0500}")
+    return "-" * (n < 0) + str(high) + "".join(reversed(chunks))
 
 
 def rat_text(x: Fraction) -> str:
-    """x as `p/q`, the form certificates, reports and the CLI print."""
-    return f"{x.numerator}/{x.denominator}"
+    """x as `p/q`, the form certificates, reports and the CLI print, at any length."""
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
 
 
 def eps_max(k: int) -> Fraction:
@@ -37,39 +51,68 @@ STAR_EPS_MAX = Fraction(1, 6)
 
 
 def _check_k(k: int) -> None:
+    if not isinstance(k, int):
+        raise InvalidSpec(f"k {k!r} is not an int")
     if k < 2:
         raise InvalidSpec(f"k must be >= 2, got {k}")
 
 
-def _check_degree(d: int) -> None:
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
+# The fixed weights, one shape each: (the weights of degrees 0..h-1, p, q), and every degree
+# d >= h weighs p/(q(d + 1)). A leaf weighs 5/6 in each shape but those of aks and ABC part C.
+_LEAF = Fraction(5, 6)
+_FLIN = ((_ONE, _LEAF), 2, 1)  # ABC part A, and the base of fkeps
+_AKS = ((_ONE,), 2, 1)  # the Alon-Kahn-Seymour weight at k = 1; hkg's but at a leaf
+_STAR = ((_ONE, _LEAF, Fraction(3, 5)), 2, 1)  # AB part A, and the base of star
+# The shapes of the parts of the partitions of abc and abstar, and the parts' names.
+_PARTS = {
+    "abc": ({"A": _FLIN, "B": ((_ONE, _LEAF, Fraction(1, 3)), 4, 3),
+             "C": ((_ONE, *[Fraction(1, 6)] * 2), 2, 3)}, "A, B, or C"),
+    "abstar": ({"A": _STAR, "B": ((), 1, 1)}, "A or B"),
+}
+
+
+def _weigh(shape, d: int) -> Fraction:
+    """The weight of degree d in shape."""
+    head, p, q = shape
+    if d < len(head):
+        if d < 0:
+            raise ValueError(f"degree must be nonnegative, got {d}")
+        return head[d]
+    return Fraction(p, q * (d + 1))
+
+
+# An eps family caps a shape: a leaf weighs 1 - eps, and a degree d >= first at most
+# scale * eps + inv/d. The cap meets the shape's weight w at d's kink eps = (w - inv/d)/scale,
+# below which it binds, and each vertex of degree d adds scale to the slope of the total in eps.
+_CAPS = {"fkeps": lambda k: (_FLIN, k + 1, k + 1, 0), "star": lambda k: (_STAR, 2, 1, 1)}
+
+
+def _capped(variant: str, k: Optional[int], eps: Fraction, d: int) -> Fraction:
+    """The weight of degree d in the eps family of variant."""
+    if d == 1:
+        return 1 - eps
+    shape, first, scale, inv = _CAPS[variant](k)
+    w = _weigh(shape, d)
+    return min(scale * eps + Fraction(inv, d), w) if d >= first else w
+
+
+def _part_weight(variant: str, part: str, d: int) -> Fraction:
+    """The weight of a vertex of degree d in part of a partition, in the constrained linear forest
+    bound for abc (abc_weight) or the constrained star forest bound for abstar (ab_star_weight)."""
+    shapes, names = _PARTS[variant]
+    if part not in shapes:
+        raise ValueError(f"part must be {names}, got {part!r}")
+    return _weigh(shapes[part], d)
 
 
 def f_lin(d: int) -> Fraction:
     """Per-degree weight of the induced linear forest bound."""
-    _check_degree(d)
-    if d == 0:
-        return _ONE
-    if d == 1:
-        return Fraction(5, 6)
-    return Fraction(2, d + 1)
+    return _weigh(_FLIN, d)
 
 
 def f_k_eps(k: int, eps: Fraction, d: int) -> Fraction:
     """Weight family for caterpillar forests of maximum degree at most k."""
-    _check_k(k)
-    _check_degree(d)
-    eps = Fraction(eps)
-    if not _ZERO <= eps <= eps_max(k):
-        raise EpsOutOfRange(f"eps={eps} outside [0, {eps_max(k)}] for k={k}")
-    if d == 0:
-        return _ONE
-    if d == 1:
-        return 1 - eps
-    if d <= k:
-        return Fraction(2, d + 1)
-    return min((k + 1) * eps, Fraction(2, d + 1))
+    return _capped("fkeps", k, BoundSpec("fkeps", k, eps).eps, d)
 
 
 def f_k(k: int, d: int) -> Fraction:
@@ -81,86 +124,26 @@ def hkg_weight(k: int, dw: Optional[int], d: int) -> Fraction:
     """Local caterpillar weight of a vertex of degree d; a leaf's value
     depends on dw, the degree of its neighbor (None for any other vertex)."""
     _check_k(k)
-    if d == 0:
-        return _ONE
-    if d >= 2:
-        return Fraction(2, d + 1)
-    if dw <= k:
-        return _ONE
-    return 1 - Fraction(2, (k + 1) * (dw + 1))
+    if d != 1:
+        return _weigh(_AKS, d)
+    return _ONE if dw <= k else 1 - Fraction(2, (k + 1) * (dw + 1))
 
 
 def star_f_eps(eps: Fraction, d: int) -> Fraction:
     """Weight family for star forests."""
-    _check_degree(d)
-    eps = Fraction(eps)
-    if not _ZERO <= eps <= STAR_EPS_MAX:
-        raise EpsOutOfRange(f"eps={eps} outside [0, 1/6]")
-    if d == 0:
-        return _ONE
-    if d == 1:
-        return 1 - eps
-    if d == 2:
-        return min(Fraction(3, 5), Fraction(1, 2) + eps)
-    return min(Fraction(2, d + 1), Fraction(1, d) + eps)
+    return _capped("star", None, BoundSpec("star", eps=eps).eps, d)
 
 
-def abc_weight(part: str, d: int) -> Fraction:
-    """Per-part weights of the constrained linear forest bound."""
-    _check_degree(d)
-    if part == "A":
-        return f_lin(d)
-    if part == "B":
-        if d == 0:
-            return _ONE
-        if d == 1:
-            return Fraction(5, 6)
-        if d == 2:
-            return Fraction(1, 3)
-        return Fraction(4, 3 * (d + 1))
-    if part == "C":
-        if d == 0:
-            return _ONE
-        if d <= 2:
-            return Fraction(1, 6)
-        return Fraction(2, 3 * (d + 1))
-    raise ValueError(f"part must be A, B, or C, got {part!r}")
-
-
-def ab_star_weight(part: str, d: int) -> Fraction:
-    """Per-part weights of the constrained star forest bound."""
-    _check_degree(d)
-    if part == "A":
-        if d == 0:
-            return _ONE
-        if d == 1:
-            return Fraction(5, 6)
-        if d == 2:
-            return Fraction(3, 5)
-        return Fraction(2, d + 1)
-    if part == "B":
-        return Fraction(1, d + 1)
-    raise ValueError(f"part must be A or B, got {part!r}")
-
-
-def gain(part: str, d: int) -> Fraction:
-    """Weight increase when the degree of a vertex drops by one."""
+def _gain(variant: str, part: str, d: int) -> Fraction:
+    """Weight increase when the degree of a vertex drops by one, in abc's weights (gain) or
+    abstar's (ab_star_gain)."""
     if d < 1:
         raise DegreeZero("gain is undefined for degree 0")
-    return abc_weight(part, d - 1) - abc_weight(part, d)
+    return _part_weight(variant, part, d - 1) - _part_weight(variant, part, d)
 
 
-def loss(part: str, d: int) -> Fraction:
-    """Weight decrease when the degree of a vertex rises by one."""
-    _check_degree(d)
-    return abc_weight(part, d) - abc_weight(part, d + 1)
-
-
-def ab_star_gain(part: str, d: int) -> Fraction:
-    """Gain analogue for the star forest weights."""
-    if d < 1:
-        raise DegreeZero("gain is undefined for degree 0")
-    return ab_star_weight(part, d - 1) - ab_star_weight(part, d)
+abc_weight, ab_star_weight = partial(_part_weight, "abc"), partial(_part_weight, "abstar")
+gain, ab_star_gain = partial(_gain, "abc"), partial(_gain, "abstar")
 
 
 def _label_tags(vertices, labels, leaves):
@@ -176,15 +159,14 @@ def _label_tags(vertices, labels, leaves):
 # the weight of a vertex given k, eps and its key, which is its degree if the
 # variant is untagged and (tag, degree) otherwise.
 _VARIANTS = {
-    "flin": (False, None, None, lambda k, eps, d: f_lin(d)),
-    # the Alon-Kahn-Seymour weight at k = 1, the caterpillar forest bound
-    "aks": (False, None, None, lambda k, eps, d: min(_ONE, Fraction(2, d + 1))),
-    "fkeps": (True, eps_max, None, lambda k, eps, d: f_k_eps(k, eps, d)),
-    "fk": (True, None, None, lambda k, eps, d: f_k(k, d)),
+    "flin": (False, None, None, lambda k, eps, d: _weigh(_FLIN, d)),
+    "aks": (False, None, None, lambda k, eps, d: _weigh(_AKS, d)),
+    "fkeps": (True, eps_max, None, lambda k, eps, d: _capped("fkeps", k, eps, d)),
+    "fk": (True, None, None, lambda k, eps, d: _capped("fkeps", k, eps_max(k), d)),
     "hkg": (True, None, lambda vs, _, leaves: leaves, lambda k, eps, key: hkg_weight(k, *key)),
-    "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: star_f_eps(eps, d)),
-    "abc": (False, None, _label_tags, lambda k, eps, key: abc_weight(*key)),
-    "abstar": (False, None, _label_tags, lambda k, eps, key: ab_star_weight(*key)),
+    "star": (False, lambda k: STAR_EPS_MAX, None, lambda k, eps, d: _capped("star", k, eps, d)),
+    "abc": (False, None, _label_tags, lambda k, eps, key: _part_weight("abc", *key)),
+    "abstar": (False, None, _label_tags, lambda k, eps, key: _part_weight("abstar", *key)),
 }
 
 
@@ -239,6 +221,10 @@ def parse_bound_spec(text: str) -> BoundSpec:
     name, args = parse_spec_text(text, "bound spec", ("k", "eps"))
     try:
         k = int(args["k"]) if "k" in args else None
+        # Fraction would build 10**e for an exponent e however long it took
+        exp = re.search(r"e([-+]?\d+(?:_\d+)*)$", args.get("eps", ""), re.I)
+        if exp and abs(int(exp[1])) >= (sys.get_int_max_str_digits() or math.inf):
+            raise ValueError(f"eps exponent {exp[1]} makes a power of 10 past the int digit limit")
         return BoundSpec(name, k, Fraction(args["eps"]) if "eps" in args else None)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
@@ -282,38 +268,32 @@ def select_eps(spec: BoundSpec, hist: DegreeHistogram) -> tuple[Fraction, Option
     return epsilon_star(hist, spec.k)
 
 
-def epsilon_star(hist: DegreeHistogram, k: int) -> tuple[Fraction, Optional[int]]:
-    """Optimal epsilon for the k-caterpillar family on a degree histogram.
+def _kink_walk(hist: DegreeHistogram, variant: str, k: Optional[int], degrees, past: bool):
+    """(d, its kink) for the first of degrees, walked from the highest kink down, below whose kink
+    the slope of the total in eps, -n_1 plus scale times the count of the degrees walked, is
+    >= 0 (> 0, if past); (None, 0) if there is none. The walk counts in ints."""
+    shape, _, scale, inv = _CAPS[variant](k)
+    need, walked = hist.count(1) + past, 0
+    for d in degrees:
+        walked += hist.count(d)
+        if scale * walked >= need:  # the kink (w - inv/d)/scale, over ints
+            w = _weigh(shape, d)
+            return d, Fraction(w.numerator * d - inv * w.denominator, w.denominator * d * scale)
+    return None, _ZERO
 
-    Returns (eps, D) where eps = 2/((k+1)(D+1)) for the smallest D >= k+1
-    whose cumulative high-degree count satisfies (k+1) * sum n_d >= n_1;
-    (0, None) when no such D exists up to the maximum degree. The total is
-    piecewise linear in epsilon, so this breakpoint maximizes it.
-    """
+
+def epsilon_star(hist: DegreeHistogram, k: int) -> tuple[Fraction, Optional[int]]:
+    """Optimal epsilon for the k-caterpillar family on a degree histogram, and its D: the kink
+    2/((k+1)(D+1)) of the smallest D >= k+1 whose cumulative high-degree count satisfies
+    (k+1) * sum n_d >= n_1, the largest maximizer; (0, None) when there is no such D."""
     _check_k(k)
-    n1 = hist.count(1)
-    cumulative = 0
-    for d_star in range(k + 1, max(hist.max_degree, k + 1) + 1):
-        cumulative += hist.count(d_star)
-        if (k + 1) * cumulative >= n1:
-            return Fraction(2, (k + 1) * (d_star + 1)), d_star
-    return _ZERO, None
+    d_star, eps = _kink_walk(hist, "fkeps", k, range(k + 1, max(hist.max_degree, k + 1) + 1), False)
+    return eps, d_star
 
 
 def star_epsilon_opt(hist: DegreeHistogram) -> Fraction:
-    """Smallest epsilon in [0, 1/6] maximizing the star forest bound.
-
-    The total is concave and piecewise linear in epsilon: its slope is -n_1
-    plus n_d for each degree d whose kink lies above epsilon, 1/10 for d = 2
-    and (d-1)/(d(d+1)) for d >= 3. Walking the kinks down from the top, the
-    first at which the summed n_d exceed n_1 is the smallest maximizer; 0 if
-    there is none.
-    """
-    n1 = hist.count(1)
-    cumulative = 0
+    """Smallest epsilon in [0, 1/6] maximizing the star forest bound: the first kink, 1/10 for
+    d = 2 and (d-1)/(d(d+1)) for d >= 3, at which the summed n_d exceed n_1; 0 if none does."""
     # The kinks fall as d grows; that of degree 2 lies between those of 7 and 8.
-    for d in (3, 4, 5, 6, 7, 2, *range(8, hist.max_degree + 1)):
-        cumulative += hist.count(d)
-        if cumulative > n1:
-            return Fraction(1, 10) if d == 2 else Fraction(d - 1, d * (d + 1))
-    return _ZERO
+    kinks_down = (3, 4, 5, 6, 7, 2, *range(8, hist.max_degree + 1))
+    return _kink_walk(hist, "star", None, kinks_down, True)[1]

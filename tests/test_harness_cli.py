@@ -374,6 +374,21 @@ class TestCli:
         assert run_cli("bound", "huge.txt", "flin") == 3
         assert "exceed the limit" in capsys.readouterr().err
 
+    def test_bound_refuses_an_eps_exponent_past_the_digit_limit(self, workdir, capsys):
+        # Fraction would build 10**99999999 first, and did not finish
+        Path("k14.txt").write_text("5 4\n0 1\n0 2\n0 3\n0 4\n")
+        assert run_cli("bound", "k14.txt", "fkeps:k=2,eps=1e-99999999") == 3
+        assert "past the int digit limit" in capsys.readouterr().err
+
+    def test_bound_prints_a_total_past_the_digit_limit(self, workdir, capsys):
+        # eps = 1/(10**4300 - 1) is read, 4 300 digits; with the centre's 2/5 the total
+        # 22/5 - 4 eps has a denominator of 4 301, which once ended in an internal error
+        Path("k14.txt").write_text("5 4\n0 1\n0 2\n0 3\n0 4\n")
+        assert run_cli("bound", "k14.txt", "fkeps:k=4,eps=1/" + "9" * 4300) == 0
+        num, den = capsys.readouterr().out.partition("bound=")[2].split()[0].split("/")
+        assert len(den) == 4301 and den.startswith("4999") and den.endswith("95")
+        assert int(num[:6]) == 219999  # 22/5 less a hair
+
     def test_gen_refuses_what_no_command_reads(self, workdir, capsys):
         # past the vertex limit gen stops before it makes an edge and writes no file
         assert run_cli("gen", f"path:n={MAX_VERTICES + 1}", "--out", "big.txt") == 3

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -22,7 +23,6 @@ from forestbound import (
     f_lin,
     gain,
     graph_counts,
-    loss,
     parse_bound_spec,
     star_epsilon_opt,
     star_f_eps,
@@ -31,7 +31,7 @@ from forestbound import (
 from forestbound import weights
 from forestbound.errors import DegreeZero, InvalidSpec, ParseError
 from forestbound.generate import complete_graph, cycle_graph, gnp, path_graph, star_graph
-from forestbound.weights import STAR_EPS_MAX, ab_star_gain, eps_max, hkg_weight
+from forestbound.weights import STAR_EPS_MAX, ab_star_gain, eps_max, hkg_weight, rat_text
 
 
 def fkeps_total(hist, k, eps):
@@ -156,21 +156,21 @@ class TestGainLossTables:
             assert gain("B", d) == F(4, 3 * d * (d + 1))
             assert gain("C", d) == F(2, 3 * d * (d + 1))
 
+    # the loss at degree d, the weight decrease when it rises by one, is the gain at d + 1
     def test_loss_rows_verbatim(self):
         for (d, part), value in LOSS_TABLE.items():
-            assert loss(part, d) == value, (part, d)
+            assert gain(part, d + 1) == value, (part, d)
 
     def test_loss_tail(self):
         for d in range(4, 201):
-            assert loss("A", d) == F(2, (d + 1) * (d + 2))
-            assert loss("B", d) == F(4, 3 * (d + 1) * (d + 2))
-            assert loss("C", d) == F(2, 3 * (d + 1) * (d + 2))
+            assert gain("A", d + 1) == F(2, (d + 1) * (d + 2))
+            assert gain("B", d + 1) == F(4, 3 * (d + 1) * (d + 2))
+            assert gain("C", d + 1) == F(2, 3 * (d + 1) * (d + 2))
 
     def test_nonnegative(self):
         for part in "ABC":
-            for d in range(1, 201):
+            for d in range(1, 202):
                 assert gain(part, d) >= 0
-                assert loss(part, d) >= 0
 
     def test_gain_degree_zero(self):
         with pytest.raises(DegreeZero):
@@ -240,10 +240,10 @@ class TestTotalWeight:
         spec = parse_bound_spec(text)
         expected = graph_total(g, spec, labels)
         calls, depth = Counter(), []
-        for name in ("f_lin", "f_k_eps", "hkg_weight", "star_f_eps", "abc_weight",
-                     "ab_star_weight"):
+        # every weight but hkg's leaves is read off the shape table by _weigh
+        for name in ("_weigh", "hkg_weight"):
             def counted(*args, _original=getattr(weights, name), _name=name):
-                if not depth:  # abc_weight's part A calls f_lin: one evaluation
+                if not depth:  # hkg_weight reads a vertex that is no leaf by _weigh: one evaluation
                     calls[_name] += 1
                 depth.append(_name)
                 try:
@@ -266,7 +266,7 @@ class TestTotalWeight:
 
         keys = {key(v) for v in g.vertices}
         assert len(keys) < g.n  # so a per-vertex sum would show
-        assert sum(calls.values()) <= len(keys), calls
+        assert 1 <= sum(calls.values()) <= len(keys), calls
 
 
 def fraction_total(g, spec, labels=None):
@@ -534,6 +534,58 @@ class TestBoundSpecText:
         # a str is refused even where Fraction would read it; text goes through parse_bound_spec
         with pytest.raises(InvalidSpec, match=rf"^eps {re.escape(repr(eps))} is not a number$"):
             BoundSpec("star", eps=eps)
+
+    @pytest.mark.parametrize("variant, k", [("fkeps", 2.5), ("fkeps", "3"), ("hkg", 3.0),
+                                            ("fk", F(3))])
+    def test_non_int_k_is_invalid(self, variant, k):
+        # a float k once built a spec whose total raised TypeError, and a str k raised it at once
+        with pytest.raises(InvalidSpec, match=rf"^k {re.escape(repr(k))} is not an int$"):
+            BoundSpec(variant, k)
+
+
+@pytest.fixture()
+def digit_limit():
+    """sys.get_int_max_str_digits(), skipping a run with no limit; set back after the test."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int digit limit is set")
+    yield limit
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("eps", ["1e-99999999", "1e-{limit}", "1E+{limit}", "2.5e-{limit}",
+                                 "1e-43_00000"])
+def test_an_eps_exponent_past_the_digit_limit_is_a_parse_error(digit_limit, eps):
+    # Fraction would build 10**e first, which for 1e-99999999 did not finish, and a 10**e past
+    # the limit once ended where its digits were written
+    text = f"fkeps:k=2,eps={eps.format(limit=digit_limit)}"
+    with pytest.raises(ParseError, match="past the int digit limit"):
+        parse_bound_spec(text)
+
+
+def test_an_eps_exponent_within_the_digit_limit_is_read(digit_limit):
+    assert parse_bound_spec(f"star:eps=1e-{digit_limit - 1}").eps == F(1, 10 ** (digit_limit - 1))
+
+
+def primes_to(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def test_rat_text_writes_a_total_past_the_digit_limit(digit_limit):
+    # one vertex of degree p - 1 for each prime p <= 10 500: flin weighs each but the leaf 2/p,
+    # and the total's denominator runs to 4 518 digits
+    counts = Counter(p - 1 for p in primes_to(10_500))
+    total = total_weight(counts, BoundSpec("flin"))
+    num, den = rat_text(total).split("/")
+    assert len(den) > digit_limit
+    sys.set_int_max_str_digits(0)  # the fixture sets it back
+    assert (num, den) == (str(total.numerator), str(total.denominator))
+    assert rat_text(-total) == f"-{num}/{den}" and rat_text(F(0)) == "0/1"
 
 
 @pytest.mark.parametrize(
