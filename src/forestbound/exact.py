@@ -16,12 +16,16 @@ node in the bit order of W.
 Resume invariant: `_CHAINS` names each class's scans in the order a node
 runs them. Every scan maps (cand, start) to (W, anchor). The degree, B (of
 ab) and spine scans walk vertices in index order from start and stop at the
-first one that starts a violation, their anchor. Whether a vertex
-starts one depends only on degrees and neighbourhoods inside cand, which
-deleting vertices only shrinks, so no vertex below the anchor starts a
-violation in any descendant. A node's anchor numbers scan i's anchor a as
+first one that starts a violation, their anchor. Whether a vertex starts
+one depends only on degrees, neighbourhoods and triangles inside cand,
+which deleting vertices only shrinks, so no vertex below the anchor starts
+a violation in any descendant. A node's anchor numbers scan i's anchor a as
 i * n + a, and a child resumes the chain there: it skips every scan before
 i and starts scan i at a, so it finds the same W as a scan from vertex 0.
+No class here holds a triangle, so W is one through the anchor where a scan
+sees it, for 3 children: the degree scan's at a cap of 2 or more (else the
+centre and all its neighbours), the spine scan's through a spine neighbour
+met before its W is full (else a spider, or for star a P4).
 The cycle check comes last and does not resume: it floods cand once and
 reads each component's one cycle, if any, off the degrees inside cand,
 reporting anchor 0 whenever it finds a cycle.
@@ -46,7 +50,8 @@ incumbent.
   to the right, so a child that trips it when pushed trips it at every pop.
 - Dead children (W from the degree scan: a centre over its cap and its
   neighbours): no child is pushed whose kept set holds the centre and more
-  than its cap of them, since no valid set lies below it.
+  than its cap of them, since no valid set lies below it. A triangle W has
+  no such child: its |W| - cap - 2 is below 0.
 """
 
 from __future__ import annotations
@@ -204,7 +209,7 @@ class _Search:
     # search node, so they walk bitmasks inline (lowest bit first).
 
     def _degree_scan(self, cand: int, start: int) -> tuple[int, int]:
-        # A vertex over its cap with its neighbors.
+        # A vertex over its cap with its neighbors, or a triangle through it.
         adj, caps = self.adj, self.caps
         rest = cand >> start << start
         while rest:
@@ -213,6 +218,12 @@ class _Search:
             i = low.bit_length() - 1
             nbrs = adj[i] & cand
             if nbrs.bit_count() > caps[i]:
+                js = nbrs if caps[i] >= 2 else 0  # a cap below 2 leaves W at most 3
+                while js:
+                    low_j = js & -js
+                    js ^= low_j
+                    if third := adj[low_j.bit_length() - 1] & nbrs:
+                        return low | low_j | (third & -third), i
                 return low | nbrs, i
         return 0, self.n
 
@@ -239,9 +250,9 @@ class _Search:
         return 0, self.n
 
     def _spine_scan(self, cand: int, start: int) -> tuple[int, int]:
-        # A spine vertex (degree >= 2) with more than limit spine neighbours,
-        # each shown by a second neighbour, and for limit 0 its own second one
-        # (the star row runs no cycle scan: every cycle holds such a vertex).
+        # A spine vertex (degree >= 2) on a triangle or with more than limit spine
+        # neighbours, each shown by a second neighbour, and for limit 0 its own
+        # second one (the star row runs no cycle scan: every cycle holds such a vertex).
         adj, limit, floor = self.adj, self.limit, self.limit or 1
         rest = cand >> start << start
         while rest:
@@ -256,6 +267,8 @@ class _Search:
                 low_j = spine & -spine
                 spine ^= low_j
                 witness = adj[low_j.bit_length() - 1] & others
+                if third := witness & nbrs_i:  # a triangle through i
+                    return low_i | low_j | (third & -third), i
                 if witness:
                     bad |= low_j | (witness & -witness)
                     if not heavy:

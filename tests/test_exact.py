@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -19,6 +20,7 @@ from forestbound import (
     alpha_exact,
     alpha_exact_partitioned,
 )
+from forestbound.check import _holds
 from forestbound.exact import _CHAINS, OracleResult, _iter_bits, _Search
 from forestbound.generate import (
     complete_graph,
@@ -233,12 +235,22 @@ ALL_CLASSES = (
 )
 
 
+def _triangle_through(adj: list[int], i: int, js, nbrs: int) -> int:
+    """{i, j, t} for the first j of js with a neighbour t in nbrs, i's
+    neighbours, t the lowest one; 0 if there is none."""
+    for j, t in product(js, _iter_bits(nbrs)):
+        if adj[j] >> t & 1:
+            return 1 << i | 1 << j | 1 << t
+    return 0
+
+
 class RescanSearch(_Search):
     """The search before its finders resumed, kept as a reference: every
     node's violation scan starts at vertex 0, the finder is picked through
     an if-chain at every node, and children are built in a list and pushed
-    reversed. Its greedy peel rescans from vertex 0 too. It runs no cut, or
-    with edge_cut set the edge count at every node, as every row does."""
+    reversed. Its greedy peel rescans from vertex 0 too. Its finders return
+    the scans' triangles by their own spelling. It runs no cut, or with
+    edge_cut set the edge count at every node, as every row does."""
 
     edge_cut = False
 
@@ -322,6 +334,8 @@ class RescanSearch(_Search):
             i = low.bit_length() - 1
             nbrs = adj[i] & cand
             if nbrs.bit_count() > caps[i]:
+                if caps[i] >= 2:
+                    return _triangle_through(adj, i, _iter_bits(nbrs), nbrs) or low | nbrs
                 return low | nbrs
         return 0
 
@@ -343,6 +357,8 @@ class RescanSearch(_Search):
                 nbrs_j = adj[low_j.bit_length() - 1] & cand
                 if nbrs_j.bit_count() < 2:
                     continue
+                if nbrs_j & nbrs_i:  # a triangle
+                    return low_i | low_j | (nbrs_j & nbrs_i & -(nbrs_j & nbrs_i))
                 extra_i = nbrs_i ^ low_j
                 extra_j = nbrs_j ^ low_i
                 return low_i | low_j | (extra_i & -extra_i) | (extra_j & -extra_j)
@@ -364,7 +380,14 @@ class RescanSearch(_Search):
         while rest:
             low_i = rest & -rest
             rest ^= low_i
-            spine = adj[low_i.bit_length() - 1] & heavy
+            i = low_i.bit_length() - 1
+            nbrs = adj[i] & cand
+            spine = nbrs & heavy
+            # at degree >= 3, a triangle through one of the first three spine
+            # neighbors comes first
+            triangle = _triangle_through(adj, i, list(_iter_bits(spine))[:3], nbrs)
+            if triangle and nbrs.bit_count() >= 3:
+                return triangle
             if spine.bit_count() < 3:
                 continue
             bad = low_i
@@ -510,6 +533,49 @@ def test_cut_search_matches_unpruned_search():
             assert new.alpha >= ref.alpha, (*case, budget)
 
 
+class RecordingSearch(_Search):
+    """Records every nonempty W a scan returns: (scan, W, anchor)."""
+
+    def __init__(self, g: Graph, kind: str, k: int | None = None, labels=None):
+        super().__init__(g, kind, k, labels)
+        self.found = []
+
+
+for _name in {name for names in _CHAINS.values() for name in names}:
+    def _recorded(self, cand, start, _name=_name, _scan=getattr(_Search, _name)):
+        bad, anchor = _scan(self, cand, start)
+        if bad:
+            self.found.append((_name, bad, anchor))
+        return bad, anchor
+
+    setattr(RecordingSearch, _name, _recorded)
+
+
+def test_every_violation_is_an_obstruction():
+    # At every node of every corpus search, and in its greedy peel, the W a
+    # scan returns induces a graph outside the class (with the node's
+    # labels), so every valid set misses one of its vertices. A triangle is
+    # such a W in every class here: the degree scan returns one through a
+    # vertex over a cap of 2 or more, and the spine scan with limit 2 one
+    # through a vertex of degree 3 or more. Only a triangle gives those two a
+    # 3-vertex W, so the count shows that each branch fired.
+    triangles = Counter()
+    for g, kind, k, labels in oracle_corpus():
+        search = RecordingSearch(g, kind, k=k, labels=labels)
+        search.run(10**6)
+        cls = ForestClass({"abc": "linear", "ab": "star"}.get(kind, kind), k)
+        parts = labels and Partition(dict(zip(g.vertices, labels)), kind.upper())
+        for scan, bad, anchor in search.found:
+            sub = g.adjacency(search.vs[i] for i in _iter_bits(bad))
+            assert not _holds(cls, sub, parts), (g.edges(), kind, k, labels, scan, bad)
+            if len(sub) == 3 and all(len(nbrs) == 2 for nbrs in sub.values()):
+                if scan == "_degree_scan" and search.caps[anchor] >= 2:
+                    triangles[scan] += 1
+                elif scan == "_spine_scan" and search.limit == 2:
+                    triangles[scan] += 1
+    assert triangles["_degree_scan"] and triangles["_spine_scan"], triangles
+
+
 def degree_scan_length(search: _Search, cand: int, start: int) -> int:
     """The vertices a degree scan of cand from start examines: those of cand
     from start up to the first one over its cap, or to the end."""
@@ -551,13 +617,15 @@ def test_resumed_degree_scan_examines_at_most_half_the_vertices():
 def spine_scan_length(search: _Search, cand: int, start: int) -> int:
     """The vertices a spine scan of cand from start examines: those of cand
     from start up to the first one with three neighbors of degree >= 2 in
-    cand, or to the end."""
+    cand or, at degree >= 3, a triangle, or to the end."""
     count = 0
     for i in range(start, search.n):
         if cand >> i & 1:
             count += 1
-            nbrs = _iter_bits(search.adj[i] & cand)
-            if sum(1 for j in nbrs if search.adj[j] & cand & ~(1 << i)) >= 3:
+            nbrs = search.adj[i] & cand
+            spine = sum(1 for j in _iter_bits(nbrs) if search.adj[j] & cand & ~(1 << i))
+            triangle = any(search.adj[j] & nbrs for j in _iter_bits(nbrs))
+            if spine >= 3 or triangle and nbrs.bit_count() >= 3:
                 break
     return count
 
@@ -608,7 +676,7 @@ def test_linear_forest_on_gnp40_is_exact_within_the_default_budget():
     g = gnp(40, 0.3, 7)
     res = alpha_exact(g, LINEAR_FOREST)
     assert res.exact and res.alpha == 14
-    assert res.nodes_explored == 1_369_314
+    assert res.nodes_explored == 577_821
     assert LINEAR_FOREST.contains(g.induced(res.witness))
 
 
@@ -656,8 +724,8 @@ def test_search_peak_allocation_stays_under_1mb():
 def test_star_forest_on_gnp34_node_count():
     res = alpha_exact(gnp(34, 0.3, 7), STAR_FOREST)
     assert res.exact
-    # 117 062 without a cut; the memo search took 1.37 M
-    assert res.nodes_explored == 78_826
+    # 56 409 without a cut; the memo search takes 2.00 M
+    assert res.nodes_explored == 34_978
 
 
 def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
@@ -669,17 +737,18 @@ def seeded_partition(n: int, mode: str, seed: int) -> tuple[Graph, Partition]:
 @pytest.mark.parametrize(
     "search, nodes",
     [
-        # (without a cut: 131 142, 52 083, 43 036, 131 142, 361 942, 164 523
-        # and 6 203 nodes)
-        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 17_884),
-        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 7_934),
+        # (without a cut: 26 000, 36 592, 43 037, 26 000, 32 445, 37 211 and
+        # 2 307 nodes)
+        (lambda: alpha_exact(gnp(28, 0.3, 7), LINEAR_FOREST), 10_970),
+        (lambda: alpha_exact_partitioned(*seeded_partition(24, "ABC", 1)), 6_039),
         (lambda: alpha_exact_partitioned(*seeded_partition(24, "AB", 1)), 31_926),
         # k = 2 runs the linear row
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 17_884),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 2)), 10_970),
         # the other caterpillars run the spine scan, after the degree scan when k is set
-        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 48_720),
-        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 47_911),
-        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 77),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), ForestClass("caterpillar", 3)), 10_079),
+        (lambda: alpha_exact(gnp(28, 0.3, 7), CATERPILLAR_FOREST), 11_832),
+        # the one search here that a triangle W makes larger
+        (lambda: alpha_exact(random_regular(18, 5, 1), ForestClass("caterpillar", 3)), 127),
     ],
     ids=[
         "linear-gnp28", "abc-gnp24", "ab-gnp24", "caterpillar2-gnp28",
@@ -757,11 +826,10 @@ def test_no_stack_entry_is_dead_when_pushed():
 
 
 def test_linear_gnp28_stack_pushes():
-    # 17 884 nodes either way. Pushing every child, the search pushed 31 930
-    # and dropped 14 047 of them at their pop uncounted; now each pushed
-    # child is expanded.
+    # No pushed child is dead; one is skipped at its pop, after the incumbent
+    # grew.
     res, pushes, dead = traced_stack(_Search(gnp(28, 0.3, 7), "linear"))
-    assert (res.nodes_explored, pushes, dead) == (17_884, 17_883, 0)
+    assert (res.nodes_explored, pushes, dead) == (10_970, 10_970, 0)
 
 
 def test_edge_count_cut_is_sound_on_the_atlas():
