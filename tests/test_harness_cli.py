@@ -1,10 +1,12 @@
 """Harness suites and the command-line surface."""
 
+import multiprocessing
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from forestbound import run_suite
+from forestbound import harness, run_suite
 from forestbound.cli import main
 from forestbound.errors import BoundMiss, ForestBoundError
 from forestbound.graph import MAX_VERTICES
@@ -31,6 +33,88 @@ class TestHarness:
             "exhaustive:n=3": 8,
             "exhaustive:n=4": 64,
         }
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_exhaustive_payload_is_the_same_on_any_core_count(self, monkeypatch, cores):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+        alone = run_suite("exhaustive-small", sizes=[4, 5]).payload()
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        assert run_suite("exhaustive-small", sizes=[4, 5]).payload() == alone
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    def test_exhaustive_ranges_cover_every_mask_once(self, monkeypatch, cores):
+        # a count of (masks, sum of masks) adds up to the whole range's
+        monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(harness, "_exhaustive_counts", lambda n, masks: (len(masks), sum(masks)))
+        for n in (4, 5, 6):
+            (record,) = run_suite("exhaustive-small", sizes=[n]).records
+            total = 1 << n * (n - 1) // 2
+            assert (record["graphs"], record["violations"]) == (total, total * (total - 1) // 2)
+
+    @staticmethod
+    def raising(monkeypatch, raises):
+        """Patch greedy_linear_forest to raise raises[masks] on a five-vertex graph whose edge
+        mask is in the range `masks`."""
+        from forestbound import construct
+
+        build, pairs = construct.greedy_linear_forest, list(combinations(range(5), 2))
+
+        def broken(g):
+            edges = set(g.edges())
+            mask = sum(1 << i for i, pair in enumerate(pairs) if pair in edges)
+            for masks, exc in raises.items():
+                if mask in masks:
+                    raise exc
+            return build(g)
+
+        monkeypatch.setattr(construct, "greedy_linear_forest", broken)
+
+    @pytest.mark.parametrize("raises,error", [
+        ({range(512, 1024): ValueError("broken past 511")}, "ValueError: broken past 511"),
+        # two forked ranges raise: the record names the first in mask order, as one process does
+        ({range(341, 682): KeyError("second"), range(682, 1024): ValueError("third")},
+         "KeyError: 'second'"),
+        ({range(682, 1024): BoundMiss("missed", certificate=0)}, None),
+    ])
+    def test_a_worker_exception_fails_the_record_as_in_process(self, monkeypatch, raises, error):
+        self.raising(monkeypatch, raises)
+        reports = []
+        for cores in (1, 3):
+            monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+            reports.append(run_suite("exhaustive-small", sizes=[5]))
+            assert multiprocessing.active_children() == []
+        alone, split = reports
+        assert split.records == alone.records
+        assert split.errors == alone.errors
+        if error is None:  # greedy's BoundMiss is a violation, not an exception
+            assert alone.records[0]["violations"] == 342
+        else:
+            assert alone.errors == {"exhaustive:n=5": error}
+
+    def test_no_worker_outlives_a_run_that_raises(self, monkeypatch):
+        # an exception run_suite lets through, raised in the first range, stops every worker
+        class Stop(BaseException):
+            pass
+
+        self.raising(monkeypatch, {range(1): Stop()})
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
+        with pytest.raises(Stop):
+            run_suite("exhaustive-small", sizes=[5])
+        assert multiprocessing.active_children() == []
+
+    def test_a_daemonic_caller_runs_every_range_itself(self, monkeypatch):
+        # a daemonic process (a Pool worker, say) may not fork workers of its own
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        caller = ctx.Process(target=lambda: sender.send(
+            run_suite("exhaustive-small", sizes=[5]).payload()), daemon=True)
+        caller.start()
+        try:
+            assert receiver.recv() == run_suite("exhaustive-small", sizes=[5]).payload()
+        finally:
+            caller.join()
 
     def test_abc_and_star_lemma_suites(self):
         assert run_suite("abc-lemma", seed=3, sizes=[8]).failures == 0
@@ -225,9 +309,12 @@ class TestCli:
         Path("g.part").write_text("0 A\n1 A\n2 B\n3 A\n4 A\n5 A\n6 A\n")
         for name, (text, _) in self.GRAPH_FILES.items():
             Path(name).write_text(text, newline="")
-        made = []
-        monkeypatch.setattr(Graph, "__new__", staticmethod(
-            lambda cls, *args: made.append(cls) or object.__new__(cls)))
+        # every Graph is made by __init__ or by _of; both are Graph's own attributes, which
+        # monkeypatch puts back as they were (a patched __new__ it cannot take out cleanly)
+        made, init, of = [], Graph.__init__, Graph.__dict__["_of"].__func__
+        monkeypatch.setattr(Graph, "__init__", lambda g, *args: made.append(g) or init(g, *args))
+        monkeypatch.setattr(Graph, "_of", classmethod(
+            lambda cls, *args: made.append(cls) or of(cls, *args)))
         assert run_cli(*argv) == 0
         assert len(made) == builds
         out = capsys.readouterr().out

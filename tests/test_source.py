@@ -1,6 +1,8 @@
 """Static checks on the library source."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -522,3 +524,11 @@ def test_detector_sees_foreign_private_reads():
 def test_no_module_reads_another_modules_private_name(path):
     # a name a module keeps private is read by that module alone
     assert foreign_private_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only an exhaustive harness size that splits over forked workers imports it
+    code = "import sys, forestbound.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
