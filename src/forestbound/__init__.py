@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exact import OracleResult, alpha_exact, alpha_exact_partitioned
 from .generate import GenSpec, generate, gnp, parse_gen_spec, random_regular
-from .graph import DegreeHistogram, Graph, format_edge_list, parse_edge_list
+from .graph import Graph, format_edge_list, parse_edge_list
 from .harness import HarnessReport, run_suite
 from .partition import Partition, format_partition, parse_partition_file
 from .weights import (

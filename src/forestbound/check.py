@@ -13,7 +13,7 @@ from typing import AbstractSet, Mapping, Optional
 from .errors import ParseError, UnknownVertex
 from .graph import Graph, components_of, parse_spec_text, spec_text
 from .partition import ABC_CAPS, Partition
-from .weights import rat_text
+from .weights import rat_text, read_fraction
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def certificate_from_text(text: str) -> tuple[ForestCertificate, str]:
         if key not in fields:
             raise ParseError(f"certificate missing field {key!r}")
     forest_class = ForestClass.from_text(fields["class"])
-    bound = _field_value(Fraction, "bound", fields["bound"])
+    bound = _field_value(read_fraction, "bound", fields["bound"])
     vertices = [_field_value(int, "vertices", tok) for tok in fields["vertices"].split()]
     twice = sorted(v for v, c in Counter(vertices).items() if c > 1)
     if twice:

@@ -18,7 +18,7 @@ from typing import Optional
 from . import check, construct, exact, harness
 from .generate import generate as build_generated, parse_gen_spec
 from .errors import BoundMiss, ForestBoundError, InvalidSpec, ParseError
-from .graph import DegreeHistogram, format_edge_list, parse_edge_list
+from .graph import format_edge_list, parse_edge_list
 from .partition import Partition, format_partition, parse_partition_file
 from .weights import parse_bound_spec, rat_text, select_eps, total_weight, weight_counts
 
@@ -134,7 +134,7 @@ def cmd_bound(args) -> int:
     leaves = None if g is None else g.leaf_tags(deg)
     counts = weight_counts(spec, range(len(deg)), deg, labels, leaves)
     if spec.eps_open:
-        eps, d_star = select_eps(spec, DegreeHistogram.from_counts(counts))
+        eps, d_star = select_eps(spec, counts)
         print(f"eps={rat_text(eps)}")
         if spec.k is not None:  # fkeps, the open-eps variant with a k, picks eps by a degree D
             print(f"d_star={d_star if d_star is not None else '-'}")

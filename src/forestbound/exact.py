@@ -41,13 +41,11 @@ incumbent.
   at most r * Delta of its edges (Delta: the maximum degree), so a node
   with e(cand) - r * Delta > best is skipped uncounted; a valid cand larger
   than best has at most |cand| - 1 edges and never trips it: it runs first.
-  With the sum of the r largest degrees in cand for r * Delta it is the
-  degree count: a stronger cut, but its sort per node cost more time than
-  the nodes it saved on the benchmark's searches. A child deleting a vertex
-  of degree d in cand trips it iff d < e(cand) - (|cand| - best - 2) * Delta
-  - best, so no such child is pushed; popped, a child is tested again, as
-  best may have grown. Raising best by 1 adds Delta to the left side and 1
-  to the right, so a child that trips it when pushed trips it at every pop.
+  A child deleting a vertex of degree d in cand trips it iff d < e(cand) -
+  (|cand| - best - 2) * Delta - best, so no such child is pushed; popped, a
+  child is tested again, as best may have grown. Raising best by 1 adds
+  Delta to the left side and 1 to the right, so a child that trips it when
+  pushed trips it at every pop.
 - Dead children (W from the degree scan: a centre over its cap and its
   neighbours): no child is pushed whose kept set holds the centre and more
   than its cap of them, since no valid set lies below it. A triangle W has

@@ -1,5 +1,5 @@
-"""Simple undirected graphs with stable vertex identifiers, their components
-and degree histograms, and the edge-list and `name:key=value` text formats.
+"""Simple undirected graphs with stable vertex identifiers, their components,
+and the edge-list and `name:key=value` text formats.
 
 Graphs are immutable: every mutation-like operation returns a new graph.
 Vertex identifiers survive deletions, so a vertex subset computed on a
@@ -12,7 +12,6 @@ import hashlib
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from operator import add, ge, lt, mul
 from typing import Collection, Iterable, Iterator, Mapping
@@ -163,9 +162,6 @@ class Graph:
                 sets[j].add(ids[i])
         return dict(compress(zip(ids, sets), mark))
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
     def induced(self, s: Iterable[int]) -> "Graph":
         """The subgraph induced by s, ids kept; O(n + m)."""
         return Graph(self.adjacency(s))
@@ -188,9 +184,6 @@ class Graph:
     def components(self) -> list[set[int]]:
         """Connected components, sorted by their minimum vertex id."""
         return components_of(adj := self.adjacency(), adj)
-
-    def degree_histogram(self) -> "DegreeHistogram":
-        return DegreeHistogram(dict(Counter(self.degrees())))
 
     def edge_hash(self) -> str:
         """Stable hash of the labelled edge set, used in certificate records."""
@@ -229,35 +222,6 @@ def components_of(adj: Mapping[int, Iterable[int]], vertices: Iterable[int]) -> 
         seen |= comp
         comps.append(comp)
     return comps
-
-
-@dataclass(frozen=True)
-class DegreeHistogram:
-    """Counts n_d > 0 of vertices of each degree d; from_counts drops zero counts."""
-
-    counts: dict[int, int]
-
-    def __post_init__(self):
-        if any(d < 0 or c <= 0 for d, c in self.counts.items()):
-            raise ValueError("degrees must be nonnegative and counts positive")
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.counts.items()))
-
-    @classmethod
-    def from_counts(cls, counts: dict[int, int]) -> "DegreeHistogram":
-        return cls({d: c for d, c in counts.items() if c})
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.counts, default=0)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts.values())
-
-    def count(self, d: int) -> int:
-        return self.counts.get(d, 0)
 
 
 def parse_spec_text(text: str, what: str, keys: Collection[str]) -> tuple[str, dict[str, str]]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import DegreeZero, EpsOutOfRange, InvalidSpec, MissingPartition, ParseError
-from .graph import DegreeHistogram, Graph, parse_spec_text, spec_text
+from .graph import Graph, parse_spec_text, spec_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -215,17 +215,22 @@ class BoundSpec:
         return spec_text(self.variant, [("k", self.k), ("eps", self.eps)])
 
 
+def read_fraction(text: str) -> Fraction:
+    """Fraction(text), the reader of an eps and a certificate's bound, but a ValueError for an
+    exponent e whose 10**e, which Fraction builds first, is an int past the int digit limit."""
+    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", text, re.I)
+    if exp and abs(int(exp[1])) >= (sys.get_int_max_str_digits() or math.inf):
+        raise ValueError(f"exponent {exp[1]} makes a power of 10 past the int digit limit")
+    return Fraction(text)
+
+
 def parse_bound_spec(text: str) -> BoundSpec:
     """Parse the canonical text encoding, e.g. `fkeps:k=2,eps=1/6`. Which
     arguments a variant needs or takes is BoundSpec's check."""
     name, args = parse_spec_text(text, "bound spec", ("k", "eps"))
     try:
         k = int(args["k"]) if "k" in args else None
-        # Fraction would build 10**e for an exponent e however long it took
-        exp = re.search(r"e([-+]?\d+(?:_\d+)*)$", args.get("eps", ""), re.I)
-        if exp and abs(int(exp[1])) >= (sys.get_int_max_str_digits() or math.inf):
-            raise ValueError(f"eps exponent {exp[1]} makes a power of 10 past the int digit limit")
-        return BoundSpec(name, k, Fraction(args["eps"]) if "eps" in args else None)
+        return BoundSpec(name, k, read_fraction(args["eps"]) if "eps" in args else None)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad bound spec {text!r}: {exc}") from exc
 
@@ -253,47 +258,48 @@ def total_weight(counts: Mapping, spec: BoundSpec) -> Fraction:
     both, is the optimum for counts, their degree histogram."""
     eps, weight = spec.eps, _VARIANTS[spec.variant][3]
     if spec.eps_open:
-        eps, _ = select_eps(spec, DegreeHistogram.from_counts(counts))
+        eps, _ = select_eps(spec, counts)
     terms = [(c, weight(spec.k, eps, key)) for key, c in counts.items()]
     den = math.lcm(*(w.denominator for _, w in terms))
     return Fraction(sum(c * w.numerator * (den // w.denominator) for c, w in terms), den)
 
 
-def select_eps(spec: BoundSpec, hist: DegreeHistogram) -> tuple[Fraction, Optional[int]]:
-    """The optimal eps on hist for an fkeps or star spec whose eps is open.
-    The second value is the D that epsilon_star picked an fkeps eps by, None
-    for star."""
+def select_eps(spec: BoundSpec, counts: Mapping[int, int]) -> tuple[Fraction, Optional[int]]:
+    """The optimal eps on degree -> count counts for an fkeps or star spec whose eps is open, and
+    the D that epsilon_star picked an fkeps eps by (None for star)."""
     if spec.variant == "star":
-        return star_epsilon_opt(hist), None
-    return epsilon_star(hist, spec.k)
+        return star_epsilon_opt(counts), None
+    return epsilon_star(counts, spec.k)
 
 
-def _kink_walk(hist: DegreeHistogram, variant: str, k: Optional[int], degrees, past: bool):
+def _kink_walk(counts: Mapping[int, int], variant: str, k: Optional[int], degrees, past: bool):
     """(d, its kink) for the first of degrees, walked from the highest kink down, below whose kink
-    the slope of the total in eps, -n_1 plus scale times the count of the degrees walked, is
-    >= 0 (> 0, if past); (None, 0) if there is none. The walk counts in ints."""
+    the slope of the total in eps, -n_1 plus scale times the count of the degrees walked, is >= 0
+    (> 0, if past), in ints; (None, 0) if none. ValueError: a negative degree or count."""
+    if any(d < 0 or c < 0 for d, c in counts.items()):
+        raise ValueError("degrees and counts must be nonnegative")
     shape, _, scale, inv = _CAPS[variant](k)
-    need, walked = hist.count(1) + past, 0
+    need, walked = counts.get(1, 0) + past, 0
     for d in degrees:
-        walked += hist.count(d)
+        walked += counts.get(d, 0)
         if scale * walked >= need:  # the kink (w - inv/d)/scale, over ints
             w = _weigh(shape, d)
             return d, Fraction(w.numerator * d - inv * w.denominator, w.denominator * d * scale)
     return None, _ZERO
 
 
-def epsilon_star(hist: DegreeHistogram, k: int) -> tuple[Fraction, Optional[int]]:
-    """Optimal epsilon for the k-caterpillar family on a degree histogram, and its D: the kink
+def epsilon_star(counts: Mapping[int, int], k: int) -> tuple[Fraction, Optional[int]]:
+    """Optimal epsilon for the k-caterpillar family on degree -> count counts, and its D: the kink
     2/((k+1)(D+1)) of the smallest D >= k+1 whose cumulative high-degree count satisfies
     (k+1) * sum n_d >= n_1, the largest maximizer; (0, None) when there is no such D."""
     _check_k(k)
-    d_star, eps = _kink_walk(hist, "fkeps", k, range(k + 1, max(hist.max_degree, k + 1) + 1), False)
+    d_star, eps = _kink_walk(counts, "fkeps", k, range(k + 1, max([*counts, k + 1]) + 1), False)
     return eps, d_star
 
 
-def star_epsilon_opt(hist: DegreeHistogram) -> Fraction:
-    """Smallest epsilon in [0, 1/6] maximizing the star forest bound: the first kink, 1/10 for
-    d = 2 and (d-1)/(d(d+1)) for d >= 3, at which the summed n_d exceed n_1; 0 if none does."""
+def star_epsilon_opt(counts: Mapping[int, int]) -> Fraction:
+    """Smallest epsilon in [0, 1/6] maximizing the star forest bound on degree -> count counts:
+    the first kink (1/10 at 2, (d-1)/(d(d+1)) at d >= 3) where the summed n_d exceed n_1, else 0."""
     # The kinks fall as d grows; that of degree 2 lies between those of 7 and 8.
-    kinks_down = (3, 4, 5, 6, 7, 2, *range(8, hist.max_degree + 1))
-    return _kink_walk(hist, "star", None, kinks_down, True)[1]
+    kinks_down = (3, 4, 5, 6, 7, 2, *range(8, max(counts, default=0) + 1))
+    return _kink_walk(counts, "star", None, kinks_down, True)[1]

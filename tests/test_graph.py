@@ -3,7 +3,6 @@
 import random
 import re
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -127,7 +126,7 @@ def strip_leaves_is_path_oracle(g: Graph) -> bool:
         sub = g.induced(comp)
         spine = {v for v, d in zip(sub.vertices, sub.degrees()) if d >= 2}
         core = sub.induced(spine)
-        if core.n and (core.max_degree() > 2 or len(core.components()) > 1):
+        if core.n and (max(core.degrees()) > 2 or len(core.components()) > 1):
             return False
     return True
 
@@ -167,7 +166,7 @@ def test_caterpillar_and_star_against_oracles_small():
             caterpillar = strip_leaves_is_path_oracle(g)
             assert CATERPILLAR_FOREST.contains(g) == caterpillar
             for k in (2, 3):
-                bounded = caterpillar and g.max_degree() <= k
+                bounded = caterpillar and max(g.degrees(), default=0) <= k
                 assert ForestClass("caterpillar", k).contains(g) == bounded, (mask, k)
             deg = dict(zip(g.vertices, g.degrees()))
             star_expected = acyclic_by_union_find(g) and all(
@@ -198,7 +197,7 @@ def test_recognizers_hereditary(g, data):
 def test_class_containment_chain(f):
     if STAR_FOREST.contains(f):
         assert CATERPILLAR_FOREST.contains(f)
-    if CATERPILLAR_FOREST.contains(f) and f.max_degree() <= 2:
+    if CATERPILLAR_FOREST.contains(f) and max(f.degrees(), default=0) <= 2:
         assert LINEAR_FOREST.contains(f)
     # every forest with max degree <= 2 is linear, and every linear forest is
     # a caterpillar forest
@@ -428,15 +427,14 @@ def assert_degrees_agree(text: str):
 
 
 def assert_degrees_match_sets(text: str):
-    """The degrees, degree histogram and leaf tags of the graph of text, each
-    counted off its edge arrays, are those of its neighbor sets."""
+    """The degrees and leaf tags of the graph of text, each counted off its
+    edge arrays, are those of its neighbor sets."""
     g = parse_edge_list(text)
-    read = g.degrees(), g.degree_histogram(), g.leaf_tags(g.degrees())
+    read = g.degrees(), g.leaf_tags(g.degrees())
     adj = g.adjacency()
     degree = {v: len(ws) for v, ws in adj.items()}
     tags = [degree[min(adj[v])] if degree[v] == 1 else None for v in g.vertices]
-    histogram = graph_module.DegreeHistogram(dict(Counter(degree.values())))
-    assert read == (list(degree.values()), histogram, tags), repr(text)
+    assert read == (list(degree.values()), tags), repr(text)
 
 
 # an edge list's line shape as one pattern: two ASCII-decimal numbers with no leading zero, one
@@ -1021,9 +1019,8 @@ def test_graph_refuses_more_keys_than_the_limit():
         Graph(dict.fromkeys(chain([-1], range(MAX_VERTICES)), empty))
 
 
-def test_degree_histogram():
-    h = star_graph(4).degree_histogram()
-    assert h.counts == {4: 1, 1: 4} and h.max_degree == 4 and h.n == 5
+def test_star_degrees():
+    assert star_graph(4).degrees() == [4, 1, 1, 1, 1]
 
 
 def test_graph_immutability_of_operations():

@@ -1,6 +1,7 @@
 """Harness suites and the command-line surface."""
 
 import multiprocessing
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -811,6 +812,36 @@ def test_verify_rejects_a_malformed_certificate(workdir, capsys, text, message):
     assert run_cli("verify", "p3.txt", "p3.cert") == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.fixture()
+def digit_limit():
+    """sys.get_int_max_str_digits(), skipping a run with no limit, where no exponent is refused."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int digit limit is set")
+    return limit
+
+
+@pytest.mark.parametrize("bound", ["1e1000000", "1E+1000000", "2.5e-1000000", "1e{limit}"])
+def test_verify_refuses_a_bound_exponent_past_the_digit_limit(workdir, capsys, digit_limit, bound):
+    # Fraction built 10**1000000 first, and the verdict then wrote all its million digits
+    bound = bound.format(limit=digit_limit)
+    Path("k2.txt").write_text("2 1\n0 1\n")
+    Path("k2.cert").write_text(f"class=linear\nbound={bound}\nvertices=0 1\n")
+    assert run_cli("verify", "k2.txt", "k2.cert") == 3
+    assert capsys.readouterr() == ("", f"error: bad value {bound!r} in certificate field 'bound'\n")
+
+
+@pytest.mark.parametrize("bound, written", [("7/3", "7/3"), ("1e{top}", "1{zeros}/1")])
+def test_verify_reads_a_bound_within_the_digit_limit(workdir, capsys, digit_limit, bound, written):
+    # the largest exponent read is one below the limit: 1e4299 at the default 4 300
+    top = digit_limit - 1
+    bound, written = bound.format(top=top), written.format(zeros="0" * top)
+    Path("k2.txt").write_text("2 1\n0 1\n")
+    Path("k2.cert").write_text(f"class=linear\nbound={bound}\nvertices=0 1\n")
+    assert run_cli("verify", "k2.txt", "k2.cert") == 2
+    assert capsys.readouterr() == (f"verdict=fail size=2 bound={written}\n", "")
 
 
 def test_a_failed_verify_writes_its_verdict_and_no_error_line(workdir, capsys):

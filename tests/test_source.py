@@ -442,7 +442,7 @@ def trusted_base(name: str) -> dict[str, int]:
     return lines
 
 
-TRUSTED_BASE_LINES = 1025  # the ceiling on the trusted base; 1 045 before the weight table
+TRUSTED_BASE_LINES = 995  # the ceiling on the trusted base, lowered to its size as it shrinks
 
 
 def test_trusted_base_line_count():

@@ -5,12 +5,12 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
 from forestbound import (
     BoundSpec,
-    DegreeHistogram,
     EpsOutOfRange,
     Graph,
     MissingPartition,
@@ -34,14 +34,14 @@ from forestbound.generate import complete_graph, cycle_graph, gnp, path_graph, s
 from forestbound.weights import STAR_EPS_MAX, ab_star_gain, eps_max, hkg_weight, rat_text
 
 
-def fkeps_total(hist, k, eps):
-    """The k-caterpillar bound on a degree histogram, summed with f_k_eps."""
-    return sum((count * f_k_eps(k, eps, d) for d, count in hist.counts.items()), F(0))
+def fkeps_total(counts, k, eps):
+    """The k-caterpillar bound on degree -> count, summed with f_k_eps."""
+    return sum((count * f_k_eps(k, eps, d) for d, count in counts.items()), F(0))
 
 
-def star_total(hist, eps):
-    """The star forest bound on a degree histogram, summed with star_f_eps."""
-    return sum((count * star_f_eps(eps, d) for d, count in hist.counts.items()), F(0))
+def star_total(counts, eps):
+    """The star forest bound on degree -> count, summed with star_f_eps."""
+    return sum((count * star_f_eps(eps, d) for d, count in counts.items()), F(0))
 
 
 class TestPointValues:
@@ -208,17 +208,17 @@ class TestTotalWeight:
             g = gnp(rng.randint(1, 40), rng.choice((0.05, 0.2, 0.5)), 4100 + trial)
             abc = Partition({v: rng.choice("ABC") for v in g.vertices}, "ABC")
             ab = Partition({v: rng.choice("AB") for v in g.vertices}, "AB")
-            hist, deg = g.degree_histogram(), dict(zip(g.vertices, g.degrees()))
+            counts, deg = Counter(g.degrees()), dict(zip(g.vertices, g.degrees()))
             hkg = {k: hkg_weights(g, k) for k in (2, 3)}
             per_vertex = [
                 (BoundSpec("flin"), None, lambda v: f_lin(deg[v])),
                 (BoundSpec("fk", 3), None, lambda v: f_k(3, deg[v])),
                 (BoundSpec("fkeps", 2, F(1, 10)), None, lambda v: f_k_eps(2, F(1, 10), deg[v])),
                 (BoundSpec("fkeps", 2), None,
-                 lambda v: f_k_eps(2, epsilon_star(hist, 2)[0], deg[v])),
+                 lambda v: f_k_eps(2, epsilon_star(counts, 2)[0], deg[v])),
                 (BoundSpec("star", eps=F(1, 12)), None, lambda v: star_f_eps(F(1, 12), deg[v])),
                 (BoundSpec("star"), None,
-                 lambda v: star_f_eps(star_epsilon_opt(hist), deg[v])),
+                 lambda v: star_f_eps(star_epsilon_opt(counts), deg[v])),
                 (BoundSpec("abc"), abc, lambda v: abc_weight(abc.part(v), deg[v])),
                 (BoundSpec("abstar"), ab, lambda v: ab_star_weight(ab.part(v), deg[v])),
                 (BoundSpec("hkg", 2), None, lambda v: hkg[2][v]),
@@ -277,7 +277,7 @@ def fraction_total(g, spec, labels=None):
     counts = Counter(deg if tags is None else zip(tags(g.vertices, labels, g.leaf_tags(deg)), deg))
     eps = spec.eps
     if spec.eps_open:
-        eps, _ = weights.select_eps(spec, g.degree_histogram())
+        eps, _ = weights.select_eps(spec, Counter(deg))
     return sum((c * weight(spec.k, eps, key) for key, c in counts.items()), F(0))
 
 
@@ -329,18 +329,18 @@ class TestIntegerSum:
 
     def test_every_kink_eps_on_a_heavy_tailed_graph(self):
         g = heavy_tailed_graph(1500, 20_000, 1)
-        hist = g.degree_histogram()
+        counts = Counter(g.degrees())
         for k in (2, 3):
-            for d in hist.counts:
+            for d in counts:
                 if d > k:
                     eps = F(2, (k + 1) * (d + 1))
-                    total = total_weight(hist.counts, BoundSpec("fkeps", k, eps))
-                    assert total == fkeps_total(hist, k, eps), (k, d)
-        for d in hist.counts:
+                    total = total_weight(counts, BoundSpec("fkeps", k, eps))
+                    assert total == fkeps_total(counts, k, eps), (k, d)
+        for d in counts:
             if d >= 2:
                 eps = F(1, 10) if d == 2 else F(d - 1, d * (d + 1))
-                total = total_weight(hist.counts, BoundSpec("star", eps=eps))
-                assert total == star_total(hist, eps), d
+                total = total_weight(counts, BoundSpec("star", eps=eps))
+                assert total == star_total(counts, eps), d
 
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
@@ -350,26 +350,23 @@ class TestIntegerSum:
             assert type(total) is F and total == 0, spec
 
 
-def brute_force_epsilon_star(hist, k):
+def brute_force_epsilon_star(counts, k):
     """Independent oracle: evaluate the total at every linear-piece breakpoint."""
     points = [F(0)] + [
-        F(2, (k + 1) * (D + 1)) for D in range(k + 1, max(hist.max_degree, k + 1) + 1)
+        F(2, (k + 1) * (D + 1)) for D in range(k + 1, max(max(counts), k + 1) + 1)
     ]
-    return max(fkeps_total(hist, k, eps) for eps in points)
+    return max(fkeps_total(counts, k, eps) for eps in points)
 
 
 class TestEpsilonStar:
     def test_claw_example(self):
-        hist = star_graph(3).degree_histogram()
-        assert epsilon_star(hist, 2) == (F(1, 6), 3)
+        assert epsilon_star(Counter(star_graph(3).degrees()), 2) == (F(1, 6), 3)
 
     def test_no_degree_one(self):
-        hist = cycle_graph(5).degree_histogram()
-        assert epsilon_star(hist, 2) == (eps_max(2), 3)
+        assert epsilon_star(Counter(cycle_graph(5).degrees()), 2) == (eps_max(2), 3)
 
     def test_big_star_gives_zero(self):
-        hist = star_graph(9).degree_histogram()
-        assert epsilon_star(hist, 2) == (F(0), None)
+        assert epsilon_star(Counter(star_graph(9).degrees()), 2) == (F(0), None)
 
     def test_matches_brute_force_on_random_histograms(self):
         rng = random.Random(2024)
@@ -378,87 +375,76 @@ class TestEpsilonStar:
             counts = {}
             for _ in range(rng.randint(1, 8)):
                 counts[rng.randint(0, 30)] = rng.randint(0, 9)
-            hist = DegreeHistogram.from_counts(counts)
-            eps, d_star = epsilon_star(hist, k)
-            best = brute_force_epsilon_star(hist, k)
-            assert fkeps_total(hist, k, eps) == best, (trial, counts, k)
+            eps, d_star = epsilon_star(counts, k)
+            best = brute_force_epsilon_star(counts, k)
+            assert fkeps_total(counts, k, eps) == best, (trial, counts, k)
             if d_star is not None:
                 assert eps == F(2, (k + 1) * (d_star + 1))
             else:
                 assert eps == 0
 
 
-def star_eps_candidates(hist):
+def star_eps_candidates(counts):
     """Independent candidate set: every degree's kink up to the maximum
     degree, plus a 1/600 grid on [0, 1/6]."""
-    kinks = {F(d - 1, d * (d + 1)) for d in range(3, hist.max_degree + 1)}
+    kinks = {F(d - 1, d * (d + 1)) for d in range(3, max(counts, default=0) + 1)}
     return sorted(kinks | {F(i, 600) for i in range(101)})
 
 
-def brute_force_star_opt(hist):
-    return max(star_total(hist, eps) for eps in star_eps_candidates(hist))
+def brute_force_star_opt(counts):
+    return max(star_total(counts, eps) for eps in star_eps_candidates(counts))
 
 
 @pytest.mark.parametrize(
     "counts, select, expected",
     [
-        ({5: 10, 1: 3}, lambda h: epsilon_star(h, 2), (F(1, 9), 5)),
+        ({5: 10, 1: 3}, lambda c: epsilon_star(c, 2), (F(1, 9), 5)),
         ({10: 5, 1: 3}, star_epsilon_opt, F(9, 110)),
+        ({3: 1, 1: 9}, lambda c: epsilon_star(c, 2), (F(0), None)),
+        ({4: 1, 1: 9}, star_epsilon_opt, F(0)),
     ],
-    ids=["epsilon_star", "star_epsilon_opt"],
+    ids=["epsilon_star", "star_epsilon_opt", "epsilon_star-none", "star_epsilon_opt-none"],
 )
-def test_selectors_read_the_maximum_degree_of_the_counts(counts, select, expected):
-    # the public constructor and from_counts give the same histogram, and its
-    # maximum degree is that of its counts
-    hist = DegreeHistogram(counts)
-    assert hist == DegreeHistogram.from_counts(counts) and hist.max_degree == max(counts)
-    assert select(hist) == select(DegreeHistogram.from_counts(counts)) == expected
+def test_a_zero_count_past_the_maximum_degree_selects_the_same(counts, select, expected):
+    # the walk runs on to the zero count's degree, which adds nothing to its slope; in the last
+    # two cases no degree lets the walk stop before it
+    padded = {**counts, max(counts) + 7: 0}
+    assert select(counts) == select(padded) == select(Counter(padded)) == expected
 
 
 @pytest.mark.parametrize("counts", [{-1: 2, 3: 1}, {3: -2, 1: 4}])
 def test_histogram_rejects_negative_degrees_and_counts(counts):
-    # the public constructor accepted these, and epsilon_star read them as
-    # (1/6, 3) and (0, None)
-    for build in (DegreeHistogram, DegreeHistogram.from_counts):
-        with pytest.raises(ValueError):
-            build(counts)
-
-
-def test_only_from_counts_drops_zero_counts():
-    with pytest.raises(ValueError):
-        DegreeHistogram({3: 0, 1: 4})
-    assert DegreeHistogram.from_counts({3: 0, 1: 4}) == DegreeHistogram({1: 4})
-
-
-def test_histogram_is_hashable():
-    hist = DegreeHistogram({3: 1, 1: 3})
-    assert hash(hist) == hash(DegreeHistogram.from_counts({1: 3, 3: 1, 7: 0}))
-    assert len({hist, DegreeHistogram({1: 3, 3: 1}), DegreeHistogram({1: 2})}) == 2
+    # a dict and a Counter alike, by each selector: epsilon_star once read these as (1/6, 3)
+    # and (0, None)
+    specs = (BoundSpec("fkeps", 2), BoundSpec("star"))
+    for mapping in (counts, Counter(counts)):
+        for select in (partial(epsilon_star, k=2), star_epsilon_opt,
+                       *(partial(weights.select_eps, spec) for spec in specs)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                select(mapping)
 
 
 class TestStarEpsilonOpt:
     def test_c5(self):
-        assert star_epsilon_opt(cycle_graph(5).degree_histogram()) == F(1, 10)
+        assert star_epsilon_opt(Counter(cycle_graph(5).degrees())) == F(1, 10)
 
     def test_only_leaves(self):
-        hist = DegreeHistogram.from_counts({1: 6})
-        assert star_epsilon_opt(hist) == 0
+        assert star_epsilon_opt({1: 6}) == 0
 
     def test_k4(self):
-        assert star_epsilon_opt(complete_graph(4).degree_histogram()) == F(1, 6)
+        assert star_epsilon_opt(Counter(complete_graph(4).degrees())) == F(1, 6)
 
     def test_is_maximizer_and_smallest(self):
         rng = random.Random(7)
         for _ in range(200):
             counts = {rng.randint(0, 20): rng.randint(0, 6) for _ in range(rng.randint(1, 6))}
-            hist = DegreeHistogram.from_counts(counts)
-            eps = star_epsilon_opt(hist)
-            best = brute_force_star_opt(hist)
-            assert star_total(hist, eps) == best
-            for smaller in star_eps_candidates(hist):
+            eps = star_epsilon_opt(counts)
+            best = brute_force_star_opt(counts)
+            assert star_total(counts, eps) == best
+            for smaller in star_eps_candidates(counts):
                 if smaller >= eps:
                     break
-                assert star_total(hist, smaller) < best
+                assert star_total(counts, smaller) < best
 
     @pytest.mark.parametrize(
         "counts, expected",
@@ -471,12 +457,11 @@ class TestStarEpsilonOpt:
         ],
     )
     def test_degree_two_kink_between_seven_and_eight(self, counts, expected):
-        hist = DegreeHistogram.from_counts(counts)
-        eps = star_epsilon_opt(hist)
+        eps = star_epsilon_opt(counts)
         assert eps == expected
-        assert star_total(hist, eps) == brute_force_star_opt(hist)
-        assert all(star_total(hist, e) < star_total(hist, eps)
-                   for e in star_eps_candidates(hist) if e < eps)
+        assert star_total(counts, eps) == brute_force_star_opt(counts)
+        assert all(star_total(counts, e) < star_total(counts, eps)
+                   for e in star_eps_candidates(counts) if e < eps)
 
 
 def test_incomparability_of_family_members():
